@@ -6,9 +6,12 @@
 //                 training loop exercises (forward A*B, the two gradient
 //                 orientations A*B^T and A^T*B, and the fused bias+ReLU
 //                 affine), at the exact shapes the ADS and ORION encoders
-//                 produce in fast mode. Reference vs fast family, best-of-reps,
-//                 plus a differential check (the families must agree to
-//                 ~1e-12 relative — FMA contraction only).
+//                 produce in fast mode, plus the ORION GCN backward: delta *
+//                 W^T, the dense and the sparse-feature weight gradients
+//                 x^T * delta, and the block backprop through A-hat on real
+//                 observations. Reference vs fast family, best-of-reps, plus
+//                 a differential check (the families must agree to ~1e-12
+//                 relative — FMA contraction only).
 //
 //   "scenarios" — the end-to-end epoch-forward path: every observation of a
 //                 rollout epoch pushed through the actor AND critic heads,
@@ -22,6 +25,7 @@
 // tools/bench_compare as higher-is-better).
 //
 //   micro_nn [--fast|--paper]
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -274,7 +278,8 @@ int run(int argc, char** argv) {
                [&] { return matmul(h1, w2); });
   }
   // The ORION encoder is the larger graph; its stacked affine is the single
-  // most expensive GEMM of a training epoch.
+  // most expensive GEMM of a training epoch, and its backward products are
+  // where a PPO update spends most of its time.
   {
     const ObservationEncoder encoder(orion_problem, fast_config.path_actions);
     const int n = orion_problem.num_nodes();
@@ -283,8 +288,33 @@ int run(int argc, char** argv) {
     Rng rng(29);
     const Matrix stacked = random_matrix(batch * n, f, rng);
     const Matrix w = random_matrix(f, e, rng);
-    bench_gemm("orion_gcn_affine", batch * n, f, e, reps, true,
+    const Matrix hidden = random_matrix(batch * n, e, rng);
+    const Matrix w2 = random_matrix(e, e, rng);
+    const Matrix grad = random_matrix(batch * n, e, rng);
+    // Real observations: the stacked (sparse) feature matrix the first GCN
+    // layer's weight gradient multiplies by, and the symmetric A-hat blocks
+    // the backward propagates through.
+    const std::vector<Observation> obs =
+        rollout_observations(orion_problem, fast_config, batch);
+    Matrix features(batch * n, f);
+    std::vector<Matrix> a_hats;
+    for (int b = 0; b < batch; ++b) {
+      const Matrix& x = obs[static_cast<std::size_t>(b)].features;
+      std::copy(x.data(), x.data() + x.size(),
+                features.data() + static_cast<std::size_t>(b) * n * f);
+      a_hats.push_back(obs[static_cast<std::size_t>(b)].a_hat);
+    }
+    const BlockAdjacency adj(std::move(a_hats));
+    bench_gemm("orion_gcn_affine", batch * n, f, e, reps, false,
                [&] { return matmul(stacked, w); });
+    bench_gemm("orion_grad_dx", batch * n, e, e, reps, false,
+               [&] { return matmul_transposed(grad, w2); });
+    bench_gemm("orion_grad_dw", e, batch * n, e, reps, false,
+               [&] { return matmul_transposed_a(hidden, grad); });
+    bench_gemm("orion_grad_dw_features", f, batch * n, e, reps, false,
+               [&] { return matmul_transposed_a(features, grad); });
+    bench_gemm("orion_gcn_backprop", batch * n, n, e, reps, true,
+               [&] { return block_diag_matmul(adj, grad, Epilogue::kNone); });
   }
 
   std::printf("  ],\n  \"scenarios\": [\n");

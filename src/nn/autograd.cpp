@@ -118,6 +118,22 @@ void add_grad(Node& parent, const Matrix& delta) {
   accumulate(parent.ensure_grad(), delta);
 }
 
+// Same for a delta the caller is done with: a parent without a gradient yet
+// adopts its storage instead of zero-filling a fresh matrix and adding into
+// it (at stacked-batch sizes that is megabytes of fresh pages per op). The
+// in-place 0.0 + d is exactly what accumulating into zeros computes (it turns
+// -0.0 into +0.0), so the gradient bits do not change.
+void add_grad(Node& parent, Matrix&& delta) {
+  if (!parent.requires_grad) return;
+  if (parent.grad.empty() && !parent.value.empty() && delta.same_shape(parent.value)) {
+    double* d = delta.data();
+    for (int i = 0; i < delta.size(); ++i) d[i] = 0.0 + d[i];
+    parent.grad = std::move(delta);
+    return;
+  }
+  accumulate(parent.ensure_grad(), delta);
+}
+
 Node& parent(Node& self, std::size_t i) { return *self.parents[i]; }
 
 }  // namespace
@@ -166,13 +182,16 @@ Tensor add_row_broadcast(const Tensor& a, const Tensor& row) {
     add_grad(parent(self, 0), self.grad);
     Node& prow = parent(self, 1);
     if (prow.requires_grad) {
-      Matrix col_sums(1, self.grad.cols());
+      // Column sums in a scratch row first, then one accumulate: the order
+      // the .at() loops summed in, on raw pointers.
+      const int cols = self.grad.cols();
+      Matrix col_sums(1, cols);
+      double* sums = col_sums.data();
       for (int i = 0; i < self.grad.rows(); ++i) {
-        for (int j = 0; j < self.grad.cols(); ++j) {
-          col_sums.at(0, j) += self.grad.at(i, j);
-        }
+        const double* grow = self.grad.data() + static_cast<std::size_t>(i) * cols;
+        for (int j = 0; j < cols; ++j) sums[j] += grow[j];
       }
-      add_grad(prow, col_sums);
+      add_grad(prow, std::move(col_sums));
     }
   });
 }
@@ -185,7 +204,7 @@ Tensor relu(const Tensor& a) {
     for (int i = 0; i < delta.size(); ++i) {
       if (self.value.data()[i] <= 0.0) delta.data()[i] = 0.0;
     }
-    add_grad(parent(self, 0), delta);
+    add_grad(parent(self, 0), std::move(delta));
   });
 }
 
@@ -198,7 +217,7 @@ Tensor tanh_op(const Tensor& a) {
       const double y = self.value.data()[i];
       delta.data()[i] *= (1.0 - y * y);
     }
-    add_grad(parent(self, 0), delta);
+    add_grad(parent(self, 0), std::move(delta));
   });
 }
 
@@ -213,20 +232,25 @@ Tensor exp_op(const Tensor& a) {
 Tensor mean_rows(const Tensor& a) {
   const Matrix& v = a.value();
   NPTSN_EXPECT(v.rows() >= 1, "mean_rows requires at least one row");
-  Matrix out(1, v.cols());
+  const int cols = v.cols();
+  Matrix out(1, cols);
+  double* po = out.data();
   for (int i = 0; i < v.rows(); ++i) {
-    for (int j = 0; j < v.cols(); ++j) out.at(0, j) += v.at(i, j);
+    const double* vrow = v.data() + static_cast<std::size_t>(i) * cols;
+    for (int j = 0; j < cols; ++j) po[j] += vrow[j];
   }
   const double inv = 1.0 / static_cast<double>(v.rows());
-  for (int j = 0; j < v.cols(); ++j) out.at(0, j) *= inv;
+  for (int j = 0; j < cols; ++j) po[j] *= inv;
   return Tensor::make_op(std::move(out), {a}, [inv](Node& self) {
     Node& pa = parent(self, 0);
     if (!pa.requires_grad) return;
-    Matrix delta(pa.value.rows(), pa.value.cols());
+    const int cols = pa.value.cols();
+    Matrix delta = Matrix::uninitialized(pa.value.rows(), cols);
     for (int i = 0; i < delta.rows(); ++i) {
-      for (int j = 0; j < delta.cols(); ++j) delta.at(i, j) = self.grad.at(0, j) * inv;
+      double* drow = delta.data() + static_cast<std::size_t>(i) * cols;
+      for (int j = 0; j < cols; ++j) drow[j] = self.grad.data()[j] * inv;
     }
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 
@@ -243,29 +267,32 @@ Tensor concat_cols(const Tensor& a, const Tensor& b) {
   const Matrix& va = a.value();
   const Matrix& vb = b.value();
   NPTSN_EXPECT(va.rows() == vb.rows(), "concat_cols row mismatch");
-  Matrix out(va.rows(), va.cols() + vb.cols());
-  for (int i = 0; i < va.rows(); ++i) {
-    for (int j = 0; j < va.cols(); ++j) out.at(i, j) = va.at(i, j);
-    for (int j = 0; j < vb.cols(); ++j) out.at(i, va.cols() + j) = vb.at(i, j);
-  }
   const int split = va.cols();
+  const int cols = split + vb.cols();
+  Matrix out = Matrix::uninitialized(va.rows(), cols);
+  for (int i = 0; i < va.rows(); ++i) {
+    double* orow = out.data() + static_cast<std::size_t>(i) * cols;
+    const double* arow = va.data() + static_cast<std::size_t>(i) * split;
+    const double* brow = vb.data() + static_cast<std::size_t>(i) * vb.cols();
+    std::copy(arow, arow + split, orow);
+    std::copy(brow, brow + vb.cols(), orow + split);
+  }
   return Tensor::make_op(std::move(out), {a, b}, [split](Node& self) {
     Node& pa = parent(self, 0);
     Node& pb = parent(self, 1);
-    if (pa.requires_grad) {
-      Matrix da(self.grad.rows(), split);
-      for (int i = 0; i < da.rows(); ++i) {
-        for (int j = 0; j < split; ++j) da.at(i, j) = self.grad.at(i, j);
+    const int rows = self.grad.rows();
+    const int cols = self.grad.cols();
+    // Copies the column range [begin, begin + width) of the incoming gradient.
+    const auto slice = [&](int begin, int width) {
+      Matrix d = Matrix::uninitialized(rows, width);
+      for (int i = 0; i < rows; ++i) {
+        const double* grow = self.grad.data() + static_cast<std::size_t>(i) * cols + begin;
+        std::copy(grow, grow + width, d.data() + static_cast<std::size_t>(i) * width);
       }
-      add_grad(pa, da);
-    }
-    if (pb.requires_grad) {
-      Matrix db(self.grad.rows(), self.grad.cols() - split);
-      for (int i = 0; i < db.rows(); ++i) {
-        for (int j = 0; j < db.cols(); ++j) db.at(i, j) = self.grad.at(i, split + j);
-      }
-      add_grad(pb, db);
-    }
+      return d;
+    };
+    if (pa.requires_grad) add_grad(pa, slice(0, split));
+    if (pb.requires_grad) add_grad(pb, slice(split, cols - split));
   });
 }
 
@@ -276,7 +303,7 @@ Tensor select(const Tensor& a, int r, int c) {
     if (!pa.requires_grad) return;
     Matrix delta(pa.value.rows(), pa.value.cols());
     delta.at(r, c) = self.grad.at(0, 0);
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 
@@ -292,7 +319,7 @@ Tensor clamp(const Tensor& a, double lo, double hi) {
       const double x = pa.value.data()[i];
       if (x < lo || x > hi) delta.data()[i] = 0.0;
     }
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 
@@ -312,8 +339,8 @@ Tensor min2(const Tensor& a, const Tensor& b) {
         db.data()[i] = self.grad.data()[i];
       }
     }
-    if (pa.requires_grad) add_grad(pa, da);
-    if (pb.requires_grad) add_grad(pb, db);
+    if (pa.requires_grad) add_grad(pa, std::move(da));
+    if (pb.requires_grad) add_grad(pb, std::move(db));
   });
 }
 
@@ -373,7 +400,7 @@ Tensor masked_log_softmax_row(const Tensor& logits, const std::vector<std::uint8
       const double p_i = std::exp(self.value.at(0, i));
       delta.at(0, i) = self.grad.at(0, i) - p_i * grad_sum;
     }
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 
@@ -390,26 +417,28 @@ namespace {
 // ops: relu zeroes where the output is <= 0, tanh scales by 1 - y^2).
 Matrix epilogue_delta(const Matrix& grad, const Matrix& out, Epilogue act) {
   if (act == Epilogue::kNone) return grad;
-  Matrix delta = grad;
+  Matrix delta = Matrix::uninitialized(grad.rows(), grad.cols());
+  const double* g = grad.data();
+  const double* y = out.data();
+  double* d = delta.data();
   if (act == Epilogue::kRelu) {
-    for (int i = 0; i < delta.size(); ++i) {
-      if (out.data()[i] <= 0.0) delta.data()[i] = 0.0;
-    }
+    for (int i = 0; i < delta.size(); ++i) d[i] = y[i] <= 0.0 ? 0.0 : g[i];
   } else {
-    for (int i = 0; i < delta.size(); ++i) {
-      const double y = out.data()[i];
-      delta.data()[i] *= (1.0 - y * y);
-    }
+    for (int i = 0; i < delta.size(); ++i) d[i] = g[i] * (1.0 - y[i] * y[i]);
   }
   return delta;
 }
 
-// Column sums of grad accumulated directly into a 1 x C parent gradient.
+// Column sums of grad accumulated directly into a 1 x C parent gradient
+// (ascending rows per column, on raw pointers: this runs once per fused layer
+// over the whole stacked batch).
 void add_grad_col_sums(Node& parent_node, const Matrix& grad) {
   if (!parent_node.requires_grad) return;
-  Matrix& g = parent_node.ensure_grad();
+  double* g = parent_node.ensure_grad().data();
+  const int cols = grad.cols();
   for (int i = 0; i < grad.rows(); ++i) {
-    for (int j = 0; j < grad.cols(); ++j) g.at(0, j) += grad.at(i, j);
+    const double* grow = grad.data() + static_cast<std::size_t>(i) * cols;
+    for (int j = 0; j < cols; ++j) g[j] += grow[j];
   }
 }
 
@@ -439,33 +468,23 @@ Tensor matmul_act(const Tensor& a, const Tensor& b, Epilogue act) {
   });
 }
 
-Tensor block_matmul_relu(std::shared_ptr<const BlockAdjacency> a_hats,
-                         const Tensor& h) {
-  NPTSN_EXPECT(a_hats != nullptr, "block_matmul_relu needs adjacencies");
-  // Forward and backward both run on the stacked matrix in place — the
-  // block-diagonal kernels address each graph's row block directly instead
-  // of copying it out, multiplying, and pasting the product back.
-  Matrix out = block_diag_matmul(*a_hats, h.value(), Epilogue::kRelu);
-  return Tensor::make_op(std::move(out), {h}, [a_hats](Node& self) {
-    Node& ph = parent(self, 0);
-    if (!ph.requires_grad) return;
-    const Matrix delta = epilogue_delta(self.grad, self.value, Epilogue::kRelu);
-    add_grad(ph, block_diag_matmul_tn(*a_hats, delta));
-  });
-}
-
 Tensor block_gcn_fused(std::shared_ptr<const BlockAdjacency> a_hats,
                        const Tensor& h, const Tensor& w, const Tensor& bias) {
   NPTSN_EXPECT(a_hats != nullptr, "block_gcn_fused needs adjacencies");
+  NPTSN_EXPECT(a_hats->symmetric(),
+               "block_gcn_fused needs symmetric adjacency blocks (A-hat^T = A-hat)");
   Matrix out = block_diag_gcn(*a_hats, h.value(), w.value(), bias.value());
   return Tensor::make_op(std::move(out), {h, w, bias}, [a_hats](Node& self) {
     Node& ph = parent(self, 0);
     Node& pw = parent(self, 1);
     Node& pb = parent(self, 2);
-    // Same chain the unfused affine + propagation pair walks: relu mask,
-    // back through the adjacency blocks, then the affine gradients.
+    // Relu mask, back through the adjacency blocks, then the affine
+    // gradients. A-hat^T * delta is the forward propagation itself: the
+    // blocks are exactly symmetric, and the ascending-column CSR walk is the
+    // chain of the dense ascending-k transposed product minus its exact
+    // zero terms, in either kernel family (DESIGN.md §11).
     const Matrix delta_out = epilogue_delta(self.grad, self.value, Epilogue::kRelu);
-    const Matrix delta_z = block_diag_matmul_tn(*a_hats, delta_out);
+    const Matrix delta_z = block_diag_matmul(*a_hats, delta_out, Epilogue::kNone);
     if (ph.requires_grad) add_grad(ph, matmul_transposed(delta_z, pw.value));
     if (pw.requires_grad) add_grad(pw, matmul_transposed_a(ph.value, delta_z));
     add_grad_col_sums(pb, delta_z);
@@ -496,49 +515,52 @@ Tensor mean_rows_blocks(const Tensor& a, int block_rows) {
     Node& pa = parent(self, 0);
     if (!pa.requires_grad) return;
     const int cols = pa.value.cols();
-    Matrix delta(pa.value.rows(), pa.value.cols());
+    Matrix delta = Matrix::uninitialized(pa.value.rows(), cols);
     for (int i = 0; i < delta.rows(); ++i) {
       const double* grow =
           self.grad.data() + static_cast<std::size_t>(i / block_rows) * cols;
       double* drow = delta.data() + static_cast<std::size_t>(i) * cols;
       for (int j = 0; j < cols; ++j) drow[j] = grow[j] * inv;
     }
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 
 Tensor select_row(const Tensor& a, int r) {
   const Matrix& v = a.value();
   NPTSN_EXPECT(r >= 0 && r < v.rows(), "select_row index out of range");
-  Matrix out(1, v.cols());
-  for (int j = 0; j < v.cols(); ++j) out.at(0, j) = v.at(r, j);
+  const int cols = v.cols();
+  Matrix out = Matrix::uninitialized(1, cols);
+  const double* vrow = v.data() + static_cast<std::size_t>(r) * cols;
+  std::copy(vrow, vrow + cols, out.data());
   return Tensor::make_op(std::move(out), {a}, [r](Node& self) {
     Node& pa = parent(self, 0);
     if (!pa.requires_grad) return;
     // Accumulate straight into row r — no full-size scratch matrix, so
     // selecting all B rows of a batch costs O(B x C), not O(B^2 x C).
-    Matrix& g = pa.ensure_grad();
-    for (int j = 0; j < self.grad.cols(); ++j) g.at(r, j) += self.grad.at(0, j);
+    const int cols = self.grad.cols();
+    double* grow = pa.ensure_grad().data() + static_cast<std::size_t>(r) * cols;
+    for (int j = 0; j < cols; ++j) grow[j] += self.grad.data()[j];
   });
 }
 
 Tensor stack_rows(const std::vector<Tensor>& rows) {
   NPTSN_EXPECT(!rows.empty(), "stack_rows of zero tensors");
   const int cols = rows.front().value().cols();
-  Matrix out(static_cast<int>(rows.size()), cols);
+  Matrix out = Matrix::uninitialized(static_cast<int>(rows.size()), cols);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Matrix& v = rows[i].value();
     NPTSN_EXPECT(v.rows() == 1 && v.cols() == cols, "stack_rows shape mismatch");
-    for (int j = 0; j < cols; ++j) out.at(static_cast<int>(i), j) = v.at(0, j);
+    std::copy(v.data(), v.data() + cols, out.data() + i * cols);
   }
   return Tensor::make_op(std::move(out), rows, [](Node& self) {
+    const int cols = self.grad.cols();
     for (std::size_t i = 0; i < self.parents.size(); ++i) {
       Node& p = *self.parents[i];
       if (!p.requires_grad) continue;
-      Matrix& g = p.ensure_grad();
-      for (int j = 0; j < self.grad.cols(); ++j) {
-        g.at(0, j) += self.grad.at(static_cast<int>(i), j);
-      }
+      double* g = p.ensure_grad().data();
+      const double* grow = self.grad.data() + i * cols;
+      for (int j = 0; j < cols; ++j) g[j] += grow[j];
     }
   });
 }
@@ -555,7 +577,7 @@ Tensor leaky_relu(const Tensor& a, double negative_slope) {
     for (int i = 0; i < delta.size(); ++i) {
       if (pa.value.data()[i] < 0.0) delta.data()[i] *= negative_slope;
     }
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 
@@ -598,7 +620,7 @@ Tensor masked_softmax_rows(const Tensor& scores, const Matrix& mask) {
         delta.at(r, i) = self.value.at(r, i) * (self.grad.at(r, i) - dot);
       }
     }
-    add_grad(pa, delta);
+    add_grad(pa, std::move(delta));
   });
 }
 

@@ -108,20 +108,17 @@ Tensor affine_act(const Tensor& x, const Tensor& w, const Tensor& bias, Epilogue
 // One tape node for act(a b) — the GCN propagation step A_hat Z with its
 // ReLU fused into the output tile write.
 Tensor matmul_act(const Tensor& a, const Tensor& b, Epilogue act);
-// Batched GCN propagation over B same-sized graphs stacked vertically:
-// h holds B blocks of a_hats->block_size() rows each and block g of the
-// output is relu(a_hats.blocks()[g] * h_g). The adjacencies are constants
-// (no gradient); h receives a_hats[g]^T grad_g per block. Staging them as a
-// BlockAdjacency once and reusing the handle across layers/iterations is
-// what lets the fast kernels skip re-deriving the sparsity every call.
-Tensor block_matmul_relu(std::shared_ptr<const BlockAdjacency> a_hats,
-                         const Tensor& h);
-// Whole batched GCN layer as ONE tape node: block g of the output is
-// relu(a_hats[g] * (h_g w + bias)). Equivalent bit-for-bit to
-// block_matmul_relu(a_hats, affine_act(h, w, bias, kNone)) under either
-// kernel family, but the full-size affine intermediate never materializes —
-// each graph's affine product lives in a cache-resident scratch tile until
-// its propagation consumes it.
+// Whole batched GCN layer as ONE tape node over B same-sized graphs stacked
+// vertically: h holds B blocks of a_hats->block_size() rows each and block g
+// of the output is relu(a_hats[g] * (h_g w + bias)). The full-size affine
+// intermediate never materializes — each graph's affine product lives in a
+// cache-resident scratch tile until its propagation consumes it. The
+// adjacencies are constants (no gradient) and must be symmetric
+// (BlockAdjacency::symmetric(), true for every Eq. 4 A-hat; anything else
+// throws): the backward pass propagates a_hats[g]^T grad_g = a_hats[g] grad_g
+// with the forward CSR kernels. Staging them as a BlockAdjacency once and
+// reusing the handle across layers/iterations is what lets the fast kernels
+// skip re-deriving the sparsity every call.
 Tensor block_gcn_fused(std::shared_ptr<const BlockAdjacency> a_hats,
                        const Tensor& h, const Tensor& w, const Tensor& bias);
 // Per-block column means: (B*block_rows) x F -> B x F (batched GCN readout,

@@ -19,9 +19,6 @@ namespace {
 // enough that the 4 x 32 block (1 KiB) lives on the stack.
 constexpr int kMr = 4;
 constexpr int kNr = 32;
-// Dot-product micro-tile for the A * B^T kernel: 4 x 8 independent scalar
-// accumulator chains saturate the FMA ports without reassociating any sum.
-constexpr int kNrDot = 8;
 // Parallel-path task granularity: output rows per task, fixed so the work
 // partition (and therefore every result bit) is thread-count independent.
 constexpr int kRowsPerTask = 32;
@@ -332,51 +329,19 @@ void affine_rows(const double* pa, int cols_k, const double* pb, int cols_n,
   }
 }
 
-// Rows [i_begin, i_end) of out = a * b^T (b row-major N x K).
-void matmul_nt_rows(const Matrix& a, const Matrix& b, Matrix& out, int i_begin,
-                    int i_end) {
-  const int cols_k = a.cols();
-  const int rows_n = b.rows();
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double* po = out.data();
-  for (int i0 = i_begin; i0 < i_end; i0 += kMr) {
-    const int mi = std::min(kMr, i_end - i0);
-    for (int j0 = 0; j0 < rows_n; j0 += kNrDot) {
-      const int nj = std::min(kNrDot, rows_n - j0);
-      double acc[kMr][kNrDot];
-      for (int r = 0; r < mi; ++r) {
-        for (int j = 0; j < nj; ++j) acc[r][j] = 0.0;
-      }
-      for (int k = 0; k < cols_k; ++k) {
-        double avals[kMr];
-        double bvals[kNrDot];
-        for (int r = 0; r < mi; ++r) {
-          avals[r] = pa[static_cast<std::size_t>(i0 + r) * cols_k + k];
-        }
-        for (int j = 0; j < nj; ++j) {
-          bvals[j] = pb[static_cast<std::size_t>(j0 + j) * cols_k + k];
-        }
-        for (int r = 0; r < mi; ++r) {
-          for (int j = 0; j < nj; ++j) acc[r][j] = fmadd(avals[r], bvals[j], acc[r][j]);
-        }
-      }
-      for (int r = 0; r < mi; ++r) {
-        double* orow = po + static_cast<std::size_t>(i0 + r) * rows_n + j0;
-        for (int j = 0; j < nj; ++j) orow[j] = acc[r][j];
-      }
-    }
-  }
-}
-
-// Full-tile micro-kernel for out = a^T * b; same registerization and
-// bit-preservation argument as affine_microkernel.
+// Full-tile micro-kernel for out = a^T * b over k in [k0, k1); same
+// registerization and bit-preservation argument as affine_microkernel. With
+// `resume` the accumulators start from the partial sums already in `out`.
 template <int MR>
-void tn_microkernel(const double* pa, const double* pb, int rows_k, int cols_m,
-                    int cols_n, int i0, int j0, double* po) {
+void tn_microkernel(const double* pa, const double* pb, int k0, int k1, int cols_m,
+                    int cols_n, int i0, int j0, bool resume, double* po) {
   vnd acc[MR][2];
-  for (int r = 0; r < MR; ++r) acc[r][0] = acc[r][1] = broadcastv(0.0);
-  for (int k = 0; k < rows_k; ++k) {
+  for (int r = 0; r < MR; ++r) {
+    const double* orow = po + static_cast<std::size_t>(i0 + r) * cols_n + j0;
+    acc[r][0] = resume ? loadv(orow) : broadcastv(0.0);
+    acc[r][1] = resume ? loadv(orow + kLanes) : broadcastv(0.0);
+  }
+  for (int k = k0; k < k1; ++k) {
     const double* arow = pa + static_cast<std::size_t>(k) * cols_m + i0;
     const double* brow = pb + static_cast<std::size_t>(k) * cols_n + j0;
     const vnd b0 = loadv(brow);
@@ -396,11 +361,14 @@ void tn_microkernel(const double* pa, const double* pb, int rows_k, int cols_m,
 
 // Single-vector-wide column-remainder variant (see affine_microkernel_v1).
 template <int MR>
-void tn_microkernel_v1(const double* pa, const double* pb, int rows_k, int cols_m,
-                       int cols_n, int i0, int j0, double* po) {
+void tn_microkernel_v1(const double* pa, const double* pb, int k0, int k1, int cols_m,
+                       int cols_n, int i0, int j0, bool resume, double* po) {
   vnd acc[MR];
-  for (int r = 0; r < MR; ++r) acc[r] = broadcastv(0.0);
-  for (int k = 0; k < rows_k; ++k) {
+  for (int r = 0; r < MR; ++r) {
+    acc[r] = resume ? loadv(po + static_cast<std::size_t>(i0 + r) * cols_n + j0)
+                    : broadcastv(0.0);
+  }
+  for (int k = k0; k < k1; ++k) {
     const double* arow = pa + static_cast<std::size_t>(k) * cols_m + i0;
     const vnd b0 = loadv(pb + static_cast<std::size_t>(k) * cols_n + j0);
     for (int r = 0; r < MR; ++r) {
@@ -412,61 +380,93 @@ void tn_microkernel_v1(const double* pa, const double* pb, int rows_k, int cols_
   }
 }
 
-// Rows [i_begin, i_end) of out = a^T * b (a row-major K x M; out M x N).
-// Raw-pointer interface for the same reason as affine_rows.
+// One MR-row block of out = a^T * b over k in [k0, k1): register tiles, then
+// the sub-vector column remainder with general bounds.
+template <int MR>
+void tn_row_block(const double* pa, const double* pb, int k0, int k1, int cols_m,
+                  int cols_n, int i0, bool resume, double* po) {
+  int j0 = 0;
+  for (; j0 + kNrReg <= cols_n; j0 += kNrReg)
+    tn_microkernel<MR>(pa, pb, k0, k1, cols_m, cols_n, i0, j0, resume, po);
+  for (; j0 + kLanes <= cols_n; j0 += kLanes)
+    tn_microkernel_v1<MR>(pa, pb, k0, k1, cols_m, cols_n, i0, j0, resume, po);
+  if (j0 == cols_n) return;
+  const int nj = cols_n - j0;  // < kLanes
+  double acc[MR][kLanes];
+  for (int r = 0; r < MR; ++r) {
+    const double* orow = po + static_cast<std::size_t>(i0 + r) * cols_n + j0;
+    for (int j = 0; j < nj; ++j) acc[r][j] = resume ? orow[j] : 0.0;
+  }
+  for (int k = k0; k < k1; ++k) {
+    const double* arow = pa + static_cast<std::size_t>(k) * cols_m + i0;
+    const double* brow = pb + static_cast<std::size_t>(k) * cols_n + j0;
+    for (int r = 0; r < MR; ++r) {
+      const double ark = arow[r];
+      if (ark == 0.0) continue;  // zero-skip; bit-preserving (see affine_rows)
+      for (int j = 0; j < nj; ++j) acc[r][j] = fmadd(ark, brow[j], acc[r][j]);
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    double* orow = po + static_cast<std::size_t>(i0 + r) * cols_n + j0;
+    for (int j = 0; j < nj; ++j) orow[j] = acc[r][j];
+  }
+}
+
+// Sparse-a path for out = a^T * b over k in [k0, k1): k-outer AXPY, one
+// sweep of output row i per nonzero a(k, i). The weight gradient of the first
+// GCN layer multiplies by the stacked observation features, whose rows carry
+// a handful of nonzeros, so the dense tiles would spend most of their FMAs on
+// exact zeros. Continues the rows' chains from `out` (the caller zero-fills
+// them before the first chunk): per element the same fma over ascending k,
+// minus zero terms that are no-ops (see affine_rows).
+void tn_rows_sparse(const double* pa, int k0, int k1, int cols_m, const double* pb,
+                    int cols_n, double* po, int i_begin, int i_end) {
+  for (int k = k0; k < k1; ++k) {
+    const double* arow = pa + static_cast<std::size_t>(k) * cols_m;
+    const double* brow = pb + static_cast<std::size_t>(k) * cols_n;
+    for (int i = i_begin; i < i_end; ++i) {
+      const double aki = arow[i];
+      if (aki == 0.0) continue;
+      double* orow = po + static_cast<std::size_t>(i) * cols_n;
+      for (int j = 0; j < cols_n; ++j) orow[j] = fmadd(aki, brow[j], orow[j]);
+    }
+  }
+}
+
+// Rows [i_begin, i_end) of out = a^T * b (a row-major K x M; out M x N),
+// walked one k chunk (nnk::kTnChunk rows of a and b) at a time. A chunk whose
+// columns [i_begin, i_end) of a are below the affine_rows density threshold
+// takes the sparse path, any other the register tiles; counting reads the
+// chunk into cache for whichever path follows. The paths may alternate from
+// chunk to chunk because both continue the same per-element chain.
 void matmul_tn_rows(const double* pa, int rows_k, int cols_m, const double* pb,
                     int cols_n, double* po, int i_begin, int i_end) {
-  for (int i0 = i_begin; i0 < i_end; i0 += kMr) {
-    const int mi = std::min(kMr, i_end - i0);
-    int j0_reg = 0;
-    switch (mi) {
-      case 4:
-        for (; j0_reg + kNrReg <= cols_n; j0_reg += kNrReg)
-          tn_microkernel<4>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
-        for (; j0_reg + kLanes <= cols_n; j0_reg += kLanes)
-          tn_microkernel_v1<4>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
-        break;
-      case 3:
-        for (; j0_reg + kNrReg <= cols_n; j0_reg += kNrReg)
-          tn_microkernel<3>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
-        for (; j0_reg + kLanes <= cols_n; j0_reg += kLanes)
-          tn_microkernel_v1<3>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
-        break;
-      case 2:
-        for (; j0_reg + kNrReg <= cols_n; j0_reg += kNrReg)
-          tn_microkernel<2>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
-        for (; j0_reg + kLanes <= cols_n; j0_reg += kLanes)
-          tn_microkernel_v1<2>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
-        break;
-      case 1:
-        for (; j0_reg + kNrReg <= cols_n; j0_reg += kNrReg)
-          tn_microkernel<1>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
-        for (; j0_reg + kLanes <= cols_n; j0_reg += kLanes)
-          tn_microkernel_v1<1>(pa, pb, rows_k, cols_m, cols_n, i0, j0_reg, po);
-        break;
-      default:
-        break;
+  const auto zero_rows = [&] {
+    std::fill(po + static_cast<std::size_t>(i_begin) * cols_n,
+              po + static_cast<std::size_t>(i_end) * cols_n, 0.0);
+  };
+  if (rows_k == 0) zero_rows();
+  for (int k0 = 0; k0 < rows_k; k0 += nnk::kTnChunk) {
+    const int k1 = std::min(rows_k, k0 + nnk::kTnChunk);
+    int nnz = 0;
+    for (int k = k0; k < k1; ++k) {
+      const double* arow = pa + static_cast<std::size_t>(k) * cols_m;
+      for (int i = i_begin; i < i_end; ++i) nnz += arow[i] != 0.0;
     }
-    for (int j0 = j0_reg; j0 < cols_n; j0 += kNr) {
-      const int nj = std::min(kNr, cols_n - j0);
-      double acc[kMr][kNr];
-      for (int r = 0; r < mi; ++r) {
-        for (int j = 0; j < nj; ++j) acc[r][j] = 0.0;
-      }
-      for (int k = 0; k < rows_k; ++k) {
-        const double* arow = pa + static_cast<std::size_t>(k) * cols_m + i0;
-        const double* brow = pb + static_cast<std::size_t>(k) * cols_n + j0;
-        for (int r = 0; r < mi; ++r) {
-          const double ark = arow[r];
-          if (ark == 0.0) continue;  // zero-skip; bit-preserving (see affine_rows)
-          double* accr = acc[r];
-          for (int j = 0; j < nj; ++j) accr[j] = fmadd(ark, brow[j], accr[j]);
-        }
-      }
-      for (int r = 0; r < mi; ++r) {
-        double* orow = po + static_cast<std::size_t>(i0 + r) * cols_n + j0;
-        for (int j = 0; j < nj; ++j) orow[j] = acc[r][j];
-      }
+    if (nnz < kSparseDensityMax * (k1 - k0) * (i_end - i_begin)) {
+      if (k0 == 0) zero_rows();
+      tn_rows_sparse(pa, k0, k1, cols_m, pb, cols_n, po, i_begin, i_end);
+      continue;
+    }
+    const bool resume = k0 > 0;
+    int i0 = i_begin;
+    for (; i0 + kMr <= i_end; i0 += kMr)
+      tn_row_block<kMr>(pa, pb, k0, k1, cols_m, cols_n, i0, resume, po);
+    switch (i_end - i0) {
+      case 3: tn_row_block<3>(pa, pb, k0, k1, cols_m, cols_n, i0, resume, po); break;
+      case 2: tn_row_block<2>(pa, pb, k0, k1, cols_m, cols_n, i0, resume, po); break;
+      case 1: tn_row_block<1>(pa, pb, k0, k1, cols_m, cols_n, i0, resume, po); break;
+      default: break;
     }
   }
 }
@@ -569,9 +569,23 @@ void matmul_fast(const Matrix& a, const Matrix& b, Matrix& out) {
 }
 
 void matmul_nt_fast(const Matrix& a, const Matrix& b, Matrix& out) {
-  out = Matrix::uninitialized(a.rows(), b.rows());
-  run_rows(a.rows(), a.rows(), b.rows(), a.cols(), [&](int begin, int end) {
-    matmul_nt_rows(a, b, out, begin, end);
+  // Pack b^T once (b is a weight matrix, at most 256 x 256) so a * b^T runs on
+  // the affine_rows micro-kernels: register tiles for dense rows, the
+  // zero-skipping sparse rows for a ReLU-masked delta. Each element is still
+  // the one chain fma(a(i, k), b(j, k), acc) over ascending k from +0.0.
+  const int cols_k = a.cols();
+  const int rows_n = b.rows();
+  Matrix bt = Matrix::uninitialized(cols_k, rows_n);
+  for (int j = 0; j < rows_n; ++j) {
+    const double* brow = b.data() + static_cast<std::size_t>(j) * cols_k;
+    for (int k = 0; k < cols_k; ++k) {
+      bt.data()[static_cast<std::size_t>(k) * rows_n + j] = brow[k];
+    }
+  }
+  out = Matrix::uninitialized(a.rows(), rows_n);
+  run_rows(a.rows(), a.rows(), rows_n, cols_k, [&](int begin, int end) {
+    affine_rows(a.data(), cols_k, bt.data(), rows_n, nullptr, Epilogue::kNone,
+                out.data(), begin, end);
   });
 }
 
@@ -681,29 +695,6 @@ void block_affine_fast(const BlockAdjacency& adj, const Matrix& h,
   for (int g = 0; g < count; ++g) one(g);
 }
 
-void block_matmul_tn_reference(const BlockAdjacency& adj, const Matrix& delta,
-                               Matrix& out) {
-  const std::vector<Matrix>& blocks = adj.blocks();
-  const int n = blocks.front().rows();
-  const int cols_n = delta.cols();
-  out = Matrix(delta.rows(), cols_n);
-  for (std::size_t g = 0; g < blocks.size(); ++g) {
-    const double* pa = blocks[g].data();
-    const double* pd = delta.data() + g * static_cast<std::size_t>(n) * cols_n;
-    double* po = out.data() + g * static_cast<std::size_t>(n) * cols_n;
-    // k-outer rank-1 updates, as in matmul_tn_reference.
-    for (int k = 0; k < n; ++k) {
-      for (int i = 0; i < n; ++i) {
-        const double aki = pa[static_cast<std::size_t>(k) * n + i];
-        if (aki == 0.0) continue;
-        const double* drow = pd + static_cast<std::size_t>(k) * cols_n;
-        double* orow = po + static_cast<std::size_t>(i) * cols_n;
-        for (int j = 0; j < cols_n; ++j) orow[j] += aki * drow[j];
-      }
-    }
-  }
-}
-
 void block_gcn_reference(const BlockAdjacency& adj, const Matrix& h,
                          const Matrix& w, const Matrix& bias, Matrix& out) {
   const std::vector<Matrix>& blocks = adj.blocks();
@@ -770,22 +761,6 @@ void block_gcn_fast(const BlockAdjacency& adj, const Matrix& h,
                        out.data() + static_cast<std::size_t>(g) * n * cols_n);
   };
   if (want_parallel(h.rows(), cols_n, cols_k + n) && try_parallel(count, one)) return;
-  for (int g = 0; g < count; ++g) one(g);
-}
-
-void block_matmul_tn_fast(const BlockAdjacency& adj, const Matrix& delta,
-                          Matrix& out) {
-  const std::vector<Matrix>& blocks = adj.blocks();
-  const int n = adj.block_size();
-  const int cols_n = delta.cols();
-  const int count = adj.count();
-  out = Matrix::uninitialized(delta.rows(), cols_n);
-  const auto one = [&](int g) {
-    matmul_tn_rows(blocks[static_cast<std::size_t>(g)].data(), n, n,
-                   delta.data() + static_cast<std::size_t>(g) * n * cols_n, cols_n,
-                   out.data() + static_cast<std::size_t>(g) * n * cols_n, 0, n);
-  };
-  if (want_parallel(delta.rows(), cols_n, n) && try_parallel(count, one)) return;
   for (int g = 0; g < count; ++g) one(g);
 }
 

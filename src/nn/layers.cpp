@@ -47,9 +47,9 @@ Tensor GcnLayer::forward(const Tensor& a_hat, const Tensor& h) const {
 
 Tensor GcnLayer::forward_batched(const std::shared_ptr<const BlockAdjacency>& a_hats,
                                  const Tensor& h) const {
-  // Fused affine + propagation + ReLU: bit-identical to
-  // block_matmul_relu(a_hats, lin_.forward(h)) but without materializing the
-  // stacked affine intermediate.
+  // Fused affine + propagation + ReLU: bit-identical to propagating
+  // lin_.forward(h) block by block, but without materializing the stacked
+  // affine intermediate.
   return block_gcn_fused(a_hats, h, lin_.weight(), lin_.bias());
 }
 

@@ -135,7 +135,14 @@ BlockAdjacency::BlockAdjacency(std::vector<Matrix> blocks)
   for (const Matrix& b : blocks_) {
     NPTSN_EXPECT(b.rows() == n_ && b.cols() == n_,
                  "BlockAdjacency blocks must all be square and same-size");
-    for (int e = 0; e < b.size(); ++e) nnz += b.data()[e] != 0.0;
+    const double* p = b.data();
+    for (int r = 0; r < n_; ++r) {
+      for (int c = 0; c < n_; ++c) {
+        const double v = p[static_cast<std::size_t>(r) * n_ + c];
+        nnz += v != 0.0;
+        symmetric_ = symmetric_ && v == p[static_cast<std::size_t>(c) * n_ + r];
+      }
+    }
   }
   row_ptr_.reserve(static_cast<std::size_t>(count()) * n_ + 1);
   cols_.reserve(nnz);
@@ -170,17 +177,6 @@ Matrix block_diag_matmul(const BlockAdjacency& adj, const Matrix& h, Epilogue ac
     nnk::block_affine_fast(adj, h, act, out);
   } else {
     nnk::block_affine_reference(adj, h, act, out);
-  }
-  return out;
-}
-
-Matrix block_diag_matmul_tn(const BlockAdjacency& adj, const Matrix& delta) {
-  check_block_shapes(adj, delta, "block_diag_matmul_tn");
-  Matrix out;
-  if (nn_kernel() == NnKernel::kFast) {
-    nnk::block_matmul_tn_fast(adj, delta, out);
-  } else {
-    nnk::block_matmul_tn_reference(adj, delta, out);
   }
   return out;
 }
@@ -238,8 +234,10 @@ Matrix hadamard(const Matrix& a, const Matrix& b) {
 Matrix add_row_broadcast(const Matrix& a, const Matrix& row) {
   NPTSN_EXPECT(row.rows() == 1 && row.cols() == a.cols(), "broadcast shape mismatch");
   Matrix out = a;
+  const int cols = a.cols();
   for (int i = 0; i < a.rows(); ++i) {
-    for (int j = 0; j < a.cols(); ++j) out.at(i, j) += row.at(0, j);
+    double* orow = out.data() + static_cast<std::size_t>(i) * cols;
+    for (int j = 0; j < cols; ++j) orow[j] += row.data()[j];
   }
   return out;
 }

@@ -105,10 +105,10 @@ class Matrix {
 // constructor builds a CSR index over every block once; the fast propagation
 // kernels then walk nonzeros directly instead of re-scanning the dense
 // blocks on every layer, head, and PPO iteration that reuses the batch. The
-// dense blocks are retained verbatim — the reference family and the backward
-// kernels read them, and the CSR is ordered ascending by column within each
-// row, so walking it performs the exact accumulation chain the dense scan
-// performs (bit-identical under either strategy).
+// dense blocks are retained verbatim — the reference family reads them, and
+// the CSR is ordered ascending by column within each row, so walking it
+// performs the exact accumulation chain the dense scan performs
+// (bit-identical under either strategy).
 class BlockAdjacency {
  public:
   explicit BlockAdjacency(std::vector<Matrix> blocks);
@@ -116,6 +116,11 @@ class BlockAdjacency {
   int block_size() const { return n_; }
   int count() const { return static_cast<int>(blocks_.size()); }
   const std::vector<Matrix>& blocks() const { return blocks_; }
+  // True when every block equals its transpose exactly (b(r, c) == b(c, r)
+  // for all r, c). Eq. 4's D^-1/2 (A + I) D^-1/2 of an undirected graph
+  // always is, since s_i * s_j == s_j * s_i; the GCN backward relies on it to
+  // propagate gradients with the forward kernels (block_gcn_fused).
+  bool symmetric() const { return symmetric_; }
 
   // CSR view of local row r of block g: column indices cols()[t] and values
   // vals()[t] for t in [row_begin(g, r), row_end(g, r)), ascending columns.
@@ -131,6 +136,7 @@ class BlockAdjacency {
  private:
   std::vector<Matrix> blocks_;
   int n_ = 0;
+  bool symmetric_ = true;
   std::vector<std::size_t> row_ptr_;  // count * n + 1 entries
   std::vector<int> cols_;
   std::vector<double> vals_;
@@ -141,7 +147,8 @@ class BlockAdjacency {
 // on the process-global kernel family.
 Matrix matmul(const Matrix& a, const Matrix& b);
 // a (M x K) * b^T with b given row-major as N x K — the gradient kernel
-// grad_x = grad * W^T without materializing the transpose.
+// grad_x = grad * W^T (the fast family packs W^T once per call, W being a
+// weight matrix of at most 256 x 256).
 Matrix matmul_transposed(const Matrix& a, const Matrix& b);
 // a^T * b with a given row-major as K x M — the gradient kernel
 // grad_W = x^T * grad without materializing the transpose.
@@ -153,10 +160,9 @@ Matrix affine(const Matrix& x, const Matrix& w, const Matrix* bias, Epilogue act
 Matrix matmul_epilogue(const Matrix& a, const Matrix& b, Epilogue act);
 // Block-diagonal batched GEMM over a stacked batch (the GCN propagation
 // step): h stacks one n x C row block per graph and row block g of the
-// result is act(adj.blocks()[g] * h_g).
+// result is act(adj.blocks()[g] * h_g). With symmetric blocks it is also the
+// backward product blocks[g]^T * delta_g.
 Matrix block_diag_matmul(const BlockAdjacency& adj, const Matrix& h, Epilogue act);
-// Backward companion: row block g of the result is blocks[g]^T * delta_g.
-Matrix block_diag_matmul_tn(const BlockAdjacency& adj, const Matrix& delta);
 // Fused GCN layer: row block g of the result is
 // relu(blocks[g] * (h_g * w + bias)) — affine, propagation, and activation
 // in one kernel call so the full-size affine intermediate never

@@ -1,6 +1,5 @@
 #include "util/thread_pool.hpp"
 
-#include <atomic>
 #include <exception>
 
 #include "util/expect.hpp"
@@ -42,13 +41,18 @@ void ThreadPool::parallel_for(int n, const std::function<void(int)>& task) {
   NPTSN_EXPECT(n >= 0, "parallel_for requires n >= 0");
   if (n == 0) return;
 
-  std::atomic<int> remaining{n};
   // One slot per task index: every exception is captured, and after the
   // barrier the lowest-index one is rethrown. Which task's error surfaces is
   // therefore a function of the input alone, never of thread scheduling —
   // a retrying caller (the trainer's rollback loop) sees the same failure on
   // every attempt, and tests can assert on the propagated message.
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
+  // The barrier lives on this stack frame, so the last task must be done
+  // with it before the waiter can observe completion and return: the
+  // decrement and the notify both happen under done_mutex. A decrement
+  // outside the lock would let the waiter see zero, return, and destroy the
+  // mutex and condition variable while the last task still has to lock them.
+  int remaining = n;
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
@@ -61,17 +65,15 @@ void ThreadPool::parallel_for(int n, const std::function<void(int)>& task) {
         } catch (...) {
           errors[static_cast<std::size_t>(i)] = std::current_exception();
         }
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard dlock(done_mutex);
-          done_cv.notify_all();
-        }
+        std::lock_guard dlock(done_mutex);
+        if (--remaining == 0) done_cv.notify_all();
       });
     }
   }
   cv_.notify_all();
 
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }

@@ -3,7 +3,11 @@
 // loader robustness against corrupt bytes.
 #include "analysis/certificate.hpp"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "analysis/failure_analyzer.hpp"
 #include "testing/test_problems.hpp"
@@ -152,7 +156,7 @@ TEST(CertificateSerialization, FileRoundTripIsExact) {
   const auto built = build_certificate(topology, HeuristicRecovery());
   ASSERT_TRUE(built.ok);
 
-  const std::string path = ::testing::TempDir() + "certificate_roundtrip.bin";
+  const std::string path = ::testing::TempDir() + "certificate_roundtrip_" + std::to_string(::getpid()) + ".bin";
   save_certificate_file(path, built.certificate);
   const ReliabilityCertificate loaded = load_certificate_file(path);
   expect_certificates_equal(built.certificate, loaded);

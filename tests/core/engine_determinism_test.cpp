@@ -3,9 +3,12 @@
 // tests pin that contract — engine on/off, warm/cold, serial/parallel must
 // all produce byte-identical snapshots and bit-identical training runs, so
 // PR 1's kill-and-resume guarantee survives the engine unchanged.
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "core/planner.hpp"
 #include "testing/test_problems.hpp"
@@ -181,7 +184,7 @@ TEST(EngineDeterminism, PlanWithAndWithoutEngineMatches) {
 TEST(EngineDeterminism, KillAndResumeWithEngineMatchesUninterrupted) {
   const auto problem = tiny_problem(2);
   HeuristicRecovery nbf;
-  const std::string path = ::testing::TempDir() + "nptsn_engine_resume";
+  const std::string path = ::testing::TempDir() + "nptsn_engine_resume_" + std::to_string(::getpid());
   for (const char* suffix : {"", ".1", ".tmp"}) {
     std::remove((path + suffix).c_str());
   }

@@ -1,7 +1,11 @@
 // End-to-end integration: NPTSN plans small networks, the results verify
 // against the exhaustive analyzer, and the method ordering of Fig. 4 holds
 // on a miniature instance.
+#include <unistd.h>
+
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "analysis/exhaustive.hpp"
 #include "baselines/neuroplan.hpp"
@@ -257,7 +261,7 @@ TEST(EndToEnd, EverySolutionModeRejectsLyingSolutionsDuringTraining) {
 TEST(EndToEnd, FinalCertificateIsWrittenToDisk) {
   const auto p = tiny_problem(2);
   const HeuristicRecovery nbf;
-  const std::string path = ::testing::TempDir() + "e2e_certificate.bin";
+  const std::string path = ::testing::TempDir() + "e2e_certificate_" + std::to_string(::getpid()) + ".bin";
   auto config = fast_config(15);
   config.audit_mode = AuditMode::kFinal;
   config.certificate_path = path;

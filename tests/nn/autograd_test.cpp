@@ -7,7 +7,10 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
+#include <vector>
 
+#include "nn/layers.hpp"
 #include "util/rng.hpp"
 
 namespace nptsn {
@@ -238,6 +241,47 @@ TEST(AutogradGradCheck, Transpose) {
   check_gradient(a, [](const Tensor& x) {
     return sum_all(tanh_op(transpose_op(x)));
   });
+}
+
+// The fused batched GCN layer backpropagates through A-hat with the forward
+// CSR kernels (A-hat is symmetric); check all three gradients numerically in
+// both kernel families, on real Eq. 4 adjacencies of random graphs.
+TEST(AutogradGradCheck, BlockGcnFused) {
+  const NnKernel saved = nn_kernel();
+  Rng rng(10);
+  constexpr int kNodes = 5;
+  constexpr int kGraphs = 3;
+  std::vector<Matrix> a_hats;
+  for (int g = 0; g < kGraphs; ++g) {
+    Matrix adjacency(kNodes, kNodes);
+    for (int i = 0; i < kNodes; ++i) {
+      for (int j = i + 1; j < kNodes; ++j) {
+        if (rng.uniform() < 0.4) adjacency.at(i, j) = adjacency.at(j, i) = 1.0;
+      }
+    }
+    a_hats.push_back(normalized_adjacency(adjacency));
+  }
+  const auto adj = std::make_shared<const BlockAdjacency>(std::move(a_hats));
+  const Matrix h = random_matrix(kGraphs * kNodes, 3, rng);
+  const Matrix w = random_matrix(3, 4, rng);
+  const Matrix bias = random_matrix(1, 4, rng);
+  const Matrix upstream = random_matrix(kGraphs * kNodes, 4, rng);
+  const auto loss = [&](const Tensor& th, const Tensor& tw, const Tensor& tb) {
+    return sum_all(hadamard(block_gcn_fused(adj, th, tw, tb), Tensor::constant(upstream)));
+  };
+  for (const NnKernel kernel : {NnKernel::kReference, NnKernel::kFast}) {
+    set_nn_kernel(kernel);
+    check_gradient(h, [&](const Tensor& x) {
+      return loss(x, Tensor::constant(w), Tensor::constant(bias));
+    });
+    check_gradient(w, [&](const Tensor& x) {
+      return loss(Tensor::constant(h), x, Tensor::constant(bias));
+    });
+    check_gradient(bias, [&](const Tensor& x) {
+      return loss(Tensor::constant(h), Tensor::constant(w), x);
+    });
+  }
+  set_nn_kernel(saved);
 }
 
 TEST(AutogradGradCheck, LeakyRelu) {

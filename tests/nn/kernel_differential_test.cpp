@@ -5,12 +5,17 @@
 // stay within 1e-12 of it on every shape — including the degenerate ones the
 // tiled path is most likely to get wrong (1x1, single rows/columns, empty
 // dimensions, sizes that are not multiples of the register tile) — and must
-// be BIT-identical to itself run-to-run and across thread counts.
+// be BIT-identical to itself run-to-run and across thread counts. The
+// backward kernels are pinned harder: they must be bit-identical to the
+// single-chain loops they replaced, so training stays byte-for-byte the same.
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/autograd.hpp"
+#include "nn/kernels.hpp"
 #include "nn/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -55,6 +60,65 @@ void expect_identical(const Matrix& a, const Matrix& b, const char* what) {
     // Exact double equality on purpose: the determinism contract is bitwise.
     EXPECT_EQ(a.data()[i], b.data()[i]) << what << " at flat index " << i;
   }
+}
+
+// The fast family's multiply-add: one fused rounding where the kernel unit
+// was compiled with FMA, mul-then-add otherwise. Probed through the library:
+// 1 * -(1 + 2^-29) + (1 + 2^-30)^2 is 2^-60 fused and 0 unfused.
+bool fast_family_fuses() {
+  KernelGuard guard;
+  set_nn_kernel(NnKernel::kFast);
+  const double e = 1.0 + std::ldexp(1.0, -30);
+  const Matrix a = Matrix::from({{1.0, e}});
+  const Matrix b = Matrix::from({{-(1.0 + std::ldexp(1.0, -29))}, {e}});
+  return matmul(a, b).at(0, 0) != 0.0;
+}
+
+double madd(bool fused, double a, double b, double acc) {
+  return fused ? std::fma(a, b, acc) : a * b + acc;
+}
+
+// The scalar a * b^T loop the fast family used before it packed b^T onto the
+// register micro-kernels: per element, one chain over ascending k from +0.0,
+// zero terms included.
+Matrix scalar_nt_oracle(const Matrix& a, const Matrix& b, bool fused) {
+  Matrix out(a.rows(), b.rows());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.rows(); ++j) {
+      double acc = 0.0;
+      for (int k = 0; k < a.cols(); ++k) acc = madd(fused, a.at(i, k), b.at(j, k), acc);
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+// a^T * b as one chain per element over ascending k from +0.0.
+Matrix single_chain_tn_oracle(const Matrix& a, const Matrix& b, bool fused) {
+  Matrix out(a.cols(), b.cols());
+  for (int i = 0; i < a.cols(); ++i) {
+    for (int j = 0; j < b.cols(); ++j) {
+      double acc = 0.0;
+      for (int k = 0; k < a.rows(); ++k) {
+        acc = madd(fused, a.data()[static_cast<std::size_t>(k) * a.cols() + i],
+                   b.data()[static_cast<std::size_t>(k) * b.cols() + j], acc);
+      }
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+// Random symmetric adjacency-like block: mostly zero, guaranteed diagonal.
+Matrix random_symmetric_block(int n, Rng& rng) {
+  Matrix a(n, n);
+  for (int i = 0; i < n; ++i) {
+    a.at(i, i) = rng.uniform(0.1, 1.0);
+    for (int j = i + 1; j < n; ++j) {
+      if (rng.uniform() < 0.15) a.at(i, j) = a.at(j, i) = rng.uniform(-1.0, 1.0);
+    }
+  }
+  return a;
 }
 
 struct Shape {
@@ -103,6 +167,7 @@ TEST(KernelDifferential, MatmulFamiliesAgreeOnAllShapes) {
 
 TEST(KernelDifferential, TransposedFamiliesAgreeOnAllShapes) {
   KernelGuard guard;
+  const bool fused = fast_family_fuses();
   Rng rng(77001);
   for (const Shape& s : test_shapes(rng)) {
     for (const double density : kDensities) {
@@ -116,8 +181,61 @@ TEST(KernelDifferential, TransposedFamiliesAgreeOnAllShapes) {
       const Matrix ref_nt = matmul_transposed(a, bt);
       const Matrix ref_tn = matmul_transposed_a(a_tn, c);
       set_nn_kernel(NnKernel::kFast);
-      expect_within(matmul_transposed(a, bt), ref_nt, kTol, "matmul_transposed");
-      expect_within(matmul_transposed_a(a_tn, c), ref_tn, kTol, "matmul_transposed_a");
+      const Matrix fast_nt = matmul_transposed(a, bt);
+      const Matrix fast_tn = matmul_transposed_a(a_tn, c);
+      expect_within(fast_nt, ref_nt, kTol, "matmul_transposed");
+      expect_within(fast_tn, ref_tn, kTol, "matmul_transposed_a");
+      // The fast gradient kernels are also bit-identical to the single-chain
+      // loops they replaced (the low densities stand in for ReLU-masked
+      // deltas and sparse features).
+      expect_identical(fast_nt, scalar_nt_oracle(a, bt, fused), "matmul_transposed chain");
+      expect_identical(fast_tn, single_chain_tn_oracle(a_tn, c, fused),
+                       "matmul_transposed_a chain");
+    }
+  }
+  // Large shapes, where threads > 1 take the parallel path: delta * W^T at the
+  // ORION layer shape (dense and ReLU-masked), and x^T * delta across the
+  // k-chunk boundary and at the stacked ORION batch. M and N leave row and
+  // column remainders in every tile shape.
+  set_nn_kernel(NnKernel::kFast);
+  for (const double density : {1.0, 0.5, 0.1}) {
+    const Matrix delta = random_matrix(230, 92, density, rng);
+    const Matrix w = random_matrix(92, 92, 1.0, rng);
+    const Matrix oracle = scalar_nt_oracle(delta, w, fused);
+    for (const int threads : {1, 3}) {
+      set_nn_kernel_threads(threads);
+      expect_identical(matmul_transposed(delta, w), oracle, "matmul_transposed 230x92x92");
+    }
+  }
+  constexpr int kM = 102;
+  constexpr int kN = 85;
+  for (const int k : {nnk::kTnChunk - 1, nnk::kTnChunk, nnk::kTnChunk + 1, 11776}) {
+    // Column-uniform nonzero patterns: clearly sparse, just under and just
+    // over the 25% density that switches a k chunk to the sparse path, dense.
+    for (const int percent : {5, 24, 26, 100}) {
+      Matrix x(k, kM);
+      int nnz = 0;
+      for (int r = 0; r < k; ++r) {
+        for (int c = 0; c < kM; ++c) {
+          if ((7 * r + 13 * c) % 100 < percent) {
+            x.at(r, c) = rng.uniform(-2.0, 2.0);
+            ++nnz;
+          }
+        }
+      }
+      const double density = static_cast<double>(nnz) / x.size();
+      if (percent == 24) {
+        ASSERT_LT(density, 0.25);
+      }
+      if (percent == 26) {
+        ASSERT_GT(density, 0.25);
+      }
+      const Matrix delta = random_matrix(k, kN, 0.7, rng);
+      const Matrix oracle = single_chain_tn_oracle(x, delta, fused);
+      for (const int threads : {1, 2, 3}) {
+        set_nn_kernel_threads(threads);
+        expect_identical(matmul_transposed_a(x, delta), oracle, "matmul_transposed_a chunks");
+      }
     }
   }
 }
@@ -154,33 +272,73 @@ TEST(KernelDifferential, BlockDiagonalFamiliesAgree) {
   for (const int n : {1, 3, 16, 46}) {
     for (const int batch : {1, 2, 7}) {
       std::vector<Matrix> blocks;
-      for (int g = 0; g < batch; ++g) {
-        // Adjacency-like sparsity: mostly zero with a guaranteed diagonal.
-        Matrix a = random_matrix(n, n, 0.15, rng);
-        for (int i = 0; i < n; ++i) a.at(i, i) = rng.uniform(0.1, 1.0);
-        blocks.push_back(std::move(a));
-      }
-      const BlockAdjacency adj(std::move(blocks));
+      for (int g = 0; g < batch; ++g) blocks.push_back(random_symmetric_block(n, rng));
+      const std::vector<Matrix> dense = blocks;
+      const auto adj = std::make_shared<const BlockAdjacency>(std::move(blocks));
+      ASSERT_TRUE(adj->symmetric());
       const int f = rng.uniform_int(1, 24);
       const int out = rng.uniform_int(1, 24);
       const Matrix h = random_matrix(batch * n, f, 0.5, rng);
-      const Matrix delta = random_matrix(batch * n, f, 0.9, rng);
+      const Matrix upstream = random_matrix(batch * n, out, 0.9, rng);
       const Matrix w = random_matrix(f, out, 1.0, rng);
       const Matrix bias = random_matrix(1, out, 1.0, rng);
 
       set_nn_kernel(NnKernel::kReference);
-      const Matrix ref_prop = block_diag_matmul(adj, h, Epilogue::kRelu);
-      const Matrix ref_tn = block_diag_matmul_tn(adj, delta);
-      const Matrix ref_gcn = block_diag_gcn(adj, h, w, bias);
+      const Matrix ref_prop = block_diag_matmul(*adj, h, Epilogue::kRelu);
+      const Matrix ref_gcn = block_diag_gcn(*adj, h, w, bias);
       set_nn_kernel(NnKernel::kFast);
-      expect_within(block_diag_matmul(adj, h, Epilogue::kRelu), ref_prop, kTol,
+      expect_within(block_diag_matmul(*adj, h, Epilogue::kRelu), ref_prop, kTol,
                     "block_diag_matmul");
-      expect_within(block_diag_matmul_tn(adj, delta), ref_tn, kTol,
-                    "block_diag_matmul_tn");
-      expect_within(block_diag_gcn(adj, h, w, bias), ref_gcn, kTol,
+      expect_within(block_diag_gcn(*adj, h, w, bias), ref_gcn, kTol,
                     "block_diag_gcn");
+
+      // In each family the fused layer's backward must be the chain of a
+      // per-block transposed product through A-hat, bit for bit.
+      for (const NnKernel kernel : {NnKernel::kReference, NnKernel::kFast}) {
+        set_nn_kernel(kernel);
+        const Tensor th = Tensor::parameter(h);
+        const Tensor tw = Tensor::parameter(w);
+        const Tensor tb = Tensor::parameter(bias);
+        const Tensor y = block_gcn_fused(adj, th, tw, tb);
+        sum_all(hadamard(y, Tensor::constant(upstream))).backward();
+
+        Matrix delta_z(batch * n, out);
+        for (int g = 0; g < batch; ++g) {
+          Matrix delta_g(n, out);
+          for (int i = 0; i < n; ++i) {
+            for (int j = 0; j < out; ++j) {
+              const int r = g * n + i;
+              delta_g.at(i, j) = y.value().at(r, j) > 0.0 ? y.grad().at(r, j) : 0.0;
+            }
+          }
+          const Matrix back = matmul_transposed_a(dense[static_cast<std::size_t>(g)], delta_g);
+          for (int i = 0; i < n; ++i) {
+            for (int j = 0; j < out; ++j) delta_z.at(g * n + i, j) = back.at(i, j);
+          }
+        }
+        Matrix db(1, out);
+        for (int i = 0; i < delta_z.rows(); ++i) {
+          for (int j = 0; j < out; ++j) db.at(0, j) += delta_z.at(i, j);
+        }
+        expect_identical(th.grad(), matmul_transposed(delta_z, w), "block_gcn_fused dh");
+        expect_identical(tw.grad(), matmul_transposed_a(h, delta_z), "block_gcn_fused dw");
+        expect_identical(tb.grad(), db, "block_gcn_fused dbias");
+      }
     }
   }
+
+  // A non-symmetric batch still stages and propagates, but the fused layer,
+  // whose backward needs A-hat^T = A-hat, refuses it.
+  std::vector<Matrix> blocks = {random_symmetric_block(5, rng),
+                                random_symmetric_block(5, rng)};
+  blocks[1].at(0, 3) = blocks[1].at(3, 0) + 0.5;
+  const auto skewed = std::make_shared<const BlockAdjacency>(std::move(blocks));
+  EXPECT_FALSE(skewed->symmetric());
+  EXPECT_NO_THROW(block_diag_matmul(*skewed, random_matrix(10, 3, 1.0, rng), Epilogue::kNone));
+  EXPECT_THROW(block_gcn_fused(skewed, Tensor::parameter(random_matrix(10, 3, 1.0, rng)),
+                               Tensor::parameter(random_matrix(3, 4, 1.0, rng)),
+                               Tensor::parameter(random_matrix(1, 4, 1.0, rng))),
+               std::invalid_argument);
 }
 
 TEST(KernelDifferential, CsrIndexMatchesDenseBlocks) {

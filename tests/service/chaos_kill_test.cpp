@@ -35,7 +35,7 @@ using nptsn::testing::corrupt_file_byte;
 using nptsn::testing::tiny_problem;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "nptsn_chaos_" + name;
+  const std::string dir = ::testing::TempDir() + "nptsn_chaos_" + name + "_" + std::to_string(::getpid());
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
@@ -56,7 +56,8 @@ RunResult run_serve(const std::vector<std::string>& args, const std::string& cra
                     const std::string& io_fault = "") {
   static int run_counter = 0;
   const std::string out_path =
-      ::testing::TempDir() + "nptsn_chaos_out_" + std::to_string(run_counter++) + ".log";
+      ::testing::TempDir() + "nptsn_chaos_out_" + std::to_string(::getpid()) + "_" +
+      std::to_string(run_counter++) + ".log";
 
   const pid_t pid = ::fork();
   if (pid == 0) {

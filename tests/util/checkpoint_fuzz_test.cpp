@@ -3,10 +3,13 @@
 // state, reliability certificates). The contract under attack: a loader
 // either succeeds or throws CheckpointError — never UB, unbounded
 // allocation, or a hang. ASan/UBSan in CI turn any violation into a failure.
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/certificate.hpp"
@@ -74,7 +77,7 @@ void fuzz_loader(const std::vector<std::uint8_t>& valid, Load load,
 }
 
 TEST(CheckpointFuzz, FramedFileLoaderRejectsCorruptFiles) {
-  const std::string path = ::testing::TempDir() + "fuzz_framed.bin";
+  const std::string path = ::testing::TempDir() + "fuzz_framed_" + std::to_string(::getpid()) + ".bin";
   ByteWriter payload;
   payload.str("fuzz payload");
   for (int i = 0; i < 64; ++i) payload.i64(i * 7);
@@ -91,7 +94,7 @@ TEST(CheckpointFuzz, FramedFileLoaderRejectsCorruptFiles) {
   std::remove(path.c_str());
   std::remove((path + ".1").c_str());
 
-  const std::string scratch = ::testing::TempDir() + "fuzz_framed_scratch.bin";
+  const std::string scratch = ::testing::TempDir() + "fuzz_framed_scratch_" + std::to_string(::getpid()) + ".bin";
   fuzz_loader(
       framed,
       [&](const std::vector<std::uint8_t>& bytes) {

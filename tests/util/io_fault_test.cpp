@@ -29,7 +29,7 @@ class IoFaultTest : public ::testing::Test {
 
   // A real scratch file, so the wrappers' pass-through path is exercised too.
   int open_scratch() {
-    path_ = ::testing::TempDir() + "nptsn_io_fault_scratch";
+    path_ = ::testing::TempDir() + "nptsn_io_fault_scratch_" + std::to_string(::getpid());
     std::filesystem::remove(path_);
     const int fd = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
     EXPECT_GE(fd, 0);
@@ -126,7 +126,7 @@ TEST_F(IoFaultTest, OpenRenameUnlinkFaultsFire) {
   io::arm_io_fault({"t.open", EMFILE, 1, 1});
   io::arm_io_fault({"t.rename", EIO, 1, 1});
   io::arm_io_fault({"t.unlink", EIO, 1, 1});
-  const std::string path = ::testing::TempDir() + "nptsn_io_fault_ops";
+  const std::string path = ::testing::TempDir() + "nptsn_io_fault_ops_" + std::to_string(::getpid());
   EXPECT_EQ(io::open("t.open", path.c_str(), O_WRONLY | O_CREAT, 0644), -1);
   EXPECT_EQ(errno, EMFILE);
   EXPECT_EQ(io::rename("t.rename", path.c_str(), (path + ".x").c_str()), -1);

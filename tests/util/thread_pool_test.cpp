@@ -112,6 +112,23 @@ TEST(ThreadPool, SingleThreadPoolStillParallelFor) {
   EXPECT_EQ(runs.load(), 10);
 }
 
+TEST(ThreadPool, ManyTinyParallelForsNeverOutliveTheirBarrier) {
+  // Regression for a use-after-scope race: parallel_for's completion barrier
+  // (mutex + condition variable) lives on the caller's stack, and the last
+  // task used to decrement the counter before locking it, so the caller could
+  // return and destroy the barrier under the notifier (an abort in glibc's
+  // mutex lock). Tiny tasks back to back maximize that window.
+  ThreadPool pool(4);
+  std::atomic<long> runs{0};
+  constexpr int kCalls = 100000;
+  for (int call = 0; call < kCalls; ++call) {
+    pool.parallel_for(1 + call % 4, [&](int) { runs.fetch_add(1, std::memory_order_relaxed); });
+  }
+  long expected = 0;
+  for (int call = 0; call < kCalls; ++call) expected += 1 + call % 4;
+  EXPECT_EQ(runs.load(), expected);
+}
+
 TEST(ThreadPool, RejectsNonPositiveSize) {
   EXPECT_THROW(ThreadPool(0), std::invalid_argument);
 }
