@@ -4,11 +4,9 @@
 // from scratch at every step (exactly what PlanningEnv does; the engine
 // persists across episode resets there, so it does here too).
 //
-// Four configurations over the identical recorded topology stream:
+// Two configurations over the identical recorded topology stream:
 //   sequential            the reference FailureAnalyzer
-//   parallel-only         engine, incremental reuse off, N threads
-//   incremental-serial    engine, incremental reuse on, 1 thread
-//   incremental-parallel  engine, incremental reuse on, N threads
+//   incremental-serial    the verification engine
 //
 // Each pass starts COLD (fresh engine per repetition); the measured speedup
 // comes from outcome-cache hits on recurring designs (exploit-phase episode
@@ -19,17 +17,16 @@
 // --maxord N switches to the higher-order frontier sweep (DESIGN.md §16):
 // the same recorded streams re-verified with a frontier floor of order N.
 // The sequential baseline runs the frozen scalar reference kernels; the
-// engine configs run the packed SWAR data plane. Every configuration's
+// packed-serial config runs the packed SWAR data plane. Every configuration's
 // rep-0 outcomes are folded into a digest and compared in-bench — any
 // divergence from the scalar ground truth is a nonzero exit, so the bench
 // doubles as a cross-kernel differential on the full training workload.
 //
-//   micro_analyzer [--fast|--paper] [--threads N] [--maxord N]
+//   micro_analyzer [--fast|--paper] [--maxord N]
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/failure_analyzer.hpp"
@@ -214,8 +211,7 @@ struct ConfigResult {
   PassResult pass;
 };
 
-std::vector<ConfigResult> bench_scenario(const std::vector<Topology>& states,
-                                         int reps, int threads) {
+std::vector<ConfigResult> bench_scenario(const std::vector<Topology>& states, int reps) {
   const HeuristicRecovery nbf;
   std::vector<ConfigResult> results;
 
@@ -225,27 +221,20 @@ std::vector<ConfigResult> bench_scenario(const std::vector<Topology>& states,
                        };
                      })});
 
-  const auto engine_pass = [&](bool incremental, int num_threads) {
-    return run_pass(states, reps, [&nbf, incremental, num_threads] {
-      VerificationEngine::Options options;
-      options.incremental = incremental;
-      options.num_threads = num_threads;
-      return [engine = std::make_shared<VerificationEngine>(nbf, options)](
-                 const Topology& t) { return engine->analyze(t); };
-    });
-  };
-  results.push_back({"parallel-only", engine_pass(false, threads)});
-  results.push_back({"incremental-serial", engine_pass(true, 1)});
-  results.push_back({"incremental-parallel", engine_pass(true, threads)});
+  results.push_back({"incremental-serial", run_pass(states, reps, [&nbf] {
+                       return [engine = std::make_shared<VerificationEngine>(nbf)](
+                                  const Topology& t) { return engine->analyze(t); };
+                     })});
   return results;
 }
 
 // The --maxord sweep: the same stream re-verified with a frontier floor of
 // order `maxord`. The sequential baseline is the scalar reference pinned to
 // the frozen kernels; engine-scalar-serial isolates the enumeration/cache
-// gain, packed-serial adds the SWAR data plane, packed-parallel adds threads.
-std::vector<ConfigResult> bench_frontier(const std::vector<Topology>& states,
-                                         int reps, int threads, int maxord) {
+// gain (the reference kernels offer no staged session), and packed-serial
+// adds the SWAR data plane.
+std::vector<ConfigResult> bench_frontier(const std::vector<Topology>& states, int reps,
+                                         int maxord) {
   const HeuristicRecovery nbf;
   std::vector<ConfigResult> results;
 
@@ -259,22 +248,17 @@ std::vector<ConfigResult> bench_frontier(const std::vector<Topology>& states,
                        })});
   }
 
-  const auto engine_pass = [&](TsnKernel kernel, bool packed, int num_threads) {
+  const auto engine_pass = [&](TsnKernel kernel) {
     KernelScope scope(kernel);
-    return run_pass(states, reps, [&nbf, maxord, packed, num_threads] {
+    return run_pass(states, reps, [&nbf, maxord] {
       VerificationEngine::Options options;
       options.min_order = maxord;
-      options.packed_nbf = packed;
-      options.incremental = true;
-      options.num_threads = num_threads;
       return [engine = std::make_shared<VerificationEngine>(nbf, options)](
                  const Topology& t) { return engine->analyze(t); };
     });
   };
-  results.push_back(
-      {"engine-scalar-serial", engine_pass(TsnKernel::kReference, false, 1)});
-  results.push_back({"packed-serial", engine_pass(TsnKernel::kFast, true, 1)});
-  results.push_back({"packed-parallel", engine_pass(TsnKernel::kFast, true, threads)});
+  results.push_back({"engine-scalar-serial", engine_pass(TsnKernel::kReference)});
+  results.push_back({"packed-serial", engine_pass(TsnKernel::kFast)});
   return results;
 }
 
@@ -322,14 +306,10 @@ void print_scenario_json(const char* name, std::size_t num_states,
 
 int run(int argc, char** argv) {
   const Mode mode = Mode::parse(argc, argv);
-  int threads = static_cast<int>(std::thread::hardware_concurrency());
-  if (threads < 1) threads = 1;
   int maxord = 0;
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) threads = std::atoi(argv[i + 1]);
     if (std::strcmp(argv[i], "--maxord") == 0) maxord = std::atoi(argv[i + 1]);
   }
-  if (threads < 1) threads = 1;
   if (maxord < 0 || maxord > 8) {
     std::fprintf(stderr, "error: --maxord must be in [0, 8]\n");
     return 2;
@@ -356,18 +336,16 @@ int run(int argc, char** argv) {
   const auto orion_states =
       record_stream(orion_problem, k, episodes, mode.paper ? 48 : 24, /*seed=*/2);
 
-  const auto ads_results = maxord > 0 ? bench_frontier(ads_states, reps, threads, maxord)
-                                      : bench_scenario(ads_states, reps, threads);
-  const auto orion_results = maxord > 0
-                                 ? bench_frontier(orion_states, reps, threads, maxord)
-                                 : bench_scenario(orion_states, reps, threads);
+  const auto ads_results = maxord > 0 ? bench_frontier(ads_states, reps, maxord)
+                                      : bench_scenario(ads_states, reps);
+  const auto orion_results = maxord > 0 ? bench_frontier(orion_states, reps, maxord)
+                                        : bench_scenario(orion_states, reps);
 
   std::printf("{\n  \"bench\": \"%s\",\n  \"mode\": \"%s\",\n",
               maxord > 0 ? "micro_analyzer_maxord" : "micro_analyzer",
               mode.paper ? "paper" : "fast");
   if (maxord > 0) std::printf("  \"maxord\": %d,\n", maxord);
-  std::printf("  \"threads\": %d,\n  \"reps\": %d,\n  \"scenarios\": [\n", threads,
-              reps);
+  std::printf("  \"reps\": %d,\n  \"scenarios\": [\n", reps);
   print_scenario_json("ADS", ads_states.size(), ads_results, /*last=*/false);
   print_scenario_json("ORION", orion_states.size(), orion_results, /*last=*/true);
   std::printf("  ]\n}\n");

@@ -71,8 +71,14 @@ int main() {
     std::string attached;
     for (const auto& [nb, len] : best.graph().neighbors(v)) {
       (void)len;
-      attached += std::string(" ") + station_name(nb) +
-                  (problem.is_switch(nb) ? ("#" + std::to_string(nb)) : "");
+      // Appended piecewise: GCC 12 warns falsely (-Wrestrict) on
+      // `"literal" + std::to_string(nb)`.
+      attached += ' ';
+      attached += station_name(nb);
+      if (problem.is_switch(nb)) {
+        attached += '#';
+        attached += std::to_string(nb);
+      }
     }
     std::printf("  switch %d (ASIL-%s, %d ports):%s\n", v,
                 to_string(best.switch_asil(v)).c_str(), best.degree(v), attached.c_str());

@@ -38,12 +38,11 @@ struct AnalysisOutcome {
   // How the logical NBF work was actually serviced. The sequential analyzer
   // executes every call itself (nbf_executed == nbf_calls, reuse fields 0);
   // the verification engine splits the work between fresh evaluations, memo
-  // hits, and carried-over survivable scenarios.
+  // hits, residual replays, and shared-cache hits.
   std::int64_t nbf_executed = 0;       // NBF evaluations actually run
   std::int64_t memo_hits = 0;          // memo verdicts computed on this same graph
   std::int64_t residual_reuses = 0;    // memo verdicts carried over from an earlier
                                        // topology with an identical residual (exact)
-  std::int64_t speculative_waste = 0;  // parallel evaluations discarded by the reduction
   std::int64_t shared_hits = 0;        // verdicts/outcomes served from the cross-
                                        // session shared cache (engine_cache)
   double wall_seconds = 0.0;           // wall time of this analysis

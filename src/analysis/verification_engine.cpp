@@ -1,6 +1,5 @@
 #include "analysis/verification_engine.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "util/combinatorics.hpp"
@@ -21,8 +20,6 @@ bool subset_of_any(const FailureScenario& scenario,
 
 VerificationEngine::VerificationEngine(const StatelessNbf& nbf, Options options)
     : nbf_(&nbf), options_(std::move(options)) {
-  NPTSN_EXPECT(options_.num_threads >= 1, "engine needs at least one thread");
-  NPTSN_EXPECT(options_.chunk_size >= 1, "engine chunk size must be positive");
   NPTSN_EXPECT(options_.max_memo_entries >= 1, "memo bound must be positive");
   NPTSN_EXPECT(options_.min_order >= 0 && options_.min_order < 8192,
                "engine min_order out of range");
@@ -30,6 +27,8 @@ VerificationEngine::VerificationEngine(const StatelessNbf& nbf, Options options)
                "the shared cache needs staged problem identity (Options::staging)");
   if (options_.staging) switch_universe_ = &options_.staging->switch_ids;
   if (options_.shared_cache) {
+    NPTSN_EXPECT(options_.cache_salt < (std::uint64_t{1} << 48),
+                 "cache_salt must fit in 48 bits (its top 16 would be shifted out)");
     binding_.problem = options_.staging->problem_fp;
     // Every option that can change a verdict or an outcome without changing
     // the problem bytes lands in the salt; shifted so the caller's NBF
@@ -41,7 +40,6 @@ VerificationEngine::VerificationEngine(const StatelessNbf& nbf, Options options)
                     (options_.include_links ? 4u : 0u) |
                     (static_cast<std::uint64_t>(options_.min_order) << 3);
   }
-  if (options_.num_threads > 1) pool_ = std::make_unique<ThreadPool>(options_.num_threads);
 }
 
 void VerificationEngine::clear() {
@@ -56,47 +54,44 @@ AnalysisOutcome VerificationEngine::analyze(const Topology& topology) {
   AnalysisOutcome outcome;
 
   const GraphFp fp = topology.graph_fingerprint();
-  if (options_.incremental) {
-    if (memo_.size() > options_.max_memo_entries) memo_.clear();
-    if (outcomes_.size() > options_.max_memo_entries) outcomes_.clear();
+  if (memo_.size() > options_.max_memo_entries) memo_.clear();
+  if (outcomes_.size() > options_.max_memo_entries) outcomes_.clear();
 
-    // Outcome cache: (link set, switch plan) determines the whole analysis.
-    // The switch-id universe is a per-problem constant — staged by the
-    // caller or self-staged once — and the plan scratch buffer is reused,
-    // so the probe allocates nothing.
-    if (!switch_universe_) {
-      plan_switches_ = problem.switch_ids();
-      switch_universe_ = &plan_switches_;
-    }
-    plan_.clear();
-    plan_.reserve(switch_universe_->size());
-    for (const NodeId v : *switch_universe_) {
-      plan_.push_back(topology.has_switch(v)
-                          ? static_cast<signed char>(topology.switch_asil(v))
-                          : static_cast<signed char>(-1));
-    }
-    // Normalizes a cached outcome's work counters for this run: nothing
-    // executed, everything served from a cache.
-    const auto serve_cached = [&](AnalysisOutcome cached, bool from_shared) {
-      cached.nbf_executed = 0;
-      cached.memo_hits = from_shared ? 0 : cached.nbf_calls;
-      cached.residual_reuses = 0;
-      cached.speculative_waste = 0;
-      cached.shared_hits = from_shared ? cached.nbf_calls : 0;
-      cached.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      return cached;
-    };
-    if (const auto it = outcomes_.find(OutcomeRef{fp, &plan_}); it != outcomes_.end()) {
-      return serve_cached(it->second, /*from_shared=*/false);
-    }
-    if (options_.shared_cache) {
-      AnalysisOutcome shared;
-      if (options_.shared_cache->lookup_outcome(binding_, fp, plan_, &shared)) {
-        // Adopt into the local cache so later probes stay lock-free.
-        outcomes_.emplace(OutcomeKey{fp, plan_}, shared);
-        return serve_cached(std::move(shared), /*from_shared=*/true);
-      }
+  // Outcome cache: (link set, switch plan) determines the whole analysis.
+  // The switch-id universe is a per-problem constant — staged by the caller
+  // or self-staged once — and the plan scratch buffer is reused, so the
+  // probe allocates nothing.
+  if (!switch_universe_) {
+    plan_switches_ = problem.switch_ids();
+    switch_universe_ = &plan_switches_;
+  }
+  plan_.clear();
+  plan_.reserve(switch_universe_->size());
+  for (const NodeId v : *switch_universe_) {
+    plan_.push_back(topology.has_switch(v)
+                        ? static_cast<signed char>(topology.switch_asil(v))
+                        : static_cast<signed char>(-1));
+  }
+  // Normalizes a cached outcome's work counters for this run: nothing
+  // executed, everything served from a cache.
+  const auto serve_cached = [&](AnalysisOutcome cached, bool from_shared) {
+    cached.nbf_executed = 0;
+    cached.memo_hits = from_shared ? 0 : cached.nbf_calls;
+    cached.residual_reuses = 0;
+    cached.shared_hits = from_shared ? cached.nbf_calls : 0;
+    cached.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    return cached;
+  };
+  if (const auto it = outcomes_.find(OutcomeRef{fp, &plan_}); it != outcomes_.end()) {
+    return serve_cached(it->second, /*from_shared=*/false);
+  }
+  if (options_.shared_cache) {
+    AnalysisOutcome shared;
+    if (options_.shared_cache->lookup_outcome(binding_, fp, plan_, &shared)) {
+      // Adopt into the local cache so later probes stay lock-free.
+      outcomes_.emplace(OutcomeKey{fp, plan_}, shared);
+      return serve_cached(std::move(shared), /*from_shared=*/true);
     }
   }
 
@@ -107,303 +102,104 @@ AnalysisOutcome VerificationEngine::analyze(const Topology& topology) {
   outcome.max_order = frontier.max_order;
   const int n = static_cast<int>(frontier.components.size());
 
-  // Survivors in exact sequential order: what the sequential analyzer's
-  // `checked` list would contain at each point of the enumeration. Pruning
-  // against it reproduces the reference counters verbatim.
-  std::vector<FailureScenario> sim_checked;
+  // Survivors in enumeration order: exactly the sequential analyzer's
+  // `checked` list, so pruning against it reproduces the reference counters
+  // verbatim. Each survivor is visible to the very next scenario.
+  std::vector<FailureScenario> checked;
 
-  // Staged packed NBF session (bit-identical by contract), staged lazily so
-  // a cache-served analysis never pays for it. Staging happens on the serial
-  // path only; workers call the staged session concurrently (thread-safe).
+  // Staged NBF session (bit-identical to recover() by contract), staged
+  // lazily so a cache-served analysis never pays for it.
   std::unique_ptr<NbfSession> session;
   bool session_staged = false;
-  const auto ensure_staged = [&] {
+
+  // One logical NBF call: served from the memo, the shared cache, or a
+  // fresh evaluation, which is then memoized and published.
+  const auto resolve = [&](const FailureScenario& scenario) -> Verdict {
+    const GraphFp rfp = topology.residual_fingerprint(scenario);
+    if (const auto it =
+            memo_.find(MemoRef{rfp, &scenario.failed_switches, &scenario.failed_links});
+        it != memo_.end()) {
+      // Exact: identical residual + failed set. Split between same-graph
+      // hits and verdicts carried over from a different (smaller) topology.
+      if (it->second.origin == fp) {
+        ++outcome.memo_hits;
+      } else {
+        ++outcome.residual_reuses;
+      }
+      return it->second;
+    }
+    Verdict verdict;
+    if (options_.shared_cache &&
+        options_.shared_cache->lookup_verdict(binding_, rfp, scenario.failed_switches,
+                                              scenario.failed_links, &verdict)) {
+      // Exact replay from another session on the byte-identical problem;
+      // adopt into the local memo for lock-free re-probes.
+      memo_.emplace(MemoKey{rfp, scenario.failed_switches, scenario.failed_links}, verdict);
+      ++outcome.shared_hits;
+      return verdict;
+    }
     if (!session_staged) {
       session_staged = true;
-      if (options_.packed_nbf) session = nbf_->stage(topology);
+      session = nbf_->stage(topology);
     }
-  };
-  const auto run_nbf = [&](const FailureScenario& scenario) {
-    return session ? session->recover(scenario) : nbf_->recover(topology, scenario);
-  };
-
-  // Splits memo service between same-graph hits and verdicts carried over
-  // from a different (smaller) topology with an identical residual.
-  const auto count_memo_hit = [&](const Verdict& verdict) {
-    if (verdict.origin == fp) {
-      ++outcome.memo_hits;
-    } else {
-      ++outcome.residual_reuses;
+    NbfResult result = session ? session->recover(scenario) : nbf_->recover(topology, scenario);
+    ++outcome.nbf_executed;
+    verdict.ok = result.ok();
+    verdict.errors = std::move(result.errors);
+    verdict.origin = fp;
+    memo_.emplace(MemoKey{rfp, scenario.failed_switches, scenario.failed_links}, verdict);
+    if (options_.shared_cache) {
+      options_.shared_cache->publish_verdict(binding_, rfp, scenario.failed_switches,
+                                             scenario.failed_links, verdict);
     }
+    return verdict;
   };
 
-  const auto commit = [&] {
-    if (options_.incremental) {
-      outcomes_.emplace(OutcomeKey{fp, plan_}, outcome);
-      if (options_.shared_cache) {
-        options_.shared_cache->publish_outcome(binding_, fp, plan_, outcome);
-      }
-    }
-    outcome.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    return outcome;
-  };
-
-  if (!pool_) {
-    // Serial path: the sequential analyzer's inline loop with each NBF call
-    // serviced from the memo or a fresh evaluation. Each survivor is
-    // visible to the very next scenario.
-    const auto resolve = [&](const FailureScenario& scenario) -> Verdict {
-      Verdict verdict;
-      GraphFp rfp;
-      if (options_.incremental) {
-        rfp = topology.residual_fingerprint(scenario);
-        if (const auto it = memo_.find(
-                MemoRef{rfp, &scenario.failed_switches, &scenario.failed_links});
-            it != memo_.end()) {
-          count_memo_hit(it->second);  // exact: identical residual + failed set
-          return it->second;
-        }
-        if (options_.shared_cache &&
-            options_.shared_cache->lookup_verdict(binding_, rfp, scenario.failed_switches,
-                                                  scenario.failed_links, &verdict)) {
-          // Exact replay from another session on the byte-identical
-          // problem; adopt into the local memo for lock-free re-probes.
-          memo_.emplace(MemoKey{rfp, scenario.failed_switches, scenario.failed_links},
-                        verdict);
-          ++outcome.shared_hits;
-          return verdict;
-        }
-      }
-      ensure_staged();
-      NbfResult result = run_nbf(scenario);
-      ++outcome.nbf_executed;
-      verdict.ok = result.ok();
-      verdict.errors = std::move(result.errors);
-      verdict.origin = fp;
-      if (options_.incremental) {
-        memo_.emplace(MemoKey{rfp, scenario.failed_switches, scenario.failed_links},
-                      verdict);
-        if (options_.shared_cache) {
-          options_.shared_cache->publish_verdict(binding_, rfp, scenario.failed_switches,
-                                                 scenario.failed_links, verdict);
-        }
-      }
-      return verdict;
-    };
-
-    bool done = false;
-    for (int order = frontier.max_order; order >= 0 && !done; --order) {
-      const bool completed = for_each_combination(n, order, [&](const std::vector<int>& idx) {
-        if (options_.deadline) options_.deadline->poll();
-        double prob = 1.0;
-        FailureScenario scenario = scenario_of(frontier, idx, &prob);
-        if (order > options_.min_order && prob < goal) {
-          ++outcome.scenarios_skipped;  // safe fault above the frontier floor
-          return true;
-        }
-        if (options_.use_superset_pruning && subset_of_any(scenario, sim_checked)) {
-          ++outcome.scenarios_pruned;
-          return true;
-        }
-
-        ++outcome.nbf_calls;
-        Verdict direct = resolve(scenario);
-        bool ok = direct.ok;
-        if (!ok && !scenario.failed_links.empty()) {
-          const FailureScenario projected = project_to_switches(topology, scenario);
-          if (projection_covers(scenario, projected)) {
-            ++outcome.nbf_calls;  // the Eq. 6 deployability fallback
-            ok = resolve(projected).ok;
-          }
-        }
-        if (!ok) {
-          outcome.reliable = false;
-          outcome.counterexample = std::move(scenario);
-          outcome.errors = std::move(direct.errors);
-          return false;
-        }
-        sim_checked.push_back(std::move(scenario));
+  bool done = false;
+  for (int order = frontier.max_order; order >= 0 && !done; --order) {
+    const bool completed = for_each_combination(n, order, [&](const std::vector<int>& idx) {
+      if (options_.deadline) options_.deadline->poll();
+      double prob = 1.0;
+      FailureScenario scenario = scenario_of(frontier, idx, &prob);
+      if (order > options_.min_order && prob < goal) {
+        ++outcome.scenarios_skipped;  // safe fault above the frontier floor
         return true;
-      });
-      if (!completed) done = true;
-    }
-    if (!done) outcome.reliable = true;
-    return commit();
-  }
-
-  // Parallel path: per-order rounds of rank-contiguous chunks, claimed by
-  // workers from the pool's central queue (work stealing). Workers classify
-  // and evaluate against the PRE-round snapshot only; a serial reduction
-  // replays the round in rank order with exact Algorithm 3 semantics.
-  struct Res {
-    enum class Src { kNone, kMemo, kShared, kEval };
-    Src src = Src::kNone;
-    const Verdict* memo = nullptr;  // kMemo (std::map values are address-stable)
-    Verdict val;                    // kShared / kEval
-    GraphFp rfp;                    // set when incremental
-    bool evaluated = false;         // a fresh NBF execution happened
-  };
-  struct Slot {
-    FailureScenario scenario;
-    double prob = 1.0;
-    Res direct;
-    bool has_proj = false;  // direct failed, mixed, and the projection covers
-    FailureScenario projected;
-    Res proj;
-  };
-
-  const auto verdict_of = [](const Res& r) -> const Verdict& {
-    return r.src == Res::Src::kMemo ? *r.memo : r.val;
-  };
-
-  // Worker-side resolution: read-only memo probe, internally-locked shared
-  // probe, else a fresh evaluation. Never mutates engine state.
-  const auto probe_or_eval = [&](const FailureScenario& scenario, Res& r) {
-    if (options_.incremental) {
-      r.rfp = topology.residual_fingerprint(scenario);
-      if (const auto it =
-              memo_.find(MemoRef{r.rfp, &scenario.failed_switches, &scenario.failed_links});
-          it != memo_.end()) {
-        r.src = Res::Src::kMemo;
-        r.memo = &it->second;
-        return;
       }
-      if (options_.shared_cache &&
-          options_.shared_cache->lookup_verdict(binding_, r.rfp, scenario.failed_switches,
-                                                scenario.failed_links, &r.val)) {
-        r.src = Res::Src::kShared;
-        return;
-      }
-    }
-    NbfResult result = run_nbf(scenario);
-    r.src = Res::Src::kEval;
-    r.evaluated = true;
-    r.val.ok = result.ok();
-    r.val.errors = std::move(result.errors);
-    r.val.origin = fp;
-  };
-
-  // Serial-side commit of a worker resolution: counters, memo adoption,
-  // shared publication. Returns the authoritative verdict (address-stable
-  // until the next memo clear).
-  const auto commit_res = [&](const FailureScenario& scenario, Res& r) -> const Verdict* {
-    switch (r.src) {
-      case Res::Src::kMemo:
-        count_memo_hit(*r.memo);
-        return r.memo;
-      case Res::Src::kShared: {
-        ++outcome.shared_hits;
-        const auto slot = memo_.emplace(
-            MemoKey{r.rfp, scenario.failed_switches, scenario.failed_links},
-            std::move(r.val));
-        return &slot.first->second;
-      }
-      case Res::Src::kEval: {
-        if (!options_.incremental) return &r.val;
-        // emplace tolerates a duplicate key (a projection earlier in this
-        // round can coincide with a later switch-only scenario): both hold
-        // the same pure-function verdict.
-        const auto slot = memo_.emplace(
-            MemoKey{r.rfp, scenario.failed_switches, scenario.failed_links}, r.val);
-        if (options_.shared_cache) {
-          options_.shared_cache->publish_verdict(binding_, r.rfp, scenario.failed_switches,
-                                                 scenario.failed_links,
-                                                 slot.first->second);
-        }
-        return &slot.first->second;
-      }
-      case Res::Src::kNone:
-        break;
-    }
-    NPTSN_ASSERT(false, "engine reduction reached an unresolved scenario");
-    return nullptr;
-  };
-
-  const std::size_t round_capacity = static_cast<std::size_t>(options_.chunk_size) *
-                                     static_cast<std::size_t>(options_.num_threads);
-  // Several chunks per worker per round so a fast worker steals the tail of
-  // a slow worker's share instead of idling at the round barrier.
-  const std::uint64_t steal_chunk =
-      static_cast<std::uint64_t>(std::max(1, options_.chunk_size / 4));
-  std::vector<Slot> round;
-
-  for (int order = frontier.max_order; order >= 0; --order) {
-    const std::uint64_t total = binomial(n, order);
-    std::uint64_t next_rank = 0;
-    while (next_rank < total) {
-      const std::size_t count =
-          static_cast<std::size_t>(std::min<std::uint64_t>(total - next_rank,
-                                                           round_capacity));
-      round.assign(count, Slot{});
-      ensure_staged();  // before the workers need it (staging is not concurrent)
-      const int num_chunks =
-          static_cast<int>((count + steal_chunk - 1) / steal_chunk);
-      pool_->parallel_for(num_chunks, [&](int c) {
-        const std::uint64_t off = static_cast<std::uint64_t>(c) * steal_chunk;
-        const std::uint64_t lim = std::min<std::uint64_t>(off + steal_chunk, count);
-        std::size_t pos = static_cast<std::size_t>(off);
-        for_each_combination_in_range(
-            n, order, next_rank + off, next_rank + lim, [&](const std::vector<int>& idx) {
-              Slot& slot = round[pos++];
-              slot.scenario = scenario_of(frontier, idx, &slot.prob);
-              if (order > options_.min_order && slot.prob < goal) return true;
-              if (options_.use_superset_pruning &&
-                  subset_of_any(slot.scenario, sim_checked)) {
-                return true;  // pre-round snapshot; the reduction re-checks
-              }
-              probe_or_eval(slot.scenario, slot.direct);
-              if (!verdict_of(slot.direct).ok && !slot.scenario.failed_links.empty()) {
-                slot.projected = project_to_switches(topology, slot.scenario);
-                if (projection_covers(slot.scenario, slot.projected)) {
-                  slot.has_proj = true;
-                  probe_or_eval(slot.projected, slot.proj);
-                }
-              }
-              return true;
-            });
-      });
-      for (const Slot& slot : round) {
-        outcome.nbf_executed += (slot.direct.evaluated ? 1 : 0) + (slot.proj.evaluated ? 1 : 0);
+      if (options_.use_superset_pruning && subset_of_any(scenario, checked)) {
+        ++outcome.scenarios_pruned;
+        return true;
       }
 
-      // Ordered reduction: exact Algorithm 3 semantics in rank order. The
-      // reduction can only prune MORE than the workers did (sim_checked
-      // grows within the round), so every non-pruned slot is resolved.
-      for (Slot& slot : round) {
-        if (options_.deadline) options_.deadline->poll();
-        if (order > options_.min_order && slot.prob < goal) {
-          ++outcome.scenarios_skipped;  // safe fault above the frontier floor
-          continue;
-        }
-        if (options_.use_superset_pruning && subset_of_any(slot.scenario, sim_checked)) {
-          ++outcome.scenarios_pruned;
-          outcome.speculative_waste +=
-              (slot.direct.evaluated ? 1 : 0) + (slot.proj.evaluated ? 1 : 0);
-          continue;
-        }
-
-        ++outcome.nbf_calls;
-        const Verdict* direct = commit_res(slot.scenario, slot.direct);
-        bool ok = direct->ok;
-        if (!ok && !slot.scenario.failed_links.empty() && slot.has_proj) {
+      ++outcome.nbf_calls;
+      Verdict direct = resolve(scenario);
+      bool ok = direct.ok;
+      if (!ok && !scenario.failed_links.empty()) {
+        const FailureScenario projected = project_to_switches(topology, scenario);
+        if (projection_covers(scenario, projected)) {
           ++outcome.nbf_calls;  // the Eq. 6 deployability fallback
-          ok = commit_res(slot.projected, slot.proj)->ok;
+          ok = resolve(projected).ok;
         }
-        if (!ok) {
-          outcome.reliable = false;
-          outcome.counterexample = std::move(slot.scenario);
-          outcome.errors = direct->errors;
-          return commit();
-        }
-        sim_checked.push_back(std::move(slot.scenario));
       }
-      next_rank += count;
-    }
+      if (!ok) {
+        outcome.reliable = false;
+        outcome.counterexample = std::move(scenario);
+        outcome.errors = std::move(direct.errors);
+        return false;
+      }
+      checked.push_back(std::move(scenario));
+      return true;
+    });
+    if (!completed) done = true;
   }
+  if (!done) outcome.reliable = true;
 
-  outcome.reliable = true;
-  return commit();
+  outcomes_.emplace(OutcomeKey{fp, plan_}, outcome);
+  if (options_.shared_cache) {
+    options_.shared_cache->publish_outcome(binding_, fp, plan_, outcome);
+  }
+  outcome.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  return outcome;
 }
 
 }  // namespace nptsn

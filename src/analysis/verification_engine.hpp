@@ -1,8 +1,9 @@
-// The incremental, parallel reliability-verification engine.
+// The incremental reliability-verification engine.
 //
 // A drop-in replacement for per-step FailureAnalyzer::analyze calls in the
-// planning hot loop. It runs the same Algorithm 3 enumeration but services
-// it through three accelerations, none of which may change the result:
+// planning hot loop. It runs the same Algorithm 3 enumeration, in the same
+// order and on one thread, but services its NBF calls through two exact
+// caches, neither of which may change the result:
 //
 //  1. Residual verdict memo (exact). The stateless NBF is a deterministic
 //     pure function of the residual graph (Gt minus the failed components)
@@ -36,28 +37,15 @@
 //     converged policy that re-produces the same designs epoch after epoch
 //     hits this cache on most steps.
 //
-//  3. Work-stealing speculative evaluation with an ordered reduction. Each
-//     order's combinations are processed in rounds of rank-contiguous
-//     chunks; workers claim chunks from the pool's central queue (a fast
-//     worker steals the slow worker's remaining chunks), unrank their
-//     chunk's first combination (combination_from_rank) and advance locally
-//     with the successor loop — no shared cursor, no per-scenario handoff.
-//     Inside a chunk a worker classifies each scenario strictly against the
-//     pre-round snapshot (probability skip, subset pruning against the
-//     survivors committed by earlier rounds, read-only memo/shared-cache
-//     probes) and evaluates the unresolved ones. A serial reduction then
-//     replays the round in exact rank order with full Algorithm 3 semantics
-//     — so the engine returns the same verdict, the same FIRST
-//     counterexample, the same ErrorSet, and the same logical
-//     instrumentation counters as the sequential analyzer, for every thread
-//     count. Speculative evaluations the reduction prunes are wasted work,
-//     never a behaviour change.
+// NBF calls that miss both caches run on the NBF's staged session
+// (StatelessNbf::stage) when it offers one, which is bit-identical to plain
+// recover() by contract.
 //
 // Every verdict the engine reports is either a fresh NBF execution or an
 // exact replay of one on an identical input, so warm and cold engines are
 // interchangeable: only the work-split counters (nbf_executed / memo_hits /
-// residual_reuses / speculative_waste) differ. The caches are derived state
-// and must never be serialized into checkpoints.
+// residual_reuses / shared_hits) differ. The caches are derived state and
+// must never be serialized into checkpoints.
 //
 // One engine instance serves ONE (problem, NBF) pair; both must outlive it.
 #pragma once
@@ -71,7 +59,6 @@
 
 #include "analysis/engine_cache.hpp"
 #include "analysis/failure_analyzer.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nptsn {
 
@@ -90,18 +77,9 @@ class VerificationEngine {
     int min_order = 0;
     bool include_links = false;
     // Cooperative execution deadline (must outlive the engine). Polled once
-    // per enumerated scenario on the serial reduction path — never from pool
-    // workers — so expiry surfaces as one DeadlineExceeded with at most one
-    // wave of speculative NBF evaluations in flight.
+    // per enumerated scenario, so expiry surfaces as one DeadlineExceeded
+    // with at most one NBF evaluation in flight.
     const Deadline* deadline = nullptr;
-    // Cross-step reuse (residual verdict memo + outcome cache). Disabling
-    // it leaves a purely parallel engine.
-    bool incremental = true;
-    // NBF evaluations per wave run on this many threads; 1 evaluates inline
-    // during the reduction (no pool, no speculation, zero wasted calls).
-    int num_threads = 1;
-    // Scenarios per wave and thread: wave capacity = chunk_size * threads.
-    int chunk_size = 32;
     // Verdict memo and outcome cache are each cleared wholesale when they
     // outgrow this bound (derived state — dropping them costs recomputation,
     // never correctness).
@@ -113,18 +91,15 @@ class VerificationEngine {
     // Cross-session shared cache (engine_cache.hpp). Requires `staging` (the
     // staged problem fingerprint is the cache identity). Hits are exact
     // replays, so results stay bit-identical with the cache on or off; only
-    // nbf_executed / shared_hits move. Implies nothing unless `incremental`.
+    // nbf_executed / shared_hits move.
     std::shared_ptr<EngineSharedCache> shared_cache;
     // Folded into the shared-cache binding salt: identifies the NBF's
     // construction (e.g. path candidates, forwarding discipline) so engines
     // whose NBFs could disagree never share verdicts. Callers that share a
-    // cache across differently-configured NBFs MUST disambiguate here.
+    // cache across differently-configured NBFs MUST disambiguate here. The
+    // salt's low 16 bits carry the option bits above, so with a shared cache
+    // this must be below 2^48; the constructor rejects larger values.
     std::uint64_t cache_salt = 0;
-    // Use the NBF's staged session (StatelessNbf::stage) when it offers one.
-    // Sessions are bit-identical to plain recover() by contract, so this is
-    // a pure throughput switch: no salt bit, no verdict change. Staging is
-    // lazy — an analysis served entirely from caches never stages.
-    bool packed_nbf = true;
   };
 
   explicit VerificationEngine(const StatelessNbf& nbf)
@@ -220,7 +195,6 @@ class VerificationEngine {
 
   const StatelessNbf* nbf_;
   Options options_;
-  std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
 
   // The session identity shared-cache operations run under (problem
   // fingerprint + option/NBF salt); valid iff options_.shared_cache.

@@ -23,7 +23,6 @@ NeuroPlanEnv::NeuroPlanEnv(const PlanningProblem& problem, const StatelessNbf& n
   problem.validate();
   if (config.use_verification_engine) {
     VerificationEngine::Options options;
-    options.num_threads = config.verification_threads;
     options.min_order = config.min_frontier_order;
     options.include_links = config.frontier_include_links;
     options.deadline = config.deadline.get();

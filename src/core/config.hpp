@@ -76,7 +76,7 @@ struct NptsnConfig {
   // Threads for the parallel fast-GEMM path on large shapes (1 = serial).
   // Results are bit-identical at every setting; the parallel path only pays
   // off when steps_per_epoch x network width is large, and it shares cores
-  // with num_workers/verification_threads.
+  // with num_workers.
   int nn_threads = 1;
 
   // --- reliability verification ----------------------------------------------
@@ -86,11 +86,10 @@ struct NptsnConfig {
   // identical by construction (differential-tested), so this knob never
   // changes training trajectories — only how fast analyses complete.
   bool use_verification_engine = true;
-  // NBF evaluations inside one analysis run on this many threads (per
-  // environment — with parallel rollout workers the products multiply, so
-  // keep num_workers * verification_threads near the core count). 1 keeps
-  // the analysis single-threaded with incremental reuse only.
-  int verification_threads = 1;
+  // Verification is serial: Algorithm 3 lets each survivor prune the
+  // scenarios after it, so one analysis has no useful parallelism
+  // (DESIGN.md §8). Fixed at 1, kept so run stamps can report it.
+  static constexpr int verification_threads = 1;
 
   // --- TSN compute kernels ----------------------------------------------------
   // Kernel family for the TSN data plane (DESIGN.md §16): the bitset-packed
@@ -132,7 +131,9 @@ struct NptsnConfig {
   // Disambiguates NBF construction identity inside the shared cache: two
   // sessions may share verdicts only when their (problem bytes, this salt)
   // agree. Callers that pass a non-default-constructed NBF into plan() MUST
-  // set a distinct salt per construction.
+  // set a distinct salt per construction. Must be below 2^48 when
+  // engine_shared_cache is set (the engine keeps its option bits in the low
+  // 16 bits of the binding salt and rejects larger values).
   std::uint64_t cache_salt = 0;
   // Warm-started policy weights are NOT result-preserving (a different
   // initialization means a different training trajectory — usually better,

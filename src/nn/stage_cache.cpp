@@ -20,7 +20,7 @@ std::uint64_t content_hash(const std::vector<Matrix>& blocks) {
   for (const Matrix& m : blocks) {
     absorb(static_cast<std::uint64_t>(m.rows()));
     absorb(static_cast<std::uint64_t>(m.cols()));
-    for (std::size_t i = 0; i < m.size(); ++i) {
+    for (int i = 0; i < m.size(); ++i) {
       std::uint64_t bits;
       std::memcpy(&bits, m.data() + i, sizeof(bits));
       absorb(bits);

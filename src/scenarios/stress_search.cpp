@@ -103,7 +103,6 @@ StressProbe stress_probe(const GeneratorParams& params, std::uint64_t instance_s
   plan_config.path_actions = 4;
   plan_config.num_workers = 1;
   plan_config.nn_threads = 1;
-  plan_config.verification_threads = 1;
   plan_config.seed = instance_seed;
   plan_config.audit_mode = AuditMode::kFinal;
   plan_config.health_checks = true;

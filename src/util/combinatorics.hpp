@@ -32,36 +32,6 @@ bool for_each_combination(int n, int k, Visitor&& visit) {
   }
 }
 
-// Writes the combination with lexicographic rank `rank` (0-based) among the
-// k-subsets of {0, ..., n-1} into `idx`. The work-stealing enumeration uses
-// this to start a chunk at an arbitrary rank and then advance locally with
-// the standard successor loop, so chunks need no shared cursor.
-inline void combination_from_rank(int n, int k, std::uint64_t rank, std::vector<int>& idx);
-
-// Visits the combinations with lexicographic ranks [first, last) of the
-// k-subsets of {0, ..., n-1}: one unranking, then successor advances. Same
-// visitor contract as for_each_combination; returns false iff the visitor
-// stopped the enumeration early.
-template <typename Visitor>
-bool for_each_combination_in_range(int n, int k, std::uint64_t first, std::uint64_t last,
-                                   Visitor&& visit) {
-  NPTSN_EXPECT(n >= 0 && k >= 0, "for_each_combination_in_range requires n, k >= 0");
-  if (first >= last || k > n) return true;
-  std::vector<int> idx;
-  combination_from_rank(n, k, first, idx);
-  for (std::uint64_t r = first; r < last; ++r) {
-    if (!visit(static_cast<const std::vector<int>&>(idx))) return false;
-    int i = k - 1;
-    while (i >= 0 && idx[static_cast<std::size_t>(i)] == n - k + i) --i;
-    if (i < 0) return true;  // exhausted (last was past the end)
-    ++idx[static_cast<std::size_t>(i)];
-    for (int j = i + 1; j < k; ++j) {
-      idx[static_cast<std::size_t>(j)] = idx[static_cast<std::size_t>(j - 1)] + 1;
-    }
-  }
-  return true;
-}
-
 // n choose k without overflow for the small n used here (guarded).
 inline std::uint64_t binomial(int n, int k) {
   NPTSN_EXPECT(n >= 0 && k >= 0, "binomial requires n, k >= 0");
@@ -74,25 +44,6 @@ inline std::uint64_t binomial(int n, int k) {
     result = result * static_cast<std::uint64_t>(n - k + i) / static_cast<std::uint64_t>(i);
   }
   return result;
-}
-
-inline void combination_from_rank(int n, int k, std::uint64_t rank, std::vector<int>& idx) {
-  NPTSN_EXPECT(n >= 0 && k >= 0 && k <= n, "combination_from_rank requires 0 <= k <= n");
-  NPTSN_EXPECT(rank < binomial(n, k), "combination rank out of range");
-  idx.resize(static_cast<std::size_t>(k));
-  // Lexicographic unranking: at each position take the smallest value v such
-  // that the combinations starting below it do not cover `rank`.
-  int v = 0;
-  for (int pos = 0; pos < k; ++pos) {
-    while (true) {
-      const std::uint64_t below = binomial(n - v - 1, k - pos - 1);
-      if (rank < below) break;
-      rank -= below;
-      ++v;
-    }
-    idx[static_cast<std::size_t>(pos)] = v;
-    ++v;
-  }
 }
 
 }  // namespace nptsn

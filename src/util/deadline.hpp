@@ -19,8 +19,8 @@
 //     deterministic — the stress searcher classifies "timeout" offenders by
 //     ticks so a fixed seed reproduces the same offender set on any machine.
 //
-// Polling is thread-safe (rollout workers and engine waves share one token)
-// and cheap: the tick counter is a relaxed atomic and the clock is consulted
+// Polling is thread-safe (parallel rollout workers share one token) and
+// cheap: the tick counter is a relaxed atomic and the clock is consulted
 // every kClockStride polls (the first poll always checks, so an
 // already-expired budget fires immediately). Once a budget fires the token
 // stays expired and reports the same reason forever.

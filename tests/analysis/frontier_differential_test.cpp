@@ -1,11 +1,11 @@
 // Randomized differential suite for the higher-order failure frontiers
 // (frontier floor + mixed link/switch scenarios): across generated zonal
-// instances and growth trajectories, every engine configuration — thread
-// counts, incremental reuse, shared caches, packed vs scalar NBF — must
-// return BYTE-identical verdicts, counterexamples, ErrorSets, and logical
-// counters to the sequential reference analyzer at every (min_order,
-// include_links) setting; and a min_order=2 mixed certificate must audit
-// clean, survive serialization, and reject tampering.
+// instances and growth trajectories, every engine configuration — warm or
+// cleared caches, shared caches, packed sessions vs the scalar reference
+// kernels — must return BYTE-identical verdicts, counterexamples, ErrorSets,
+// and logical counters to the sequential reference analyzer at every
+// (min_order, include_links) setting; and a min_order=2 mixed certificate
+// must audit clean, survive serialization, and reject tampering.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -141,38 +141,37 @@ TEST_P(FrontierDifferential, EngineMatchesSequentialAcrossOrdersThreadsCaches) {
 
   const auto states = random_trajectory(problem, rng, 8);
 
+  // Under TsnKernel::kReference the NBF offers no staged session, so that
+  // variant runs every fresh evaluation through the scalar recover().
   struct Variant {
     const char* name;
-    int threads;
-    bool incremental;
+    TsnKernel kernel;
+    bool fresh_per_step;
     bool shared_cache;
-    bool packed;
   };
   const Variant variants[] = {
-      {"serial", 1, true, false, true},
-      {"serial-scalar-nbf", 1, true, false, false},
-      {"2t", 2, true, false, true},
-      {"4t-cold", 4, false, false, true},
-      {"2t-shared-cache", 2, true, true, true},
+      {"warm", TsnKernel::kFast, false, false},
+      {"warm-reference-kernels", TsnKernel::kReference, false, false},
+      {"fresh-per-step", TsnKernel::kFast, true, false},
+      {"shared-cache", TsnKernel::kFast, false, true},
   };
 
+  const TsnKernel saved_kernel = tsn_kernel();
   for (const Variant& variant : variants) {
     VerificationEngine::Options options;
     options.min_order = min_order;
     options.include_links = include_links;
     options.flow_level_redundancy = flow_level;
     options.use_superset_pruning = pruning;
-    options.incremental = variant.incremental;
-    options.num_threads = variant.threads;
-    options.chunk_size = 4;  // small rounds: exercise the work-stealing loop
-    options.packed_nbf = variant.packed;
     if (variant.shared_cache) {
       options.staging = make_engine_staging(problem);
       options.shared_cache = std::make_shared<EngineSharedCache>();
     }
     VerificationEngine engine(nbf, options);
 
+    set_tsn_kernel(variant.kernel);
     for (std::size_t i = 0; i < states.size(); ++i) {
+      if (variant.fresh_per_step) engine.clear();
       const auto seq = sequential.analyze(states[i]);
       const auto eng = engine.analyze(states[i]);
       expect_equivalent(eng, seq,
@@ -180,6 +179,7 @@ TEST_P(FrontierDifferential, EngineMatchesSequentialAcrossOrdersThreadsCaches) {
                             " step " + std::to_string(i) + " minord " +
                             std::to_string(min_order) + (include_links ? " links" : ""));
     }
+    set_tsn_kernel(saved_kernel);
   }
 }
 
@@ -232,8 +232,8 @@ PlanningProblem triple_mesh_problem() {
 
 // A reliable plan enumerates the FULL frontier (no early counterexample
 // exit), so this is where the skip/prune/projection bookkeeping gets its
-// deepest coverage: every engine variant must match the sequential analyzer
-// on the triple-homed mesh at every frontier shape.
+// deepest coverage: the engine must match the sequential analyzer on the
+// triple-homed mesh at every frontier shape.
 TEST(FrontierDifferential, ReliableTripleMeshFullEnumerationMatches) {
   const auto problem = triple_mesh_problem();
   const auto t = triple_mesh_topology(problem);
@@ -257,18 +257,13 @@ TEST(FrontierDifferential, ReliableTripleMeshFullEnumerationMatches) {
         EXPECT_EQ(seq.counterexample.order(), 3);
       }
 
-      for (const int threads : {1, 2, 4}) {
-        VerificationEngine::Options options;
-        options.min_order = min_order;
-        options.include_links = include_links;
-        options.num_threads = threads;
-        options.chunk_size = 4;
-        VerificationEngine engine(nbf, options);
-        expect_equivalent(engine.analyze(t), seq,
-                          "mesh minord " + std::to_string(min_order) +
-                              (include_links ? " links" : "") + " threads " +
-                              std::to_string(threads));
-      }
+      VerificationEngine::Options options;
+      options.min_order = min_order;
+      options.include_links = include_links;
+      VerificationEngine engine(nbf, options);
+      expect_equivalent(engine.analyze(t), seq,
+                        "mesh minord " + std::to_string(min_order) +
+                            (include_links ? " links" : ""));
     }
   }
 }

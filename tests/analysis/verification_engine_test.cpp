@@ -1,10 +1,10 @@
 // Differential tests: the verification engine must return the identical
 // verdict, identical FIRST counterexample, identical ErrorSet, and identical
 // logical instrumentation counters (nbf_calls / pruned / skipped / maxord)
-// as the sequential FailureAnalyzer — for every thread count, with and
-// without incremental reuse, with and without superset pruning, with and
-// without flow-level redundancy, cold or warm caches, across whole monotone
-// growth trajectories and across episode resets.
+// as the sequential FailureAnalyzer — with caches kept warm or cleared before
+// every analysis, with and without superset pruning, with and without
+// flow-level redundancy, across whole monotone growth trajectories and
+// across episode resets.
 #include "analysis/verification_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -84,18 +84,16 @@ std::vector<Topology> random_trajectory(const PlanningProblem& problem, Rng& rng
   return states;
 }
 
+// One engine kept warm across the whole trajectory, or cleared before every
+// state so each analysis starts from empty caches.
 struct EngineVariant {
   const char* name;
-  bool incremental;
-  int threads;
+  bool fresh_per_step;
 };
 
 constexpr EngineVariant kVariants[] = {
-    {"incremental-serial", true, 1},
-    {"incremental-2t", true, 2},
-    {"incremental-4t", true, 4},
-    {"parallel-only-3t", false, 3},
-    {"cold-serial", false, 1},
+    {"warm", false},
+    {"fresh-per-step", true},
 };
 
 class EngineDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -120,12 +118,10 @@ TEST_P(EngineDifferential, MatchesSequentialAcrossGrowthTrajectory) {
     VerificationEngine::Options options;
     options.flow_level_redundancy = flow_level;
     options.use_superset_pruning = pruning;
-    options.incremental = variant.incremental;
-    options.num_threads = variant.threads;
-    options.chunk_size = 4;  // small waves: exercise multi-wave orders
     VerificationEngine engine(nbf, options);
 
     for (std::size_t i = 0; i < states.size(); ++i) {
+      if (variant.fresh_per_step) engine.clear();
       const auto seq = sequential.analyze(states[i]);
       const auto eng = engine.analyze(states[i]);
       expect_equivalent(eng, seq,
@@ -315,12 +311,10 @@ TEST_P(EngineDifferential, MatchesSequentialUnderNonMonotoneNbf) {
   for (const auto& variant : kVariants) {
     VerificationEngine::Options options;
     options.use_superset_pruning = pruning;
-    options.incremental = variant.incremental;
-    options.num_threads = variant.threads;
-    options.chunk_size = 4;
     VerificationEngine engine(nbf, options);
 
     for (std::size_t i = 0; i < states.size(); ++i) {
+      if (variant.fresh_per_step) engine.clear();
       const auto seq = sequential.analyze(states[i]);
       const auto eng = engine.analyze(states[i]);
       expect_equivalent(eng, seq,
@@ -350,16 +344,27 @@ TEST(VerificationEngine, MemoEvictionNeverChangesOutcomes) {
   }
 }
 
+// The shared-cache binding salt keeps the engine's option bits in its low 16
+// bits. A cache_salt of 2^48 or more would lose its top bits there and let
+// two NBF constructions share verdicts, so the engine rejects it.
+TEST(VerificationEngine, RejectsCacheSaltWiderThan48Bits) {
+  const auto problem = tiny_problem(2);
+  const HeuristicRecovery nbf;
+  VerificationEngine::Options options;
+  options.staging = make_engine_staging(problem);
+  options.shared_cache = std::make_shared<EngineSharedCache>();
+  options.cache_salt = std::uint64_t{1} << 48;
+  EXPECT_THROW(VerificationEngine engine(nbf, options), std::invalid_argument);
+}
+
 // SOAG-driven planning trajectories on the real design scenarios: the exact
 // workload the engine replaces in the environment hot loop.
 void expect_equivalent_on_scenario(const Scenario& scenario, std::vector<FlowSpec> flows,
-                                   int steps, int threads) {
+                                   int steps) {
   const auto problem = with_flows(scenario, std::move(flows));
   const HeuristicRecovery nbf;
   const FailureAnalyzer sequential(nbf);
-  VerificationEngine::Options options;
-  options.num_threads = threads;
-  VerificationEngine engine(nbf, options);
+  VerificationEngine engine(nbf);
 
   const Soag soag(problem, /*k=*/4);
   Rng rng(7);
@@ -448,31 +453,25 @@ TEST(VerificationEngine, ErrorSetByteMatchesSequentialUnderAdversarialNbfs) {
   for (const Case& c : cases) {
     const FailureAnalyzer sequential(*c.nbf);
     for (const Topology& t : topologies) {
-      for (const int threads : {1, 3}) {
-        VerificationEngine::Options options;
-        options.num_threads = threads;
-        VerificationEngine engine(*c.nbf, options);
-        const auto seq = sequential.analyze(t);
-        const auto eng = engine.analyze(t);
-        const std::string context =
-            std::string(c.name) + " threads " + std::to_string(threads);
-        expect_equivalent(eng, seq, context);
-        EXPECT_EQ(outcome_bytes(eng), outcome_bytes(seq)) << context;
-      }
+      VerificationEngine engine(*c.nbf);
+      const auto seq = sequential.analyze(t);
+      const auto eng = engine.analyze(t);
+      expect_equivalent(eng, seq, c.name);
+      EXPECT_EQ(outcome_bytes(eng), outcome_bytes(seq)) << c.name;
     }
   }
 }
 
 TEST(VerificationEngine, MatchesSequentialOnAdsPlanningTrajectory) {
   auto scenario = make_ads();
-  expect_equivalent_on_scenario(scenario, ads_flows(), /*steps=*/12, /*threads=*/2);
+  expect_equivalent_on_scenario(scenario, ads_flows(), /*steps=*/12);
 }
 
 TEST(VerificationEngine, MatchesSequentialOnOrionPlanningTrajectory) {
   auto scenario = make_orion();
   Rng rng(13);
   auto flows = random_flows(scenario.problem, /*count=*/4, rng);
-  expect_equivalent_on_scenario(scenario, std::move(flows), /*steps=*/8, /*threads=*/2);
+  expect_equivalent_on_scenario(scenario, std::move(flows), /*steps=*/8);
 }
 
 }  // namespace

@@ -31,7 +31,6 @@ NptsnConfig envelope_config() {
   c.train_critic_iters = 5;
   c.num_workers = 1;
   c.nn_threads = 1;
-  c.verification_threads = 1;
   c.seed = 7;
   return c;
 }

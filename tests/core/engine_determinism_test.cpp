@@ -1,8 +1,8 @@
 // The verification engine is a pure acceleration layer: its caches are
 // derived state that never leaks into checkpoints or trajectories. These
-// tests pin that contract — engine on/off, warm/cold, serial/parallel must
-// all produce byte-identical snapshots and bit-identical training runs, so
-// PR 1's kill-and-resume guarantee survives the engine unchanged.
+// tests pin that contract — engine on/off and warm/cold must all produce
+// byte-identical snapshots and bit-identical training runs, so the
+// kill-and-resume guarantee survives the engine unchanged.
 #include <unistd.h>
 
 #include <gtest/gtest.h>

@@ -107,7 +107,9 @@ TEST(Soag, PathsOnlyTraversePlannedSwitches) {
   for (int i = 3; i < space.size(); ++i) {
     const auto& path = space.actions[static_cast<std::size_t>(i)].path;
     for (const NodeId v : path) {
-      if (p.is_switch(v)) EXPECT_EQ(v, 5);
+      if (p.is_switch(v)) {
+        EXPECT_EQ(v, 5);
+      }
     }
   }
 }

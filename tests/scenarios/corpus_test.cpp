@@ -159,7 +159,6 @@ TEST(CorpusTest, CommittedCorpusReplaysInsideTheEnvelope) {
     config.path_actions = 4;
     config.num_workers = 1;
     config.nn_threads = 1;
-    config.verification_threads = 1;
     config.seed = entry.seed;
     config.audit_mode = AuditMode::kFinal;
     config.health_checks = true;

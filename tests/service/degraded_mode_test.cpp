@@ -343,7 +343,9 @@ TEST_F(DegradedMode, SiteByErrnoSoakNeverAbortsAndNeverLosesAcknowledgedWork) {
           EXPECT_TRUE(item.replay.has_value()) << tag << " lost answer of " << id;
         }
         EXPECT_LE(copies, 1) << tag << " duplicated " << id;
-        if (id != "r0") EXPECT_EQ(copies, 1) << tag << " lost " << id;
+        if (id != "r0") {
+          EXPECT_EQ(copies, 1) << tag << " lost " << id;
+        }
       }
       std::filesystem::remove_all(dir);
     }

@@ -275,7 +275,11 @@ TEST(RequestJournal, SegmentsRotateAtTheConfiguredSize) {
   {
     RequestJournal journal(config);
     for (int i = 0; i < 8; ++i) {
-      const PlanningRequest request = request_named("r" + std::to_string(i), 256);
+      // Appended piecewise: GCC 12 warns falsely (-Wrestrict) on
+      // `"r" + std::to_string(i)`.
+      std::string id = "r";
+      id += std::to_string(i);
+      const PlanningRequest request = request_named(id, 256);
       journal.append_accepted(request, fp_of(request));
     }
     EXPECT_GE(journal.stats().rotations, 1);

@@ -38,7 +38,9 @@ TEST_P(SchedulerSweep, AssignmentsSatisfyTasInvariants) {
       // Slots strictly increase along the path and stay in the window.
       EXPECT_GE((*result)[h], 0);
       EXPECT_LT((*result)[h], timing.deadline_slots);
-      if (h > 0) EXPECT_GT((*result)[h], (*result)[h - 1]);
+      if (h > 0) {
+        EXPECT_GT((*result)[h], (*result)[h - 1]);
+      }
       if (discipline == TtDiscipline::kNoWait && h > 0) {
         EXPECT_EQ((*result)[h], (*result)[h - 1] + 1);
       }
