@@ -119,10 +119,13 @@ void add_grad(Node& parent, const Matrix& delta) {
 }
 
 // Same for a delta the caller is done with: a parent without a gradient yet
-// adopts its storage instead of zero-filling a fresh matrix and adding into
-// it (at stacked-batch sizes that is megabytes of fresh pages per op). The
-// in-place 0.0 + d is exactly what accumulating into zeros computes (it turns
-// -0.0 into +0.0), so the gradient bits do not change.
+// adopts its storage instead of zero-filling a second matrix and adding into
+// it. At stacked-batch sizes that saves a zero-fill and an extra pass over
+// megabytes per op, and one more block alive at the update's peak (the
+// buffer recycler hands such blocks back without page faults, but they still
+// count toward RSS). The in-place 0.0 + d is exactly what accumulating into
+// zeros computes (it turns -0.0 into +0.0), so the gradient bits do not
+// change.
 void add_grad(Node& parent, Matrix&& delta) {
   if (!parent.requires_grad) return;
   if (parent.grad.empty() && !parent.value.empty() && delta.same_shape(parent.value)) {

@@ -2,10 +2,91 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
 
 #include "nn/kernels.hpp"
 
+// ASAN_(UN)POISON_MEMORY_REGION: the header makes them no-ops unless
+// AddressSanitizer is on.
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace nptsn {
+
+namespace {
+
+// Per-thread recycler state. Both are trivially destructible, so a Matrix
+// freed during or after thread teardown still finds them valid: with no
+// scope open it just goes to the heap.
+thread_local BufferRecycleScope* t_scope = nullptr;  // outermost open scope
+thread_local RecyclerCounters t_counters;
+
+}  // namespace
+
+namespace detail {
+
+void* recycle_allocate(std::size_t bytes) {
+  if (BufferRecycleScope* scope = t_scope) {
+    auto& parked = scope->parked_;
+    for (std::size_t i = parked.size(); i-- > 0;) {
+      if (parked[i].bytes != bytes) continue;
+      void* p = parked[i].p;
+      parked.erase(parked.begin() + static_cast<std::ptrdiff_t>(i));
+      t_counters.parked_bytes -= bytes;
+      ++t_counters.reused;
+      ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+      return p;
+    }
+  }
+  ++t_counters.fresh;
+  return ::operator new(bytes);
+}
+
+void recycle_deallocate(void* p, std::size_t bytes) noexcept {
+  if (BufferRecycleScope* scope = t_scope) {
+    try {
+      scope->parked_.push_back({p, bytes});
+      t_counters.parked_bytes += bytes;
+      // Parked memory is freed memory: ASan reports any read or write
+      // through a dangling pointer until the block is handed out again.
+      ASAN_POISON_MEMORY_REGION(p, bytes);
+      return;
+    } catch (const std::bad_alloc&) {
+      // No room to record the block: give it back to the heap instead.
+    }
+  }
+  ::operator delete(p);
+}
+
+}  // namespace detail
+
+BufferRecycleScope::BufferRecycleScope() : outermost_(t_scope == nullptr) {
+  if (outermost_) t_scope = this;
+}
+
+BufferRecycleScope::~BufferRecycleScope() {
+  if (!outermost_) return;
+  t_scope = nullptr;
+  t_counters.parked_bytes = 0;
+  for (const Block& block : parked_) {
+    ASAN_UNPOISON_MEMORY_REGION(block.p, block.bytes);
+    ::operator delete(block.p);
+  }
+}
+
+RecyclerCounters recycler_counters() { return t_counters; }
+
+std::vector<std::size_t> recycler_parked_sizes() {
+  std::vector<std::size_t> sizes;
+  if (t_scope != nullptr) {
+    for (const auto& block : t_scope->parked_) sizes.push_back(block.bytes);
+  }
+  return sizes;
+}
 
 Matrix::Matrix(int rows, int cols, double fill)
     : rows_(rows), cols_(cols), data_(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), fill) {

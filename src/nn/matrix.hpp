@@ -5,6 +5,8 @@
 // family is a process-global switch driven by NptsnConfig::nn_kernel.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <vector>
@@ -36,17 +38,43 @@ enum class Epilogue { kNone, kRelu, kTanh };
 
 namespace detail {
 
+// Matrix buffers of at least this many bytes go through the recycler below
+// instead of straight to the heap: in training, the stacked-batch matrices of
+// a PPO update and the gradients of 256 x 256 weights. A single
+// observation's matrices stay far below it.
+inline constexpr std::size_t kRecycleFloorBytes = 256 * 1024;
+
+// The recycler's entry points for blocks at or above the floor. Inside an
+// open BufferRecycleScope a freed block is parked and handed back to the next
+// request of exactly its size; otherwise both are plain ::operator new/delete.
+void* recycle_allocate(std::size_t bytes);
+void recycle_deallocate(void* p, std::size_t bytes) noexcept;
+
 // Allocator that leaves doubles default-initialized (i.e. uninitialized)
 // when the container value-constructs without arguments. Matrix uses it so
 // Matrix::uninitialized can skip the zero-fill pass for outputs a kernel is
 // about to overwrite completely; the ordinary constructors still fill
-// explicitly, so their semantics are unchanged.
+// explicitly, so their semantics are unchanged. Buffers at or above
+// kRecycleFloorBytes are routed through the recycler.
 template <class T>
 struct DefaultInitAllocator : std::allocator<T> {
   template <class U>
   struct rebind {
     using other = DefaultInitAllocator<U>;
   };
+  T* allocate(std::size_t n) {
+    if (n * sizeof(T) >= kRecycleFloorBytes) {
+      return static_cast<T*>(recycle_allocate(n * sizeof(T)));
+    }
+    return std::allocator<T>::allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    if (n * sizeof(T) >= kRecycleFloorBytes) {
+      recycle_deallocate(p, n * sizeof(T));
+    } else {
+      std::allocator<T>::deallocate(p, n);
+    }
+  }
   template <class U, class... Args>
   void construct(U* p, Args&&... args) {
     if constexpr (sizeof...(Args) == 0) {
@@ -58,6 +86,47 @@ struct DefaultInitAllocator : std::allocator<T> {
 };
 
 }  // namespace detail
+
+// This thread's recycler counters (read-only; for tests and diagnostics).
+struct RecyclerCounters {
+  std::uint64_t fresh = 0;       // buffers at or above the floor taken from the heap
+  std::uint64_t reused = 0;      // requests served by a parked block
+  std::size_t parked_bytes = 0;  // currently parked in this thread's open scope
+};
+RecyclerCounters recycler_counters();
+// Sizes in bytes of the blocks parked in this thread's open scope, oldest
+// first (empty outside a scope).
+std::vector<std::size_t> recycler_parked_sizes();
+
+// Recycles large Matrix buffers for as long as it is open (DESIGN.md §11).
+// While a scope is open on a thread, a buffer of at least
+// detail::kRecycleFloorBytes freed on that thread is parked instead of
+// returned to the heap, and the next request of exactly that size on the
+// thread gets the most recently parked block back, so a PPO update's
+// stacked-batch temporaries stop costing fresh zero-filled pages on every
+// iteration. Scopes nest; the outermost one on the thread owns the parked
+// blocks and returns all of them to the heap when it closes. Create and
+// destroy a scope on one thread, as a stack object. Trainer::train() opens
+// one for a whole training session.
+class BufferRecycleScope {
+ public:
+  BufferRecycleScope();
+  ~BufferRecycleScope();
+  BufferRecycleScope(const BufferRecycleScope&) = delete;
+  BufferRecycleScope& operator=(const BufferRecycleScope&) = delete;
+
+ private:
+  friend void* detail::recycle_allocate(std::size_t bytes);
+  friend void detail::recycle_deallocate(void* p, std::size_t bytes) noexcept;
+  friend std::vector<std::size_t> recycler_parked_sizes();
+
+  struct Block {
+    void* p;
+    std::size_t bytes;
+  };
+  bool outermost_;
+  std::vector<Block> parked_;  // oldest first
+};
 
 class Matrix {
  public:

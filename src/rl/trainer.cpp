@@ -1,9 +1,11 @@
 #include "rl/trainer.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <optional>
 
+#include "nn/matrix.hpp"
 #include "rl/distribution.hpp"
 #include "rl/snapshot.hpp"
 #include "util/expect.hpp"
@@ -286,6 +288,10 @@ EpochStats Trainer::run_epoch(int epoch) {
 }
 
 std::vector<EpochStats> Trainer::train(const EpochCallback& on_epoch) {
+  // Every PPO update of the session reuses the stacked-batch buffers the
+  // previous iterations freed, instead of faulting fresh pages back in; the
+  // blocks go back to the heap when training returns (DESIGN.md §11).
+  const BufferRecycleScope recycle_buffers;
   stopped_reason_.clear();
   if (!config_.checkpoint_path.empty()) try_resume_from_file();
 
@@ -312,7 +318,8 @@ std::vector<EpochStats> Trainer::train(const EpochCallback& on_epoch) {
   };
 
   std::vector<EpochStats> history;
-  history.reserve(static_cast<std::size_t>(config_.epochs - next_epoch_));
+  // A resumed checkpoint may already hold more epochs than configured.
+  history.reserve(static_cast<std::size_t>(std::max(config_.epochs - next_epoch_, 0)));
   int retries_left = config_.max_epoch_retries;
   int rollbacks_left = config_.health.max_rollbacks;
   int epoch_rollbacks = 0;  // consumed by the epoch currently being attempted

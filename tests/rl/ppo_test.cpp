@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <optional>
 
 #include "rl/distribution.hpp"
+#include "testing/orion_batch.hpp"
 
 namespace nptsn {
 namespace {
@@ -196,6 +202,104 @@ TEST(Ppo, MaskedActionsStayMaskedAfterUpdate) {
   const auto probs =
       masked_probabilities(net.forward(obs).logits.value(), {0, 1, 1});
   EXPECT_DOUBLE_EQ(probs[0], 0.0);
+}
+
+// --- recycled stacked-batch buffers --------------------------------------------
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.size()) * sizeof(double)) == 0;
+}
+
+// Takes every block parked in this thread's recycle scope, fills it with NaN
+// and parks it again.
+void dirty_parked_blocks() {
+  std::vector<Matrix> taken;
+  for (const std::size_t bytes : recycler_parked_sizes()) {
+    taken.push_back(Matrix::uninitialized(1, static_cast<int>(bytes / sizeof(double))));
+    taken.back().fill(std::numeric_limits<double>::quiet_NaN());
+  }
+}
+
+struct UpdateResult {
+  PpoStats stats;
+  std::vector<Matrix> params;
+  std::vector<Matrix> moments;
+};
+
+TEST(PpoRecycledBuffers, UpdateIsBitIdenticalOnNaNDirtiedRecycledBlocks) {
+  // An ORION-shaped update run on recycled blocks that hold NaN must match an
+  // update with no recycle scope bit for bit: no kernel may read a
+  // Matrix::uninitialized output before writing it.
+  const testing::OrionBatch orion = testing::orion_batch(32, 9);
+  PpoConfig config;
+  config.train_actor_iters = 3;
+  config.train_critic_iters = 3;
+  config.target_kl = std::numeric_limits<double>::infinity();
+
+  const auto run = [&](bool recycled) {
+    Rng rng(9);
+    const ActorCritic net(orion.net_config, rng);
+    Adam actor_opt(net.actor_parameters(), {.learning_rate = 1e-3});
+    Adam critic_opt(net.critic_parameters(), {.learning_rate = 1e-3});
+    std::optional<BufferRecycleScope> scope;
+    if (recycled) {
+      scope.emplace();
+      {
+        // A throwaway update of the same shapes leaves one block parked for
+        // every large buffer the real update will ask for.
+        Rng warm_rng(10);
+        const ActorCritic warm(orion.net_config, warm_rng);
+        Adam warm_actor(warm.actor_parameters(), {.learning_rate = 1e-3});
+        Adam warm_critic(warm.critic_parameters(), {.learning_rate = 1e-3});
+        ppo_update(warm, warm_actor, warm_critic, orion.batch, config);
+      }
+      const RecyclerCounters before = recycler_counters();
+      dirty_parked_blocks();
+      EXPECT_GT(recycler_counters().parked_bytes, 0u);
+      EXPECT_EQ(recycler_counters().fresh, before.fresh) << "dirtying took fresh blocks";
+    }
+    const RecyclerCounters before = recycler_counters();
+    UpdateResult result;
+    result.stats = ppo_update(net, actor_opt, critic_opt, orion.batch, config);
+    if (recycled) {
+      EXPECT_EQ(recycler_counters().fresh, before.fresh)
+          << "every large buffer of the update must come from a dirtied block";
+    }
+    for (const Tensor& p : net.all_parameters()) result.params.push_back(p.value());
+    for (const Adam* opt : {&actor_opt, &critic_opt}) {
+      for (const Matrix& m : opt->first_moments()) result.moments.push_back(m);
+      for (const Matrix& v : opt->second_moments()) result.moments.push_back(v);
+    }
+    return result;
+  };
+
+  struct KernelRestore {
+    NnKernel saved = nn_kernel();
+    ~KernelRestore() { set_nn_kernel(saved); }
+  } restore;
+  for (const NnKernel kernel : {NnKernel::kFast, NnKernel::kReference}) {
+    SCOPED_TRACE(kernel == NnKernel::kFast ? "fast" : "reference");
+    set_nn_kernel(kernel);
+    const UpdateResult plain = run(false);
+    const UpdateResult recycled = run(true);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(recycled.stats.actor_loss),
+              std::bit_cast<std::uint64_t>(plain.stats.actor_loss));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(recycled.stats.critic_loss),
+              std::bit_cast<std::uint64_t>(plain.stats.critic_loss));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(recycled.stats.approx_kl),
+              std::bit_cast<std::uint64_t>(plain.stats.approx_kl));
+    EXPECT_EQ(recycled.stats.actor_iters_run, plain.stats.actor_iters_run);
+    EXPECT_TRUE(plain.params.front().all_finite());
+    ASSERT_EQ(recycled.params.size(), plain.params.size());
+    for (std::size_t i = 0; i < plain.params.size(); ++i) {
+      EXPECT_TRUE(same_bits(recycled.params[i], plain.params[i])) << "parameter " << i;
+    }
+    ASSERT_EQ(recycled.moments.size(), plain.moments.size());
+    for (std::size_t i = 0; i < plain.moments.size(); ++i) {
+      EXPECT_TRUE(same_bits(recycled.moments[i], plain.moments[i])) << "Adam moment " << i;
+    }
+  }
 }
 
 }  // namespace

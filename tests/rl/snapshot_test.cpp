@@ -289,6 +289,33 @@ TEST(Snapshot, TornCheckpointFallsBackToPreviousGeneration) {
   remove_all(path);
 }
 
+TEST(Snapshot, ResumePastConfiguredEpochsReturnsWithoutTraining) {
+  // A checkpoint left behind by a longer run holds more epochs than this run
+  // is configured for: resuming it must return an empty history (nothing
+  // left to train), not throw while sizing the history.
+  const std::string path = temp_path("past_configured");
+  remove_all(path);
+
+  auto run = [&](int epochs) {
+    Rng rng(41);
+    ActorCritic net(corridor_net_config(), rng);
+    auto config = corridor_trainer_config();
+    config.epochs = epochs;
+    config.checkpoint_path = path;
+    Trainer trainer(net, [] { return std::make_unique<CorridorEnv>(); }, config);
+    auto history = trainer.train();
+    EXPECT_EQ(trainer.next_epoch(), 3);
+    EXPECT_TRUE(trainer.stopped_reason().empty());
+    return history;
+  };
+
+  ASSERT_EQ(run(3).size(), 3u);
+  std::vector<EpochStats> resumed;
+  ASSERT_NO_THROW(resumed = run(2));
+  EXPECT_TRUE(resumed.empty());
+  remove_all(path);
+}
+
 TEST(Snapshot, LoadStateRejectsMismatchedWorkerCountAndRollout) {
   Rng rng(5);
   ActorCritic net(corridor_net_config(), rng);
