@@ -8,7 +8,8 @@
 //                 affine), at the exact shapes the ADS and ORION encoders
 //                 produce in fast mode, plus the ORION GCN backward: delta *
 //                 W^T, the dense and the sparse-feature weight gradients
-//                 x^T * delta, and the block backprop through A-hat on real
+//                 x^T * delta, the per-graph backprop through A-hat, and the
+//                 whole batched encoder node (forward and backward), on real
 //                 observations. Reference vs fast family, best-of-reps, plus
 //                 a differential check (the families must agree to ~1e-12
 //                 relative — FMA contraction only).
@@ -28,12 +29,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench/common.hpp"
 #include "core/environment.hpp"
 #include "core/observation_encoder.hpp"
 #include "core/planner.hpp"
+#include "nn/kernels.hpp"
 #include "rl/actor_critic.hpp"
 #include "scenarios/ads.hpp"
 #include "scenarios/orion.hpp"
@@ -165,14 +168,21 @@ void bench_scenario(const char* name, const PlanningProblem& problem, const Mode
   ptrs.reserve(obs.size());
   for (const Observation& o : obs) ptrs.push_back(&o);
 
-  // Differential sanity: batched row i equals the per-observation forward.
+  // Differential sanity: every batched row of both heads equals the
+  // per-observation forward, bit for bit.
   set_nn_kernel(NnKernel::kFast);
   {
-    const Tensor batched = net.forward_logits_batch(ptrs);
-    const Tensor single = net.forward_logits(obs.front());
+    const ActorCritic::ObservationBatch staged = net.stage_batch(ptrs);
+    const Matrix logits = net.forward_logits_batch(staged).value();
+    const Matrix values = net.forward_value_batch(staged).value();
     double err = 0.0;
-    for (int j = 0; j < single.value().cols(); ++j) {
-      err = std::max(err, std::fabs(batched.value().at(0, j) - single.value().at(0, j)));
+    for (std::size_t i = 0; i < obs.size(); ++i) {
+      const int row = static_cast<int>(i);
+      const ActorCritic::Output single = net.forward(obs[i]);
+      for (int j = 0; j < logits.cols(); ++j) {
+        err = std::max(err, std::fabs(logits.at(row, j) - single.logits.value().at(0, j)));
+      }
+      err = std::max(err, std::fabs(values.at(row, 0) - single.value.item()));
     }
     if (err != 0.0) {
       std::fprintf(stderr, "%s: batched forward is not bit-identical (err %g)\n", name, err);
@@ -304,7 +314,7 @@ int run(int argc, char** argv) {
                 features.data() + static_cast<std::size_t>(b) * n * f);
       a_hats.push_back(obs[static_cast<std::size_t>(b)].a_hat);
     }
-    const BlockAdjacency adj(std::move(a_hats));
+    const auto adj = std::make_shared<const BlockAdjacency>(std::move(a_hats));
     bench_gemm("orion_gcn_affine", batch * n, f, e, reps, false,
                [&] { return matmul(stacked, w); });
     bench_gemm("orion_grad_dx", batch * n, e, e, reps, false,
@@ -313,8 +323,44 @@ int run(int argc, char** argv) {
                [&] { return matmul_transposed_a(hidden, grad); });
     bench_gemm("orion_grad_dw_features", f, batch * n, e, reps, false,
                [&] { return matmul_transposed_a(features, grad); });
-    bench_gemm("orion_gcn_backprop", batch * n, n, e, reps, true,
-               [&] { return block_diag_matmul(adj, grad, Epilogue::kNone); });
+    bench_gemm("orion_gcn_backprop", batch * n, n, e, reps, false, [&] {
+      // A-hat_g delta_g for every graph, through the encoder's per-graph
+      // primitive of the active family.
+      const nnk::GcnKernels& kernels = nnk::gcn_kernels(nn_kernel());
+      Matrix out = Matrix::uninitialized(grad.rows(), grad.cols());
+      for (int g = 0; g < batch; ++g) {
+        const std::size_t at = static_cast<std::size_t>(g) * n * e;
+        kernels.propagate(*adj, g, grad.data() + at, e, out.data() + at);
+      }
+      return out;
+    });
+    // The whole batched encoder node as a PPO iteration drives it: two GCN
+    // layers forward over the real features and adjacencies, the readout,
+    // and the streamed backward. The result row holds the embedding and
+    // every weight and bias gradient.
+    const Matrix w1 = random_matrix(f, e, rng);
+    const Matrix b1 = random_matrix(1, e, rng);
+    const Matrix b2 = random_matrix(1, e, rng);
+    const Matrix upstream = random_matrix(batch, e, rng);
+    const Tensor staged_features = Tensor::constant(features);
+    bench_gemm("orion_gcn_encoder", batch * n, f, e, reps, true, [&] {
+      const std::vector<GcnWeights> layers = {
+          {Tensor::parameter(w1), Tensor::parameter(b1)},
+          {Tensor::parameter(w2), Tensor::parameter(b2)}};
+      const Tensor embedding = gcn_encoder(adj, n, staged_features, layers);
+      sum_all(hadamard(embedding, Tensor::constant(upstream))).backward();
+      std::vector<const Matrix*> parts = {&embedding.value()};
+      for (const GcnWeights& layer : layers) {
+        parts.push_back(&layer.weight.grad());
+        parts.push_back(&layer.bias.grad());
+      }
+      int total = 0;
+      for (const Matrix* m : parts) total += m->size();
+      Matrix flat = Matrix::uninitialized(1, total);
+      double* dst = flat.data();
+      for (const Matrix* m : parts) dst = std::copy(m->data(), m->data() + m->size(), dst);
+      return flat;
+    });
   }
 
   std::printf("  ],\n  \"scenarios\": [\n");

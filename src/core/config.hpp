@@ -76,7 +76,9 @@ struct NptsnConfig {
   // Threads for the parallel fast-GEMM path on large shapes (1 = serial).
   // Results are bit-identical at every setting; the parallel path only pays
   // off when steps_per_epoch x network width is large, and it shares cores
-  // with num_workers.
+  // with num_workers. In the batched GCN encoder only the forward uses the
+  // pool (it splits the graphs of a batch); its backward streams the batch
+  // serially. The MLP heads' GEMMs and their gradients use it throughout.
   int nn_threads = 1;
 
   // --- reliability verification ----------------------------------------------

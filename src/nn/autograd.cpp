@@ -5,6 +5,8 @@
 #include <limits>
 #include <unordered_set>
 
+#include "nn/kernels.hpp"
+
 namespace nptsn {
 
 namespace detail {
@@ -471,62 +473,166 @@ Tensor matmul_act(const Tensor& a, const Tensor& b, Epilogue act) {
   });
 }
 
-Tensor block_gcn_fused(std::shared_ptr<const BlockAdjacency> a_hats,
-                       const Tensor& h, const Tensor& w, const Tensor& bias) {
-  NPTSN_EXPECT(a_hats != nullptr, "block_gcn_fused needs adjacencies");
-  NPTSN_EXPECT(a_hats->symmetric(),
-               "block_gcn_fused needs symmetric adjacency blocks (A-hat^T = A-hat)");
-  Matrix out = block_diag_gcn(*a_hats, h.value(), w.value(), bias.value());
-  return Tensor::make_op(std::move(out), {h, w, bias}, [a_hats](Node& self) {
-    Node& ph = parent(self, 0);
-    Node& pw = parent(self, 1);
-    Node& pb = parent(self, 2);
-    // Relu mask, back through the adjacency blocks, then the affine
-    // gradients. A-hat^T * delta is the forward propagation itself: the
-    // blocks are exactly symmetric, and the ascending-column CSR walk is the
-    // chain of the dense ascending-k transposed product minus its exact
-    // zero terms, in either kernel family (DESIGN.md §11).
-    const Matrix delta_out = epilogue_delta(self.grad, self.value, Epilogue::kRelu);
-    const Matrix delta_z = block_diag_matmul(*a_hats, delta_out, Epilogue::kNone);
-    if (ph.requires_grad) add_grad(ph, matmul_transposed(delta_z, pw.value));
-    if (pw.requires_grad) add_grad(pw, matmul_transposed_a(ph.value, delta_z));
-    add_grad_col_sums(pb, delta_z);
-  });
-}
-
-Tensor mean_rows_blocks(const Tensor& a, int block_rows) {
-  const Matrix& v = a.value();
-  NPTSN_EXPECT(block_rows >= 1, "mean_rows_blocks needs positive block size");
-  NPTSN_EXPECT(v.rows() % block_rows == 0, "rows are not a whole number of blocks");
-  const int blocks = v.rows() / block_rows;
-  const double inv = 1.0 / static_cast<double>(block_rows);
-  const int cols = v.cols();
-  Matrix out(blocks, cols);
-  // Raw-pointer loops: .at() bounds checks stay on in release builds and
-  // this readout runs once per batched forward over the whole stacked
-  // matrix. Summation order (ascending i per column) is unchanged.
-  for (int g = 0; g < blocks; ++g) {
-    double* orow = out.data() + static_cast<std::size_t>(g) * cols;
-    for (int i = 0; i < block_rows; ++i) {
-      const double* vrow =
-          v.data() + (static_cast<std::size_t>(g) * block_rows + i) * cols;
-      for (int j = 0; j < cols; ++j) orow[j] += vrow[j];
-    }
-    for (int j = 0; j < cols; ++j) orow[j] *= inv;
+Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int block_rows,
+                   const Tensor& features, const std::vector<GcnWeights>& layers) {
+  const Matrix& x = features.value();
+  NPTSN_EXPECT(block_rows >= 1 && x.rows() % block_rows == 0,
+               "gcn_encoder: feature rows are not a whole number of graphs");
+  NPTSN_EXPECT(!features.requires_grad(), "gcn_encoder needs constant features");
+  const int n = block_rows;
+  const int count = x.rows() / n;
+  const int depth = static_cast<int>(layers.size());
+  std::vector<Tensor> inputs = {features};
+  int width = x.cols();
+  int tile_width = 0;  // widest layer output: the affine scratch tile
+  std::int64_t flops = 0;
+  for (const GcnWeights& layer : layers) {
+    const Matrix& w = layer.weight.value();
+    NPTSN_EXPECT(w.rows() == width && layer.bias.rows() == 1 &&
+                     layer.bias.cols() == w.cols(),
+                 "gcn_encoder layer shape mismatch");
+    flops += std::int64_t{2} * x.rows() * w.cols() * (w.rows() + n);
+    width = w.cols();
+    tile_width = std::max(tile_width, width);
+    inputs.push_back(layer.weight);
+    inputs.push_back(layer.bias);
   }
-  return Tensor::make_op(std::move(out), {a}, [block_rows, inv](Node& self) {
-    Node& pa = parent(self, 0);
-    if (!pa.requires_grad) return;
-    const int cols = pa.value.cols();
-    Matrix delta = Matrix::uninitialized(pa.value.rows(), cols);
-    for (int i = 0; i < delta.rows(); ++i) {
-      const double* grow =
-          self.grad.data() + static_cast<std::size_t>(i / block_rows) * cols;
-      double* drow = delta.data() + static_cast<std::size_t>(i) * cols;
-      for (int j = 0; j < cols; ++j) drow[j] = grow[j] * inv;
+  if (depth > 0) {
+    NPTSN_EXPECT(a_hats != nullptr && a_hats->block_size() == n && a_hats->count() == count,
+                 "gcn_encoder adjacencies do not match the stacked features");
+    NPTSN_EXPECT(a_hats->symmetric(),
+                 "gcn_encoder needs symmetric adjacency blocks (A-hat^T = A-hat)");
+  }
+
+  // Forward, every layer of a graph back to back. Only the outputs the
+  // backward reads leave the tiles: layers 1..L-1 (the next layer's input and
+  // ReLU gate), and the last layer's gate as one byte per element.
+  const nnk::GcnKernels& kernels = nnk::gcn_kernels(nn_kernel());
+  std::vector<Matrix> hidden;
+  for (int l = 0; l + 1 < depth; ++l) {
+    hidden.push_back(
+        Matrix::uninitialized(x.rows(), layers[static_cast<std::size_t>(l)].weight.cols()));
+  }
+  // Matrix's allocator: no zero-fill, and on ORION (1 MB) the recycler.
+  std::vector<std::uint8_t, detail::DefaultInitAllocator<std::uint8_t>> dead(
+      depth > 0 ? static_cast<std::size_t>(x.rows()) * width : 0);
+  Matrix out = Matrix::uninitialized(count, width);
+  const double inv = 1.0 / static_cast<double>(n);
+  nnk::for_each_graph_range(count, flops, [&](int begin, int end) {
+    Matrix z = Matrix::uninitialized(n, tile_width);
+    Matrix last = Matrix::uninitialized(n, width);
+    for (int g = begin; g < end; ++g) {
+      const double* h = x.data() + static_cast<std::size_t>(g) * n * x.cols();
+      for (int l = 0; l < depth; ++l) {
+        const GcnWeights& layer = layers[static_cast<std::size_t>(l)];
+        double* y = l + 1 < depth ? hidden[static_cast<std::size_t>(l)].data() +
+                                        static_cast<std::size_t>(g) * n * layer.weight.cols()
+                                  : last.data();
+        kernels.layer(*a_hats, g, h, layer.weight.value(), layer.bias.value(), z.data(), y);
+        h = y;
+      }
+      // The readout is mean_rows' arithmetic: ascending rows from +0.0.
+      double* orow = out.data() + static_cast<std::size_t>(g) * width;
+      std::fill(orow, orow + width, 0.0);
+      for (int i = 0; i < n; ++i) {
+        const double* hrow = h + static_cast<std::size_t>(i) * width;
+        for (int j = 0; j < width; ++j) orow[j] += hrow[j];
+      }
+      for (int j = 0; j < width; ++j) orow[j] *= inv;
+      if (depth > 0) {
+        std::uint8_t* d = dead.data() + static_cast<std::size_t>(g) * n * width;
+        for (int e = 0; e < n * width; ++e) d[e] = h[e] <= 0.0;
+      }
     }
-    add_grad(pa, std::move(delta));
   });
+
+  // Backward, streamed a run of graphs at a time: for each layer from the
+  // last, the ReLU gate, A-hat delta through the forward kernels, the bias
+  // column sums, x^T delta into the weight gradient's chain, and delta W^T
+  // into the layer below's gate. Every element keeps the chain the unfused
+  // tape computed over the whole batch (DESIGN.md §11).
+  auto backward = [a_hats, n, hidden = std::move(hidden), dead = std::move(dead)](Node& self) {
+    const int depth = static_cast<int>(self.parents.size() - 1) / 2;
+    const Matrix& x = parent(self, 0).value;
+    const auto weight = [&](int l) -> Node& {
+      return parent(self, 1 + 2 * static_cast<std::size_t>(l));
+    };
+    const auto bias = [&](int l) -> Node& {
+      return parent(self, 2 + 2 * static_cast<std::size_t>(l));
+    };
+    // No delta is needed below the lowest layer with a trainable parameter.
+    int lowest = 0;
+    while (!weight(lowest).requires_grad && !bias(lowest).requires_grad) ++lowest;
+
+    const nnk::GcnKernels& kernels = nnk::gcn_kernels(nn_kernel());
+    const int count = self.value.rows();
+    const int width = self.value.cols();
+    // W^T packed once per pass, and each weight gradient's chain, started
+    // at +0.0 and resumed run by run in ascending row order.
+    std::vector<Matrix> wt(static_cast<std::size_t>(depth));
+    std::vector<Matrix> dw(static_cast<std::size_t>(depth));
+    int tile_width = 0;
+    for (int l = lowest; l < depth; ++l) {
+      const Matrix& w = weight(l).value;
+      if (l > lowest) wt[static_cast<std::size_t>(l)] = transpose(w);
+      if (weight(l).requires_grad) dw[static_cast<std::size_t>(l)] = Matrix(w.rows(), w.cols());
+      tile_width = std::max({tile_width, w.rows(), w.cols()});
+    }
+    // A run spans about nnk::kTnChunk rows, so x^T delta reloads its
+    // accumulators once per run rather than once per (16-row ADS) graph.
+    const int run = std::max(1, nnk::kTnChunk / n);
+    Matrix delta = Matrix::uninitialized(run * n, tile_width);
+    Matrix prop = Matrix::uninitialized(run * n, tile_width);
+    Matrix back = Matrix::uninitialized(run * n, tile_width);
+    const double inv = 1.0 / static_cast<double>(n);
+    for (int g0 = 0; g0 < count; g0 += run) {
+      const int g1 = std::min(count, g0 + run);
+      const int rows = (g1 - g0) * n;
+      const std::size_t row0 = static_cast<std::size_t>(g0) * n;
+      // The readout's broadcast, then the last layer's ReLU gate. 0.0 + d is
+      // what adopting d as an empty gradient computes (it maps -0.0 to +0.0).
+      for (int r = 0; r < rows; ++r) {
+        const double* grow = self.grad.data() + static_cast<std::size_t>(g0 + r / n) * width;
+        const std::uint8_t* drow = dead.data() + (row0 + r) * width;
+        double* d = delta.data() + static_cast<std::size_t>(r) * width;
+        for (int j = 0; j < width; ++j) d[j] = drow[j] ? 0.0 : 0.0 + grow[j] * inv;
+      }
+      for (int l = depth - 1; l >= lowest; --l) {
+        const Matrix& w = weight(l).value;
+        const int in = w.rows();
+        const int out = w.cols();
+        for (int g = g0; g < g1; ++g) {
+          const std::size_t at = static_cast<std::size_t>(g - g0) * n * out;
+          kernels.propagate(*a_hats, g, delta.data() + at, out, prop.data() + at);
+        }
+        if (bias(l).requires_grad) {
+          double* gb = bias(l).ensure_grad().data();
+          for (int r = 0; r < rows; ++r) {
+            const double* prow = prop.data() + static_cast<std::size_t>(r) * out;
+            for (int j = 0; j < out; ++j) gb[j] += prow[j];
+          }
+        }
+        const double* h =
+            (l == 0 ? x.data() : hidden[static_cast<std::size_t>(l - 1)].data()) + row0 * in;
+        if (weight(l).requires_grad) {
+          kernels.matmul_tn_resume(h, rows, in, prop.data(), out,
+                                   dw[static_cast<std::size_t>(l)].data());
+        }
+        if (l > lowest) {
+          kernels.matmul_rows(prop.data(), rows, out, wt[static_cast<std::size_t>(l)].data(),
+                              in, back.data());
+          // The layer below's ReLU gate, at its stored output.
+          double* d = delta.data();
+          const double* b = back.data();
+          for (int e = 0; e < rows * in; ++e) d[e] = h[e] <= 0.0 ? 0.0 : 0.0 + b[e];
+        }
+      }
+    }
+    for (int l = depth - 1; l >= lowest; --l) {
+      add_grad(weight(l), std::move(dw[static_cast<std::size_t>(l)]));
+    }
+  };
+  return Tensor::make_op(std::move(out), std::move(inputs), std::move(backward));
 }
 
 Tensor select_row(const Tensor& a, int r) {

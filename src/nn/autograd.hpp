@@ -108,22 +108,28 @@ Tensor affine_act(const Tensor& x, const Tensor& w, const Tensor& bias, Epilogue
 // One tape node for act(a b) — the GCN propagation step A_hat Z with its
 // ReLU fused into the output tile write.
 Tensor matmul_act(const Tensor& a, const Tensor& b, Epilogue act);
-// Whole batched GCN layer as ONE tape node over B same-sized graphs stacked
-// vertically: h holds B blocks of a_hats->block_size() rows each and block g
-// of the output is relu(a_hats[g] * (h_g w + bias)). The full-size affine
-// intermediate never materializes — each graph's affine product lives in a
-// cache-resident scratch tile until its propagation consumes it. The
-// adjacencies are constants (no gradient) and must be symmetric
+// The whole batched GCN encoder (Eq. 4 layers and the mean readout) as ONE
+// tape node over B same-sized graphs stacked vertically. `features` holds B
+// blocks of block_rows rows; layer l maps graph g's rows H to
+// relu(a_hats[g] (H W_l + b_l)), and row g of the B x width result is the
+// column mean of graph g's last layer (of its features when `layers` is
+// empty). The forward runs every layer of a graph back to back in
+// block_rows x width tiles; the backward streams the batch a few graphs at a
+// time through the same kind of tiles, so no stacked gradient matrix exists.
+// The node keeps the stacked outputs of layers 1..L-1 and one byte per
+// element of the last layer's ReLU gate. Each kernel family computes every
+// output and gradient bit the unfused tape of affine, per-graph A-hat
+// products, ReLU and per-graph means computes (DESIGN.md §11).
+// The features must be a constant, and the adjacencies symmetric
 // (BlockAdjacency::symmetric(), true for every Eq. 4 A-hat; anything else
-// throws): the backward pass propagates a_hats[g]^T grad_g = a_hats[g] grad_g
-// with the forward CSR kernels. Staging them as a BlockAdjacency once and
-// reusing the handle across layers/iterations is what lets the fast kernels
-// skip re-deriving the sparsity every call.
-Tensor block_gcn_fused(std::shared_ptr<const BlockAdjacency> a_hats,
-                       const Tensor& h, const Tensor& w, const Tensor& bias);
-// Per-block column means: (B*block_rows) x F -> B x F (batched GCN readout,
-// same arithmetic per block as mean_rows).
-Tensor mean_rows_blocks(const Tensor& a, int block_rows);
+// throws): the backward propagates a_hats[g]^T delta = a_hats[g] delta with
+// the forward kernels. a_hats may be null when `layers` is empty.
+struct GcnWeights {
+  Tensor weight;  // in x out
+  Tensor bias;    // 1 x out
+};
+Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int block_rows,
+                   const Tensor& features, const std::vector<GcnWeights>& layers);
 // Row r as a 1 x C tensor. The gradient accumulates directly into row r of
 // the parent (no full-size scratch), so selecting every row of a batch
 // stays O(rows x cols) total.

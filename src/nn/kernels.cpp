@@ -68,12 +68,18 @@ bool want_parallel(std::int64_t m, std::int64_t n, std::int64_t k) {
 // mul-then-add (the TU is built with -ffp-contract=off) and lanes are
 // independent output COLUMNS — the per-element reduction stays one chain
 // over ascending k — so results are bit-identical at every vector width.
+// Without AVX the lane type must fit an SSE register: a 32-byte vector
+// passed or returned by value there has no native register and changes the
+// ABI (GCC's -Wpsabi).
 #if defined(__AVX512F__)
 typedef double vnd __attribute__((vector_size(64)));
 constexpr int kLanes = 8;
-#else
+#elif defined(__AVX__)
 typedef double vnd __attribute__((vector_size(32)));
 constexpr int kLanes = 4;
+#else
+typedef double vnd __attribute__((vector_size(16)));
+constexpr int kLanes = 2;
 #endif
 
 inline vnd loadv(const double* p) {
@@ -329,17 +335,18 @@ void affine_rows(const double* pa, int cols_k, const double* pb, int cols_n,
   }
 }
 
-// Full-tile micro-kernel for out = a^T * b over k in [k0, k1); same
-// registerization and bit-preservation argument as affine_microkernel. With
-// `resume` the accumulators start from the partial sums already in `out`.
+// Full-tile micro-kernel for out += a^T * b over k in [k0, k1); same
+// registerization and bit-preservation argument as affine_microkernel. The
+// accumulators start from the partial sums already in `out`: a stored double
+// is the exact accumulator, so the chain resumes where the last call left it.
 template <int MR>
 void tn_microkernel(const double* pa, const double* pb, int k0, int k1, int cols_m,
-                    int cols_n, int i0, int j0, bool resume, double* po) {
+                    int cols_n, int i0, int j0, double* po) {
   vnd acc[MR][2];
   for (int r = 0; r < MR; ++r) {
     const double* orow = po + static_cast<std::size_t>(i0 + r) * cols_n + j0;
-    acc[r][0] = resume ? loadv(orow) : broadcastv(0.0);
-    acc[r][1] = resume ? loadv(orow + kLanes) : broadcastv(0.0);
+    acc[r][0] = loadv(orow);
+    acc[r][1] = loadv(orow + kLanes);
   }
   for (int k = k0; k < k1; ++k) {
     const double* arow = pa + static_cast<std::size_t>(k) * cols_m + i0;
@@ -362,11 +369,10 @@ void tn_microkernel(const double* pa, const double* pb, int k0, int k1, int cols
 // Single-vector-wide column-remainder variant (see affine_microkernel_v1).
 template <int MR>
 void tn_microkernel_v1(const double* pa, const double* pb, int k0, int k1, int cols_m,
-                       int cols_n, int i0, int j0, bool resume, double* po) {
+                       int cols_n, int i0, int j0, double* po) {
   vnd acc[MR];
   for (int r = 0; r < MR; ++r) {
-    acc[r] = resume ? loadv(po + static_cast<std::size_t>(i0 + r) * cols_n + j0)
-                    : broadcastv(0.0);
+    acc[r] = loadv(po + static_cast<std::size_t>(i0 + r) * cols_n + j0);
   }
   for (int k = k0; k < k1; ++k) {
     const double* arow = pa + static_cast<std::size_t>(k) * cols_m + i0;
@@ -380,22 +386,22 @@ void tn_microkernel_v1(const double* pa, const double* pb, int k0, int k1, int c
   }
 }
 
-// One MR-row block of out = a^T * b over k in [k0, k1): register tiles, then
+// One MR-row block of out += a^T * b over k in [k0, k1): register tiles, then
 // the sub-vector column remainder with general bounds.
 template <int MR>
 void tn_row_block(const double* pa, const double* pb, int k0, int k1, int cols_m,
-                  int cols_n, int i0, bool resume, double* po) {
+                  int cols_n, int i0, double* po) {
   int j0 = 0;
   for (; j0 + kNrReg <= cols_n; j0 += kNrReg)
-    tn_microkernel<MR>(pa, pb, k0, k1, cols_m, cols_n, i0, j0, resume, po);
+    tn_microkernel<MR>(pa, pb, k0, k1, cols_m, cols_n, i0, j0, po);
   for (; j0 + kLanes <= cols_n; j0 += kLanes)
-    tn_microkernel_v1<MR>(pa, pb, k0, k1, cols_m, cols_n, i0, j0, resume, po);
+    tn_microkernel_v1<MR>(pa, pb, k0, k1, cols_m, cols_n, i0, j0, po);
   if (j0 == cols_n) return;
   const int nj = cols_n - j0;  // < kLanes
   double acc[MR][kLanes];
   for (int r = 0; r < MR; ++r) {
     const double* orow = po + static_cast<std::size_t>(i0 + r) * cols_n + j0;
-    for (int j = 0; j < nj; ++j) acc[r][j] = resume ? orow[j] : 0.0;
+    for (int j = 0; j < nj; ++j) acc[r][j] = orow[j];
   }
   for (int k = k0; k < k1; ++k) {
     const double* arow = pa + static_cast<std::size_t>(k) * cols_m + i0;
@@ -412,13 +418,12 @@ void tn_row_block(const double* pa, const double* pb, int k0, int k1, int cols_m
   }
 }
 
-// Sparse-a path for out = a^T * b over k in [k0, k1): k-outer AXPY, one
+// Sparse-a path for out += a^T * b over k in [k0, k1): k-outer AXPY, one
 // sweep of output row i per nonzero a(k, i). The weight gradient of the first
 // GCN layer multiplies by the stacked observation features, whose rows carry
 // a handful of nonzeros, so the dense tiles would spend most of their FMAs on
-// exact zeros. Continues the rows' chains from `out` (the caller zero-fills
-// them before the first chunk): per element the same fma over ascending k,
-// minus zero terms that are no-ops (see affine_rows).
+// exact zeros. Continues the rows' chains from `out`: per element the same
+// fma over ascending k, minus zero terms that are no-ops (see affine_rows).
 void tn_rows_sparse(const double* pa, int k0, int k1, int cols_m, const double* pb,
                     int cols_n, double* po, int i_begin, int i_end) {
   for (int k = k0; k < k1; ++k) {
@@ -433,19 +438,16 @@ void tn_rows_sparse(const double* pa, int k0, int k1, int cols_m, const double* 
   }
 }
 
-// Rows [i_begin, i_end) of out = a^T * b (a row-major K x M; out M x N),
-// walked one k chunk (nnk::kTnChunk rows of a and b) at a time. A chunk whose
-// columns [i_begin, i_end) of a are below the affine_rows density threshold
-// takes the sparse path, any other the register tiles; counting reads the
-// chunk into cache for whichever path follows. The paths may alternate from
-// chunk to chunk because both continue the same per-element chain.
+// Rows [i_begin, i_end) of out += a^T * b (a row-major K x M; out M x N),
+// walked one k chunk (nnk::kTnChunk rows of a and b) at a time, each element
+// continuing the chain already in `out` (matmul_tn_fast starts it at +0.0).
+// A chunk whose columns [i_begin, i_end) of a are below the affine_rows
+// density threshold takes the sparse path, any other the register tiles;
+// counting reads the chunk into cache for whichever path follows. The paths
+// may alternate from chunk to chunk because both continue the same
+// per-element chain.
 void matmul_tn_rows(const double* pa, int rows_k, int cols_m, const double* pb,
                     int cols_n, double* po, int i_begin, int i_end) {
-  const auto zero_rows = [&] {
-    std::fill(po + static_cast<std::size_t>(i_begin) * cols_n,
-              po + static_cast<std::size_t>(i_end) * cols_n, 0.0);
-  };
-  if (rows_k == 0) zero_rows();
   for (int k0 = 0; k0 < rows_k; k0 += nnk::kTnChunk) {
     const int k1 = std::min(rows_k, k0 + nnk::kTnChunk);
     int nnz = 0;
@@ -454,18 +456,16 @@ void matmul_tn_rows(const double* pa, int rows_k, int cols_m, const double* pb,
       for (int i = i_begin; i < i_end; ++i) nnz += arow[i] != 0.0;
     }
     if (nnz < kSparseDensityMax * (k1 - k0) * (i_end - i_begin)) {
-      if (k0 == 0) zero_rows();
       tn_rows_sparse(pa, k0, k1, cols_m, pb, cols_n, po, i_begin, i_end);
       continue;
     }
-    const bool resume = k0 > 0;
     int i0 = i_begin;
     for (; i0 + kMr <= i_end; i0 += kMr)
-      tn_row_block<kMr>(pa, pb, k0, k1, cols_m, cols_n, i0, resume, po);
+      tn_row_block<kMr>(pa, pb, k0, k1, cols_m, cols_n, i0, po);
     switch (i_end - i0) {
-      case 3: tn_row_block<3>(pa, pb, k0, k1, cols_m, cols_n, i0, resume, po); break;
-      case 2: tn_row_block<2>(pa, pb, k0, k1, cols_m, cols_n, i0, resume, po); break;
-      case 1: tn_row_block<1>(pa, pb, k0, k1, cols_m, cols_n, i0, resume, po); break;
+      case 3: tn_row_block<3>(pa, pb, k0, k1, cols_m, cols_n, i0, po); break;
+      case 2: tn_row_block<2>(pa, pb, k0, k1, cols_m, cols_n, i0, po); break;
+      case 1: tn_row_block<1>(pa, pb, k0, k1, cols_m, cols_n, i0, po); break;
       default: break;
     }
   }
@@ -536,16 +536,7 @@ void matmul_nt_reference(const Matrix& a, const Matrix& b, Matrix& out) {
 
 void matmul_tn_reference(const Matrix& a, const Matrix& b, Matrix& out) {
   out = Matrix(a.cols(), b.cols());
-  // k outer: streams rows of a and b, accumulates rank-1 updates into out.
-  for (int k = 0; k < a.rows(); ++k) {
-    for (int i = 0; i < a.cols(); ++i) {
-      const double aki = a.at(k, i);
-      if (aki == 0.0) continue;
-      double* orow = out.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(out.cols());
-      const double* brow = b.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(b.cols());
-      for (int j = 0; j < b.cols(); ++j) orow[j] += aki * brow[j];
-    }
-  }
+  matmul_tn_resume_reference(a.data(), a.rows(), a.cols(), b.data(), b.cols(), out.data());
 }
 
 void affine_reference(const Matrix& a, const Matrix& b, const Matrix* bias,
@@ -590,7 +581,7 @@ void matmul_nt_fast(const Matrix& a, const Matrix& b, Matrix& out) {
 }
 
 void matmul_tn_fast(const Matrix& a, const Matrix& b, Matrix& out) {
-  out = Matrix::uninitialized(a.cols(), b.cols());
+  out = Matrix(a.cols(), b.cols());  // every chain starts at +0.0
   run_rows(a.cols(), a.cols(), b.cols(), a.rows(), [&](int begin, int end) {
     matmul_tn_rows(a.data(), a.rows(), a.cols(), b.data(), b.cols(), out.data(),
                    begin, end);
@@ -652,116 +643,121 @@ void propagate_rows_csr(const BlockAdjacency& adj, int g, const double* psrc,
   }
 }
 
-void block_affine_reference(const BlockAdjacency& adj, const Matrix& h,
-                            Epilogue act, Matrix& out) {
-  const std::vector<Matrix>& blocks = adj.blocks();
-  const int n = blocks.front().rows();
-  const int cols_n = h.cols();
-  out = Matrix(h.rows(), cols_n);
-  for (std::size_t g = 0; g < blocks.size(); ++g) {
-    const double* pa = blocks[g].data();
-    const double* ph = h.data() + g * static_cast<std::size_t>(n) * cols_n;
-    double* po = out.data() + g * static_cast<std::size_t>(n) * cols_n;
-    // Same i-k-j zero-skip loop as matmul_reference, addressed into the
-    // stacked block instead of a copied-out one — identical operations in
-    // identical order, so reference-family results are unchanged bitwise.
-    for (int i = 0; i < n; ++i) {
-      for (int k = 0; k < n; ++k) {
-        const double aik = pa[static_cast<std::size_t>(i) * n + k];
-        if (aik == 0.0) continue;
-        const double* hrow = ph + static_cast<std::size_t>(k) * cols_n;
-        double* orow = po + static_cast<std::size_t>(i) * cols_n;
-        for (int j = 0; j < cols_n; ++j) orow[j] += aik * hrow[j];
-      }
-    }
-    for (int i = 0; i < n * cols_n; ++i) po[i] = apply_epilogue(po[i], act);
-  }
-}
-
-void block_affine_fast(const BlockAdjacency& adj, const Matrix& h,
-                       Epilogue act, Matrix& out) {
+void gcn_layer_reference(const BlockAdjacency& adj, int g, const double* x,
+                         const Matrix& w, const Matrix& bias, double* z, double* y) {
   const int n = adj.block_size();
-  const int cols_n = h.cols();
-  const int count = adj.count();
-  out = Matrix::uninitialized(h.rows(), cols_n);
-  const auto one = [&](int g) {
-    propagate_rows_csr(adj, g, h.data() + static_cast<std::size_t>(g) * n * cols_n,
-                       cols_n, act,
-                       out.data() + static_cast<std::size_t>(g) * n * cols_n);
-  };
-  // One task per graph: the partition is fixed by the batch itself, so the
-  // result is bit-identical at every thread count (as with run_rows).
-  if (want_parallel(h.rows(), cols_n, n) && try_parallel(count, one)) return;
-  for (int g = 0; g < count; ++g) one(g);
+  const int cols_k = w.rows();
+  const int cols_n = w.cols();
+  // z = x * w + bias, the i-k-j accumulation affine_reference performs on the
+  // stacked matrix: the per-element reduction order is row-local, so
+  // splitting the rows by graph changes nothing bitwise.
+  std::fill(z, z + static_cast<std::size_t>(n) * cols_n, 0.0);
+  for (int i = 0; i < n; ++i) {
+    double* zrow = z + static_cast<std::size_t>(i) * cols_n;
+    for (int k = 0; k < cols_k; ++k) {
+      const double xik = x[static_cast<std::size_t>(i) * cols_k + k];
+      if (xik == 0.0) continue;
+      const double* wrow = w.data() + static_cast<std::size_t>(k) * cols_n;
+      for (int j = 0; j < cols_n; ++j) zrow[j] += xik * wrow[j];
+    }
+    for (int j = 0; j < cols_n; ++j) zrow[j] += bias.data()[j];
+  }
+  propagate_reference(adj, g, z, cols_n, y);
+  for (int i = 0; i < n * cols_n; ++i) y[i] = apply_epilogue(y[i], Epilogue::kRelu);
 }
 
-void block_gcn_reference(const BlockAdjacency& adj, const Matrix& h,
-                         const Matrix& w, const Matrix& bias, Matrix& out) {
-  const std::vector<Matrix>& blocks = adj.blocks();
-  const int n = blocks.front().rows();
-  const int cols_k = h.cols();
-  const int cols_n = w.cols();
-  out = Matrix(h.rows(), cols_n);
-  Matrix z(n, cols_n);
-  for (std::size_t g = 0; g < blocks.size(); ++g) {
-    const double* ph = h.data() + g * static_cast<std::size_t>(n) * cols_k;
-    const double* pa = blocks[g].data();
-    double* po = out.data() + g * static_cast<std::size_t>(n) * cols_n;
-    double* pz = z.data();
-    // z_g = h_g * w + bias, the same i-k-j accumulation the unfused
-    // affine_reference performs on the stacked matrix — the per-element
-    // reduction order is row-local, so splitting the rows by graph changes
-    // nothing bitwise.
-    for (int i = 0; i < n * cols_n; ++i) pz[i] = 0.0;
-    for (int i = 0; i < n; ++i) {
-      for (int k = 0; k < cols_k; ++k) {
-        const double hik = ph[static_cast<std::size_t>(i) * cols_k + k];
-        if (hik == 0.0) continue;
-        const double* wrow = w.data() + static_cast<std::size_t>(k) * cols_n;
-        double* zrow = pz + static_cast<std::size_t>(i) * cols_n;
-        for (int j = 0; j < cols_n; ++j) zrow[j] += hik * wrow[j];
-      }
-    }
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < cols_n; ++j) {
-        pz[static_cast<std::size_t>(i) * cols_n + j] += bias.data()[j];
-      }
-    }
-    // out_g = relu(blocks[g] * z_g), as in block_affine_reference.
-    for (int i = 0; i < n; ++i) {
-      for (int k = 0; k < n; ++k) {
-        const double aik = pa[static_cast<std::size_t>(i) * n + k];
-        if (aik == 0.0) continue;
-        const double* zrow = pz + static_cast<std::size_t>(k) * cols_n;
-        double* orow = po + static_cast<std::size_t>(i) * cols_n;
-        for (int j = 0; j < cols_n; ++j) orow[j] += aik * zrow[j];
-      }
-    }
-    for (int i = 0; i < n * cols_n; ++i) {
-      po[i] = apply_epilogue(po[i], Epilogue::kRelu);
+void gcn_layer_fast(const BlockAdjacency& adj, int g, const double* x, const Matrix& w,
+                    const Matrix& bias, double* z, double* y) {
+  affine_rows(x, w.rows(), w.data(), w.cols(), bias.data(), Epilogue::kNone, z, 0,
+              adj.block_size());
+  propagate_rows_csr(adj, g, z, w.cols(), Epilogue::kRelu, y);
+}
+
+void propagate_reference(const BlockAdjacency& adj, int g, const double* src, int cols,
+                         double* out) {
+  const int n = adj.block_size();
+  const double* pa = adj.blocks()[static_cast<std::size_t>(g)].data();
+  // The i-k-j zero-skip loop of matmul_reference, addressed into the stacked
+  // rows instead of a copied-out block: identical operations in identical
+  // order.
+  std::fill(out, out + static_cast<std::size_t>(n) * cols, 0.0);
+  for (int i = 0; i < n; ++i) {
+    double* orow = out + static_cast<std::size_t>(i) * cols;
+    for (int k = 0; k < n; ++k) {
+      const double aik = pa[static_cast<std::size_t>(i) * n + k];
+      if (aik == 0.0) continue;
+      const double* srow = src + static_cast<std::size_t>(k) * cols;
+      for (int j = 0; j < cols; ++j) orow[j] += aik * srow[j];
     }
   }
 }
 
-void block_gcn_fast(const BlockAdjacency& adj, const Matrix& h,
-                    const Matrix& w, const Matrix& bias, Matrix& out) {
-  const int n = adj.block_size();
-  const int cols_k = h.cols();
-  const int cols_n = w.cols();
-  const int count = adj.count();
-  out = Matrix::uninitialized(h.rows(), cols_n);
-  const auto one = [&](int g) {
-    // The scratch tile is small (n x out doubles) and written immediately
-    // before it is read, so it stays in cache; a per-task instance keeps the
-    // parallel path race-free without changing any bits.
-    Matrix z = Matrix::uninitialized(n, cols_n);
-    affine_rows(h.data() + static_cast<std::size_t>(g) * n * cols_k, cols_k,
-                w.data(), cols_n, bias.data(), Epilogue::kNone, z.data(), 0, n);
-    propagate_rows_csr(adj, g, z.data(), cols_n, Epilogue::kRelu,
-                       out.data() + static_cast<std::size_t>(g) * n * cols_n);
-  };
-  if (want_parallel(h.rows(), cols_n, cols_k + n) && try_parallel(count, one)) return;
-  for (int g = 0; g < count; ++g) one(g);
+void propagate_fast(const BlockAdjacency& adj, int g, const double* src, int cols,
+                    double* out) {
+  propagate_rows_csr(adj, g, src, cols, Epilogue::kNone, out);
+}
+
+void matmul_rows_reference(const double* a, int rows, int cols_k, const double* b,
+                           int cols_n, double* out) {
+  for (int i = 0; i < rows; ++i) {
+    const double* arow = a + static_cast<std::size_t>(i) * cols_k;
+    for (int j = 0; j < cols_n; ++j) {
+      double sum = 0.0;
+      for (int k = 0; k < cols_k; ++k) sum += arow[k] * b[static_cast<std::size_t>(k) * cols_n + j];
+      out[static_cast<std::size_t>(i) * cols_n + j] = sum;
+    }
+  }
+}
+
+void matmul_rows_fast(const double* a, int rows, int cols_k, const double* b, int cols_n,
+                      double* out) {
+  affine_rows(a, cols_k, b, cols_n, nullptr, Epilogue::kNone, out, 0, rows);
+}
+
+void matmul_tn_resume_reference(const double* a, int rows, int cols_m, const double* b,
+                                int cols_n, double* out) {
+  // k outer: streams rows of a and b, accumulates rank-1 updates into out.
+  for (int k = 0; k < rows; ++k) {
+    const double* arow = a + static_cast<std::size_t>(k) * cols_m;
+    const double* brow = b + static_cast<std::size_t>(k) * cols_n;
+    for (int i = 0; i < cols_m; ++i) {
+      const double aki = arow[i];
+      if (aki == 0.0) continue;
+      double* orow = out + static_cast<std::size_t>(i) * cols_n;
+      for (int j = 0; j < cols_n; ++j) orow[j] += aki * brow[j];
+    }
+  }
+}
+
+void matmul_tn_resume_fast(const double* a, int rows, int cols_m, const double* b,
+                           int cols_n, double* out) {
+  matmul_tn_rows(a, rows, cols_m, b, cols_n, out, 0, cols_m);
+}
+
+const GcnKernels& gcn_kernels(NnKernel family) {
+  static constexpr GcnKernels reference = {gcn_layer_reference, propagate_reference,
+                                           matmul_rows_reference,
+                                           matmul_tn_resume_reference};
+  static constexpr GcnKernels fast = {gcn_layer_fast, propagate_fast, matmul_rows_fast,
+                                      matmul_tn_resume_fast};
+  return family == NnKernel::kFast ? fast : reference;
+}
+
+void for_each_graph_range(int count, std::int64_t flops,
+                          const std::function<void(int, int)>& graphs) {
+  if (count <= 0) return;
+  // Graphs per pool task: enough that a task's scratch tiles are allocated
+  // once for several graphs. Any split computes the same bits, because every
+  // graph is computed by itself.
+  constexpr int kGraphsPerTask = 4;
+  if (g_threads.load(std::memory_order_relaxed) > 1 && flops >= kParallelFlopsMin) {
+    const int chunks = (count + kGraphsPerTask - 1) / kGraphsPerTask;
+    const bool ran = try_parallel(chunks, [&](int c) {
+      graphs(c * kGraphsPerTask, std::min(count, (c + 1) * kGraphsPerTask));
+    });
+    if (ran) return;
+  }
+  graphs(0, count);
 }
 
 }  // namespace nnk

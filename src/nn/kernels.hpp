@@ -16,16 +16,19 @@
 // and the parallel path partitions output rows into fixed-size chunks that
 // are independent of the thread count. Fast results are therefore
 // bit-identical run-to-run and across thread counts (tested in
-// tests/nn/kernels_test.cpp); fast-vs-reference may differ by FMA
+// tests/nn/kernel_differential_test.cpp); fast-vs-reference may differ by FMA
 // contraction only, bounded at 1e-12 relative in the differential suite.
 #pragma once
+
+#include <cstdint>
+#include <functional>
 
 #include "nn/matrix.hpp"
 
 namespace nptsn::nnk {
 
-// All kernels overwrite `out` (resizing it to the result shape); `out` must
-// not alias an input. Shape checks live in the matrix.hpp dispatchers.
+// The Matrix kernels overwrite `out` (resizing it to the result shape); `out`
+// must not alias an input. Shape checks live in the matrix.hpp dispatchers.
 
 // --- reference family (naive loops, the retained ground truth) --------------
 void matmul_reference(const Matrix& a, const Matrix& b, Matrix& out);
@@ -56,27 +59,60 @@ void matmul_tn_fast(const Matrix& a, const Matrix& b, Matrix& out);
 void affine_fast(const Matrix& a, const Matrix& b, const Matrix* bias,
                  Epilogue act, Matrix& out);
 
-// --- block-diagonal batched GEMM (the GCN propagation step) -----------------
-// h stacks one n x C block per graph; out row block g is act(blocks[g] * h_g).
-// The GCN backward reuses it for blocks[g]^T * delta_g, which is the same
-// product for the symmetric A-hat blocks (DESIGN.md §11). Operating on the
-// stacked matrix in place is what these buy: the per-graph copy-out/copy-back
-// and the per-call allocations of the naive formulation are pure overhead at
-// GCN sizes. The adjacencies arrive as a staged BlockAdjacency: the fast
-// kernels walk its CSR index (built once, reused across layers, heads, PPO
-// iterations and the backward pass), the reference kernels read the retained
-// dense blocks. Dispatcher: block_diag_matmul.
-void block_affine_reference(const BlockAdjacency& adj, const Matrix& h,
-                            Epilogue act, Matrix& out);
-void block_affine_fast(const BlockAdjacency& adj, const Matrix& h,
-                       Epilogue act, Matrix& out);
-// Whole fused GCN layer, relu(blocks[g] * (h_g * w + bias)) per row block.
-// The affine product for graph g lands in an n x out scratch tile that stays
-// cache-resident until the propagation consumes it, so the full-size
-// intermediate (B n) x out matrix of the two-op formulation never exists.
-void block_gcn_reference(const BlockAdjacency& adj, const Matrix& h,
-                         const Matrix& w, const Matrix& bias, Matrix& out);
-void block_gcn_fast(const BlockAdjacency& adj, const Matrix& h,
-                    const Matrix& w, const Matrix& bias, Matrix& out);
+// --- per-graph GCN primitives (the batched encoder node, gcn_encoder) -------
+// Graph g of a stacked batch owns rows [g n, (g + 1) n) of every stacked
+// matrix, n = adj.block_size(). The pointers address the first row of a row
+// block, and every block is dense row-major at the width given. Each
+// primitive computes every output element as the same chain its family's
+// whole-batch kernel did (DESIGN.md §11), so streaming a batch through them
+// graph by graph changes no bit.
+//
+// y = relu(A_g (x W + bias)) for graph g: x is n x w.rows(); y and the
+// scratch tile z are n x w.cols(). The affine product lives only in z. The
+// fast family walks the staged CSR, the reference family the dense block.
+void gcn_layer_reference(const BlockAdjacency& adj, int g, const double* x,
+                         const Matrix& w, const Matrix& bias, double* z, double* y);
+void gcn_layer_fast(const BlockAdjacency& adj, int g, const double* x, const Matrix& w,
+                    const Matrix& bias, double* z, double* y);
+// out = A_g src, both n x cols. For the symmetric Eq. 4 blocks this is also
+// the backward's A_g^T delta.
+void propagate_reference(const BlockAdjacency& adj, int g, const double* src, int cols,
+                         double* out);
+void propagate_fast(const BlockAdjacency& adj, int g, const double* src, int cols,
+                    double* out);
+// out = a b for `rows` rows of a (rows x cols_k) and b (cols_k x cols_n):
+// the backward's delta W^T, with b = W^T packed once per pass. Every element
+// is one chain over ascending k from +0.0, the chain of matmul_transposed in
+// its family; the reference family keeps matmul_nt_reference's loop, zero
+// terms included.
+void matmul_rows_reference(const double* a, int rows, int cols_k, const double* b,
+                           int cols_n, double* out);
+void matmul_rows_fast(const double* a, int rows, int cols_k, const double* b, int cols_n,
+                      double* out);
+// Continues every element's chain of out (cols_m x cols_n) += a^T b over
+// `rows` more rows of a (rows x cols_m) and b (rows x cols_n), in ascending
+// row order: the weight gradient x^T delta, resumed run by run. Resuming
+// from a +0.0 out over all rows gives matmul_transposed_a's bits.
+void matmul_tn_resume_reference(const double* a, int rows, int cols_m, const double* b,
+                                int cols_n, double* out);
+void matmul_tn_resume_fast(const double* a, int rows, int cols_m, const double* b,
+                           int cols_n, double* out);
+
+// One family's primitives, picked once per encoder pass.
+struct GcnKernels {
+  decltype(&gcn_layer_fast) layer;
+  decltype(&propagate_fast) propagate;
+  decltype(&matmul_rows_fast) matmul_rows;
+  decltype(&matmul_tn_resume_fast) matmul_tn_resume;
+};
+const GcnKernels& gcn_kernels(NnKernel family);
+
+// Calls graphs(begin, end) over consecutive ranges covering [0, count): on
+// the kernel pool when nn threads > 1 and `flops` is large enough to pay for
+// it, otherwise once over the whole range. Each call must write only state
+// that belongs to its own graphs; the result is then the same at every
+// thread count.
+void for_each_graph_range(int count, std::int64_t flops,
+                          const std::function<void(int, int)>& graphs);
 
 }  // namespace nptsn::nnk

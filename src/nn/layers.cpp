@@ -45,14 +45,6 @@ Tensor GcnLayer::forward(const Tensor& a_hat, const Tensor& h) const {
   return matmul_act(a_hat, lin_.forward(h), Epilogue::kRelu);
 }
 
-Tensor GcnLayer::forward_batched(const std::shared_ptr<const BlockAdjacency>& a_hats,
-                                 const Tensor& h) const {
-  // Fused affine + propagation + ReLU: bit-identical to propagating
-  // lin_.forward(h) block by block, but without materializing the stacked
-  // affine intermediate.
-  return block_gcn_fused(a_hats, h, lin_.weight(), lin_.bias());
-}
-
 void GcnLayer::collect_parameters(std::vector<Tensor>& out) const {
   lin_.collect_parameters(out);
 }

@@ -1,7 +1,6 @@
 // Network building blocks: Linear, the GCN layer of Eq. 4, and MLP stacks.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "nn/autograd.hpp"
@@ -40,12 +39,9 @@ class GcnLayer {
 
   // a_hat: n x n constant; h: n x in -> relu(a_hat h W + b): n x out.
   Tensor forward(const Tensor& a_hat, const Tensor& h) const;
-  // Batched forward over B same-sized graphs stacked vertically: h is
-  // (B n) x in, block g propagates through a_hats.blocks()[g]. The affine
-  // part runs as ONE stacked GEMM over all B graphs; only the n x n
-  // adjacency products stay per-graph, driven by the staged CSR index.
-  Tensor forward_batched(const std::shared_ptr<const BlockAdjacency>& a_hats,
-                         const Tensor& h) const;
+  // W (in x out) and b (1 x out), for the batched encoder (gcn_encoder),
+  // which runs every layer over a stacked batch as one tape node.
+  GcnWeights weights() const { return {lin_.weight(), lin_.bias()}; }
 
   void collect_parameters(std::vector<Tensor>& out) const;
 

@@ -88,15 +88,23 @@ std::vector<std::size_t> recycler_parked_sizes() {
   return sizes;
 }
 
-Matrix::Matrix(int rows, int cols, double fill)
-    : rows_(rows), cols_(cols), data_(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), fill) {
+namespace {
+
+// Element count of a rows x cols matrix, checked before anything is sized
+// from it: a negative dimension would otherwise reach std::vector as a huge
+// (or, for two negatives, a wrapped-around) count.
+std::size_t checked_size(int rows, int cols) {
   NPTSN_EXPECT(rows >= 0 && cols >= 0, "matrix dimensions must be non-negative");
+  return static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
 }
 
+}  // namespace
+
+Matrix::Matrix(int rows, int cols, double fill)
+    : rows_(rows), cols_(cols), data_(checked_size(rows, cols), fill) {}
+
 Matrix::Matrix(int rows, int cols, UninitTag)
-    : rows_(rows), cols_(cols), data_(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols)) {
-  NPTSN_EXPECT(rows >= 0 && cols >= 0, "matrix dimensions must be non-negative");
-}
+    : rows_(rows), cols_(cols), data_(checked_size(rows, cols)) {}
 
 Matrix Matrix::uninitialized(int rows, int cols) {
   return Matrix(rows, cols, UninitTag{});
@@ -240,41 +248,6 @@ BlockAdjacency::BlockAdjacency(std::vector<Matrix> blocks)
       row_ptr_.push_back(cols_.size());
     }
   }
-}
-
-namespace {
-
-void check_block_shapes(const BlockAdjacency& adj, const Matrix& h, const char* what) {
-  NPTSN_EXPECT(h.rows() == adj.block_size() * adj.count(),
-               std::string(what) + " stacked rows do not match the block count");
-}
-
-}  // namespace
-
-Matrix block_diag_matmul(const BlockAdjacency& adj, const Matrix& h, Epilogue act) {
-  check_block_shapes(adj, h, "block_diag_matmul");
-  Matrix out;
-  if (nn_kernel() == NnKernel::kFast) {
-    nnk::block_affine_fast(adj, h, act, out);
-  } else {
-    nnk::block_affine_reference(adj, h, act, out);
-  }
-  return out;
-}
-
-Matrix block_diag_gcn(const BlockAdjacency& adj, const Matrix& h,
-                      const Matrix& w, const Matrix& bias) {
-  check_block_shapes(adj, h, "block_diag_gcn");
-  NPTSN_EXPECT(h.cols() == w.rows(), "block_diag_gcn affine shape mismatch");
-  NPTSN_EXPECT(bias.rows() == 1 && bias.cols() == w.cols(),
-               "block_diag_gcn bias shape mismatch");
-  Matrix out;
-  if (nn_kernel() == NnKernel::kFast) {
-    nnk::block_gcn_fast(adj, h, w, bias, out);
-  } else {
-    nnk::block_gcn_reference(adj, h, w, bias, out);
-  }
-  return out;
 }
 
 Matrix transpose(const Matrix& a) {

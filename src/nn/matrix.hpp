@@ -170,7 +170,7 @@ class Matrix {
 };
 
 // A batch of same-sized square blocks (the per-graph normalized adjacencies
-// of a stacked GCN batch) staged for repeated block-diagonal products. The
+// of a stacked GCN batch) staged for repeated per-graph products. The
 // constructor builds a CSR index over every block once; the fast propagation
 // kernels then walk nonzeros directly instead of re-scanning the dense
 // blocks on every layer, head, and PPO iteration that reuses the batch. The
@@ -188,7 +188,7 @@ class BlockAdjacency {
   // True when every block equals its transpose exactly (b(r, c) == b(c, r)
   // for all r, c). Eq. 4's D^-1/2 (A + I) D^-1/2 of an undirected graph
   // always is, since s_i * s_j == s_j * s_i; the GCN backward relies on it to
-  // propagate gradients with the forward kernels (block_gcn_fused).
+  // propagate gradients with the forward kernels (gcn_encoder).
   bool symmetric() const { return symmetric_; }
 
   // CSR view of local row r of block g: column indices cols()[t] and values
@@ -227,17 +227,6 @@ Matrix matmul_transposed_a(const Matrix& a, const Matrix& b);
 Matrix affine(const Matrix& x, const Matrix& w, const Matrix* bias, Epilogue act);
 // act(a * b) — a matmul with a fused activation epilogue.
 Matrix matmul_epilogue(const Matrix& a, const Matrix& b, Epilogue act);
-// Block-diagonal batched GEMM over a stacked batch (the GCN propagation
-// step): h stacks one n x C row block per graph and row block g of the
-// result is act(adj.blocks()[g] * h_g). With symmetric blocks it is also the
-// backward product blocks[g]^T * delta_g.
-Matrix block_diag_matmul(const BlockAdjacency& adj, const Matrix& h, Epilogue act);
-// Fused GCN layer: row block g of the result is
-// relu(blocks[g] * (h_g * w + bias)) — affine, propagation, and activation
-// in one kernel call so the full-size affine intermediate never
-// materializes. bias is a 1 x w.cols() row.
-Matrix block_diag_gcn(const BlockAdjacency& adj, const Matrix& h,
-                      const Matrix& w, const Matrix& bias);
 Matrix transpose(const Matrix& a);
 Matrix add(const Matrix& a, const Matrix& b);
 Matrix sub(const Matrix& a, const Matrix& b);

@@ -130,9 +130,10 @@ Tensor ActorCritic::encode_batch(const ObservationBatch& staged) const {
     return stack_rows(rows);
   }
 
-  Tensor h = staged.features;
-  for (const auto& layer : gcn_) h = layer.forward_batched(staged.a_hats, h);
-  Tensor embedding = mean_rows_blocks(h, config_.num_nodes);
+  std::vector<GcnWeights> weights;
+  weights.reserve(gcn_.size());
+  for (const auto& layer : gcn_) weights.push_back(layer.weights());
+  Tensor embedding = gcn_encoder(staged.a_hats, config_.num_nodes, staged.features, weights);
   if (config_.param_dim == 0) return embedding;
   return concat_cols(embedding, staged.params);
 }

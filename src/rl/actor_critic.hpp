@@ -71,11 +71,12 @@ class ActorCritic {
     stage_cache_ = std::move(cache);
   }
 
-  // Batched head forwards over B observations: the GCN affine stages and
-  // every MLP layer run as ONE stacked GEMM over all B inputs instead of B
-  // per-observation calls (the PPO-update hot path; DESIGN.md §11). Row i
-  // of the result equals the per-observation forward of obs[i] bit-for-bit
-  // under either kernel family.
+  // Batched head forwards over B observations: the whole GCN encoder is one
+  // tape node over the stacked batch (gcn_encoder) and every MLP layer one
+  // stacked GEMM over all B inputs, instead of B per-observation calls (the
+  // PPO-update hot path; DESIGN.md §11). Row i of the result equals the
+  // per-observation forward of obs[i] bit-for-bit under either kernel
+  // family.
   Tensor forward_logits_batch(const ObservationBatch& staged) const;  // B x A
   Tensor forward_value_batch(const ObservationBatch& staged) const;   // B x 1
   // Convenience overloads that stage per call. Pointers must stay valid for
@@ -96,8 +97,8 @@ class ActorCritic {
 
  private:
   Tensor encode(const Observation& obs) const;  // 1 x (embedding + P)
-  // B x (embedding + P); GCN encoders stack all graphs, GAT falls back to
-  // per-observation encoding with a row stack.
+  // B x (embedding + P); the GCN encoder runs the stacked batch as one tape
+  // node, GAT falls back to per-observation encoding with a row stack.
   Tensor encode_batch(const ObservationBatch& staged) const;
 
   Config config_;

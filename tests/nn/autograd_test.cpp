@@ -8,6 +8,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "nn/layers.hpp"
@@ -243,10 +244,12 @@ TEST(AutogradGradCheck, Transpose) {
   });
 }
 
-// The fused batched GCN layer backpropagates through A-hat with the forward
-// CSR kernels (A-hat is symmetric); check all three gradients numerically in
-// both kernel families, on real Eq. 4 adjacencies of random graphs.
-TEST(AutogradGradCheck, BlockGcnFused) {
+// The batched encoder node backpropagates through A-hat with the forward
+// CSR kernels (A-hat is symmetric); check every layer's weight and bias
+// numerically in both kernel families, on real Eq. 4 adjacencies of random
+// graphs. Only the checked parameter trains, so the backward also stops at
+// every depth.
+TEST(AutogradGradCheck, GcnEncoder) {
   const NnKernel saved = nn_kernel();
   Rng rng(10);
   constexpr int kNodes = 5;
@@ -262,24 +265,27 @@ TEST(AutogradGradCheck, BlockGcnFused) {
     a_hats.push_back(normalized_adjacency(adjacency));
   }
   const auto adj = std::make_shared<const BlockAdjacency>(std::move(a_hats));
-  const Matrix h = random_matrix(kGraphs * kNodes, 3, rng);
-  const Matrix w = random_matrix(3, 4, rng);
-  const Matrix bias = random_matrix(1, 4, rng);
-  const Matrix upstream = random_matrix(kGraphs * kNodes, 4, rng);
-  const auto loss = [&](const Tensor& th, const Tensor& tw, const Tensor& tb) {
-    return sum_all(hadamard(block_gcn_fused(adj, th, tw, tb), Tensor::constant(upstream)));
-  };
+  const Tensor features = Tensor::constant(random_matrix(kGraphs * kNodes, 3, rng));
+  // Three layers, 3 -> 4 -> 4 -> 2 features.
+  std::vector<Matrix> params;
+  for (const auto& [in, out] : {std::pair{3, 4}, std::pair{4, 4}, std::pair{4, 2}}) {
+    params.push_back(random_matrix(in, out, rng));
+    params.push_back(random_matrix(1, out, rng));
+  }
+  const Matrix upstream = random_matrix(kGraphs, 2, rng);
   for (const NnKernel kernel : {NnKernel::kReference, NnKernel::kFast}) {
     set_nn_kernel(kernel);
-    check_gradient(h, [&](const Tensor& x) {
-      return loss(x, Tensor::constant(w), Tensor::constant(bias));
-    });
-    check_gradient(w, [&](const Tensor& x) {
-      return loss(Tensor::constant(h), x, Tensor::constant(bias));
-    });
-    check_gradient(bias, [&](const Tensor& x) {
-      return loss(Tensor::constant(h), Tensor::constant(w), x);
-    });
+    for (std::size_t checked = 0; checked < params.size(); ++checked) {
+      check_gradient(params[checked], [&](const Tensor& x) {
+        std::vector<GcnWeights> layers;
+        for (std::size_t p = 0; p < params.size(); p += 2) {
+          layers.push_back({p == checked ? x : Tensor::constant(params[p]),
+                            p + 1 == checked ? x : Tensor::constant(params[p + 1])});
+        }
+        return sum_all(hadamard(gcn_encoder(adj, kNodes, features, layers),
+                                Tensor::constant(upstream)));
+      });
+    }
   }
   set_nn_kernel(saved);
 }

@@ -266,79 +266,199 @@ TEST(KernelDifferential, AffineEpiloguesAgreeOnAllShapes) {
   }
 }
 
-TEST(KernelDifferential, BlockDiagonalFamiliesAgree) {
+// A random batched-encoder problem: `batch` graphs of n nodes with symmetric
+// adjacency blocks, sparse features, and one layer per entry of `widths`
+// (layer l maps widths[l - 1], or the feature width, to widths[l]). When the
+// batch has more than one graph its last graph has an empty adjacency, so
+// every layer of it, the last included, is all <= 0.
+struct EncoderCase {
+  int n = 0;
+  int batch = 0;
+  std::vector<Matrix> blocks;
+  std::shared_ptr<const BlockAdjacency> adj;
+  Matrix features;
+  std::vector<Matrix> w;
+  std::vector<Matrix> b;
+  Matrix upstream;  // batch x output width
+};
+
+EncoderCase encoder_case(int n, int batch, int features, const std::vector<int>& widths,
+                         Rng& rng) {
+  EncoderCase c;
+  c.n = n;
+  c.batch = batch;
+  for (int g = 0; g < batch; ++g) {
+    const bool empty = g > 0 && g == batch - 1;
+    c.blocks.push_back(empty ? Matrix(n, n) : random_symmetric_block(n, rng));
+  }
+  c.adj = std::make_shared<const BlockAdjacency>(c.blocks);
+  c.features = random_matrix(batch * n, features, 0.5, rng);
+  int in = features;
+  for (const int out : widths) {
+    c.w.push_back(random_matrix(in, out, 1.0, rng));
+    c.b.push_back(random_matrix(1, out, 1.0, rng));
+    in = out;
+  }
+  c.upstream = random_matrix(batch, in, 0.9, rng);
+  return c;
+}
+
+Matrix rows_of(const Matrix& m, int first, int count) {
+  Matrix out(count, m.cols());
+  for (int i = 0; i < count; ++i) {
+    for (int j = 0; j < m.cols(); ++j) out.at(i, j) = m.at(first + i, j);
+  }
+  return out;
+}
+
+void put_rows(Matrix& m, int first, const Matrix& src) {
+  for (int i = 0; i < src.rows(); ++i) {
+    for (int j = 0; j < src.cols(); ++j) m.at(first + i, j) = src.at(i, j);
+  }
+}
+
+// The unfused tape the encoder node replaces, built from the dispatchers of
+// the active kernel family: affine, a per-graph A-hat product and ReLU per
+// layer, per-graph means; then back through the same steps with the node's
+// incoming gradient: broadcast, ReLU gates, a per-graph A-hat^T product
+// (matmul_transposed_a), the bias column sums, and the matmul_transposed_a /
+// matmul_transposed gradients. 0.0 + d is the adoption of d as an empty
+// gradient, as the tape does it.
+struct Unfused {
+  Matrix out;
+  std::vector<Matrix> dw;
+  std::vector<Matrix> db;
+};
+
+Unfused unfused_encoder(const EncoderCase& c, const Matrix& grad) {
+  const int n = c.n;
+  const int depth = static_cast<int>(c.w.size());
+  const double inv = 1.0 / n;
+  std::vector<Matrix> h = {c.features};
+  for (int l = 0; l < depth; ++l) {
+    const Matrix z = affine(h.back(), c.w[static_cast<std::size_t>(l)],
+                            &c.b[static_cast<std::size_t>(l)], Epilogue::kNone);
+    Matrix y(z.rows(), z.cols());
+    for (int g = 0; g < c.batch; ++g) {
+      Matrix p = matmul(c.blocks[static_cast<std::size_t>(g)], rows_of(z, g * n, n));
+      for (int e = 0; e < p.size(); ++e) p.data()[e] = p.data()[e] > 0.0 ? p.data()[e] : 0.0;
+      put_rows(y, g * n, p);
+    }
+    h.push_back(y);
+  }
+  const Matrix& last = h.back();
+  Unfused u;
+  u.out = Matrix(c.batch, last.cols());
+  for (int g = 0; g < c.batch; ++g) {
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < last.cols(); ++j) u.out.at(g, j) += last.at(g * n + i, j);
+    }
+    for (int j = 0; j < last.cols(); ++j) u.out.at(g, j) *= inv;
+  }
+  if (depth == 0) return u;
+
+  Matrix delta(last.rows(), last.cols());
+  for (int r = 0; r < last.rows(); ++r) {
+    for (int j = 0; j < last.cols(); ++j) {
+      delta.at(r, j) = last.at(r, j) <= 0.0 ? 0.0 : 0.0 + grad.at(r / n, j) * inv;
+    }
+  }
+  u.dw.resize(static_cast<std::size_t>(depth));
+  u.db.resize(static_cast<std::size_t>(depth));
+  for (int l = depth - 1; l >= 0; --l) {
+    Matrix dz(delta.rows(), delta.cols());
+    for (int g = 0; g < c.batch; ++g) {
+      put_rows(dz, g * n,
+               matmul_transposed_a(c.blocks[static_cast<std::size_t>(g)], rows_of(delta, g * n, n)));
+    }
+    Matrix db(1, dz.cols());
+    for (int r = 0; r < dz.rows(); ++r) {
+      for (int j = 0; j < dz.cols(); ++j) db.at(0, j) += dz.at(r, j);
+    }
+    Matrix dw = matmul_transposed_a(h[static_cast<std::size_t>(l)], dz);
+    for (int e = 0; e < dw.size(); ++e) dw.data()[e] = 0.0 + dw.data()[e];
+    u.dw[static_cast<std::size_t>(l)] = dw;
+    u.db[static_cast<std::size_t>(l)] = db;
+    if (l == 0) break;
+    const Matrix back = matmul_transposed(dz, c.w[static_cast<std::size_t>(l)]);
+    const Matrix& below = h[static_cast<std::size_t>(l)];
+    delta = Matrix(back.rows(), back.cols());
+    for (int e = 0; e < back.size(); ++e) {
+      delta.data()[e] = below.data()[e] <= 0.0 ? 0.0 : 0.0 + back.data()[e];
+    }
+  }
+  return u;
+}
+
+// Runs the encoder node over c with every weight and bias trainable and
+// loss = sum(out * upstream); returns the node (its value and incoming
+// gradient) and the parameters holding their gradients.
+struct EncoderRun {
+  Tensor out;
+  std::vector<GcnWeights> layers;
+};
+
+EncoderRun run_encoder(const EncoderCase& c) {
+  EncoderRun run;
+  for (std::size_t l = 0; l < c.w.size(); ++l) {
+    run.layers.push_back({Tensor::parameter(c.w[l]), Tensor::parameter(c.b[l])});
+  }
+  run.out = gcn_encoder(c.adj, c.n, Tensor::constant(c.features), run.layers);
+  if (!c.w.empty()) sum_all(hadamard(run.out, Tensor::constant(c.upstream))).backward();
+  return run;
+}
+
+TEST(KernelDifferential, GcnEncoderMatchesTheUnfusedChainInBothFamilies) {
   KernelGuard guard;
   Rng rng(555);
-  for (const int n : {1, 3, 16, 46}) {
-    for (const int batch : {1, 2, 7}) {
-      std::vector<Matrix> blocks;
-      for (int g = 0; g < batch; ++g) blocks.push_back(random_symmetric_block(n, rng));
-      const std::vector<Matrix> dense = blocks;
-      const auto adj = std::make_shared<const BlockAdjacency>(std::move(blocks));
-      ASSERT_TRUE(adj->symmetric());
-      const int f = rng.uniform_int(1, 24);
-      const int out = rng.uniform_int(1, 24);
-      const Matrix h = random_matrix(batch * n, f, 0.5, rng);
-      const Matrix upstream = random_matrix(batch * n, out, 0.9, rng);
-      const Matrix w = random_matrix(f, out, 1.0, rng);
-      const Matrix bias = random_matrix(1, out, 1.0, rng);
-
-      set_nn_kernel(NnKernel::kReference);
-      const Matrix ref_prop = block_diag_matmul(*adj, h, Epilogue::kRelu);
-      const Matrix ref_gcn = block_diag_gcn(*adj, h, w, bias);
-      set_nn_kernel(NnKernel::kFast);
-      expect_within(block_diag_matmul(*adj, h, Epilogue::kRelu), ref_prop, kTol,
-                    "block_diag_matmul");
-      expect_within(block_diag_gcn(*adj, h, w, bias), ref_gcn, kTol,
-                    "block_diag_gcn");
-
-      // In each family the fused layer's backward must be the chain of a
-      // per-block transposed product through A-hat, bit for bit.
-      for (const NnKernel kernel : {NnKernel::kReference, NnKernel::kFast}) {
-        set_nn_kernel(kernel);
-        const Tensor th = Tensor::parameter(h);
-        const Tensor tw = Tensor::parameter(w);
-        const Tensor tb = Tensor::parameter(bias);
-        const Tensor y = block_gcn_fused(adj, th, tw, tb);
-        sum_all(hadamard(y, Tensor::constant(upstream))).backward();
-
-        Matrix delta_z(batch * n, out);
-        for (int g = 0; g < batch; ++g) {
-          Matrix delta_g(n, out);
-          for (int i = 0; i < n; ++i) {
-            for (int j = 0; j < out; ++j) {
-              const int r = g * n + i;
-              delta_g.at(i, j) = y.value().at(r, j) > 0.0 ? y.grad().at(r, j) : 0.0;
-            }
+  for (const int depth : {0, 1, 2, 3}) {
+    for (const int n : {1, 3, 16, 46}) {
+      // 7 and 9 graphs of 16 or 46 nodes stream through more than one run.
+      for (const int batch : {1, 2, 7, 9}) {
+        std::vector<int> widths;
+        for (int l = 0; l < depth; ++l) widths.push_back(rng.uniform_int(1, 24));
+        const EncoderCase c = encoder_case(n, batch, rng.uniform_int(1, 24), widths, rng);
+        Matrix outputs[2];
+        for (const NnKernel kernel : {NnKernel::kReference, NnKernel::kFast}) {
+          set_nn_kernel(kernel);
+          const EncoderRun run = run_encoder(c);
+          const Unfused u = unfused_encoder(c, run.out.grad());
+          expect_identical(run.out.value(), u.out, "gcn_encoder output");
+          for (int l = 0; l < depth; ++l) {
+            const GcnWeights& layer = run.layers[static_cast<std::size_t>(l)];
+            expect_identical(layer.weight.grad(), u.dw[static_cast<std::size_t>(l)],
+                             "gcn_encoder dW");
+            expect_identical(layer.bias.grad(), u.db[static_cast<std::size_t>(l)],
+                             "gcn_encoder db");
           }
-          const Matrix back = matmul_transposed_a(dense[static_cast<std::size_t>(g)], delta_g);
-          for (int i = 0; i < n; ++i) {
-            for (int j = 0; j < out; ++j) delta_z.at(g * n + i, j) = back.at(i, j);
-          }
+          outputs[kernel == NnKernel::kFast] = run.out.value();
         }
-        Matrix db(1, out);
-        for (int i = 0; i < delta_z.rows(); ++i) {
-          for (int j = 0; j < out; ++j) db.at(0, j) += delta_z.at(i, j);
-        }
-        expect_identical(th.grad(), matmul_transposed(delta_z, w), "block_gcn_fused dh");
-        expect_identical(tw.grad(), matmul_transposed_a(h, delta_z), "block_gcn_fused dw");
-        expect_identical(tb.grad(), db, "block_gcn_fused dbias");
+        expect_within(outputs[1], outputs[0], kTol, "gcn_encoder families");
       }
     }
   }
 
-  // A non-symmetric batch still stages and propagates, but the fused layer,
-  // whose backward needs A-hat^T = A-hat, refuses it.
+  // Without layers the node is the per-graph mean of the features and needs
+  // no adjacency.
+  const EncoderCase pooled = encoder_case(3, 2, 4, {}, rng);
+  const Tensor mean = gcn_encoder(nullptr, 3, Tensor::constant(pooled.features), {});
+  expect_identical(mean.value(), unfused_encoder(pooled, Matrix()).out, "gcn_encoder pooling");
+
+  // A non-symmetric batch still stages, but the encoder, whose backward needs
+  // A-hat^T = A-hat, refuses it; so it does features that want a gradient.
   std::vector<Matrix> blocks = {random_symmetric_block(5, rng),
                                 random_symmetric_block(5, rng)};
   blocks[1].at(0, 3) = blocks[1].at(3, 0) + 0.5;
   const auto skewed = std::make_shared<const BlockAdjacency>(std::move(blocks));
   EXPECT_FALSE(skewed->symmetric());
-  EXPECT_NO_THROW(block_diag_matmul(*skewed, random_matrix(10, 3, 1.0, rng), Epilogue::kNone));
-  EXPECT_THROW(block_gcn_fused(skewed, Tensor::parameter(random_matrix(10, 3, 1.0, rng)),
-                               Tensor::parameter(random_matrix(3, 4, 1.0, rng)),
-                               Tensor::parameter(random_matrix(1, 4, 1.0, rng))),
-               std::invalid_argument);
+  const std::vector<GcnWeights> layer = {
+      {Tensor::parameter(random_matrix(3, 4, 1.0, rng)),
+       Tensor::parameter(random_matrix(1, 4, 1.0, rng))}};
+  const Matrix x = random_matrix(10, 3, 1.0, rng);
+  EXPECT_THROW(gcn_encoder(skewed, 5, Tensor::constant(x), layer), std::invalid_argument);
+  const EncoderCase ok = encoder_case(5, 2, 3, {4}, rng);
+  EXPECT_NO_THROW(gcn_encoder(ok.adj, 5, Tensor::constant(x), layer));
+  EXPECT_THROW(gcn_encoder(ok.adj, 5, Tensor::parameter(x), layer), std::invalid_argument);
 }
 
 TEST(KernelDifferential, CsrIndexMatchesDenseBlocks) {
@@ -381,6 +501,21 @@ TEST(KernelDifferential, FastKernelsAreBitIdenticalAcrossThreadCounts) {
     expect_identical(affine(a, b, &bias, Epilogue::kTanh), serial,
                      "affine across thread counts");
     expect_identical(matmul(a, b), serial_mm, "matmul across thread counts");
+  }
+  // The encoder node at a size where its forward splits graphs over the pool.
+  const EncoderCase c = encoder_case(46, 16, 30, {40, 40}, rng);
+  set_nn_kernel_threads(1);
+  const EncoderRun one = run_encoder(c);
+  for (const int threads : {2, 3}) {
+    set_nn_kernel_threads(threads);
+    const EncoderRun many = run_encoder(c);
+    expect_identical(many.out.value(), one.out.value(), "gcn_encoder across thread counts");
+    for (std::size_t l = 0; l < c.w.size(); ++l) {
+      expect_identical(many.layers[l].weight.grad(), one.layers[l].weight.grad(),
+                       "gcn_encoder dW across thread counts");
+      expect_identical(many.layers[l].bias.grad(), one.layers[l].bias.grad(),
+                       "gcn_encoder db across thread counts");
+    }
   }
 }
 

@@ -53,6 +53,16 @@ TEST(Matrix, FromRejectsRaggedRows) {
   EXPECT_THROW(Matrix::from({{1.0, 2.0}, {3.0}}), std::invalid_argument);
 }
 
+// Negative dimensions throw the same std::invalid_argument as every other
+// shape check, before anything is allocated (two negatives would otherwise
+// wrap around to a positive element count).
+TEST(Matrix, NegativeDimensionsThrowBeforeAllocating) {
+  EXPECT_THROW(Matrix(-1, 5), std::invalid_argument);
+  EXPECT_THROW(Matrix(3, -1), std::invalid_argument);
+  EXPECT_THROW(Matrix(-2, -3), std::invalid_argument);
+  EXPECT_THROW(Matrix::uninitialized(-1, 5), std::invalid_argument);
+}
+
 TEST(Matrix, IndexBoundsChecked) {
   Matrix m(2, 2);
   EXPECT_THROW(m.at(2, 0), std::invalid_argument);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nn/layers.hpp"
+#include "testing/orion_batch.hpp"
 
 namespace nptsn {
 namespace {
@@ -182,6 +185,43 @@ TEST(ActorCritic, DeterministicGivenSeed) {
   ActorCritic b(small_config(), rng2);
   const auto obs = small_obs();
   EXPECT_DOUBLE_EQ(a.forward(obs).value.item(), b.forward(obs).value.item());
+}
+
+// PPO's importance ratios divide the update's batched log-probabilities by
+// ones taken from per-observation forwards during the rollout, so every row
+// of both batched heads must equal its per-observation forward bit for bit,
+// at every encoder depth and in both kernel families.
+TEST(ActorCritic, BatchedForwardsMatchPerObservationForwards) {
+  const NnKernel saved = nn_kernel();
+  const testing::OrionBatch orion = testing::orion_batch(32, 3);
+  std::vector<const Observation*> obs;
+  for (const StepRecord& s : orion.batch.steps) obs.push_back(&s.obs);
+  for (const int gcn_layers : {0, 1, 2}) {
+    ActorCritic::Config config = orion.net_config;
+    config.gcn_layers = gcn_layers;
+    Rng rng(21);
+    const ActorCritic net(config, rng);
+    for (const NnKernel kernel : {NnKernel::kReference, NnKernel::kFast}) {
+      set_nn_kernel(kernel);
+      const ActorCritic::ObservationBatch staged = net.stage_batch(obs);
+      const Matrix logits = net.forward_logits_batch(staged).value();
+      const Matrix values = net.forward_value_batch(staged).value();
+      ASSERT_EQ(logits.rows(), static_cast<int>(obs.size()));
+      ASSERT_EQ(values.rows(), static_cast<int>(obs.size()));
+      for (std::size_t i = 0; i < obs.size(); ++i) {
+        const int row = static_cast<int>(i);
+        const ActorCritic::Output single = net.forward(*obs[i]);
+        for (int j = 0; j < logits.cols(); ++j) {
+          // Exact double equality on purpose: the contract is bitwise.
+          EXPECT_EQ(logits.at(row, j), single.logits.value().at(0, j))
+              << "gcn_layers " << gcn_layers << ", row " << row << ", logit " << j;
+        }
+        EXPECT_EQ(values.at(row, 0), single.value.item())
+            << "gcn_layers " << gcn_layers << ", row " << row;
+      }
+    }
+  }
+  set_nn_kernel(saved);
 }
 
 }  // namespace

@@ -302,5 +302,52 @@ TEST(PpoRecycledBuffers, UpdateIsBitIdenticalOnNaNDirtiedRecycledBlocks) {
   }
 }
 
+// The encoder's forward splits a batch's graphs over the kernel pool and the
+// large GEMMs split their rows, so an ORION update must not move a bit
+// between nn_threads 1, 2 and 3.
+TEST(Ppo, UpdateIsBitIdenticalAcrossNnThreads) {
+  const testing::OrionBatch orion = testing::orion_batch(32, 9);
+  PpoConfig config;
+  config.train_actor_iters = 3;
+  config.train_critic_iters = 3;
+  config.target_kl = std::numeric_limits<double>::infinity();
+  struct ThreadsRestore {
+    int saved = nn_kernel_threads();
+    ~ThreadsRestore() { set_nn_kernel_threads(saved); }
+  } restore;
+  const auto run = [&](int threads) {
+    set_nn_kernel_threads(threads);
+    Rng rng(9);
+    const ActorCritic net(orion.net_config, rng);
+    Adam actor_opt(net.actor_parameters(), {.learning_rate = 1e-3});
+    Adam critic_opt(net.critic_parameters(), {.learning_rate = 1e-3});
+    UpdateResult result;
+    result.stats = ppo_update(net, actor_opt, critic_opt, orion.batch, config);
+    for (const Tensor& p : net.all_parameters()) result.params.push_back(p.value());
+    for (const Adam* opt : {&actor_opt, &critic_opt}) {
+      for (const Matrix& m : opt->first_moments()) result.moments.push_back(m);
+      for (const Matrix& v : opt->second_moments()) result.moments.push_back(v);
+    }
+    return result;
+  };
+  const UpdateResult serial = run(1);
+  for (const int threads : {2, 3}) {
+    SCOPED_TRACE(threads);
+    const UpdateResult parallel = run(threads);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel.stats.actor_loss),
+              std::bit_cast<std::uint64_t>(serial.stats.actor_loss));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel.stats.approx_kl),
+              std::bit_cast<std::uint64_t>(serial.stats.approx_kl));
+    ASSERT_EQ(parallel.params.size(), serial.params.size());
+    for (std::size_t i = 0; i < serial.params.size(); ++i) {
+      EXPECT_TRUE(same_bits(parallel.params[i], serial.params[i])) << "parameter " << i;
+    }
+    ASSERT_EQ(parallel.moments.size(), serial.moments.size());
+    for (std::size_t i = 0; i < serial.moments.size(); ++i) {
+      EXPECT_TRUE(same_bits(parallel.moments[i], serial.moments[i])) << "Adam moment " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nptsn
