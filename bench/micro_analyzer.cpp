@@ -8,11 +8,20 @@
 //   sequential            the reference FailureAnalyzer
 //   incremental-serial    the verification engine
 //
-// Each pass starts COLD (fresh engine per repetition); the measured speedup
-// comes from outcome-cache hits on recurring designs (exploit-phase episode
-// replays, recurring early-episode graphs) plus residual-memo replays after
-// ASIL upgrades and failed-set-covered link additions — the same exact
-// reuse the training loop sees. Output is a single JSON document on stdout.
+// Each pass starts COLD (fresh engine per repetition), and the configurations
+// take turns repetition by repetition, so host noise hits all of them alike.
+// The measured speedup comes from outcome-cache hits on recurring designs
+// (exploit-phase episode replays, recurring early-episode graphs) plus
+// residual-memo replays after ASIL upgrades and failed-set-covered link
+// additions — the same exact reuse the training loop sees. Output is a
+// single JSON document on stdout.
+//
+// Each scenario also carries a soag_yen entry: Alg. 1 lines 2-5 for every
+// recorded state with a counterexample and every pair of its error set, run
+// as SOAG ran them before its CSR view of Gc (a residual Gc copy and the
+// graph-copying k_shortest_paths_reference) and as Soag::candidate_paths()
+// runs them now (bans over the view). Both path lists are folded into
+// digests; a mismatch is a nonzero exit, and speedup_vs_reference is gated.
 //
 // --maxord N switches to the higher-order frontier sweep (DESIGN.md §16):
 // the same recorded streams re-verified with a frontier floor of order N.
@@ -26,6 +35,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +44,7 @@
 #include "analysis/verification_engine.hpp"
 #include "bench/common.hpp"
 #include "core/soag.hpp"
+#include "graph/yen.hpp"
 #include "scenarios/ads.hpp"
 #include "scenarios/orion.hpp"
 #include "scenarios/scenario.hpp"
@@ -185,47 +197,64 @@ struct PassResult {
   std::uint64_t digest = 1469598103934665603ull;  // rep-0 outcome digest
 };
 
-template <typename MakeAnalyze>
-PassResult run_pass(const std::vector<Topology>& states, int reps,
-                    const MakeAnalyze& make_analyze) {
-  PassResult result;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto analyze = make_analyze();  // cold start per repetition
-    const Stopwatch watch;
-    for (const Topology& t : states) {
-      const AnalysisOutcome outcome = analyze(t);
-      if (rep == 0) {
-        result.nbf_calls += outcome.nbf_calls;
-        result.nbf_executed += outcome.nbf_executed;
-        result.digest = fold_outcome(result.digest, outcome);
-      }
-    }
-    const double seconds = watch.seconds();
-    if (rep == 0 || seconds < result.seconds) result.seconds = seconds;
-  }
-  return result;
-}
-
 struct ConfigResult {
   std::string name;
   PassResult pass;
 };
 
+using Analyze = std::function<AnalysisOutcome(const Topology&)>;
+
+// One configuration: its name, the TSN kernel family it runs under, and a
+// factory for a cold analyze function (one per repetition).
+struct Config {
+  std::string name;
+  TsnKernel kernel;
+  std::function<Analyze()> make_analyze;
+};
+
+// Best-of-reps passes over the stream. The configurations alternate
+// repetition by repetition, so a noisy stretch of the host slows all of them
+// instead of skewing one speedup.
+std::vector<ConfigResult> run_configs(const std::vector<Topology>& states, int reps,
+                                      const std::vector<Config>& configs) {
+  std::vector<ConfigResult> results;
+  for (const Config& config : configs) results.push_back({config.name, {}});
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      const KernelScope scope(configs[c].kernel);
+      const Analyze analyze = configs[c].make_analyze();  // cold start per repetition
+      PassResult& result = results[c].pass;
+      const Stopwatch watch;
+      for (const Topology& t : states) {
+        const AnalysisOutcome outcome = analyze(t);
+        if (rep == 0) {
+          result.nbf_calls += outcome.nbf_calls;
+          result.nbf_executed += outcome.nbf_executed;
+          result.digest = fold_outcome(result.digest, outcome);
+        }
+      }
+      const double seconds = watch.seconds();
+      if (rep == 0 || seconds < result.seconds) result.seconds = seconds;
+    }
+  }
+  return results;
+}
+
 std::vector<ConfigResult> bench_scenario(const std::vector<Topology>& states, int reps) {
   const HeuristicRecovery nbf;
-  std::vector<ConfigResult> results;
-
-  results.push_back({"sequential", run_pass(states, reps, [&] {
-                       return [&nbf, analyzer = FailureAnalyzer(nbf)](const Topology& t) {
-                         return analyzer.analyze(t);
-                       };
-                     })});
-
-  results.push_back({"incremental-serial", run_pass(states, reps, [&nbf] {
-                       return [engine = std::make_shared<VerificationEngine>(nbf)](
-                                  const Topology& t) { return engine->analyze(t); };
-                     })});
-  return results;
+  const TsnKernel kernel = tsn_kernel();
+  return run_configs(
+      states, reps,
+      {{"sequential", kernel,
+        [&nbf] {
+          return Analyze([analyzer = FailureAnalyzer(nbf)](const Topology& t) {
+            return analyzer.analyze(t);
+          });
+        }},
+       {"incremental-serial", kernel, [&nbf] {
+          return Analyze([engine = std::make_shared<VerificationEngine>(nbf)](
+                             const Topology& t) { return engine->analyze(t); });
+        }}});
 }
 
 // The --maxord sweep: the same stream re-verified with a frontier floor of
@@ -236,30 +265,125 @@ std::vector<ConfigResult> bench_scenario(const std::vector<Topology>& states, in
 std::vector<ConfigResult> bench_frontier(const std::vector<Topology>& states, int reps,
                                          int maxord) {
   const HeuristicRecovery nbf;
-  std::vector<ConfigResult> results;
-
-  {
-    KernelScope scope(TsnKernel::kReference);
-    FailureAnalyzer::Options options;
+  FailureAnalyzer::Options analyzer_options;
+  analyzer_options.min_order = maxord;
+  const auto engine = [&nbf, maxord] {
+    VerificationEngine::Options options;
     options.min_order = maxord;
-    results.push_back({"sequential", run_pass(states, reps, [&] {
-                         return [&nbf, analyzer = FailureAnalyzer(nbf, options)](
-                                    const Topology& t) { return analyzer.analyze(t); };
-                       })});
-  }
-
-  const auto engine_pass = [&](TsnKernel kernel) {
-    KernelScope scope(kernel);
-    return run_pass(states, reps, [&nbf, maxord] {
-      VerificationEngine::Options options;
-      options.min_order = maxord;
-      return [engine = std::make_shared<VerificationEngine>(nbf, options)](
-                 const Topology& t) { return engine->analyze(t); };
-    });
+    return Analyze([engine = std::make_shared<VerificationEngine>(nbf, options)](
+                       const Topology& t) { return engine->analyze(t); });
   };
-  results.push_back({"engine-scalar-serial", engine_pass(TsnKernel::kReference)});
-  results.push_back({"packed-serial", engine_pass(TsnKernel::kFast)});
-  return results;
+  return run_configs(states, reps,
+                     {{"sequential", TsnKernel::kReference,
+                       [&nbf, analyzer_options] {
+                         return Analyze([analyzer = FailureAnalyzer(nbf, analyzer_options)](
+                                            const Topology& t) { return analyzer.analyze(t); });
+                       }},
+                      {"engine-scalar-serial", TsnKernel::kReference, engine},
+                      {"packed-serial", TsnKernel::kFast, engine}});
+}
+
+// One SOAG path query: a recorded state, its counterexample, and one pair of
+// its error set.
+struct SoagQuery {
+  const Topology* topology;
+  FailureScenario failure;
+  NodeId source;
+  NodeId destination;
+};
+
+std::vector<SoagQuery> soag_queries(const std::vector<Topology>& states) {
+  const HeuristicRecovery nbf;
+  const FailureAnalyzer analyzer(nbf);
+  std::vector<SoagQuery> queries;
+  for (const Topology& t : states) {
+    const AnalysisOutcome outcome = analyzer.analyze(t);
+    if (outcome.reliable) continue;
+    for (const auto& [s, d] : outcome.errors) {
+      queries.push_back({&t, outcome.counterexample, s, d});
+    }
+  }
+  return queries;
+}
+
+// Alg. 1 lines 2-5 as SOAG ran them before its CSR view: Gc copied and cut
+// down to the residual, then the graph-copying reference Yen.
+std::vector<Path> reference_soag_paths(const PlanningProblem& problem, int k,
+                                       const SoagQuery& q) {
+  Graph g = problem.connections;
+  for (const NodeId v : q.failure.failed_switches) g.remove_node(v);
+  for (const NodeId v : problem.switch_ids()) {
+    if (!q.topology->has_switch(v)) g.remove_node(v);
+  }
+  for (const auto& link : q.failure.failed_links) g.remove_edge(link.a, link.b);
+  TransitFilter can_transit(static_cast<std::size_t>(problem.num_nodes()), 1);
+  for (NodeId v = 0; v < problem.num_end_stations; ++v) {
+    can_transit[static_cast<std::size_t>(v)] = 0;
+  }
+  return k_shortest_paths_reference(g, q.source, q.destination, k, &can_transit);
+}
+
+struct YenPass {
+  double seconds = 0.0;                           // best-of-reps wall time
+  std::uint64_t digest = 1469598103934665603ull;  // rep-0 path digest
+};
+
+// One timed repetition of a pass over every query; rep 0 also folds the
+// returned paths into the pass's digest.
+template <typename Paths>
+void time_yen_pass(const std::vector<SoagQuery>& queries, int rep, const Paths& paths,
+                   YenPass& pass) {
+  const Stopwatch watch;
+  for (const SoagQuery& q : queries) {
+    const std::vector<Path> found = paths(q);
+    if (rep != 0) continue;
+    pass.digest = fold64(pass.digest, found.size());
+    for (const Path& path : found) {
+      pass.digest = fold64(pass.digest, path.size());
+      for (const NodeId v : path) pass.digest = fold64(pass.digest, static_cast<std::uint64_t>(v));
+    }
+  }
+  const double seconds = watch.seconds();
+  if (rep == 0 || seconds < pass.seconds) pass.seconds = seconds;
+}
+
+struct SoagYenResult {
+  std::size_t queries = 0;
+  YenPass reference;
+  YenPass csr;
+};
+
+// The two passes alternate repetition by repetition, so a noisy stretch of
+// the host hits both.
+SoagYenResult bench_soag_yen(const PlanningProblem& problem, int k,
+                             const std::vector<Topology>& states, int reps) {
+  const std::vector<SoagQuery> queries = soag_queries(states);
+  const Soag soag(problem, k);
+  SoagYenResult result;
+  result.queries = queries.size();
+  for (int rep = 0; rep < reps; ++rep) {
+    time_yen_pass(
+        queries, rep,
+        [&](const SoagQuery& q) { return reference_soag_paths(problem, k, q); },
+        result.reference);
+    time_yen_pass(
+        queries, rep,
+        [&](const SoagQuery& q) {
+          return soag.candidate_paths(*q.topology, q.failure, q.source, q.destination);
+        },
+        result.csr);
+  }
+  return result;
+}
+
+bool check_soag_yen(const char* scenario, const SoagYenResult& result) {
+  if (result.csr.digest == result.reference.digest) return true;
+  std::fprintf(stderr,
+               "DIGEST MISMATCH: %s/soag_yen csr = %016llx, reference = %016llx — "
+               "the CSR Yen diverged from the graph-copying reference\n",
+               scenario, static_cast<unsigned long long>(result.csr.digest),
+               static_cast<unsigned long long>(result.reference.digest));
+  return false;
 }
 
 // Every configuration replays the identical stream, so the rep-0 outcome
@@ -283,7 +407,8 @@ bool check_digests(const char* scenario, const std::vector<ConfigResult>& result
 }
 
 void print_scenario_json(const char* name, std::size_t num_states,
-                         const std::vector<ConfigResult>& results, bool last) {
+                         const std::vector<ConfigResult>& results,
+                         const SoagYenResult* soag_yen, bool last) {
   const double base = results.front().pass.seconds;
   std::printf("    {\n      \"name\": \"%s\",\n      \"states\": %zu,\n"
               "      \"configs\": [\n",
@@ -301,7 +426,19 @@ void print_scenario_json(const char* name, std::size_t num_states,
                 static_cast<unsigned long long>(r.pass.digest), speedup,
                 i + 1 < results.size() ? "," : "");
   }
-  std::printf("      ]\n    }%s\n", last ? "" : ",");
+  std::printf("      ]%s\n", soag_yen != nullptr ? "," : "");
+  if (soag_yen != nullptr) {
+    const double speedup = soag_yen->csr.seconds > 0.0
+                               ? soag_yen->reference.seconds / soag_yen->csr.seconds
+                               : 0.0;
+    std::printf("      \"soag_yen\": {\"queries\": %zu, \"reference_seconds\": %.6f, "
+                "\"csr_seconds\": %.6f, \"reference_digest\": \"%016llx\", "
+                "\"csr_digest\": \"%016llx\", \"speedup_vs_reference\": %.3f}\n",
+                soag_yen->queries, soag_yen->reference.seconds, soag_yen->csr.seconds,
+                static_cast<unsigned long long>(soag_yen->reference.digest),
+                static_cast<unsigned long long>(soag_yen->csr.digest), speedup);
+  }
+  std::printf("    }%s\n", last ? "" : ",");
 }
 
 int run(int argc, char** argv) {
@@ -318,6 +455,9 @@ int run(int argc, char** argv) {
   // Best-of-reps over a ~100-episode stream: single fast-mode passes are a
   // few ms, too short to time reliably on a loaded machine.
   const int reps = mode.paper ? 7 : 9;
+  // The SOAG Yen passes run thousands of queries per scenario, long enough
+  // to time with fewer repetitions.
+  const int yen_reps = 5;
   const int k = 8;
 
   const int episodes = mode.paper ? 128 : 96;
@@ -340,18 +480,28 @@ int run(int argc, char** argv) {
                                       : bench_scenario(ads_states, reps);
   const auto orion_results = maxord > 0 ? bench_frontier(orion_states, reps, maxord)
                                         : bench_scenario(orion_states, reps);
+  std::optional<SoagYenResult> ads_yen;
+  std::optional<SoagYenResult> orion_yen;
+  if (maxord == 0) {
+    ads_yen = bench_soag_yen(ads_problem, k, ads_states, yen_reps);
+    orion_yen = bench_soag_yen(orion_problem, k, orion_states, yen_reps);
+  }
 
   std::printf("{\n  \"bench\": \"%s\",\n  \"mode\": \"%s\",\n",
               maxord > 0 ? "micro_analyzer_maxord" : "micro_analyzer",
               mode.paper ? "paper" : "fast");
   if (maxord > 0) std::printf("  \"maxord\": %d,\n", maxord);
   std::printf("  \"reps\": %d,\n  \"scenarios\": [\n", reps);
-  print_scenario_json("ADS", ads_states.size(), ads_results, /*last=*/false);
-  print_scenario_json("ORION", orion_states.size(), orion_results, /*last=*/true);
+  print_scenario_json("ADS", ads_states.size(), ads_results,
+                      ads_yen ? &*ads_yen : nullptr, /*last=*/false);
+  print_scenario_json("ORION", orion_states.size(), orion_results,
+                      orion_yen ? &*orion_yen : nullptr, /*last=*/true);
   std::printf("  ]\n}\n");
 
-  const bool digests_ok =
+  bool digests_ok =
       check_digests("ADS", ads_results) & check_digests("ORION", orion_results);
+  if (ads_yen) digests_ok &= check_soag_yen("ADS", *ads_yen);
+  if (orion_yen) digests_ok &= check_soag_yen("ORION", *orion_yen);
   return digests_ok ? 0 : 1;
 }
 

@@ -2,13 +2,34 @@
 
 #include <algorithm>
 
-#include "graph/yen.hpp"
 #include "util/expect.hpp"
 
 namespace nptsn {
 
-Soag::Soag(const PlanningProblem& problem, int k) : problem_(&problem), k_(k) {
+Soag::Soag(const PlanningProblem& problem, int k)
+    : problem_(&problem),
+      k_(k),
+      connections_(problem.connections),
+      can_transit_(static_cast<std::size_t>(problem.num_nodes()), 1) {
   NPTSN_EXPECT(k >= 1, "need at least one path action slot");
+  for (NodeId v = 0; v < problem.num_end_stations; ++v) {
+    can_transit_[static_cast<std::size_t>(v)] = 0;
+  }
+}
+
+std::vector<Path> Soag::candidate_paths(const Topology& topology,
+                                        const FailureScenario& failure, NodeId s,
+                                        NodeId d) const {
+  // Lines 2-4: Gc minus failed nodes, minus not-yet-planned switches, minus
+  // failed links — as bans, so Gc itself is never copied.
+  CsrSearch search(connections_);
+  for (const NodeId v : failure.failed_switches) search.ban_node(v);
+  for (const NodeId v : problem_->switch_ids()) {
+    if (!topology.has_switch(v)) search.ban_node(v);
+  }
+  for (const auto& link : failure.failed_links) search.ban_edge(link.a, link.b);
+  // Line 5.
+  return search.k_shortest_paths(s, d, k_, &can_transit_);
 }
 
 int Soag::num_actions() const { return problem_->num_switches() + k_; }
@@ -45,24 +66,7 @@ ActionSpace Soag::generate(const Topology& topology, const FailureScenario& fail
   if (!errors.empty()) {
     // Line 1: one (s, d) pair, picked uniformly from the error message.
     const auto& [s, d] = rng.pick(errors);
-
-    // Lines 2-4: Gc minus failed nodes, minus not-yet-planned switches,
-    // minus failed links.
-    Graph g = problem_->connections;
-    for (const NodeId v : failure.failed_switches) g.remove_node(v);
-    for (const NodeId v : problem_->switch_ids()) {
-      if (!topology.has_switch(v)) g.remove_node(v);
-    }
-    for (const auto& link : failure.failed_links) g.remove_edge(link.a, link.b);
-
-    // End stations never relay flows, so they cannot be path interior nodes.
-    TransitFilter can_transit(static_cast<std::size_t>(problem_->num_nodes()), 1);
-    for (NodeId v = 0; v < problem_->num_end_stations; ++v) {
-      can_transit[static_cast<std::size_t>(v)] = 0;
-    }
-
-    // Line 5.
-    paths = k_shortest_paths(g, s, d, k_, &can_transit);
+    paths = candidate_paths(topology, failure, s, d);
   }
 
   for (int slot = 0; slot < k_; ++slot) {

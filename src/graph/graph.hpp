@@ -1,14 +1,17 @@
 // Undirected weighted graph over a fixed vertex set.
 //
-// This is the common substrate for the connection graph Gc, the planned
-// topology Gt, failure scenarios Gf (as node/edge removals), and the residual
-// networks the recovery NBF routes on. Vertices are dense ids [0, n); a
-// removed vertex stays allocated but inactive so that ids remain stable
-// across subgraph operations — the RL observation encoding depends on ids
-// being positionally stable.
+// This is the mutable substrate for the connection graph Gc, the planned
+// topology Gt (Topology grows it link by link), failure scenarios Gf (as
+// node/edge removals), and the residual networks the scalar recovery NBF
+// routes on. Vertices are dense ids [0, n); a removed vertex stays allocated
+// but inactive so that ids remain stable across subgraph operations — the RL
+// observation encoding depends on ids being positionally stable.
 //
 // Neighbor sets are ordered (std::map) so every traversal is deterministic;
 // reproducible tie-breaking in Dijkstra/Yen is required for seeded runs.
+// Hot repeated queries (SOAG's Yen, the packed NBF session) do not copy a
+// Graph per query: they snapshot it once into a read-only CsrGraph
+// (graph/csr.hpp) with the same neighbor order and express removals as bans.
 #pragma once
 
 #include <map>

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "graph/csr.hpp"
+
 namespace nptsn {
 namespace {
 
@@ -19,9 +21,77 @@ struct Candidate {
 
 }  // namespace
 
+std::vector<Path> CsrSearch::k_shortest_paths(NodeId s, NodeId t, int k,
+                                              const TransitFilter* can_transit) {
+  NPTSN_EXPECT(k >= 0, "k must be non-negative");
+  check_query(s, t, can_transit);
+  std::vector<Path> accepted;
+  if (k == 0) return accepted;
+
+  auto first = shortest_path(s, t, can_transit);
+  if (!first) return accepted;
+  accepted.push_back(std::move(*first));
+
+  std::set<Candidate> candidates;
+  std::set<Path> known;  // accepted ∪ candidates, to avoid duplicates
+  known.insert(accepted.front());
+
+  while (static_cast<int>(accepted.size()) < k) {
+    const Path& prev = accepted.back();
+    for (std::size_t spur_idx = 0; spur_idx + 1 < prev.size(); ++spur_idx) {
+      const NodeId spur = prev[spur_idx];
+      // A spur from a non-transit node would relay through it, so skip it
+      // unless it is the path's source.
+      if (spur_idx > 0 && can_transit != nullptr &&
+          !(*can_transit)[static_cast<std::size_t>(spur)]) {
+        continue;
+      }
+      const auto root_end = prev.begin() + static_cast<std::ptrdiff_t>(spur_idx) + 1;
+      // Ban the edges that would recreate an accepted path sharing this root,
+      // and the root nodes before the spur, to keep paths loopless.
+      for (const Path& p : accepted) {
+        if (p.size() > spur_idx + 1 && std::equal(prev.begin(), root_end, p.begin())) {
+          ban_edge_into(graph_->edge_id(p[spur_idx], p[spur_idx + 1]), spur_edges_);
+        }
+      }
+      for (std::size_t i = 0; i < spur_idx; ++i) ban_into(prev[i], spur_nodes_);
+      const bool found = dijkstra(spur, t, can_transit);
+      Path total;
+      if (found) {
+        total.assign(prev.begin(), root_end);
+        append_found_path(spur, t, total);
+      }
+      lift(spur_nodes_, spur_edges_);
+      if (!found || known.contains(total)) continue;
+      known.insert(total);
+      // Summed edge by edge like path_length(), not root length + spur
+      // distance: the two round differently.
+      const double length = graph_->path_length(total);
+      candidates.insert({length, std::move(total)});
+    }
+
+    if (candidates.empty()) break;
+    accepted.push_back(candidates.begin()->path);
+    candidates.erase(candidates.begin());
+  }
+  return accepted;
+}
+
 std::vector<Path> k_shortest_paths(const Graph& g, NodeId s, NodeId t, int k,
                                    const TransitFilter* can_transit) {
+  const CsrGraph view(g);
+  CsrSearch search(view);
+  return search.k_shortest_paths(s, t, k, can_transit);
+}
+
+std::vector<Path> k_shortest_paths_reference(const Graph& g, NodeId s, NodeId t, int k,
+                                             const TransitFilter* can_transit) {
   NPTSN_EXPECT(k >= 0, "k must be non-negative");
+  g.check_node(s);
+  g.check_node(t);
+  NPTSN_EXPECT(can_transit == nullptr ||
+                   can_transit->size() == static_cast<std::size_t>(g.num_nodes()),
+               "transit filter size must match the graph");
   std::vector<Path> accepted;
   if (k == 0) return accepted;
 

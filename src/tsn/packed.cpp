@@ -1,15 +1,12 @@
 #include "tsn/packed.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <limits>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "graph/yen.hpp"
+#include "graph/csr.hpp"
 #include "tsn/sim_kernels.hpp"
 #include "util/expect.hpp"
 
@@ -17,25 +14,22 @@ namespace nptsn {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 // Per-call working set. Distinct scratches are independent, which is what
 // makes the session safe under concurrent recover() calls.
 struct PackedScratch {
+  explicit PackedScratch(const CsrGraph& gt) : search(gt) {}
+
   // Scenario state.
   std::vector<std::uint64_t> alive;              // words
   std::vector<const std::uint64_t*> rows;        // n row pointers (base or patched)
   std::vector<std::uint64_t> patched;            // copies of failed-link endpoint rows
-  std::vector<std::int32_t> dead_eids;           // sorted failed directed-edge ids
-  std::optional<Graph> residual;                 // lazy, Yen fallback only
 
   // Reachability scratch.
   std::vector<std::uint64_t> visited, frontier, next;
 
-  // Dijkstra scratch.
-  std::vector<double> dist;
-  std::vector<NodeId> prev;
-  std::vector<std::pair<double, NodeId>> heap;
+  // Dijkstra and Yen over the staged CSR of Gt, with the scenario's failed
+  // nodes and links as base bans.
+  CsrSearch search;
 
   // Slot-table scratch: one occupancy word per directed edge, reset via the
   // touched list instead of a full clear.
@@ -54,9 +48,9 @@ class PackedRecoverySession final : public NbfSession {
       : topology_(&topology),
         problem_(&topology.problem()),
         path_candidates_(path_candidates),
-        discipline_(discipline) {
-    const Graph& gt = topology.graph();
-    n_ = gt.num_nodes();
+        discipline_(discipline),
+        csr_(topology.graph()) {
+    n_ = csr_.num_nodes();
     words_ = tsk::words_for(n_);
     slots_ = problem_->tsn.slots_per_base;
 
@@ -64,28 +58,24 @@ class PackedRecoverySession final : public NbfSession {
     alive_base_.assign(static_cast<std::size_t>(words_), 0);
     transit_.assign(static_cast<std::size_t>(words_), 0);
     eid_lookup_.assign(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), -1);
-    row_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
 
     can_transit_.assign(static_cast<std::size_t>(n_), 1);
     for (NodeId v = 0; v < problem_->num_end_stations; ++v) {
       can_transit_[static_cast<std::size_t>(v)] = 0;
     }
 
+    // Directed edge ids are the CSR's.
     for (NodeId v = 0; v < n_; ++v) {
-      if (gt.is_active(v)) tsk::set_bit(alive_base_.data(), v);
+      if (csr_.is_active(v)) tsk::set_bit(alive_base_.data(), v);
       if (can_transit_[static_cast<std::size_t>(v)] != 0) tsk::set_bit(transit_.data(), v);
-      row_ptr_[static_cast<std::size_t>(v)] = static_cast<int>(nbr_.size());
-      for (const auto& [nb, len] : gt.neighbors(v)) {
+      for (int e = csr_.row_begin(v); e < csr_.row_end(v); ++e) {
+        const NodeId nb = csr_.target(e);
         tsk::set_bit(&adj_[static_cast<std::size_t>(v) * static_cast<std::size_t>(words_)],
                      nb);
         eid_lookup_[static_cast<std::size_t>(v) * static_cast<std::size_t>(n_) +
-                    static_cast<std::size_t>(nb)] = static_cast<std::int32_t>(nbr_.size());
-        nbr_.push_back(nb);
-        len_.push_back(len);
+                    static_cast<std::size_t>(nb)] = e;
       }
     }
-    row_ptr_[static_cast<std::size_t>(n_)] = static_cast<int>(nbr_.size());
-    num_eids_ = static_cast<int>(nbr_.size());
 
     timings_.reserve(problem_->flows.size());
     for (const FlowSpec& flow : problem_->flows) {
@@ -109,15 +99,16 @@ class PackedRecoverySession final : public NbfSession {
           tsk::reach_fast(s.rows.data(), words_, s.alive.data(), transit_.data(),
                           flow.source, flow.destination, s.visited.data(),
                           s.frontier.data(), s.next.data())) {
-        const Path sp = dijkstra(s, flow.source, flow.destination);
+        // The reach guard has established that a path exists.
+        auto sp = s.search.shortest_path(flow.source, flow.destination, &can_transit_);
+        NPTSN_ASSERT(sp.has_value(), "packed recovery: destination unreachable after reach guard");
         std::vector<int> slots;
-        if (schedule(s, sp, timing, slots)) {
-          result.state[i] = FlowAssignment{sp, std::move(slots)};
+        if (schedule(s, *sp, timing, slots)) {
+          result.state[i] = FlowAssignment{std::move(*sp), std::move(slots)};
           placed = true;
         } else if (path_candidates_ > 1) {
-          const auto candidates =
-              k_shortest_paths(residual_graph(s, scenario), flow.source, flow.destination,
-                               path_candidates_, &can_transit_);
+          const auto candidates = s.search.k_shortest_paths(
+              flow.source, flow.destination, path_candidates_, &can_transit_);
           for (std::size_t c = 1; c < candidates.size() && !placed; ++c) {
             if (schedule(s, candidates[c], timing, slots)) {
               result.state[i] = FlowAssignment{candidates[c], std::move(slots)};
@@ -146,15 +137,13 @@ class PackedRecoverySession final : public NbfSession {
         return s;
       }
     }
-    auto s = std::make_unique<PackedScratch>();
+    auto s = std::make_unique<PackedScratch>(csr_);
     s->alive.resize(static_cast<std::size_t>(words_));
     s->rows.resize(static_cast<std::size_t>(n_));
     s->visited.resize(static_cast<std::size_t>(words_));
     s->frontier.resize(static_cast<std::size_t>(words_));
     s->next.resize(static_cast<std::size_t>(words_));
-    s->dist.resize(static_cast<std::size_t>(n_));
-    s->prev.resize(static_cast<std::size_t>(n_));
-    s->slot_rows.assign(static_cast<std::size_t>(num_eids_), 0);
+    s->slot_rows.assign(static_cast<std::size_t>(csr_.num_edge_ids()), 0);
     return s;
   }
 
@@ -163,14 +152,14 @@ class PackedRecoverySession final : public NbfSession {
     pool_.push_back(std::move(s));
   }
 
-  // Applies the scenario to the scratch: alive mask, patched adjacency rows
-  // for failed-link endpoints, dead directed-edge ids, clean slot table.
+  // Applies the scenario to the scratch: alive mask and node bans, patched
+  // adjacency rows and edge bans for failed links, clean slot table.
   // Mirrors Topology::residual()'s validation so malformed scenarios fail
   // the same way as the scalar path.
   void prepare(PackedScratch& s, const FailureScenario& scenario) const {
     for (const std::int32_t eid : s.touched) s.slot_rows[static_cast<std::size_t>(eid)] = 0;
     s.touched.clear();
-    s.residual.reset();
+    s.search.clear_bans();
 
     std::copy(alive_base_.begin(), alive_base_.end(), s.alive.begin());
     for (const NodeId v : scenario.failed_switches) {
@@ -178,26 +167,23 @@ class PackedRecoverySession final : public NbfSession {
                    "failed node is not part of the topology");
       NPTSN_EXPECT(v >= 0 && v < n_, "node id out of range: " + std::to_string(v));
       tsk::clear_bit(s.alive.data(), v);
+      s.search.ban_node(v);
     }
 
     for (NodeId v = 0; v < n_; ++v) {
       s.rows[static_cast<std::size_t>(v)] =
           &adj_[static_cast<std::size_t>(v) * static_cast<std::size_t>(words_)];
     }
-    s.dead_eids.clear();
     s.patched.resize(2 * scenario.failed_links.size() * static_cast<std::size_t>(words_));
     std::size_t used = 0;
     for (const EdgeKey& link : scenario.failed_links) {
       NPTSN_EXPECT(link.a >= 0 && link.a < n_, "node id out of range: " + std::to_string(link.a));
       NPTSN_EXPECT(link.b >= 0 && link.b < n_, "node id out of range: " + std::to_string(link.b));
-      const std::int32_t e1 = eid_of(link.a, link.b);
-      if (e1 < 0) continue;  // not a planned link (removed with a failed node upstream)
-      s.dead_eids.push_back(e1);
-      s.dead_eids.push_back(eid_of(link.b, link.a));
+      if (eid_of(link.a, link.b) < 0) continue;  // not a planned link
+      s.search.ban_edge(link.a, link.b);
       patch_row(s, used, link.a, link.b);
       patch_row(s, used, link.b, link.a);
     }
-    std::ranges::sort(s.dead_eids);
   }
 
   // Clears bit `v` from node `u`'s adjacency row, copying the row into the
@@ -219,48 +205,6 @@ class PackedRecoverySession final : public NbfSession {
   std::int32_t eid_of(NodeId from, NodeId to) const {
     return eid_lookup_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
                        static_cast<std::size_t>(to)];
-  }
-
-  // Exact replica of graph/paths.cpp shortest_path() over the CSR view:
-  // same heap discipline (std::greater on (distance, node)), same strict
-  // relaxation, same ascending neighbor order — bit-identical paths. The
-  // caller has already established that `t` is reachable (reach_fast), so
-  // this always finds a path.
-  Path dijkstra(PackedScratch& s, NodeId src, NodeId dst) const {
-    if (src == dst) return Path{src};
-    std::fill(s.dist.begin(), s.dist.end(), kInf);
-    std::fill(s.prev.begin(), s.prev.end(), NodeId{-1});
-    s.heap.clear();
-    s.dist[static_cast<std::size_t>(src)] = 0.0;
-    s.heap.emplace_back(0.0, src);
-    const bool check_dead = !s.dead_eids.empty();
-    while (!s.heap.empty()) {
-      std::ranges::pop_heap(s.heap, std::greater<>());
-      const auto [d, u] = s.heap.back();
-      s.heap.pop_back();
-      if (d > s.dist[static_cast<std::size_t>(u)]) continue;
-      if (u == dst) break;
-      if (u != src && can_transit_[static_cast<std::size_t>(u)] == 0) continue;
-      const int end = row_ptr_[static_cast<std::size_t>(u) + 1];
-      for (int idx = row_ptr_[static_cast<std::size_t>(u)]; idx < end; ++idx) {
-        const NodeId v = nbr_[static_cast<std::size_t>(idx)];
-        if (!tsk::test_bit(s.alive.data(), v)) continue;
-        if (check_dead && std::ranges::binary_search(s.dead_eids, idx)) continue;
-        const double nd = d + len_[static_cast<std::size_t>(idx)];
-        if (nd < s.dist[static_cast<std::size_t>(v)]) {
-          s.dist[static_cast<std::size_t>(v)] = nd;
-          s.prev[static_cast<std::size_t>(v)] = u;
-          s.heap.emplace_back(nd, v);
-          std::ranges::push_heap(s.heap, std::greater<>());
-        }
-      }
-    }
-    NPTSN_ASSERT(s.dist[static_cast<std::size_t>(dst)] != kInf,
-                 "packed dijkstra: destination unreachable after reach guard");
-    Path path;
-    for (NodeId v = dst; v != -1; v = s.prev[static_cast<std::size_t>(v)]) path.push_back(v);
-    std::ranges::reverse(path);
-    return path;
   }
 
   // schedule_on_path() over the packed slot rows; identical search order and
@@ -325,26 +269,18 @@ class PackedRecoverySession final : public NbfSession {
     }
   }
 
-  const Graph& residual_graph(PackedScratch& s, const FailureScenario& scenario) const {
-    if (!s.residual) s.residual = topology_->residual(scenario);
-    return *s.residual;
-  }
-
   const Topology* topology_;
   const PlanningProblem* problem_;
   int path_candidates_;
   TtDiscipline discipline_;
 
+  CsrGraph csr_;                          // Gt; its edge ids are the directed eids
   int n_ = 0;
   int words_ = 0;
-  int num_eids_ = 0;
   int slots_ = 0;
   std::vector<std::uint64_t> adj_;        // n * words adjacency bit-rows
   std::vector<std::uint64_t> alive_base_; // active nodes of Gt
   std::vector<std::uint64_t> transit_;    // transit-capable nodes
-  std::vector<int> row_ptr_;              // CSR offsets
-  std::vector<NodeId> nbr_;               // CSR neighbors, ascending per node
-  std::vector<double> len_;               // CSR edge lengths
   std::vector<std::int32_t> eid_lookup_;  // dense (from, to) -> directed eid
   TransitFilter can_transit_;
   std::vector<FlowTiming> timings_;

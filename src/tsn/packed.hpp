@@ -1,16 +1,17 @@
 // Bitset-packed staged implementation of HeuristicRecovery — the production
 // fast path behind StatelessNbf::stage().
 //
-// Staging precomputes, once per topology: packed adjacency bit-rows, a CSR
-// view with per-directed-edge ids, the dense (from, to) -> edge-id lookup,
-// the transit mask, and every flow's FlowTiming. Each recover() then runs
-// entirely on flat arrays — a word-parallel reachability guard
-// (tsk::reach_fast), the exact Dijkstra of graph/paths.cpp over the CSR,
+// Staging precomputes, once per topology: packed adjacency bit-rows, a
+// CsrGraph of Gt whose edge ids are the per-directed-edge ids, the dense
+// (from, to) -> edge-id lookup, the transit mask, and every flow's
+// FlowTiming. Each recover() then runs entirely on flat arrays — a
+// word-parallel reachability guard (tsk::reach_fast), the shared CSR
+// Dijkstra and, when the shortest path cannot be scheduled, the shared CSR
+// Yen (graph/csr.hpp) with the scenario's failed nodes and links as bans,
 // and single-word slot-occupancy kernels instead of the std::map SlotTable.
-// Results are bit-identical to HeuristicRecovery::recover(); the scalar
-// path stays in the tree as the bit-frozen ground truth and the Yen
-// fallback (rare) still materializes a residual Graph and calls the shared
-// k_shortest_paths.
+// No residual Graph is built. Results are bit-identical to
+// HeuristicRecovery::recover(), which stays in the tree as the bit-frozen
+// ground truth with its own graph-copying Yen (k_shortest_paths_reference).
 #pragma once
 
 #include <memory>

@@ -39,8 +39,10 @@ NbfResult HeuristicRecovery::recover(const Topology& topology,
         result.state[i] = FlowAssignment{*sp, std::move(*slots)};
         placed = true;
       } else if (path_candidates_ > 1) {
-        const auto candidates = k_shortest_paths(residual, flow.source, flow.destination,
-                                                 path_candidates_, &can_transit);
+        // The graph-copying reference Yen: this scalar path is the packed
+        // session's ground truth, so it keeps an independent implementation.
+        const auto candidates = k_shortest_paths_reference(
+            residual, flow.source, flow.destination, path_candidates_, &can_transit);
         for (std::size_t c = 1; c < candidates.size() && !placed; ++c) {
           if (auto alt = schedule_on_path(table, candidates[c], timing, discipline_)) {
             result.state[i] = FlowAssignment{candidates[c], std::move(*alt)};

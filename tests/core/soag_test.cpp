@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "core/environment.hpp"
+#include "graph/yen.hpp"
+#include "scenarios/ads.hpp"
+#include "scenarios/generator.hpp"
+#include "scenarios/orion.hpp"
+#include "scenarios/scenario.hpp"
 #include "testing/test_problems.hpp"
 
 namespace nptsn {
@@ -214,6 +221,137 @@ TEST(Soag, ErrorPairSelectionIsSeedDependent) {
   }
   // Over several seeds both error pairs get targeted (Alg. 1 line 1).
   EXPECT_EQ(sources_seen.size(), 2u);
+}
+
+// Soag::generate() as it was before Gc became a CSR view: Alg. 1 on a
+// residual copy of Gc with the graph-copying reference Yen. The oracle for
+// the ban-based generate().
+ActionSpace reference_generate(const PlanningProblem& problem, int k,
+                               const Topology& topology, const FailureScenario& failure,
+                               const ErrorSet& errors, Rng& rng) {
+  ActionSpace space;
+  for (const NodeId v : problem.switch_ids()) {
+    Action action;
+    action.switch_id = v;
+    bool valid = !topology.has_switch(v);
+    if (!valid && topology.switch_asil(v) != Asil::D) {
+      valid = std::ranges::binary_search(failure.failed_switches, v);
+    }
+    space.actions.push_back(std::move(action));
+    space.mask.push_back(valid ? 1 : 0);
+  }
+  std::vector<Path> paths;
+  if (!errors.empty()) {
+    const auto& [s, d] = rng.pick(errors);
+    Graph g = problem.connections;
+    for (const NodeId v : failure.failed_switches) g.remove_node(v);
+    for (const NodeId v : problem.switch_ids()) {
+      if (!topology.has_switch(v)) g.remove_node(v);
+    }
+    for (const auto& link : failure.failed_links) g.remove_edge(link.a, link.b);
+    TransitFilter can_transit(static_cast<std::size_t>(problem.num_nodes()), 1);
+    for (NodeId v = 0; v < problem.num_end_stations; ++v) {
+      can_transit[static_cast<std::size_t>(v)] = 0;
+    }
+    paths = k_shortest_paths_reference(g, s, d, k, &can_transit);
+  }
+  for (int slot = 0; slot < k; ++slot) {
+    Action action;
+    action.kind = Action::Kind::kAddPath;
+    bool valid = false;
+    if (slot < static_cast<int>(paths.size())) {
+      action.path = paths[static_cast<std::size_t>(slot)];
+      valid = topology.path_respects_degrees(action.path);
+      bool adds_link = false;
+      for (std::size_t i = 0; i + 1 < action.path.size(); ++i) {
+        if (!topology.has_link(action.path[i], action.path[i + 1])) adds_link = true;
+      }
+      valid = valid && adds_link;
+    }
+    space.actions.push_back(std::move(action));
+    space.mask.push_back(valid ? 1 : 0);
+  }
+  return space;
+}
+
+// Steps a PlanningEnv with random valid actions and, at every state with a
+// counterexample, compares Soag::generate() with the reference under the same
+// RNG — at the configured K and at K = 32. Returns the states compared.
+int compare_along_rollout(const PlanningProblem& problem, int k, int steps,
+                          std::uint64_t seed) {
+  const HeuristicRecovery nbf;
+  NptsnConfig config;
+  config.path_actions = k;
+  SolutionRecorder recorder;
+  PlanningEnv env(problem, nbf, config, recorder, Rng(seed));
+  const Soag soag(problem, k);
+  const Soag soag32(problem, 32);
+  Rng pick(seed + 1);
+  int compared = 0;
+  for (int step = 0; step < steps; ++step) {
+    const AnalysisOutcome& analysis = env.last_analysis();
+    if (!analysis.reliable && !analysis.errors.empty()) {
+      for (const Soag* tested : {&soag, &soag32}) {
+        SCOPED_TRACE("step " + std::to_string(step) + " K " + std::to_string(tested->k()));
+        Rng a(seed * 1000 + static_cast<std::uint64_t>(step));
+        Rng b = a;
+        const ActionSpace got =
+            tested->generate(env.topology(), analysis.counterexample, analysis.errors, a);
+        const ActionSpace want = reference_generate(problem, tested->k(), env.topology(),
+                                                    analysis.counterexample,
+                                                    analysis.errors, b);
+        EXPECT_EQ(a.state(), b.state());
+        EXPECT_EQ(got.mask, want.mask);
+        EXPECT_EQ(got.actions.size(), want.actions.size());
+        for (std::size_t i = 0; i < got.actions.size() && i < want.actions.size(); ++i) {
+          EXPECT_EQ(got.actions[i].kind, want.actions[i].kind) << "slot " << i;
+          EXPECT_EQ(got.actions[i].switch_id, want.actions[i].switch_id) << "slot " << i;
+          EXPECT_EQ(got.actions[i].path, want.actions[i].path) << "slot " << i;
+        }
+      }
+      ++compared;
+    }
+    std::vector<int> valid;
+    const auto& mask = env.action_mask();
+    for (int i = 0; i < static_cast<int>(mask.size()); ++i) {
+      if (mask[static_cast<std::size_t>(i)] != 0) valid.push_back(i);
+    }
+    if (valid.empty() || env.step(pick.pick(valid)).episode_end) env.reset();
+  }
+  return compared;
+}
+
+TEST(Soag, MatchesReferenceYenOverCopiedResidualAlongRollouts) {
+  const Scenario orion = make_orion();
+  Rng flow_rng(7);
+  const PlanningProblem orion_problem =
+      with_flows(orion, random_flows(orion.problem, 6, flow_rng));
+  EXPECT_GT(compare_along_rollout(orion_problem, 8, 120, 1), 40);
+
+  const PlanningProblem ads_problem = with_flows(make_ads(), ads_flows());
+  EXPECT_GT(compare_along_rollout(ads_problem, 16, 120, 2), 40);
+
+  for (std::uint64_t seed = 3; seed <= 4; ++seed) {
+    GeneratorParams params;
+    params.zones = 3;
+    params.flow_count = 6;
+    EXPECT_GT(compare_along_rollout(generate(params, seed), 8, 80, seed), 20);
+  }
+}
+
+TEST(Soag, RejectsOutOfRangeFailureIds) {
+  const auto p = tiny_problem();
+  const Soag soag(p, 4);
+  Topology t(p);
+  t.add_switch(4);
+  Rng rng(1);
+  EXPECT_THROW(soag.generate(t, FailureScenario::of_switches({99}), {{0, 1}}, rng),
+               std::invalid_argument);
+  FailureScenario bad_link;
+  bad_link.failed_links = {EdgeKey{0, 42}};
+  EXPECT_THROW(soag.generate(t, bad_link, {{0, 1}}, rng), std::invalid_argument);
+  EXPECT_THROW(soag.generate(t, FailureScenario::none(), {{0, 17}}, rng),
+               std::invalid_argument);
 }
 
 TEST(Soag, RejectsNonPositiveK) {

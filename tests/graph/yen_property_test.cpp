@@ -1,11 +1,12 @@
-// Property test: Yen's algorithm against brute-force enumeration of ALL
-// simple paths on random small graphs — the returned list must be exactly
-// the k cheapest simple paths (as a length multiset).
+// Property test: Yen's algorithm (both implementations) against brute-force
+// enumeration of ALL simple paths on random small graphs — the returned list
+// must be exactly the k cheapest simple paths (as a length multiset).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "graph/yen.hpp"
+#include "testing/yen_impls.hpp"
 #include "util/rng.hpp"
 
 namespace nptsn {
@@ -58,20 +59,24 @@ TEST_P(YenVersusBruteForce, ReturnsTheKCheapestSimplePaths) {
   std::ranges::sort(reference, [&](const Path& a, const Path& b) {
     return path_length(g, a) < path_length(g, b);
   });
-  const auto yen = k_shortest_paths(g, s, t, k);
+  for (const auto& impl : testing::kYenImpls) {
+    SCOPED_TRACE(impl.name);
+    const auto yen = impl.run(g, s, t, k, nullptr);
 
-  // Count: min(k, total simple paths).
-  ASSERT_EQ(yen.size(), std::min<std::size_t>(static_cast<std::size_t>(k), reference.size()))
-      << "seed " << GetParam();
-  // Lengths must match the brute-force top-k exactly (paths themselves may
-  // tie-break differently at equal length).
-  for (std::size_t i = 0; i < yen.size(); ++i) {
-    EXPECT_NEAR(path_length(g, yen[i]), path_length(g, reference[i]), 1e-9)
-        << "seed " << GetParam() << " rank " << i;
-  }
-  // All returned paths are distinct and simple.
-  for (std::size_t i = 0; i < yen.size(); ++i) {
-    for (std::size_t j = i + 1; j < yen.size(); ++j) EXPECT_NE(yen[i], yen[j]);
+    // Count: min(k, total simple paths).
+    ASSERT_EQ(yen.size(),
+              std::min<std::size_t>(static_cast<std::size_t>(k), reference.size()))
+        << "seed " << GetParam();
+    // Lengths must match the brute-force top-k exactly (paths themselves may
+    // tie-break differently at equal length).
+    for (std::size_t i = 0; i < yen.size(); ++i) {
+      EXPECT_NEAR(path_length(g, yen[i]), path_length(g, reference[i]), 1e-9)
+          << "seed " << GetParam() << " rank " << i;
+    }
+    // All returned paths are distinct and simple.
+    for (std::size_t i = 0; i < yen.size(); ++i) {
+      for (std::size_t j = i + 1; j < yen.size(); ++j) EXPECT_NE(yen[i], yen[j]);
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "testing/test_problems.hpp"
@@ -128,6 +129,46 @@ TEST(PackedNbf, ByteIdenticalUnderTightSlotTables) {
     for (const auto& scenario : scenarios_up_to_order_two(problem, t)) {
       expect_identical(session->recover(scenario), nbf.recover(t, scenario),
                        "tight table, candidates " + std::to_string(candidates));
+    }
+  }
+}
+
+TEST(PackedNbf, ConcurrentRecoverCallsMatchTheScalarPath) {
+  // One session shared by four threads, each drawing its own pooled scratch
+  // (bans, Dijkstra and Yen state, slot rows). The tight table makes the
+  // shared CSR Yen fallback fire.
+  auto problem = tiny_problem(2);
+  problem.tsn.slots_per_base = 2;
+  for (auto& f : problem.flows) f = {0, 1, 500.0, 64, 500.0};
+  const auto t = dual_homed_topology(problem);
+  const HeuristicRecovery nbf(3);
+  const auto session = nbf.stage(t);
+  ASSERT_NE(session, nullptr);
+  const auto scenarios = scenarios_up_to_order_two(problem, t);
+  std::vector<NbfResult> expected;
+  for (const auto& scenario : scenarios) expected.push_back(nbf.recover(t, scenario));
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<NbfResult>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int round = 0; round < 20; ++round) {
+        for (std::size_t i = 0; i < scenarios.size(); ++i) {
+          // Each thread walks the scenarios from its own offset.
+          const std::size_t j = (i + static_cast<std::size_t>(w) * 7) % scenarios.size();
+          NbfResult result = session->recover(scenarios[j]);
+          if (round == 0) got[static_cast<std::size_t>(w)].push_back(std::move(result));
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int w = 0; w < kThreads; ++w) {
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+      const std::size_t j = (i + static_cast<std::size_t>(w) * 7) % scenarios.size();
+      expect_identical(got[static_cast<std::size_t>(w)][i], expected[j],
+                       "thread " + std::to_string(w) + " scenario " + std::to_string(j));
     }
   }
 }
