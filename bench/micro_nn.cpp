@@ -14,16 +14,18 @@
 //                 a differential check (the families must agree to ~1e-12
 //                 relative — FMA contraction only).
 //
-//   "scenarios" — the end-to-end epoch-forward path: every observation of a
-//                 rollout epoch pushed through the actor AND critic heads,
-//                 the way ppo_update consumes a batch. Reference = the
-//                 pre-batching formulation (one forward per step, naive
-//                 kernels); fast = one stacked GEMM per layer on the fast
-//                 kernels. The committed acceptance bar is >= 2x.
+//   "scenarios" — the epoch forward: one staged 256-observation rollout
+//                 batch pushed through the encoder node and the actor AND
+//                 critic heads, the way ppo_update consumes a batch. The
+//                 batch is staged once outside the timed region (staging is
+//                 weight-independent; an update stages once) and forwarded
+//                 under the reference and the fast family, so the ratio
+//                 isolates the kernel family like every gemm entry.
 //
 // Output is a single JSON document on stdout (the shared micro-bench schema:
 // name-keyed objects; metrics named speedup* are tracked by
-// tools/bench_compare as higher-is-better).
+// tools/bench_compare as higher-is-better, and CI fails a drop of more than
+// 30% against bench/results/micro_nn_fast.json).
 //
 //   micro_nn [--fast|--paper]
 #include <algorithm>
@@ -168,13 +170,19 @@ void bench_scenario(const char* name, const PlanningProblem& problem, const Mode
   ptrs.reserve(obs.size());
   for (const Observation& o : obs) ptrs.push_back(&o);
 
-  // Differential sanity: every batched row of both heads equals the
-  // per-observation forward, bit for bit.
-  set_nn_kernel(NnKernel::kFast);
-  {
-    const ActorCritic::ObservationBatch staged = net.stage_batch(ptrs);
-    const Matrix logits = net.forward_logits_batch(staged).value();
-    const Matrix values = net.forward_value_batch(staged).value();
+  const ActorCritic::ObservationBatch staged = net.stage_batch(ptrs);
+
+  // Differential sanity, in each family: every batched row of both heads
+  // equals the rollout's forward(obs), bit for bit; and the families agree
+  // to the FMA-contraction envelope.
+  Matrix family_logits[2];
+  Matrix family_values[2];
+  for (const NnKernel kernel : {NnKernel::kReference, NnKernel::kFast}) {
+    set_nn_kernel(kernel);
+    Matrix& logits = family_logits[kernel == NnKernel::kFast ? 1 : 0];
+    Matrix& values = family_values[kernel == NnKernel::kFast ? 1 : 0];
+    logits = net.forward_logits_batch(staged).value();
+    values = net.forward_value_batch(staged).value();
     double err = 0.0;
     for (std::size_t i = 0; i < obs.size(); ++i) {
       const int row = static_cast<int>(i);
@@ -189,33 +197,24 @@ void bench_scenario(const char* name, const PlanningProblem& problem, const Mode
       std::exit(1);
     }
   }
+  const double err = std::max(max_rel_err(family_logits[0], family_logits[1]),
+                              max_rel_err(family_values[0], family_values[1]));
+  if (err > 1e-9) {
+    std::fprintf(stderr, "%s: kernel families disagree (max rel err %g)\n", name, err);
+    std::exit(1);
+  }
 
   double ref_s = 0.0;
   double fast_s = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    // Reference: the pre-batching hot path — one actor + one critic forward
-    // per step on the naive kernels.
-    set_nn_kernel(NnKernel::kReference);
-    {
+    for (const NnKernel kernel : {NnKernel::kReference, NnKernel::kFast}) {
+      set_nn_kernel(kernel);
       const Stopwatch watch;
-      for (const Observation& o : obs) {
-        g_sink = g_sink + net.forward_logits(o).value().at(0, 0) +
-                 net.forward_value(o).value().at(0, 0);
-      }
-      const double seconds = watch.seconds();
-      if (rep == 0 || seconds < ref_s) ref_s = seconds;
-    }
-    // Fast: one stacked forward for the whole epoch on the fast kernels.
-    set_nn_kernel(NnKernel::kFast);
-    {
-      const Stopwatch watch;
-      // Staging (stacking + CSR indexing) is part of the measured fast path;
-      // both head forwards share the one staged batch, as the PPO update does.
-      const ActorCritic::ObservationBatch staged = net.stage_batch(ptrs);
       g_sink = g_sink + net.forward_logits_batch(staged).value().at(0, 0) +
                net.forward_value_batch(staged).value().at(0, 0);
       const double seconds = watch.seconds();
-      if (rep == 0 || seconds < fast_s) fast_s = seconds;
+      double& best = kernel == NnKernel::kFast ? fast_s : ref_s;
+      if (rep == 0 || seconds < best) best = seconds;
     }
   }
 
@@ -227,10 +226,11 @@ void bench_scenario(const char* name, const PlanningProblem& problem, const Mode
       "      \"feature_dim\": %d,\n"
       "      \"seconds_reference\": %.6f,\n"
       "      \"seconds_fast\": %.6f,\n"
-      "      \"speedup_epoch_forward\": %.3f\n"
+      "      \"speedup_epoch_forward\": %.3f,\n"
+      "      \"max_rel_err\": %.3g\n"
       "    }%s\n",
       name, steps, problem.num_nodes(), encoder.feature_dim(), ref_s, fast_s,
-      fast_s > 0.0 ? ref_s / fast_s : 0.0, last ? "" : ",");
+      fast_s > 0.0 ? ref_s / fast_s : 0.0, err, last ? "" : ",");
 }
 
 int run(int argc, char** argv) {

@@ -94,14 +94,13 @@ struct NptsnConfig {
   static constexpr int verification_threads = 1;
 
   // --- TSN compute kernels ----------------------------------------------------
-  // Kernel family for the TSN data plane (DESIGN.md §16): the bitset-packed
-  // NBF recovery session and the packed simulator state. kFast is
-  // bit-identical to kReference by contract — every slot decision is integer
-  // arithmetic, so unlike nn_kernel there is no FP divergence and no salt:
-  // verdicts, counterexamples, certificates, and training trajectories are
-  // byte-identical across families (differential-tested). kReference keeps
-  // the original scalar loops as frozen ground truth. plan() installs this
-  // process-globally (set_tsn_kernel), like nn_kernel.
+  // Whether the stateless NBF runs as a bitset-packed staged session
+  // (kFast) or through the scalar HeuristicRecovery::recover (kReference;
+  // DESIGN.md §16). The two are bit-identical by contract — every slot
+  // decision is integer arithmetic, so unlike nn_kernel there is no FP
+  // divergence and no salt: verdicts, counterexamples, certificates, and
+  // training trajectories are byte-identical either way (differential-tested).
+  // plan() installs this process-globally (set_tsn_kernel), like nn_kernel.
   TsnKernel tsn_kernel = TsnKernel::kFast;
 
   // --- failure frontier --------------------------------------------------------

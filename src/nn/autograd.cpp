@@ -462,17 +462,6 @@ Tensor affine_act(const Tensor& x, const Tensor& w, const Tensor& bias, Epilogue
   });
 }
 
-Tensor matmul_act(const Tensor& a, const Tensor& b, Epilogue act) {
-  Matrix out = matmul_epilogue(a.value(), b.value(), act);
-  return Tensor::make_op(std::move(out), {a, b}, [act](Node& self) {
-    Node& pa = parent(self, 0);
-    Node& pb = parent(self, 1);
-    const Matrix delta = epilogue_delta(self.grad, self.value, act);
-    if (pa.requires_grad) add_grad(pa, matmul_transposed(delta, pb.value));
-    if (pb.requires_grad) add_grad(pb, matmul_transposed_a(pa.value, delta));
-  });
-}
-
 Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int block_rows,
                    const Tensor& features, const std::vector<GcnWeights>& layers) {
   const Matrix& x = features.value();

@@ -105,9 +105,6 @@ Tensor transpose_op(const Tensor& a);
 // activation run as a single fused kernel pass, and the backward pass uses
 // the transposed-GEMM kernels instead of materializing transposes.
 Tensor affine_act(const Tensor& x, const Tensor& w, const Tensor& bias, Epilogue act);
-// One tape node for act(a b) — the GCN propagation step A_hat Z with its
-// ReLU fused into the output tile write.
-Tensor matmul_act(const Tensor& a, const Tensor& b, Epilogue act);
 // The whole batched GCN encoder (Eq. 4 layers and the mean readout) as ONE
 // tape node over B same-sized graphs stacked vertically. `features` holds B
 // blocks of block_rows rows; layer l maps graph g's rows H to

@@ -36,19 +36,6 @@ void Linear::collect_parameters(std::vector<Tensor>& out) const {
   out.push_back(bias_);
 }
 
-GcnLayer::GcnLayer(int in_features, int out_features, Rng& rng)
-    : lin_(in_features, out_features, rng) {}
-
-Tensor GcnLayer::forward(const Tensor& a_hat, const Tensor& h) const {
-  NPTSN_EXPECT(a_hat.rows() == a_hat.cols() && a_hat.rows() == h.rows(),
-               "adjacency/feature shape mismatch");
-  return matmul_act(a_hat, lin_.forward(h), Epilogue::kRelu);
-}
-
-void GcnLayer::collect_parameters(std::vector<Tensor>& out) const {
-  lin_.collect_parameters(out);
-}
-
 Matrix normalized_adjacency(const Matrix& adjacency) {
   NPTSN_EXPECT(adjacency.rows() == adjacency.cols(), "adjacency must be square");
   const int n = adjacency.rows();

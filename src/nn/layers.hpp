@@ -1,4 +1,6 @@
-// Network building blocks: Linear, the GCN layer of Eq. 4, and MLP stacks.
+// Network building blocks: Linear, the Eq. 4 adjacency normalization, the
+// GAT ablation layer, and MLP stacks. The GCN layers of Eq. 4 are Linear
+// weights run by the batched encoder node (gcn_encoder in nn/autograd).
 #pragma once
 
 #include <vector>
@@ -28,25 +30,6 @@ class Linear {
  private:
   Tensor weight_;
   Tensor bias_;
-};
-
-// One graph-convolution layer (Kipf & Welling; Eq. 4 of the paper):
-//   H' = sigma(A_hat H W + b),  A_hat = D^{-1/2} (A + I) D^{-1/2}
-// A_hat is part of the observation and passed per forward call.
-class GcnLayer {
- public:
-  GcnLayer(int in_features, int out_features, Rng& rng);
-
-  // a_hat: n x n constant; h: n x in -> relu(a_hat h W + b): n x out.
-  Tensor forward(const Tensor& a_hat, const Tensor& h) const;
-  // W (in x out) and b (1 x out), for the batched encoder (gcn_encoder),
-  // which runs every layer over a stacked batch as one tape node.
-  GcnWeights weights() const { return {lin_.weight(), lin_.bias()}; }
-
-  void collect_parameters(std::vector<Tensor>& out) const;
-
- private:
-  Linear lin_;
 };
 
 // Computes A_hat from a raw 0/1 adjacency matrix (self loops added here).

@@ -204,17 +204,6 @@ Matrix affine(const Matrix& x, const Matrix& w, const Matrix* bias, Epilogue act
   return out;
 }
 
-Matrix matmul_epilogue(const Matrix& a, const Matrix& b, Epilogue act) {
-  NPTSN_EXPECT(a.cols() == b.rows(), "matmul_epilogue shape mismatch");
-  Matrix out;
-  if (nn_kernel() == NnKernel::kFast) {
-    nnk::affine_fast(a, b, nullptr, act, out);
-  } else {
-    nnk::affine_reference(a, b, nullptr, act, out);
-  }
-  return out;
-}
-
 BlockAdjacency::BlockAdjacency(std::vector<Matrix> blocks)
     : blocks_(std::move(blocks)) {
   NPTSN_EXPECT(!blocks_.empty(), "BlockAdjacency needs at least one block");

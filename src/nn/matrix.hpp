@@ -32,8 +32,8 @@ NnKernel nn_kernel();
 void set_nn_kernel_threads(int threads);
 int nn_kernel_threads();
 
-// Fused epilogue applied by affine/matmul_epilogue in the same pass that
-// writes the output tile.
+// Fused epilogue applied by affine in the same pass that writes the output
+// tile.
 enum class Epilogue { kNone, kRelu, kTanh };
 
 namespace detail {
@@ -212,8 +212,8 @@ class BlockAdjacency {
 };
 
 // Free-function kernels. All check shapes. The GEMM entry points (matmul,
-// matmul_transposed, matmul_transposed_a, affine, matmul_epilogue) dispatch
-// on the process-global kernel family.
+// matmul_transposed, matmul_transposed_a, affine) dispatch on the
+// process-global kernel family.
 Matrix matmul(const Matrix& a, const Matrix& b);
 // a (M x K) * b^T with b given row-major as N x K — the gradient kernel
 // grad_x = grad * W^T (the fast family packs W^T once per call, W being a
@@ -225,8 +225,6 @@ Matrix matmul_transposed_a(const Matrix& a, const Matrix& b);
 // act(x * w + bias) in one pass; bias is a 1 x N row (may be null) and act
 // is applied elementwise as the output tile is written.
 Matrix affine(const Matrix& x, const Matrix& w, const Matrix* bias, Epilogue act);
-// act(a * b) — a matmul with a fused activation epilogue.
-Matrix matmul_epilogue(const Matrix& a, const Matrix& b, Epilogue act);
 Matrix transpose(const Matrix& a);
 Matrix add(const Matrix& a, const Matrix& b);
 Matrix sub(const Matrix& a, const Matrix& b);

@@ -24,7 +24,7 @@ ActorCritic::Config validated(ActorCritic::Config config) {
 ActorCritic::ActorCritic(const Config& config, Rng& rng)
     : config_(validated(config)),
       gcn_([&] {
-        std::vector<GcnLayer> layers;
+        std::vector<Linear> layers;
         if (config_.encoder != GraphEncoder::kGcn) return layers;
         int width = config_.feature_dim;
         for (int l = 0; l < config_.gcn_layers; ++l) {
@@ -51,23 +51,10 @@ ActorCritic::ActorCritic(const Config& config, Rng& rng)
               config_.critic_hidden, 1, rng) {}
 
 Tensor ActorCritic::encode(const Observation& obs) const {
-  NPTSN_EXPECT(obs.features.rows() == config_.num_nodes &&
-                   obs.features.cols() == config_.feature_dim,
-               "observation feature shape mismatch");
-  NPTSN_EXPECT(obs.a_hat.rows() == config_.num_nodes && obs.a_hat.cols() == config_.num_nodes,
-               "observation adjacency shape mismatch");
-  NPTSN_EXPECT(obs.params.rows() == 1 && obs.params.cols() == config_.param_dim,
-               "observation parameter shape mismatch");
-
+  // The attention neighborhood is A_hat's sparsity pattern (self loops are
+  // already part of the normalized adjacency).
   Tensor h = Tensor::constant(obs.features);
-  if (!gcn_.empty()) {
-    const Tensor a_hat = Tensor::constant(obs.a_hat);
-    for (const auto& layer : gcn_) h = layer.forward(a_hat, h);
-  } else if (!gat_.empty()) {
-    // The attention neighborhood is A_hat's sparsity pattern (self loops
-    // are already part of the normalized adjacency).
-    for (const auto& layer : gat_) h = layer.forward(obs.a_hat, h);
-  }
+  for (const auto& layer : gat_) h = layer.forward(obs.a_hat, h);
   Tensor embedding = mean_rows(h);
   if (config_.param_dim == 0) return embedding;
   return concat_cols(embedding, Tensor::constant(obs.params));
@@ -75,14 +62,27 @@ Tensor ActorCritic::encode(const Observation& obs) const {
 
 ActorCritic::ObservationBatch ActorCritic::stage_batch(
     const std::vector<const Observation*>& obs) const {
+  return stage(obs, stage_cache_.get());
+}
+
+ActorCritic::ObservationBatch ActorCritic::stage(const std::vector<const Observation*>& obs,
+                                                 AdjacencyStageCache* cache) const {
   NPTSN_EXPECT(!obs.empty(), "stage_batch needs at least one observation");
+  const int n = config_.num_nodes;
+  for (const Observation* o : obs) {
+    NPTSN_EXPECT(o->features.rows() == n && o->features.cols() == config_.feature_dim,
+                 "observation feature shape mismatch");
+    NPTSN_EXPECT(o->a_hat.rows() == n && o->a_hat.cols() == n,
+                 "observation adjacency shape mismatch");
+    NPTSN_EXPECT(o->params.rows() == 1 && o->params.cols() == config_.param_dim,
+                 "observation parameter shape mismatch");
+  }
   ObservationBatch staged;
   staged.batch = static_cast<int>(obs.size());
   staged.observations = obs;
   if (!gat_.empty()) return staged;  // per-observation fallback stages nothing
 
   const int batch = staged.batch;
-  const int n = config_.num_nodes;
   // One stacked feature matrix for all B graphs, plus the per-graph
   // adjacencies (with their CSR index) the block propagation needs.
   Matrix features(batch * n, config_.feature_dim);
@@ -90,21 +90,14 @@ ActorCritic::ObservationBatch ActorCritic::stage_batch(
   if (!gcn_.empty()) a_hats.reserve(obs.size());
   for (int b = 0; b < batch; ++b) {
     const Observation& o = *obs[static_cast<std::size_t>(b)];
-    NPTSN_EXPECT(o.features.rows() == n && o.features.cols() == config_.feature_dim,
-                 "observation feature shape mismatch");
-    NPTSN_EXPECT(o.a_hat.rows() == n && o.a_hat.cols() == n,
-                 "observation adjacency shape mismatch");
-    NPTSN_EXPECT(o.params.rows() == 1 && o.params.cols() == config_.param_dim,
-                 "observation parameter shape mismatch");
     std::copy(o.features.data(), o.features.data() + o.features.size(),
               features.data() + static_cast<std::size_t>(b) * n * config_.feature_dim);
     if (!gcn_.empty()) a_hats.push_back(o.a_hat);
   }
   staged.features = Tensor::constant(std::move(features));
   if (!gcn_.empty()) {
-    staged.a_hats = stage_cache_
-                        ? stage_cache_->stage(std::move(a_hats))
-                        : std::make_shared<const BlockAdjacency>(std::move(a_hats));
+    staged.a_hats = cache ? cache->stage(std::move(a_hats))
+                          : std::make_shared<const BlockAdjacency>(std::move(a_hats));
   }
   if (config_.param_dim > 0) {
     Matrix params(batch, config_.param_dim);
@@ -132,23 +125,15 @@ Tensor ActorCritic::encode_batch(const ObservationBatch& staged) const {
 
   std::vector<GcnWeights> weights;
   weights.reserve(gcn_.size());
-  for (const auto& layer : gcn_) weights.push_back(layer.weights());
+  for (const auto& layer : gcn_) weights.push_back({layer.weight(), layer.bias()});
   Tensor embedding = gcn_encoder(staged.a_hats, config_.num_nodes, staged.features, weights);
   if (config_.param_dim == 0) return embedding;
   return concat_cols(embedding, staged.params);
 }
 
 ActorCritic::Output ActorCritic::forward(const Observation& obs) const {
-  const Tensor encoded = encode(obs);
+  const Tensor encoded = encode_batch(stage({&obs}, nullptr));
   return {actor_.forward(encoded), critic_.forward(encoded)};
-}
-
-Tensor ActorCritic::forward_logits(const Observation& obs) const {
-  return actor_.forward(encode(obs));
-}
-
-Tensor ActorCritic::forward_value(const Observation& obs) const {
-  return critic_.forward(encode(obs));
 }
 
 Tensor ActorCritic::forward_logits_batch(const ObservationBatch& staged) const {
@@ -157,14 +142,6 @@ Tensor ActorCritic::forward_logits_batch(const ObservationBatch& staged) const {
 
 Tensor ActorCritic::forward_value_batch(const ObservationBatch& staged) const {
   return critic_.forward(encode_batch(staged));
-}
-
-Tensor ActorCritic::forward_logits_batch(const std::vector<const Observation*>& obs) const {
-  return forward_logits_batch(stage_batch(obs));
-}
-
-Tensor ActorCritic::forward_value_batch(const std::vector<const Observation*>& obs) const {
-  return forward_value_batch(stage_batch(obs));
 }
 
 std::vector<Tensor> ActorCritic::actor_parameters() const {

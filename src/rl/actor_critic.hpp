@@ -37,12 +37,12 @@ class ActorCritic {
     Tensor logits;  // 1 x A
     Tensor value;   // 1 x 1
   };
+  // One observation through both heads: every rollout step and the
+  // epoch-cut bootstrap. It stages a batch of one and runs the same encoder
+  // node as the PPO update's batched forwards, so its outputs are the
+  // update's rows bit for bit. The stage cache is never consulted here: a
+  // per-step admission would fill it with single-use forms.
   Output forward(const Observation& obs) const;
-
-  // Head-specific forwards for the PPO update phases (the shared GCN is
-  // evaluated either way, but the unused 256x256 head is skipped).
-  Tensor forward_logits(const Observation& obs) const;
-  Tensor forward_value(const Observation& obs) const;
 
   // Everything weight-independent about a batch of observations, staged
   // once: the stacked feature matrix, the stacked parameter rows, and the
@@ -50,7 +50,7 @@ class ActorCritic {
   // observations through the heads dozens of times while only the weights
   // change — stage once per update, reuse across every iteration of both
   // head loops. The source observations must outlive the staged batch (the
-  // GAT fallback and shape checks read through the retained pointers).
+  // GAT fallback reads through the retained pointers).
   // features/params are staged as constant Tensors (safe to reuse across
   // tapes: constants receive no gradient and hold no traversal state), so a
   // reuse costs no copy at all.
@@ -66,23 +66,19 @@ class ActorCritic {
   // Optional cross-session reuse of staged adjacency forms (nn/stage_cache):
   // when installed, stage_batch serves content-verified hits from the cache
   // instead of rebuilding dense blocks + CSR per batch. Exact (bit-identical
-  // forwards with the cache on or off); null uninstalls.
+  // forwards with the cache on or off); null uninstalls. forward(obs) stages
+  // past it.
   void set_stage_cache(std::shared_ptr<AdjacencyStageCache> cache) {
     stage_cache_ = std::move(cache);
   }
 
   // Batched head forwards over B observations: the whole GCN encoder is one
   // tape node over the stacked batch (gcn_encoder) and every MLP layer one
-  // stacked GEMM over all B inputs, instead of B per-observation calls (the
-  // PPO-update hot path; DESIGN.md §11). Row i of the result equals the
-  // per-observation forward of obs[i] bit-for-bit under either kernel
-  // family.
+  // stacked GEMM over all B inputs (the PPO-update hot path; DESIGN.md §11).
+  // Row i of the result equals forward(obs[i]) bit for bit under either
+  // kernel family.
   Tensor forward_logits_batch(const ObservationBatch& staged) const;  // B x A
   Tensor forward_value_batch(const ObservationBatch& staged) const;   // B x 1
-  // Convenience overloads that stage per call. Pointers must stay valid for
-  // the call only.
-  Tensor forward_logits_batch(const std::vector<const Observation*>& obs) const;
-  Tensor forward_value_batch(const std::vector<const Observation*>& obs) const;
 
   const Config& config() const { return config_; }
 
@@ -96,13 +92,17 @@ class ActorCritic {
   void copy_parameters_from(const ActorCritic& other);
 
  private:
-  Tensor encode(const Observation& obs) const;  // 1 x (embedding + P)
+  ObservationBatch stage(const std::vector<const Observation*>& obs,
+                         AdjacencyStageCache* cache) const;
+  // GAT's per-observation encoding, 1 x (embedding + P); GAT has no batched
+  // propagation.
+  Tensor encode(const Observation& obs) const;
   // B x (embedding + P); the GCN encoder runs the stacked batch as one tape
   // node, GAT falls back to per-observation encoding with a row stack.
   Tensor encode_batch(const ObservationBatch& staged) const;
 
   Config config_;
-  std::vector<GcnLayer> gcn_;
+  std::vector<Linear> gcn_;  // Eq. 4 layer weights, run by gcn_encoder
   std::vector<GatLayer> gat_;
   Mlp actor_;
   Mlp critic_;

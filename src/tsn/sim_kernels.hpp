@@ -1,16 +1,15 @@
-// SWAR kernel family for the packed TSN fast path (simulator, slot tables,
-// packed NBF sessions), following the src/nn/kernels pattern: every kernel
-// ships as a `_reference` / `_fast` pair with identical semantics. The
-// reference member is the bit-frozen scalar ground truth; the fast member is
-// the word-parallel production implementation. All decisions these kernels
-// make are integer/bit decisions, so the pair is BIT-identical on every
-// platform — selecting a kernel never changes a verdict, a schedule, or a
-// cache key (unlike the nn kernels, no float-summation caveat applies).
+// SWAR kernels of the packed NBF session (src/tsn/packed.cpp), following the
+// src/nn/kernels pattern: every kernel ships as a `_reference` / `_fast`
+// pair with identical semantics. The reference member is the bit-frozen
+// scalar ground truth, kept for the differential tests; the session always
+// calls the fast member. All decisions these kernels make are integer/bit
+// decisions, so the pair is BIT-identical on every platform (unlike the nn
+// kernels, no float-summation caveat applies).
 //
-// The global TsnKernel selector mirrors set_nn_kernel(): it picks which
-// member the packed call sites dispatch to, and whether staged packed NBF
-// sessions are used at all (kReference keeps the scalar std::map code paths
-// as ground truth).
+// The global TsnKernel selector has one job: HeuristicRecovery::stage()
+// returns a packed session only under kFast. kReference sends every NBF
+// call down the scalar std::map recovery instead. Verdicts, schedules and
+// cache keys are the same either way.
 #pragma once
 
 #include <cstdint>

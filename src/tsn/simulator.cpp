@@ -1,11 +1,9 @@
 #include "tsn/simulator.hpp"
-#include <algorithm>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
-#include "tsn/packed.hpp"
-#include "tsn/sim_kernels.hpp"
 #include "util/expect.hpp"
 
 namespace nptsn {
@@ -27,9 +25,10 @@ std::string frame_tag(const Frame& frame) {
   return os.str();
 }
 
-// Scalar reference executor: materialized residual Graph, per-slot frame
-// rescan, std::map wire occupancy. Bit-frozen ground truth for the packed
-// executor below.
+// The executor: materialized residual Graph, per-slot frame rescan,
+// std::map wire occupancy. Deliberately the plain scalar form: the auditor
+// replays every proof through it once per certificate, so it is an oracle,
+// not a hot path.
 void execute_reference(const Topology& topology, const FailureScenario& scenario,
                        const FlowState& state, std::vector<Frame>& frames,
                        SimulationReport& report) {
@@ -92,152 +91,6 @@ void execute_reference(const Topology& topology, const FailureScenario& scenario
   }
 }
 
-// Packed executor (TsnKernel::kFast): event-bucketed hop schedule instead of
-// the per-slot frame rescan, epoch-stamped per-directed-edge wire occupancy
-// instead of the std::map, and an alive-mask/edge-id residual test instead
-// of the materialized Graph copy. Violations, counters, and throws are
-// byte-identical to execute_reference (frames iterate in frame order within
-// each slot bucket because buckets are filled frames-outer).
-void execute_packed(const Topology& topology, const FailureScenario& scenario,
-                    const FlowState& state, std::vector<Frame>& frames,
-                    SimulationReport& report) {
-  const PlanningProblem& problem = topology.problem();
-  const Graph& gt = topology.graph();
-  const int n = gt.num_nodes();
-  const int slots = problem.tsn.slots_per_base;
-  auto violation = [&](const std::string& message) { report.violations.push_back(message); };
-
-  // Mirror Topology::residual()'s scenario validation (same messages, same
-  // order) without copying the graph.
-  const int words = tsk::words_for(n);
-  std::vector<std::uint64_t> alive(static_cast<std::size_t>(words), 0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (gt.is_active(v)) tsk::set_bit(alive.data(), v);
-  }
-  for (const NodeId v : scenario.failed_switches) {
-    NPTSN_EXPECT(topology.has_switch(v) || problem.is_end_station(v),
-                 "failed node is not part of the topology");
-    NPTSN_EXPECT(v >= 0 && v < n, "node id out of range: " + std::to_string(v));
-    tsk::clear_bit(alive.data(), v);
-  }
-  std::vector<std::int32_t> eid_lookup(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n), -1);
-  std::int32_t num_eids = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    for (const auto& [nb, len] : gt.neighbors(v)) {
-      (void)len;
-      eid_lookup[static_cast<std::size_t>(v) * static_cast<std::size_t>(n) +
-                 static_cast<std::size_t>(nb)] = num_eids++;
-    }
-  }
-  std::vector<char> dead_eid(static_cast<std::size_t>(num_eids), 0);
-  for (const auto& link : scenario.failed_links) {
-    NPTSN_EXPECT(link.a >= 0 && link.a < n, "node id out of range: " + std::to_string(link.a));
-    NPTSN_EXPECT(link.b >= 0 && link.b < n, "node id out of range: " + std::to_string(link.b));
-    const std::int32_t e1 = eid_lookup[static_cast<std::size_t>(link.a) *
-                                           static_cast<std::size_t>(n) +
-                                       static_cast<std::size_t>(link.b)];
-    if (e1 < 0) continue;
-    dead_eid[static_cast<std::size_t>(e1)] = 1;
-    const std::int32_t e2 = eid_lookup[static_cast<std::size_t>(link.b) *
-                                           static_cast<std::size_t>(n) +
-                                       static_cast<std::size_t>(link.a)];
-    dead_eid[static_cast<std::size_t>(e2)] = 1;
-  }
-
-  // Event buckets: every hop's due slot is known statically. Filled
-  // frames-outer so each bucket preserves frame order; a frame never has
-  // two hops due in the same slot (slots strictly increase).
-  std::vector<FlowTiming> timings(problem.flows.size());
-  std::vector<char> have_timing(problem.flows.size(), 0);
-  std::vector<int> bucket_count(static_cast<std::size_t>(slots) + 1, 0);
-  for (const Frame& frame : frames) {
-    const FlowAssignment& a = *state[frame.flow];
-    if (have_timing[frame.flow] == 0) {
-      timings[frame.flow] = FlowTiming::of(problem, problem.flows[frame.flow]);
-      have_timing[frame.flow] = 1;
-    }
-    for (const int slot : a.slots) {
-      ++bucket_count[static_cast<std::size_t>(
-          slot + frame.repetition * timings[frame.flow].period_slots)];
-    }
-  }
-  std::vector<int> bucket_start(static_cast<std::size_t>(slots) + 1, 0);
-  for (int s = 0; s < slots; ++s) bucket_start[s + 1] = bucket_start[s] + bucket_count[s];
-  std::vector<std::pair<std::int32_t, std::int32_t>> events(  // (frame, hop)
-      static_cast<std::size_t>(bucket_start[static_cast<std::size_t>(slots)]));
-  std::vector<int> cursor(bucket_start.begin(), bucket_start.end());
-  for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-    const FlowAssignment& a = *state[frames[fi].flow];
-    const int period = timings[frames[fi].flow].period_slots;
-    for (std::size_t h = 0; h < a.slots.size(); ++h) {
-      const int due = a.slots[h] + frames[fi].repetition * period;
-      events[static_cast<std::size_t>(cursor[static_cast<std::size_t>(due)]++)] = {
-          static_cast<std::int32_t>(fi), static_cast<std::int32_t>(h)};
-    }
-  }
-
-  // Epoch-stamped wire occupancy: wire_slot[eid] == s marks the directed
-  // edge as used in slot s (no per-slot clear).
-  std::vector<int> wire_slot(static_cast<std::size_t>(num_eids), -1);
-  std::vector<std::int32_t> wire_owner(static_cast<std::size_t>(num_eids), -1);
-  for (int s = 0; s < slots; ++s) {
-    for (int e = bucket_start[s]; e < bucket_start[s + 1]; ++e) {
-      Frame& frame = frames[static_cast<std::size_t>(events[static_cast<std::size_t>(e)].first)];
-      const std::size_t h = static_cast<std::size_t>(events[static_cast<std::size_t>(e)].second);
-      if (frame.dropped || frame.delivered) continue;
-      if (frame.next_hop != h) continue;  // an earlier hop was not reached yet
-      const FlowAssignment& a = *state[frame.flow];
-
-      const NodeId from = a.path[h];
-      const NodeId to = a.path[h + 1];
-      NPTSN_EXPECT(from >= 0 && from < n, "node id out of range: " + std::to_string(from));
-      NPTSN_EXPECT(to >= 0 && to < n, "node id out of range: " + std::to_string(to));
-      const std::int32_t eid = eid_lookup[static_cast<std::size_t>(from) *
-                                              static_cast<std::size_t>(n) +
-                                          static_cast<std::size_t>(to)];
-      const bool edge_alive = eid >= 0 && dead_eid[static_cast<std::size_t>(eid)] == 0 &&
-                              tsk::test_bit(alive.data(), from) &&
-                              tsk::test_bit(alive.data(), to);
-      if (!edge_alive) {
-        frame.dropped = true;
-        ++report.frames_dropped;
-        violation(frame_tag(frame) + ": dropped on failed link (" +
-                  std::to_string(from) + ", " + std::to_string(to) + ")");
-        continue;
-      }
-      if (wire_slot[static_cast<std::size_t>(eid)] == s) {
-        ++report.collisions;
-        violation(frame_tag(frame) + ": collides with " +
-                  frame_tag(frames[static_cast<std::size_t>(
-                      wire_owner[static_cast<std::size_t>(eid)])]) +
-                  " on link (" + std::to_string(from) + ", " + std::to_string(to) +
-                  ") at slot " + std::to_string(s));
-        frame.dropped = true;
-        ++report.frames_dropped;
-        continue;
-      }
-      wire_slot[static_cast<std::size_t>(eid)] = s;
-      wire_owner[static_cast<std::size_t>(eid)] =
-          events[static_cast<std::size_t>(e)].first;
-
-      ++frame.next_hop;
-      if (frame.next_hop == a.slots.size()) {
-        frame.delivered = true;
-        frame.delivery_slot = s;
-        ++report.frames_delivered;
-        const int latency = s - frame.release_slot + 1;
-        report.worst_latency_slots = std::max(report.worst_latency_slots, latency);
-        if (latency > timings[frame.flow].deadline_slots) {
-          ++report.frames_late;
-          violation(frame_tag(frame) + ": delivered after the deadline (latency " +
-                    std::to_string(latency) + " slots)");
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 SimulationReport simulate(const Topology& topology, const FailureScenario& scenario,
@@ -250,7 +103,7 @@ SimulationReport simulate(const Topology& topology, const FailureScenario& scena
   SimulationReport report;
   auto violation = [&](const std::string& message) { report.violations.push_back(message); };
 
-  // Static validation + frame creation (shared by both executors).
+  // Static validation + frame creation.
   std::vector<Frame> frames;
   for (std::size_t f = 0; f < state.size(); ++f) {
     if (!state[f]) continue;
@@ -297,12 +150,7 @@ SimulationReport simulate(const Topology& topology, const FailureScenario& scena
     }
   }
 
-  if (tsn_kernel() == TsnKernel::kFast &&
-      topology.graph().num_nodes() <= kPackedMaxNodes) {
-    execute_packed(topology, scenario, state, frames, report);
-  } else {
-    execute_reference(topology, scenario, state, frames, report);
-  }
+  execute_reference(topology, scenario, state, frames, report);
 
   for (const Frame& frame : frames) {
     if (!frame.delivered && !frame.dropped) {

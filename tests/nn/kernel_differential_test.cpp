@@ -256,13 +256,13 @@ TEST(KernelDifferential, AffineEpiloguesAgreeOnAllShapes) {
         expect_within(affine(x, w, pbias, act), ref, kTol, "affine");
       }
     }
+    // A square sparse left operand without bias: the A-hat-shaped product.
     set_nn_kernel(NnKernel::kReference);
     const Matrix p = random_matrix(s.m, s.m, 0.3, rng);
     const Matrix z = random_matrix(s.m, s.n, 0.7, rng);
-    const Matrix ref = matmul_epilogue(p, z, Epilogue::kRelu);
+    const Matrix ref = affine(p, z, nullptr, Epilogue::kRelu);
     set_nn_kernel(NnKernel::kFast);
-    expect_within(matmul_epilogue(p, z, Epilogue::kRelu), ref, kTol,
-                  "matmul_epilogue");
+    expect_within(affine(p, z, nullptr, Epilogue::kRelu), ref, kTol, "affine sparse A");
   }
 }
 

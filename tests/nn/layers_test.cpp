@@ -89,30 +89,6 @@ TEST(NormalizedAdjacency, RejectsBadInput) {
   EXPECT_THROW(normalized_adjacency(weighted), std::invalid_argument);
 }
 
-TEST(GcnLayer, PropagatesThroughAHat) {
-  Rng rng(6);
-  GcnLayer layer(2, 2, rng);
-  const Matrix a_hat = normalized_adjacency([] {
-    Matrix a(2, 2);
-    a.at(0, 1) = a.at(1, 0) = 1.0;
-    return a;
-  }());
-  const Tensor h = Tensor::constant(Matrix::from({{1.0, 0.0}, {0.0, 1.0}}));
-  const Tensor out = layer.forward(Tensor::constant(a_hat), h);
-  EXPECT_EQ(out.rows(), 2);
-  EXPECT_EQ(out.cols(), 2);
-  // ReLU output is non-negative.
-  for (int i = 0; i < out.value().size(); ++i) EXPECT_GE(out.value().data()[i], 0.0);
-}
-
-TEST(GcnLayer, ShapeMismatchChecked) {
-  Rng rng(7);
-  GcnLayer layer(2, 2, rng);
-  const Tensor a_hat = Tensor::constant(Matrix(3, 3));
-  const Tensor h = Tensor::constant(Matrix(2, 2));
-  EXPECT_THROW(layer.forward(a_hat, h), std::invalid_argument);
-}
-
 TEST(GatLayer, ShapesAndNonNegativity) {
   Rng rng(20);
   GatLayer layer(3, 4, rng);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "nn/layers.hpp"
+#include "nn/stage_cache.hpp"
 #include "testing/orion_batch.hpp"
 
 namespace nptsn {
@@ -50,12 +53,47 @@ TEST(ActorCritic, HeadSpecificForwardsMatchCombined) {
   ActorCritic net(small_config(), rng);
   const auto obs = small_obs();
   const auto out = net.forward(obs);
-  const auto logits = net.forward_logits(obs);
-  const auto value = net.forward_value(obs);
+  const ActorCritic::ObservationBatch staged = net.stage_batch({&obs});
+  const auto logits = net.forward_logits_batch(staged);
+  const auto value = net.forward_value_batch(staged);
   for (int j = 0; j < 5; ++j) {
     EXPECT_DOUBLE_EQ(out.logits.value().at(0, j), logits.value().at(0, j));
   }
   EXPECT_DOUBLE_EQ(out.value.item(), value.item());
+}
+
+// The rollout forwards one observation per step. Admitting each of those
+// single-use adjacencies would fill a shared stage cache's byte budget, so
+// forward(obs) stages past the cache; only stage_batch (the PPO update)
+// consults it.
+TEST(ActorCritic, RolloutForwardsNeverTouchTheStageCache) {
+  Rng rng(14);
+  ActorCritic net(small_config(), rng);
+  const auto cache = std::make_shared<AdjacencyStageCache>();
+  net.set_stage_cache(cache);
+  const auto obs = small_obs();
+  const ActorCritic::Output uncached = net.forward(obs);
+  for (int i = 0; i < 8; ++i) {
+    const ActorCritic::Output out = net.forward(obs);
+    EXPECT_EQ(out.value.item(), uncached.value.item());
+  }
+  AdjacencyStageCache::Stats stats = cache->stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+
+  const ActorCritic::ObservationBatch staged = net.stage_batch({&obs});
+  stats = cache->stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(net.forward_value_batch(staged).item(), uncached.value.item());
+
+  net.forward(obs);
+  stats = cache->stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.entries, 1u);
 }
 
 TEST(ActorCritic, DefaultEmbeddingIsTwiceNumNodes) {
@@ -188,16 +226,22 @@ TEST(ActorCritic, DeterministicGivenSeed) {
 }
 
 // PPO's importance ratios divide the update's batched log-probabilities by
-// ones taken from per-observation forwards during the rollout, so every row
-// of both batched heads must equal its per-observation forward bit for bit,
-// at every encoder depth and in both kernel families.
+// ones taken from the rollout's forward(obs), so every row of both batched
+// heads must equal that forward bit for bit, at every encoder depth, for the
+// GAT ablation encoder too, and in both kernel families.
 TEST(ActorCritic, BatchedForwardsMatchPerObservationForwards) {
   const NnKernel saved = nn_kernel();
   const testing::OrionBatch orion = testing::orion_batch(32, 3);
   std::vector<const Observation*> obs;
   for (const StepRecord& s : orion.batch.steps) obs.push_back(&s.obs);
-  for (const int gcn_layers : {0, 1, 2}) {
+  const std::pair<GraphEncoder, int> encoders[] = {{GraphEncoder::kGcn, 0},
+                                                   {GraphEncoder::kGcn, 1},
+                                                   {GraphEncoder::kGcn, 2},
+                                                   {GraphEncoder::kGat, 2}};
+  for (const auto& [family, gcn_layers] : encoders) {
+    const char* name = family == GraphEncoder::kGat ? "GAT" : "GCN";
     ActorCritic::Config config = orion.net_config;
+    config.encoder = family;
     config.gcn_layers = gcn_layers;
     Rng rng(21);
     const ActorCritic net(config, rng);
@@ -214,10 +258,10 @@ TEST(ActorCritic, BatchedForwardsMatchPerObservationForwards) {
         for (int j = 0; j < logits.cols(); ++j) {
           // Exact double equality on purpose: the contract is bitwise.
           EXPECT_EQ(logits.at(row, j), single.logits.value().at(0, j))
-              << "gcn_layers " << gcn_layers << ", row " << row << ", logit " << j;
+              << name << " layers " << gcn_layers << ", row " << row << ", logit " << j;
         }
         EXPECT_EQ(values.at(row, 0), single.value.item())
-            << "gcn_layers " << gcn_layers << ", row " << row;
+            << name << " layers " << gcn_layers << ", row " << row;
       }
     }
   }

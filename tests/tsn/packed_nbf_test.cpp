@@ -13,7 +13,6 @@
 
 #include "testing/test_problems.hpp"
 #include "tsn/sim_kernels.hpp"
-#include "tsn/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace nptsn {
@@ -190,33 +189,6 @@ TEST(PackedNbf, StageRespectsEnvelopeAndKernelSelection) {
   wide.tsn.slots_per_base = 65;
   const auto wide_t = dual_homed_topology(wide);
   EXPECT_EQ(nbf.stage(wide_t), nullptr);
-}
-
-TEST(PackedNbf, SimulatorReportsMatchAcrossKernels) {
-  const auto problem = tiny_problem(4);
-  const auto t = dual_homed_topology(problem);
-  const HeuristicRecovery nbf;
-  for (const auto& scenario : scenarios_up_to_order_two(problem, t)) {
-    const NbfResult recovered = nbf.recover(t, scenario);
-    SimulationReport fast;
-    SimulationReport reference;
-    {
-      KernelGuard guard(TsnKernel::kFast);
-      fast = simulate(t, scenario, recovered.state);
-    }
-    {
-      KernelGuard guard(TsnKernel::kReference);
-      reference = simulate(t, scenario, recovered.state);
-    }
-    EXPECT_EQ(fast.ok, reference.ok);
-    EXPECT_EQ(fast.frames_injected, reference.frames_injected);
-    EXPECT_EQ(fast.frames_delivered, reference.frames_delivered);
-    EXPECT_EQ(fast.frames_dropped, reference.frames_dropped);
-    EXPECT_EQ(fast.frames_late, reference.frames_late);
-    EXPECT_EQ(fast.collisions, reference.collisions);
-    EXPECT_EQ(fast.worst_latency_slots, reference.worst_latency_slots);
-    EXPECT_EQ(fast.violations, reference.violations);
-  }
 }
 
 // --- SWAR kernel-pair differentials on random inputs ----------------------

@@ -19,17 +19,14 @@
 #include <string>
 
 #include "analysis/auditor.hpp"
-#include "scenarios/ads.hpp"
-#include "scenarios/generator.hpp"
-#include "scenarios/orion.hpp"
-#include "util/rng.hpp"
+#include "scenarios/problem_spec.hpp"
 
 namespace {
 
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --certificate FILE --scenario ads|orion|gen:... [options]\n"
+      "usage: %s --certificate FILE --scenario SPEC [options]\n"
       "\n"
       "Re-audits a reliability certificate against a design scenario's\n"
       "planning problem, independently of the planner that emitted it.\n"
@@ -37,16 +34,19 @@ void usage(const char* argv0) {
       "options:\n"
       "  --certificate FILE   certificate file written by plan() /\n"
       "                       save_certificate_file (required)\n"
-      "  --scenario NAME      ads (12 ES, 4 switches, the 12 application\n"
-      "                       flows), orion (31 ES, 15 switches, random\n"
-      "                       flows), or gen:SEED[:FLOWS[:ZONES[:SPZ\n"
-      "                       [:BACKBONE[:ESDEG]]]]] — the same generated\n"
-      "                       zonal instance spec nptsn_serve accepts\n"
-      "                       (required)\n"
+      "  --scenario SPEC      the problem spec the plan was made for, in\n"
+      "                       nptsn_serve's grammar (required): ads (12 ES,\n"
+      "                       4 switches, the 12 application flows),\n"
+      "                       orion[:FLOWS[:SEED]] (31 ES, 15 switches,\n"
+      "                       random flows), or gen:SEED[:FLOWS[:ZONES\n"
+      "                       [:SPZ[:BACKBONE[:ESDEG]]]]] (a generated zonal\n"
+      "                       instance)\n"
       "  --flows N            use N seeded random flows instead of the\n"
       "                       scenario default (default: ads = application\n"
-      "                       flows, orion = 4 random flows)\n"
-      "  --flow-seed S        RNG seed for random flows (default 1)\n"
+      "                       flows, orion = 4 random flows); an orion\n"
+      "                       spec's own FLOWS wins\n"
+      "  --flow-seed S        RNG seed for random flows (default 1); an\n"
+      "                       orion spec's own SEED wins\n"
       "  --budget SEC         wall-clock budget for the exhaustive mixed\n"
       "                       link/switch completeness sweep (default 2.0)\n"
       "  --deadline-ms MS     hard wall-clock deadline over the WHOLE audit;\n"
@@ -112,47 +112,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // The spec alone rebuilds the problem: every form is deterministic.
   PlanningProblem problem;
-  if (scenario_name.rfind("gen:", 0) == 0) {
-    // Generated zonal instance, same spec grammar as nptsn_serve: the
-    // generator is deterministic, so the spec alone reconstructs the exact
-    // problem the certificate was issued for.
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t colon = scenario_name.find(':', start);
-      parts.push_back(scenario_name.substr(start, colon - start));
-      if (colon == std::string::npos) break;
-      start = colon + 1;
-    }
-    if (parts.size() < 2 || parts[1].empty()) {
-      std::fprintf(stderr, "error: gen spec needs a seed\n");
-      return 2;
-    }
-    const std::uint64_t seed = std::strtoull(parts[1].c_str(), nullptr, 10);
-    GeneratorParams params;
-    if (parts.size() > 2) params.flow_count = std::atoi(parts[2].c_str());
-    if (parts.size() > 3) params.zones = std::atoi(parts[3].c_str());
-    if (parts.size() > 4) params.switches_per_zone = std::atoi(parts[4].c_str());
-    if (parts.size() > 5) params.backbone_switches = std::atoi(parts[5].c_str());
-    if (parts.size() > 6) params.max_es_degree = std::atoi(parts[6].c_str());
-    try {
-      problem = generate(params, seed);
-    } catch (const ValidationError& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  } else if (scenario_name == "ads" || scenario_name == "orion") {
-    const Scenario scenario = scenario_name == "ads" ? make_ads() : make_orion();
-    if (flows < 0 && scenario_name == "ads") {
-      problem = with_flows(scenario, ads_flows());
-    } else {
-      Rng rng(flow_seed);
-      problem = with_flows(
-          scenario, random_flows(scenario.problem, flows < 0 ? 4 : flows, rng));
-    }
-  } else {
-    std::fprintf(stderr, "error: unknown scenario %s\n", scenario_name.c_str());
+  try {
+    problem = parse_problem_spec(scenario_name, {flows, flow_seed}).problem;
+  } catch (const ValidationError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
 

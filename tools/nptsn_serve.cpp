@@ -40,7 +40,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -48,13 +47,10 @@
 #include <vector>
 
 #include "analysis/certificate.hpp"
-#include "scenarios/ads.hpp"
-#include "scenarios/generator.hpp"
-#include "scenarios/orion.hpp"
+#include "scenarios/problem_spec.hpp"
 #include "service/crash_point.hpp"
 #include "service/service.hpp"
 #include "util/io.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -146,8 +142,10 @@ void usage(const char* argv0) {
       "Runs the planner service over the given problems and reports each\n"
       "session's outcome. SPEC is one of:\n"
       "  ads                the ADS scenario with its application flows\n"
-      "  orion[:FLOWS[:SEED]]   ORION with FLOWS random flows (default 4)\n"
-      "  gen:SEED[:FLOWS[:ZONES]]  a generated zonal instance\n"
+      "  orion[:FLOWS[:SEED]]   ORION with FLOWS random flows (default 4,\n"
+      "                     seed 1)\n"
+      "  gen:SEED[:FLOWS[:ZONES[:SPZ[:BACKBONE[:ESDEG]]]]]\n"
+      "                     a generated zonal instance\n"
       "  problem:PATH       canonical problem bytes (net/problem.hpp)\n"
       "  pending:PATH       a pending-request file from an interrupted run\n"
       "  pending-dir:DIR    every pending-*.req under DIR (corrupt files are\n"
@@ -288,80 +286,27 @@ std::vector<PlanningRequest> build_requests(const Spec& spec) {
   request.priority = spec.priority;
   const std::string& text = spec.text;
 
-  auto split = [](const std::string& s) {
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t colon = s.find(':', start);
-      parts.push_back(s.substr(start, colon - start));
-      if (colon == std::string::npos) return parts;
-      start = colon + 1;
-    }
-  };
-  const std::vector<std::string> parts = split(text);
-
-  if (parts[0] == "ads") {
-    const Scenario scenario = make_ads();
-    request.id = "ads";
-    request.label = "ADS / application flows";
-    request.problem_bytes = problem_bytes(with_flows(scenario, ads_flows()));
-  } else if (parts[0] == "orion") {
-    const int flows = parts.size() > 1 ? std::atoi(parts[1].c_str()) : 4;
-    const std::uint64_t seed =
-        parts.size() > 2 ? std::strtoull(parts[2].c_str(), nullptr, 10) : 1;
-    const Scenario scenario = make_orion();
-    Rng rng(seed);
-    request.id = "orion-f" + std::to_string(flows) + "-s" + std::to_string(seed);
-    request.label = "ORION / " + std::to_string(flows) + " random flows";
-    request.problem_bytes =
-        problem_bytes(with_flows(scenario, random_flows(scenario.problem, flows, rng)));
-  } else if (parts[0] == "gen") {
-    if (parts.size() < 2 || parts[1].empty()) {
-      throw ValidationError(
-          "gen spec needs a seed: gen:SEED[:FLOWS[:ZONES[:SPZ[:BACKBONE[:ESDEG]]]]]");
-    }
-    const std::uint64_t seed = std::strtoull(parts[1].c_str(), nullptr, 10);
-    GeneratorParams params;
-    if (parts.size() > 2) params.flow_count = std::atoi(parts[2].c_str());
-    if (parts.size() > 3) params.zones = std::atoi(parts[3].c_str());
-    // Optional richness knobs (frontier hardening needs them: a min-order-2
-    // plan only exists when end stations can be homed to >= 3 switches).
-    if (parts.size() > 4) params.switches_per_zone = std::atoi(parts[4].c_str());
-    if (parts.size() > 5) params.backbone_switches = std::atoi(parts[5].c_str());
-    if (parts.size() > 6) params.max_es_degree = std::atoi(parts[6].c_str());
-    request.id = "gen-" + std::to_string(seed) + "-f" +
-                 std::to_string(params.flow_count) + "-z" + std::to_string(params.zones);
-    if (parts.size() > 4) {
-      request.id += "-s" + std::to_string(params.switches_per_zone) + "-b" +
-                    std::to_string(params.backbone_switches) + "-d" +
-                    std::to_string(params.max_es_degree);
-    }
-    request.label = describe(params) + " seed " + std::to_string(seed);
-    request.problem_bytes = problem_bytes(generate(params, seed));
-  } else if (parts[0] == "problem") {
-    if (parts.size() < 2 || parts[1].empty()) {
-      throw ValidationError("problem spec needs a path: problem:PATH");
-    }
-    // The rest of the spec is the path (it may itself contain colons).
-    const std::string path = text.substr(std::strlen("problem:"));
+  const std::string family = text.substr(0, text.find(':'));
+  // The rest of a file spec is its path (it may itself contain colons).
+  const std::string path = family.size() < text.size() ? text.substr(family.size() + 1) : "";
+  if (family == "problem") {
+    if (path.empty()) throw ValidationError("problem spec needs a path: problem:PATH");
     request.id = path.substr(path.find_last_of('/') + 1);
     request.label = "problem file " + path;
     request.problem_bytes = read_file_bytes(path);
-  } else if (parts[0] == "pending-dir") {
-    if (parts.size() < 2 || parts[1].empty()) {
-      throw ValidationError("pending-dir spec needs a path: pending-dir:DIR");
-    }
-    const std::string dir = text.substr(std::strlen("pending-dir:"));
-    return load_pending_dir(dir);
-  } else if (parts[0] == "pending") {
-    if (parts.size() < 2 || parts[1].empty()) {
-      throw ValidationError("pending spec needs a path: pending:PATH");
-    }
-    const std::string path = text.substr(std::strlen("pending:"));
+  } else if (family == "pending-dir") {
+    if (path.empty()) throw ValidationError("pending-dir spec needs a path: pending-dir:DIR");
+    return load_pending_dir(path);
+  } else if (family == "pending") {
+    if (path.empty()) throw ValidationError("pending spec needs a path: pending:PATH");
     request = load_pending(load_checkpoint_file(path, kPendingRequestVersion));
     if (spec.priority != 0) request.priority = spec.priority;
   } else {
-    throw ValidationError("unknown spec '" + text + "'");
+    // ads, orion[:...] and gen:...: the grammar nptsn_audit shares.
+    ProblemSpec problem = parse_problem_spec(text);
+    request.id = std::move(problem.id);
+    request.label = std::move(problem.label);
+    request.problem_bytes = problem_bytes(problem.problem);
   }
   return {std::move(request)};
 }
