@@ -27,18 +27,25 @@ void Adam::step() {
   ++step_count_;
   const double bias1 = 1.0 - std::pow(options_.beta1, static_cast<double>(step_count_));
   const double bias2 = 1.0 - std::pow(options_.beta2, static_cast<double>(step_count_));
+  // Locals, so the compiler need not reload them after every store; with
+  // -fno-math-errno on this file the loop vectorizes (src/nn/CMakeLists.txt).
+  const double beta1 = options_.beta1;
+  const double beta2 = options_.beta2;
+  const double lr = options_.learning_rate;
+  const double eps = options_.epsilon;
   for (std::size_t i = 0; i < parameters_.size(); ++i) {
-    Matrix& value = parameters_[i].mutable_value();
-    const Matrix& grad = parameters_[i].mutable_grad();
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    for (int j = 0; j < value.size(); ++j) {
-      const double g = grad.data()[j];
-      m.data()[j] = options_.beta1 * m.data()[j] + (1.0 - options_.beta1) * g;
-      v.data()[j] = options_.beta2 * v.data()[j] + (1.0 - options_.beta2) * g * g;
-      const double m_hat = m.data()[j] / bias1;
-      const double v_hat = v.data()[j] / bias2;
-      value.data()[j] -= options_.learning_rate * m_hat / (std::sqrt(v_hat) + options_.epsilon);
+    const int size = parameters_[i].value().size();
+    double* value = parameters_[i].mutable_value().data();
+    const double* grad = parameters_[i].mutable_grad().data();
+    double* m = m_[i].data();
+    double* v = v_[i].data();
+    for (int j = 0; j < size; ++j) {
+      const double g = grad[j];
+      m[j] = beta1 * m[j] + (1.0 - beta1) * g;
+      v[j] = beta2 * v[j] + (1.0 - beta2) * g * g;
+      const double m_hat = m[j] / bias1;
+      const double v_hat = v[j] / bias2;
+      value[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
     }
   }
 }

@@ -463,15 +463,16 @@ Tensor affine_act(const Tensor& x, const Tensor& w, const Tensor& bias, Epilogue
 }
 
 Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int block_rows,
-                   const Tensor& features, const std::vector<GcnWeights>& layers) {
-  const Matrix& x = features.value();
+                   const std::shared_ptr<const CsrRows>& features,
+                   const std::vector<GcnWeights>& layers) {
+  NPTSN_EXPECT(features != nullptr, "gcn_encoder needs staged features");
+  const CsrRows& x = *features;
   NPTSN_EXPECT(block_rows >= 1 && x.rows() % block_rows == 0,
                "gcn_encoder: feature rows are not a whole number of graphs");
-  NPTSN_EXPECT(!features.requires_grad(), "gcn_encoder needs constant features");
   const int n = block_rows;
   const int count = x.rows() / n;
   const int depth = static_cast<int>(layers.size());
-  std::vector<Tensor> inputs = {features};
+  std::vector<Tensor> inputs;
   int width = x.cols();
   int tile_width = 0;  // widest layer output: the affine scratch tile
   std::int64_t flops = 0;
@@ -493,9 +494,10 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
                  "gcn_encoder needs symmetric adjacency blocks (A-hat^T = A-hat)");
   }
 
-  // Forward, every layer of a graph back to back. Only the outputs the
-  // backward reads leave the tiles: layers 1..L-1 (the next layer's input and
-  // ReLU gate), and the last layer's gate as one byte per element.
+  // Forward, every layer of a graph back to back, the first from the CSR
+  // features. Only the outputs the backward reads leave the tiles: layers
+  // 1..L-1 (the next layer's input and ReLU gate), and the last layer's gate
+  // as one byte per element.
   const nnk::GcnKernels& kernels = nnk::gcn_kernels(nn_kernel());
   std::vector<Matrix> hidden;
   for (int l = 0; l + 1 < depth; ++l) {
@@ -511,27 +513,28 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
     Matrix z = Matrix::uninitialized(n, tile_width);
     Matrix last = Matrix::uninitialized(n, width);
     for (int g = begin; g < end; ++g) {
-      const double* h = x.data() + static_cast<std::size_t>(g) * n * x.cols();
+      double* orow = out.data() + static_cast<std::size_t>(g) * width;
+      if (depth == 0) {
+        nnk::mean_readout_csr(x, g * n, n, inv, orow);
+        continue;
+      }
+      const double* h = nullptr;
       for (int l = 0; l < depth; ++l) {
         const GcnWeights& layer = layers[static_cast<std::size_t>(l)];
         double* y = l + 1 < depth ? hidden[static_cast<std::size_t>(l)].data() +
                                         static_cast<std::size_t>(g) * n * layer.weight.cols()
                                   : last.data();
-        kernels.layer(*a_hats, g, h, layer.weight.value(), layer.bias.value(), z.data(), y);
+        if (l == 0) {
+          kernels.layer_csr(*a_hats, g, x, layer.weight.value(), layer.bias.value(), z.data(),
+                            y);
+        } else {
+          kernels.layer(*a_hats, g, h, layer.weight.value(), layer.bias.value(), z.data(), y);
+        }
         h = y;
       }
-      // The readout is mean_rows' arithmetic: ascending rows from +0.0.
-      double* orow = out.data() + static_cast<std::size_t>(g) * width;
-      std::fill(orow, orow + width, 0.0);
-      for (int i = 0; i < n; ++i) {
-        const double* hrow = h + static_cast<std::size_t>(i) * width;
-        for (int j = 0; j < width; ++j) orow[j] += hrow[j];
-      }
-      for (int j = 0; j < width; ++j) orow[j] *= inv;
-      if (depth > 0) {
-        std::uint8_t* d = dead.data() + static_cast<std::size_t>(g) * n * width;
-        for (int e = 0; e < n * width; ++e) d[e] = h[e] <= 0.0;
-      }
+      nnk::mean_readout(h, n, width, inv, orow);
+      nnk::relu_dead_bytes(h, static_cast<std::size_t>(n) * width,
+                           dead.data() + static_cast<std::size_t>(g) * n * width);
     }
   });
 
@@ -540,14 +543,14 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
   // column sums, x^T delta into the weight gradient's chain, and delta W^T
   // into the layer below's gate. Every element keeps the chain the unfused
   // tape computed over the whole batch (DESIGN.md §11).
-  auto backward = [a_hats, n, hidden = std::move(hidden), dead = std::move(dead)](Node& self) {
-    const int depth = static_cast<int>(self.parents.size() - 1) / 2;
-    const Matrix& x = parent(self, 0).value;
+  auto backward = [a_hats, features, n, hidden = std::move(hidden),
+                   dead = std::move(dead)](Node& self) {
+    const int depth = static_cast<int>(self.parents.size()) / 2;
     const auto weight = [&](int l) -> Node& {
-      return parent(self, 1 + 2 * static_cast<std::size_t>(l));
+      return parent(self, 2 * static_cast<std::size_t>(l));
     };
     const auto bias = [&](int l) -> Node& {
-      return parent(self, 2 + 2 * static_cast<std::size_t>(l));
+      return parent(self, 2 * static_cast<std::size_t>(l) + 1);
     };
     // No delta is needed below the lowest layer with a trainable parameter.
     int lowest = 0;
@@ -578,13 +581,12 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
       const int g1 = std::min(count, g0 + run);
       const int rows = (g1 - g0) * n;
       const std::size_t row0 = static_cast<std::size_t>(g0) * n;
-      // The readout's broadcast, then the last layer's ReLU gate. 0.0 + d is
-      // what adopting d as an empty gradient computes (it maps -0.0 to +0.0).
-      for (int r = 0; r < rows; ++r) {
-        const double* grow = self.grad.data() + static_cast<std::size_t>(g0 + r / n) * width;
-        const std::uint8_t* drow = dead.data() + (row0 + r) * width;
-        double* d = delta.data() + static_cast<std::size_t>(r) * width;
-        for (int j = 0; j < width; ++j) d[j] = drow[j] ? 0.0 : 0.0 + grow[j] * inv;
+      // The readout's broadcast, then the last layer's ReLU gate.
+      for (int g = g0; g < g1; ++g) {
+        const std::size_t at = static_cast<std::size_t>(g) * n * width;
+        nnk::readout_gate(self.grad.data() + static_cast<std::size_t>(g) * width, inv,
+                          dead.data() + at, n, width,
+                          delta.data() + (at - row0 * width));
       }
       for (int l = depth - 1; l >= lowest; --l) {
         const Matrix& w = weight(l).value;
@@ -595,25 +597,26 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
           kernels.propagate(*a_hats, g, delta.data() + at, out, prop.data() + at);
         }
         if (bias(l).requires_grad) {
-          double* gb = bias(l).ensure_grad().data();
-          for (int r = 0; r < rows; ++r) {
-            const double* prow = prop.data() + static_cast<std::size_t>(r) * out;
-            for (int j = 0; j < out; ++j) gb[j] += prow[j];
-          }
+          nnk::add_col_sums(prop.data(), rows, out, bias(l).ensure_grad().data());
         }
+        // The layer's input: the CSR features below the first layer, the
+        // stored output of the layer below elsewhere.
         const double* h =
-            (l == 0 ? x.data() : hidden[static_cast<std::size_t>(l - 1)].data()) + row0 * in;
+            l == 0 ? nullptr : hidden[static_cast<std::size_t>(l - 1)].data() + row0 * in;
         if (weight(l).requires_grad) {
-          kernels.matmul_tn_resume(h, rows, in, prop.data(), out,
-                                   dw[static_cast<std::size_t>(l)].data());
+          double* gw = dw[static_cast<std::size_t>(l)].data();
+          if (l == 0) {
+            kernels.matmul_tn_resume_csr(*features, static_cast<int>(row0), rows, prop.data(),
+                                         out, gw);
+          } else {
+            kernels.matmul_tn_resume(h, rows, in, prop.data(), out, gw);
+          }
         }
         if (l > lowest) {
           kernels.matmul_rows(prop.data(), rows, out, wt[static_cast<std::size_t>(l)].data(),
                               in, back.data());
           // The layer below's ReLU gate, at its stored output.
-          double* d = delta.data();
-          const double* b = back.data();
-          for (int e = 0; e < rows * in; ++e) d[e] = h[e] <= 0.0 ? 0.0 : 0.0 + b[e];
+          nnk::relu_gate(h, back.data(), static_cast<std::size_t>(rows) * in, delta.data());
         }
       }
     }

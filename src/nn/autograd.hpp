@@ -107,26 +107,30 @@ Tensor transpose_op(const Tensor& a);
 Tensor affine_act(const Tensor& x, const Tensor& w, const Tensor& bias, Epilogue act);
 // The whole batched GCN encoder (Eq. 4 layers and the mean readout) as ONE
 // tape node over B same-sized graphs stacked vertically. `features` holds B
-// blocks of block_rows rows; layer l maps graph g's rows H to
+// blocks of block_rows rows, staged as CSR rows (the observation features
+// are a few percent nonzero); layer l maps graph g's rows H to
 // relu(a_hats[g] (H W_l + b_l)), and row g of the B x width result is the
 // column mean of graph g's last layer (of its features when `layers` is
 // empty). The forward runs every layer of a graph back to back in
 // block_rows x width tiles; the backward streams the batch a few graphs at a
 // time through the same kind of tiles, so no stacked gradient matrix exists.
-// The node keeps the stacked outputs of layers 1..L-1 and one byte per
-// element of the last layer's ReLU gate. Each kernel family computes every
-// output and gradient bit the unfused tape of affine, per-graph A-hat
-// products, ReLU and per-graph means computes (DESIGN.md §11).
-// The features must be a constant, and the adjacencies symmetric
-// (BlockAdjacency::symmetric(), true for every Eq. 4 A-hat; anything else
-// throws): the backward propagates a_hats[g]^T delta = a_hats[g] delta with
-// the forward kernels. a_hats may be null when `layers` is empty.
+// The node keeps the stacked outputs of layers 1..L-1, one byte per element
+// of the last layer's ReLU gate, and a reference to the features for the
+// first layer's x^T delta. Each kernel family computes every output and
+// gradient bit the unfused tape of affine, per-graph A-hat products, ReLU
+// and per-graph means computes over the dense features (DESIGN.md §11).
+// The features are constants (they receive no gradient), and the
+// adjacencies must be symmetric (BlockAdjacency::symmetric(), true for every
+// Eq. 4 A-hat; anything else throws): the backward propagates
+// a_hats[g]^T delta = a_hats[g] delta with the forward kernels. a_hats may
+// be null when `layers` is empty.
 struct GcnWeights {
   Tensor weight;  // in x out
   Tensor bias;    // 1 x out
 };
 Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int block_rows,
-                   const Tensor& features, const std::vector<GcnWeights>& layers);
+                   const std::shared_ptr<const CsrRows>& features,
+                   const std::vector<GcnWeights>& layers);
 // Row r as a 1 x C tensor. The gradient accumulates directly into row r of
 // the parent (no full-size scratch), so selecting every row of a batch
 // stays O(rows x cols) total.

@@ -71,14 +71,19 @@ bool want_parallel(std::int64_t m, std::int64_t n, std::int64_t k) {
 // Without AVX the lane type must fit an SSE register: a 32-byte vector
 // passed or returned by value there has no native register and changes the
 // ABI (GCC's -Wpsabi).
+// vnm is the matching lane mask: a comparison of two vnd yields all ones in
+// the lanes where it holds and zero elsewhere.
 #if defined(__AVX512F__)
 typedef double vnd __attribute__((vector_size(64)));
+typedef std::int64_t vnm __attribute__((vector_size(64)));
 constexpr int kLanes = 8;
 #elif defined(__AVX__)
 typedef double vnd __attribute__((vector_size(32)));
+typedef std::int64_t vnm __attribute__((vector_size(32)));
 constexpr int kLanes = 4;
 #else
 typedef double vnd __attribute__((vector_size(16)));
+typedef std::int64_t vnm __attribute__((vector_size(16)));
 constexpr int kLanes = 2;
 #endif
 
@@ -94,6 +99,32 @@ inline vnd broadcastv(double s) {
   vnd v;
   for (int l = 0; l < kLanes; ++l) v[l] = s;
   return v;
+}
+
+// v in the lanes of `keep`, +0.0 (all bits clear) in the others.
+inline vnd selectv(vnm keep, vnd v) {
+  return reinterpret_cast<vnd>(reinterpret_cast<vnm>(v) & keep);
+}
+
+// The lanes whose byte among the kLanes bytes at `dead` is zero. One word
+// load, broadcast and masked per lane, where a byte-to-lane conversion would
+// unpack the bytes one by one; the masks are built from the same memory
+// layout as the word, so the lane order holds at either byte order.
+inline vnm live_lanes(const std::uint8_t* dead) {
+  static_assert(kLanes <= 8, "one 64-bit word holds a vector's gate bytes");
+  std::int64_t word = 0;
+  __builtin_memcpy(&word, dead, kLanes);
+  vnm bytes;
+  vnm lane;
+  for (int l = 0; l < kLanes; ++l) {
+    std::uint8_t pattern[8] = {};
+    pattern[l] = 0xFF;
+    std::int64_t mask = 0;
+    __builtin_memcpy(&mask, pattern, sizeof(mask));
+    bytes[l] = word;
+    lane[l] = mask;
+  }
+  return (bytes & lane) == 0;
 }
 
 // EVERY multiply-accumulate of the fast family goes through these two
@@ -597,30 +628,29 @@ void affine_fast(const Matrix& a, const Matrix& b, const Matrix* bias,
   });
 }
 
-// Propagation of one block via the staged CSR index: out_g = act(adj_g *
-// src), no bias (adjacency products never carry one). Per output element the
-// chain is the same single accumulator over ascending k the dense-scan
-// sparse path walks — the CSR just skips the rescans — with the first/last
-// nonzero carrying the init and epilogue sweeps (see affine_rows_sparse).
-void propagate_rows_csr(const BlockAdjacency& adj, int g, const double* psrc,
-                        int cols_n, Epilogue act, double* po) {
-  const int n = adj.block_size();
-  const int* cols = adj.csr_cols();
-  const double* vals = adj.csr_vals();
-  for (int i = 0; i < n; ++i) {
+namespace {
+
+// Rows [0, rows) of out = finish(M src) for a sparse M whose row i holds the
+// entries t in [begin(i), begin(i + 1)): columns cols[t], values vals[t].
+// Per output element the chain is the single accumulator over ascending k
+// the dense-scan sparse path walks (the index just skips the rescans), with
+// the first and last nonzero carrying the init and finish(acc, j) sweeps
+// (see affine_rows_sparse); an empty row is finish(0.0, j).
+template <typename Begin, typename Finish>
+void csr_product_rows(int rows, const Begin& begin, const int* cols, const double* vals,
+                      const double* psrc, int cols_n, double* po, const Finish& finish) {
+  for (int i = 0; i < rows; ++i) {
     double* orow = po + static_cast<std::size_t>(i) * cols_n;
-    std::size_t t = adj.row_begin(g, i);
-    const std::size_t t_end = adj.row_end(g, i);
+    std::size_t t = begin(i);
+    const std::size_t t_end = begin(i + 1);
     if (t == t_end) {
-      for (int j = 0; j < cols_n; ++j) orow[j] = apply_epilogue(0.0, act);
+      for (int j = 0; j < cols_n; ++j) orow[j] = finish(0.0, j);
       continue;
     }
     if (t_end - t == 1) {
       const double a = vals[t];
       const double* brow = psrc + static_cast<std::size_t>(cols[t]) * cols_n;
-      for (int j = 0; j < cols_n; ++j) {
-        orow[j] = apply_epilogue(fmadd(a, brow[j], 0.0), act);
-      }
+      for (int j = 0; j < cols_n; ++j) orow[j] = finish(fmadd(a, brow[j], 0.0), j);
       continue;
     }
     {
@@ -636,12 +666,29 @@ void propagate_rows_csr(const BlockAdjacency& adj, int g, const double* psrc,
     {
       const double a = vals[t];
       const double* brow = psrc + static_cast<std::size_t>(cols[t]) * cols_n;
-      for (int j = 0; j < cols_n; ++j) {
-        orow[j] = apply_epilogue(fmadd(a, brow[j], orow[j]), act);
-      }
+      for (int j = 0; j < cols_n; ++j) orow[j] = finish(fmadd(a, brow[j], orow[j]), j);
     }
   }
 }
+
+// Propagation of one block via the staged CSR index: out_g = act(adj_g *
+// src), no bias (adjacency products never carry one).
+void propagate_rows_csr(const BlockAdjacency& adj, int g, const double* psrc,
+                        int cols_n, Epilogue act, double* po) {
+  csr_product_rows(
+      adj.block_size(), [&](int i) { return adj.row_begin(g, i); }, adj.csr_cols(),
+      adj.csr_vals(), psrc, cols_n, po, [act](double v, int) { return apply_epilogue(v, act); });
+}
+
+// The reference layer's second half: y = relu(A_g z).
+void propagate_relu_reference(const BlockAdjacency& adj, int g, const double* z, int cols_n,
+                              double* y) {
+  propagate_reference(adj, g, z, cols_n, y);
+  const std::size_t count = static_cast<std::size_t>(adj.block_size()) * cols_n;
+  for (std::size_t e = 0; e < count; ++e) y[e] = apply_epilogue(y[e], Epilogue::kRelu);
+}
+
+}  // namespace
 
 void gcn_layer_reference(const BlockAdjacency& adj, int g, const double* x,
                          const Matrix& w, const Matrix& bias, double* z, double* y) {
@@ -662,14 +709,43 @@ void gcn_layer_reference(const BlockAdjacency& adj, int g, const double* x,
     }
     for (int j = 0; j < cols_n; ++j) zrow[j] += bias.data()[j];
   }
-  propagate_reference(adj, g, z, cols_n, y);
-  for (int i = 0; i < n * cols_n; ++i) y[i] = apply_epilogue(y[i], Epilogue::kRelu);
+  propagate_relu_reference(adj, g, z, cols_n, y);
 }
 
 void gcn_layer_fast(const BlockAdjacency& adj, int g, const double* x, const Matrix& w,
                     const Matrix& bias, double* z, double* y) {
   affine_rows(x, w.rows(), w.data(), w.cols(), bias.data(), Epilogue::kNone, z, 0,
               adj.block_size());
+  propagate_rows_csr(adj, g, z, w.cols(), Epilogue::kRelu, y);
+}
+
+void gcn_layer_csr_reference(const BlockAdjacency& adj, int g, const CsrRows& x,
+                             const Matrix& w, const Matrix& bias, double* z, double* y) {
+  const int n = adj.block_size();
+  const int cols_n = w.cols();
+  const int* cols = x.csr_cols();
+  const double* vals = x.csr_vals();
+  // gcn_layer_reference's loop over the stored entries of the graph's rows.
+  std::fill(z, z + static_cast<std::size_t>(n) * cols_n, 0.0);
+  for (int i = 0; i < n; ++i) {
+    double* zrow = z + static_cast<std::size_t>(i) * cols_n;
+    for (std::size_t t = x.row_begin(g * n + i); t < x.row_end(g * n + i); ++t) {
+      const double xik = vals[t];
+      const double* wrow = w.data() + static_cast<std::size_t>(cols[t]) * cols_n;
+      for (int j = 0; j < cols_n; ++j) zrow[j] += xik * wrow[j];
+    }
+    for (int j = 0; j < cols_n; ++j) zrow[j] += bias.data()[j];
+  }
+  propagate_relu_reference(adj, g, z, cols_n, y);
+}
+
+void gcn_layer_csr_fast(const BlockAdjacency& adj, int g, const CsrRows& x, const Matrix& w,
+                        const Matrix& bias, double* z, double* y) {
+  const int n = adj.block_size();
+  const double* pbias = bias.data();
+  csr_product_rows(
+      n, [&](int i) { return x.row_begin(g * n + i); }, x.csr_cols(), x.csr_vals(), w.data(),
+      w.cols(), z, [pbias](double v, int j) { return v + pbias[j]; });
   propagate_rows_csr(adj, g, z, w.cols(), Epilogue::kRelu, y);
 }
 
@@ -734,13 +810,101 @@ void matmul_tn_resume_fast(const double* a, int rows, int cols_m, const double* 
   matmul_tn_rows(a, rows, cols_m, b, cols_n, out, 0, cols_m);
 }
 
+// Both CSR weight gradients are the k-outer AXPY of tn_rows_sparse and
+// matmul_tn_resume_reference, one sweep of output row i per stored x(k, i).
+void matmul_tn_resume_csr_reference(const CsrRows& x, int row0, int rows, const double* b,
+                                    int cols_n, double* out) {
+  const int* cols = x.csr_cols();
+  const double* vals = x.csr_vals();
+  for (int k = 0; k < rows; ++k) {
+    const double* brow = b + static_cast<std::size_t>(k) * cols_n;
+    for (std::size_t t = x.row_begin(row0 + k); t < x.row_end(row0 + k); ++t) {
+      const double aki = vals[t];
+      double* orow = out + static_cast<std::size_t>(cols[t]) * cols_n;
+      for (int j = 0; j < cols_n; ++j) orow[j] += aki * brow[j];
+    }
+  }
+}
+
+void matmul_tn_resume_csr_fast(const CsrRows& x, int row0, int rows, const double* b,
+                               int cols_n, double* out) {
+  const int* cols = x.csr_cols();
+  const double* vals = x.csr_vals();
+  for (int k = 0; k < rows; ++k) {
+    const double* brow = b + static_cast<std::size_t>(k) * cols_n;
+    for (std::size_t t = x.row_begin(row0 + k); t < x.row_end(row0 + k); ++t) {
+      const double aki = vals[t];
+      double* orow = out + static_cast<std::size_t>(cols[t]) * cols_n;
+      for (int j = 0; j < cols_n; ++j) orow[j] = fmadd(aki, brow[j], orow[j]);
+    }
+  }
+}
+
 const GcnKernels& gcn_kernels(NnKernel family) {
-  static constexpr GcnKernels reference = {gcn_layer_reference, propagate_reference,
-                                           matmul_rows_reference,
-                                           matmul_tn_resume_reference};
-  static constexpr GcnKernels fast = {gcn_layer_fast, propagate_fast, matmul_rows_fast,
-                                      matmul_tn_resume_fast};
+  static constexpr GcnKernels reference = {
+      gcn_layer_reference,   gcn_layer_csr_reference,    propagate_reference,
+      matmul_rows_reference, matmul_tn_resume_reference, matmul_tn_resume_csr_reference};
+  static constexpr GcnKernels fast = {gcn_layer_fast,        gcn_layer_csr_fast,
+                                      propagate_fast,        matmul_rows_fast,
+                                      matmul_tn_resume_fast, matmul_tn_resume_csr_fast};
   return family == NnKernel::kFast ? fast : reference;
+}
+
+void relu_dead_bytes(const double* h, std::size_t count, std::uint8_t* dead) {
+  // Branch-free as written (a compare and a set per element), and GCC
+  // vectorizes it.
+  for (std::size_t e = 0; e < count; ++e) dead[e] = h[e] <= 0.0;
+}
+
+void mean_readout(const double* h, int rows, int cols, double inv, double* out) {
+  std::fill(out, out + cols, 0.0);
+  add_col_sums(h, rows, cols, out);
+  for (int j = 0; j < cols; ++j) out[j] *= inv;
+}
+
+void mean_readout_csr(const CsrRows& x, int row0, int rows, double inv, double* out) {
+  std::fill(out, out + x.cols(), 0.0);
+  for (int i = row0; i < row0 + rows; ++i) {
+    for (std::size_t t = x.row_begin(i); t < x.row_end(i); ++t) {
+      out[x.csr_cols()[t]] += x.csr_vals()[t];
+    }
+  }
+  for (int j = 0; j < x.cols(); ++j) out[j] *= inv;
+}
+
+void readout_gate(const double* grad, double inv, const std::uint8_t* dead, int rows,
+                  int cols, double* delta) {
+  for (int r = 0; r < rows; ++r) {
+    const std::uint8_t* drow = dead + static_cast<std::size_t>(r) * cols;
+    double* d = delta + static_cast<std::size_t>(r) * cols;
+    int j = 0;
+    for (; j + kLanes <= cols; j += kLanes) {
+      storev(d + j, selectv(live_lanes(drow + j), 0.0 + loadv(grad + j) * inv));
+    }
+    for (; j < cols; ++j) d[j] = drow[j] ? 0.0 : 0.0 + grad[j] * inv;
+  }
+}
+
+void add_col_sums(const double* m, int rows, int cols, double* sums) {
+  int j = 0;
+  for (; j + kLanes <= cols; j += kLanes) {
+    vnd acc = loadv(sums + j);
+    for (int r = 0; r < rows; ++r) acc += loadv(m + static_cast<std::size_t>(r) * cols + j);
+    storev(sums + j, acc);
+  }
+  for (; j < cols; ++j) {
+    double acc = sums[j];
+    for (int r = 0; r < rows; ++r) acc += m[static_cast<std::size_t>(r) * cols + j];
+    sums[j] = acc;
+  }
+}
+
+void relu_gate(const double* h, const double* back, std::size_t count, double* delta) {
+  std::size_t e = 0;
+  for (; e + kLanes <= count; e += kLanes) {
+    storev(delta + e, selectv(~(loadv(h + e) <= 0.0), 0.0 + loadv(back + e)));
+  }
+  for (; e < count; ++e) delta[e] = h[e] <= 0.0 ? 0.0 : 0.0 + back[e];
 }
 
 void for_each_graph_range(int count, std::int64_t flops,

@@ -97,15 +97,64 @@ void matmul_tn_resume_reference(const double* a, int rows, int cols_m, const dou
                                 int cols_n, double* out);
 void matmul_tn_resume_fast(const double* a, int rows, int cols_m, const double* b,
                            int cols_n, double* out);
+// The first layer's two products over the staged CSR features x instead of
+// dense rows. gcn_layer_csr is gcn_layer with x = rows [g n, (g + 1) n) of
+// x: every element of z is the chain the zero-skipping dense scan computes,
+// ascending k from +0.0 with the bias added last (fmadd in the fast family,
+// affine_rows_sparse's chain; mul-then-add in the reference family,
+// gcn_layer_reference's). matmul_tn_resume_csr continues out (x.cols() x
+// cols_n) += a^T b with a = rows [row0, row0 + rows) of x: per element
+// matmul_tn_resume's chain minus its zero terms. For finite w and b both
+// equal the dense products bit for bit, since fma(0, b, acc) == acc.
+void gcn_layer_csr_reference(const BlockAdjacency& adj, int g, const CsrRows& x,
+                             const Matrix& w, const Matrix& bias, double* z, double* y);
+void gcn_layer_csr_fast(const BlockAdjacency& adj, int g, const CsrRows& x, const Matrix& w,
+                        const Matrix& bias, double* z, double* y);
+void matmul_tn_resume_csr_reference(const CsrRows& x, int row0, int rows, const double* b,
+                                    int cols_n, double* out);
+void matmul_tn_resume_csr_fast(const CsrRows& x, int row0, int rows, const double* b,
+                               int cols_n, double* out);
 
 // One family's primitives, picked once per encoder pass.
 struct GcnKernels {
   decltype(&gcn_layer_fast) layer;
+  decltype(&gcn_layer_csr_fast) layer_csr;
   decltype(&propagate_fast) propagate;
   decltype(&matmul_rows_fast) matmul_rows;
   decltype(&matmul_tn_resume_fast) matmul_tn_resume;
+  decltype(&matmul_tn_resume_csr_fast) matmul_tn_resume_csr;
 };
 const GcnKernels& gcn_kernels(NnKernel family);
+
+// --- the encoder node's elementwise passes (both families) ------------------
+// They use no fmadd, and the TU's -ffp-contract=off keeps readout_gate's
+// 0.0 + g * inv a separate multiply and add, as the scalar loop computed it,
+// so one implementation serves both families. They run as lane masks
+// on the kernel vectors: as scalar loops GCC 12 vectorizes neither the gated
+// select nor the byte-gated readout, and every gate then costs a branch
+// mispredict per unpredictable element. The gates keep 0.0 + d (which maps
+// -0.0 to +0.0, as adopting d as an empty gradient does), and a lane is live
+// when !(h <= 0.0), so a NaN output passes its gradient as the scalar
+// `h <= 0.0 ? 0.0 : ...` does.
+
+// dead[e] = h[e] <= 0.0 for e < count: the last layer's ReLU gate as bytes.
+void relu_dead_bytes(const double* h, std::size_t count, std::uint8_t* dead);
+// out[j] = (h(0, j) + ... + h(rows - 1, j), ascending from +0.0) * inv for
+// the `rows` x `cols` block h: the mean readout of one graph.
+void mean_readout(const double* h, int rows, int cols, double inv, double* out);
+// The same over rows [row0, row0 + rows) of x, adding only the stored
+// entries: gcn_layers = 0 pools the features. Exact, because the sum starts
+// at +0.0 and can never reach -0.0, so a skipped zero changes nothing.
+void mean_readout_csr(const CsrRows& x, int row0, int rows, double inv, double* out);
+// delta(r, j) = dead(r, j) ? 0.0 : 0.0 + grad[j] * inv for r < rows: one
+// graph's readout broadcast through the last layer's gate.
+void readout_gate(const double* grad, double inv, const std::uint8_t* dead, int rows,
+                  int cols, double* delta);
+// sums[j] += m(r, j) over ascending r: a bias gradient's column sums.
+void add_col_sums(const double* m, int rows, int cols, double* sums);
+// delta[e] = h[e] <= 0.0 ? 0.0 : 0.0 + back[e] for e < count: the ReLU gate
+// of the layer below, at its stored output h.
+void relu_gate(const double* h, const double* back, std::size_t count, double* delta);
 
 // Calls graphs(begin, end) over consecutive ranges covering [0, count): on
 // the kernel pool when nn threads > 1 and `flops` is large enough to pay for

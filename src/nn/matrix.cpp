@@ -239,6 +239,32 @@ BlockAdjacency::BlockAdjacency(std::vector<Matrix> blocks)
   }
 }
 
+CsrRows::CsrRows(int cols, const std::vector<const Matrix*>& blocks) : cols_(cols) {
+  NPTSN_EXPECT(cols >= 0, "CsrRows needs a non-negative width");
+  std::size_t rows = 0;
+  std::size_t nnz = 0;
+  for (const Matrix* m : blocks) {
+    NPTSN_EXPECT(m->cols() == cols, "CsrRows blocks must all be `cols` wide");
+    rows += static_cast<std::size_t>(m->rows());
+    for (int e = 0; e < m->size(); ++e) nnz += m->data()[e] != 0.0;
+  }
+  row_ptr_.reserve(rows + 1);
+  col_.reserve(nnz);
+  val_.reserve(nnz);
+  row_ptr_.push_back(0);
+  for (const Matrix* m : blocks) {
+    for (int r = 0; r < m->rows(); ++r) {
+      const double* row = m->data() + static_cast<std::size_t>(r) * cols;
+      for (int c = 0; c < cols; ++c) {
+        if (row[c] == 0.0) continue;
+        col_.push_back(c);
+        val_.push_back(row[c]);
+      }
+      row_ptr_.push_back(col_.size());
+    }
+  }
+}
+
 Matrix transpose(const Matrix& a) {
   Matrix out(a.cols(), a.rows());
   for (int i = 0; i < a.rows(); ++i) {

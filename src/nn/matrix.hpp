@@ -211,6 +211,33 @@ class BlockAdjacency {
   std::vector<double> vals_;
 };
 
+// Rows of a sparse matrix in CSR form: a GCN batch's observation features,
+// staged once (ActorCritic's staging) for the first layer's x W + b and its
+// weight gradient x^T delta (gcn_encoder). Each row keeps its entries that
+// are != 0.0 in ascending column order, so walking a row performs the
+// zero-skipping dense scan's chain; -0.0 entries are dropped like +0.0 ones,
+// as every kernel's zero-skip drops them.
+class CsrRows {
+ public:
+  // The rows of `blocks`, each `cols` wide, stacked top to bottom.
+  CsrRows(int cols, const std::vector<const Matrix*>& blocks);
+
+  int rows() const { return static_cast<int>(row_ptr_.size()) - 1; }
+  int cols() const { return cols_; }
+  // Row r's entries: columns csr_cols()[t] and values csr_vals()[t] for t in
+  // [row_begin(r), row_end(r)).
+  std::size_t row_begin(int r) const { return row_ptr_[static_cast<std::size_t>(r)]; }
+  std::size_t row_end(int r) const { return row_ptr_[static_cast<std::size_t>(r) + 1]; }
+  const int* csr_cols() const { return col_.data(); }
+  const double* csr_vals() const { return val_.data(); }
+
+ private:
+  int cols_;
+  std::vector<std::size_t> row_ptr_;  // rows() + 1 entries
+  std::vector<int> col_;
+  std::vector<double> val_;
+};
+
 // Free-function kernels. All check shapes. The GEMM entry points (matmul,
 // matmul_transposed, matmul_transposed_a, affine) dispatch on the
 // process-global kernel family.

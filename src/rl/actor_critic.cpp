@@ -83,18 +83,17 @@ ActorCritic::ObservationBatch ActorCritic::stage(const std::vector<const Observa
   if (!gat_.empty()) return staged;  // per-observation fallback stages nothing
 
   const int batch = staged.batch;
-  // One stacked feature matrix for all B graphs, plus the per-graph
+  // The B graphs' features stacked as CSR rows, plus the per-graph
   // adjacencies (with their CSR index) the block propagation needs.
-  Matrix features(batch * n, config_.feature_dim);
+  std::vector<const Matrix*> features;
   std::vector<Matrix> a_hats;
+  features.reserve(obs.size());
   if (!gcn_.empty()) a_hats.reserve(obs.size());
-  for (int b = 0; b < batch; ++b) {
-    const Observation& o = *obs[static_cast<std::size_t>(b)];
-    std::copy(o.features.data(), o.features.data() + o.features.size(),
-              features.data() + static_cast<std::size_t>(b) * n * config_.feature_dim);
-    if (!gcn_.empty()) a_hats.push_back(o.a_hat);
+  for (const Observation* o : obs) {
+    features.push_back(&o->features);
+    if (!gcn_.empty()) a_hats.push_back(o->a_hat);
   }
-  staged.features = Tensor::constant(std::move(features));
+  staged.features = std::make_shared<const CsrRows>(config_.feature_dim, features);
   if (!gcn_.empty()) {
     staged.a_hats = cache ? cache->stage(std::move(a_hats))
                           : std::make_shared<const BlockAdjacency>(std::move(a_hats));

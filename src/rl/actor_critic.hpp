@@ -45,18 +45,19 @@ class ActorCritic {
   Output forward(const Observation& obs) const;
 
   // Everything weight-independent about a batch of observations, staged
-  // once: the stacked feature matrix, the stacked parameter rows, and the
-  // adjacency batch with its CSR index. One PPO update forwards the same
+  // once: the stacked features as CSR rows, the stacked parameter rows, and
+  // the adjacency batch with its CSR index. One PPO update forwards the same
   // observations through the heads dozens of times while only the weights
   // change — stage once per update, reuse across every iteration of both
   // head loops. The source observations must outlive the staged batch (the
   // GAT fallback reads through the retained pointers).
-  // features/params are staged as constant Tensors (safe to reuse across
-  // tapes: constants receive no gradient and hold no traversal state), so a
-  // reuse costs no copy at all.
+  // params is staged as a constant Tensor (safe to reuse across tapes:
+  // constants receive no gradient and hold no traversal state), and the
+  // features and adjacencies are shared read-only, so a reuse copies
+  // nothing.
   struct ObservationBatch {
     int batch = 0;
-    Tensor features;                               // constant, (B n) x F
+    std::shared_ptr<const CsrRows> features;       // (B n) x F; null for GAT
     Tensor params;                                 // constant, B x P (undefined when P == 0)
     std::shared_ptr<const BlockAdjacency> a_hats;  // null unless GCN layers exist
     std::vector<const Observation*> observations;  // per-observation fallback path

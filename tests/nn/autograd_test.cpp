@@ -265,7 +265,8 @@ TEST(AutogradGradCheck, GcnEncoder) {
     a_hats.push_back(normalized_adjacency(adjacency));
   }
   const auto adj = std::make_shared<const BlockAdjacency>(std::move(a_hats));
-  const Tensor features = Tensor::constant(random_matrix(kGraphs * kNodes, 3, rng));
+  const Matrix x = random_matrix(kGraphs * kNodes, 3, rng);
+  const auto features = std::make_shared<const CsrRows>(3, std::vector<const Matrix*>{&x});
   // Three layers, 3 -> 4 -> 4 -> 2 features.
   std::vector<Matrix> params;
   for (const auto& [in, out] : {std::pair{3, 4}, std::pair{4, 4}, std::pair{4, 2}}) {

@@ -9,7 +9,11 @@
 // backward kernels are pinned harder: they must be bit-identical to the
 // single-chain loops they replaced, so training stays byte-for-byte the same.
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -266,17 +270,42 @@ TEST(KernelDifferential, AffineEpiloguesAgreeOnAllShapes) {
   }
 }
 
+// Random features: rows of alternating graphs at 5% and 50% density (the
+// second above the 25% at which the fast family's dense paths take over),
+// with every seventh zero a -0.0, which staging drops like +0.0.
+Matrix random_features(int rows, int cols, int n, Rng& rng) {
+  Matrix x(rows, cols);
+  int zeros = 0;
+  for (int i = 0; i < rows; ++i) {
+    const double density = (i / n) % 2 == 0 ? 0.05 : 0.5;
+    for (int j = 0; j < cols; ++j) {
+      if (rng.uniform() < density) {
+        x.at(i, j) = rng.uniform(-2.0, 2.0);
+      } else if (++zeros % 7 == 0) {
+        x.at(i, j) = -0.0;
+      }
+    }
+  }
+  return x;
+}
+
+std::shared_ptr<const CsrRows> staged_rows(const Matrix& x) {
+  return std::make_shared<const CsrRows>(x.cols(), std::vector<const Matrix*>{&x});
+}
+
 // A random batched-encoder problem: `batch` graphs of n nodes with symmetric
 // adjacency blocks, sparse features, and one layer per entry of `widths`
 // (layer l maps widths[l - 1], or the feature width, to widths[l]). When the
 // batch has more than one graph its last graph has an empty adjacency, so
-// every layer of it, the last included, is all <= 0.
+// every layer of it, the last included, is all <= 0. The encoder node reads
+// the features staged as CSR rows; the unfused oracle reads them dense.
 struct EncoderCase {
   int n = 0;
   int batch = 0;
   std::vector<Matrix> blocks;
   std::shared_ptr<const BlockAdjacency> adj;
   Matrix features;
+  std::shared_ptr<const CsrRows> staged;
   std::vector<Matrix> w;
   std::vector<Matrix> b;
   Matrix upstream;  // batch x output width
@@ -292,7 +321,8 @@ EncoderCase encoder_case(int n, int batch, int features, const std::vector<int>&
     c.blocks.push_back(empty ? Matrix(n, n) : random_symmetric_block(n, rng));
   }
   c.adj = std::make_shared<const BlockAdjacency>(c.blocks);
-  c.features = random_matrix(batch * n, features, 0.5, rng);
+  c.features = random_features(batch * n, features, n, rng);
+  c.staged = staged_rows(c.features);
   int in = features;
   for (const int out : widths) {
     c.w.push_back(random_matrix(in, out, 1.0, rng));
@@ -403,7 +433,7 @@ EncoderRun run_encoder(const EncoderCase& c) {
   for (std::size_t l = 0; l < c.w.size(); ++l) {
     run.layers.push_back({Tensor::parameter(c.w[l]), Tensor::parameter(c.b[l])});
   }
-  run.out = gcn_encoder(c.adj, c.n, Tensor::constant(c.features), run.layers);
+  run.out = gcn_encoder(c.adj, c.n, c.staged, run.layers);
   if (!c.w.empty()) sum_all(hadamard(run.out, Tensor::constant(c.upstream))).backward();
   return run;
 }
@@ -441,11 +471,11 @@ TEST(KernelDifferential, GcnEncoderMatchesTheUnfusedChainInBothFamilies) {
   // Without layers the node is the per-graph mean of the features and needs
   // no adjacency.
   const EncoderCase pooled = encoder_case(3, 2, 4, {}, rng);
-  const Tensor mean = gcn_encoder(nullptr, 3, Tensor::constant(pooled.features), {});
+  const Tensor mean = gcn_encoder(nullptr, 3, pooled.staged, {});
   expect_identical(mean.value(), unfused_encoder(pooled, Matrix()).out, "gcn_encoder pooling");
 
   // A non-symmetric batch still stages, but the encoder, whose backward needs
-  // A-hat^T = A-hat, refuses it; so it does features that want a gradient.
+  // A-hat^T = A-hat, refuses it; so it does missing features.
   std::vector<Matrix> blocks = {random_symmetric_block(5, rng),
                                 random_symmetric_block(5, rng)};
   blocks[1].at(0, 3) = blocks[1].at(3, 0) + 0.5;
@@ -454,11 +484,11 @@ TEST(KernelDifferential, GcnEncoderMatchesTheUnfusedChainInBothFamilies) {
   const std::vector<GcnWeights> layer = {
       {Tensor::parameter(random_matrix(3, 4, 1.0, rng)),
        Tensor::parameter(random_matrix(1, 4, 1.0, rng))}};
-  const Matrix x = random_matrix(10, 3, 1.0, rng);
-  EXPECT_THROW(gcn_encoder(skewed, 5, Tensor::constant(x), layer), std::invalid_argument);
+  const auto x = staged_rows(random_matrix(10, 3, 1.0, rng));
+  EXPECT_THROW(gcn_encoder(skewed, 5, x, layer), std::invalid_argument);
   const EncoderCase ok = encoder_case(5, 2, 3, {4}, rng);
-  EXPECT_NO_THROW(gcn_encoder(ok.adj, 5, Tensor::constant(x), layer));
-  EXPECT_THROW(gcn_encoder(ok.adj, 5, Tensor::parameter(x), layer), std::invalid_argument);
+  EXPECT_NO_THROW(gcn_encoder(ok.adj, 5, x, layer));
+  EXPECT_THROW(gcn_encoder(ok.adj, 5, nullptr, layer), std::invalid_argument);
 }
 
 TEST(KernelDifferential, CsrIndexMatchesDenseBlocks) {
@@ -482,6 +512,202 @@ TEST(KernelDifferential, CsrIndexMatchesDenseBlocks) {
       }
     }
     expect_identical(rebuilt, dense[static_cast<std::size_t>(g)], "csr rebuild");
+  }
+}
+
+TEST(KernelDifferential, CsrRowsKeepEveryNonzeroInAscendingColumns) {
+  Rng rng(98);
+  const Matrix top = random_features(12, 9, 4, rng);
+  const Matrix bottom = random_features(5, 9, 5, rng);
+  const CsrRows rows(9, {&top, &bottom});
+  ASSERT_EQ(rows.rows(), 17);
+  ASSERT_EQ(rows.cols(), 9);
+  Matrix rebuilt(17, 9);
+  std::size_t stored = 0;
+  for (int r = 0; r < rows.rows(); ++r) {
+    int prev_col = -1;
+    for (std::size_t t = rows.row_begin(r); t < rows.row_end(r); ++t) {
+      const int c = rows.csr_cols()[t];
+      EXPECT_GT(c, prev_col) << "CSR columns must ascend within a row";
+      prev_col = c;
+      EXPECT_NE(rows.csr_vals()[t], 0.0) << "a stored entry is never +0.0 or -0.0";
+      rebuilt.at(r, c) = rows.csr_vals()[t];
+      ++stored;
+    }
+  }
+  EXPECT_EQ(stored, rows.row_end(rows.rows() - 1));
+  // == on purpose: a dropped -0.0 reads back as +0.0, which every kernel
+  // treats alike.
+  for (int r = 0; r < 17; ++r) {
+    const Matrix& src = r < 12 ? top : bottom;
+    const int sr = r < 12 ? r : r - 12;
+    for (int c = 0; c < 9; ++c) EXPECT_TRUE(rebuilt.at(r, c) == src.at(sr, c)) << r << "," << c;
+  }
+  const Matrix narrow(2, 8);
+  EXPECT_THROW(CsrRows(9, {&top, &narrow}), std::invalid_argument);
+}
+
+// The first layer's products over CSR rows equal the same family's dense
+// per-graph primitives bit for bit: rows with no entry, one entry, only
+// -0.0 zeros, and blocks on both sides of the fast family's 25% density
+// switch (tiles versus sparse rows), with the weight gradient resumed from
+// nonzero partial sums.
+TEST(KernelDifferential, CsrLayerPrimitivesEqualTheDenseRowsInBothFamilies) {
+  Rng rng(2718);
+  for (const int n : {1, 5, 16}) {
+    for (const int f : {1, 7, 37}) {
+      for (const int out : {1, 5, 33}) {
+        constexpr int kBatch = 3;
+        Matrix x = random_features(kBatch * n, f, n, rng);
+        for (int j = 0; j < f; ++j) x.at(0, j) = j % 2 == 0 ? -0.0 : 0.0;
+        if (n > 1) {
+          for (int j = 0; j < f; ++j) x.at(1, j) = j == f / 2 ? 1.25 : 0.0;
+        }
+        const auto staged = staged_rows(x);
+        std::vector<Matrix> blocks;
+        for (int g = 0; g < kBatch; ++g) blocks.push_back(random_symmetric_block(n, rng));
+        const BlockAdjacency adj(std::move(blocks));
+        const Matrix w = random_matrix(f, out, 1.0, rng);
+        const Matrix bias = random_matrix(1, out, 1.0, rng);
+        const Matrix delta = random_matrix(kBatch * n, out, 0.8, rng);
+        const Matrix start = random_matrix(f, out, 1.0, rng);
+        for (const NnKernel family : {NnKernel::kReference, NnKernel::kFast}) {
+          const nnk::GcnKernels& kernels = nnk::gcn_kernels(family);
+          for (int g = 0; g < kBatch; ++g) {
+            Matrix z_dense(n, out), y_dense(n, out), z_csr(n, out), y_csr(n, out);
+            kernels.layer(adj, g, x.data() + static_cast<std::size_t>(g) * n * f, w, bias,
+                          z_dense.data(), y_dense.data());
+            kernels.layer_csr(adj, g, *staged, w, bias, z_csr.data(), y_csr.data());
+            expect_identical(z_csr, z_dense, "layer_csr affine");
+            expect_identical(y_csr, y_dense, "layer_csr output");
+          }
+          // Per graph (one density each) and over the whole batch at once.
+          for (const auto& [row0, rows] :
+               {std::pair{0, n}, std::pair{n, n}, std::pair{0, kBatch * n}}) {
+            Matrix dense = start;
+            Matrix csr = start;
+            const double* b = delta.data() + static_cast<std::size_t>(row0) * out;
+            kernels.matmul_tn_resume(x.data() + static_cast<std::size_t>(row0) * f, rows, f, b,
+                                     out, dense.data());
+            kernels.matmul_tn_resume_csr(*staged, row0, rows, b, out, csr.data());
+            expect_identical(csr, dense, "matmul_tn_resume_csr");
+          }
+        }
+      }
+    }
+  }
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// Bitwise, except that any NaN matches any NaN: which operand's payload a
+// sum of two NaNs keeps is the compiler's choice of operand order.
+void expect_same_bits(const std::vector<double>& got, const std::vector<double>& want,
+                      const char* what, std::size_t count) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+    EXPECT_EQ(bits(got[i]), bits(want[i]))
+        << what << " at " << i << " of " << count << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+// The encoder node's elementwise passes equal the scalar expressions they
+// replaced, bit for bit, on NaN, signed zeros, infinities and subnormals, at
+// every length up to past two AVX-512 vectors (so every lane tail) and at a
+// length where every pair of special values meets in a vector lane; the
+// column sums also over ordinary values of mixed magnitudes, where the
+// order of the additions shows.
+TEST(KernelDifferential, GatePrimitivesEqualTheScalarExpressions) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {nan,  -0.0, 0.0,    inf,  -inf, tiny, -tiny, 1.5,
+                             -2.5, 3e-310, -nan, 0.75, -1e300, 1e-320};
+  constexpr std::size_t kSpecials = sizeof(specials) / sizeof(specials[0]);
+  // Entry e pairs specials[e % K] with specials[(e % K + e / K + 1) % K]:
+  // the first K * K entries hold every ordered pair once.
+  const auto first = [&](std::size_t e) { return specials[e % kSpecials]; };
+  const auto second = [&](std::size_t e) {
+    return specials[(e % kSpecials + e / kSpecials + 1) % kSpecials];
+  };
+  const double inv = 1.0 / 3.0;
+  Rng rng(1414);
+  std::vector<std::size_t> lengths;
+  for (std::size_t count = 0; count <= 19; ++count) lengths.push_back(count);
+  lengths.push_back(kSpecials * kSpecials);
+  for (const std::size_t count : lengths) {
+    std::vector<double> h(count), back(count);
+    std::vector<std::uint8_t> dead(count), dead_want(count);
+    for (std::size_t e = 0; e < count; ++e) {
+      h[e] = first(e);
+      back[e] = second(e);
+    }
+    nnk::relu_dead_bytes(h.data(), count, dead.data());
+    for (std::size_t e = 0; e < count; ++e) dead_want[e] = h[e] <= 0.0;
+    EXPECT_EQ(dead, dead_want) << "relu_dead_bytes at length " << count;
+
+    std::vector<double> gated(count), gated_want(count);
+    nnk::relu_gate(h.data(), back.data(), count, gated.data());
+    for (std::size_t e = 0; e < count; ++e) gated_want[e] = h[e] <= 0.0 ? 0.0 : 0.0 + back[e];
+    expect_same_bits(gated, gated_want, "relu_gate", count);
+
+    // One graph's readout gate: 3 rows x count columns, every gradient
+    // entry meeting both a live and a dead byte.
+    constexpr int kRows = 3;
+    const int cols = static_cast<int>(count);
+    std::vector<std::uint8_t> gate(kRows * count);
+    for (std::size_t e = 0; e < gate.size(); ++e) gate[e] = (e / count + e % count) % 2;
+    std::vector<double> delta(kRows * count), delta_want(kRows * count);
+    nnk::readout_gate(back.data(), inv, gate.data(), kRows, cols, delta.data());
+    for (int r = 0; r < kRows; ++r) {
+      for (int j = 0; j < cols; ++j) {
+        const std::size_t e = static_cast<std::size_t>(r) * cols + j;
+        delta_want[e] = gate[e] ? 0.0 : 0.0 + back[j] * inv;
+      }
+    }
+    expect_same_bits(delta, delta_want, "readout_gate", count);
+
+    // Column sums and means over a block of special values and over one of
+    // ordinary values spread across 60 binary orders of magnitude.
+    std::vector<double> specials_block(kRows * count);
+    for (std::size_t e = 0; e < specials_block.size(); ++e) {
+      specials_block[e] = e < count ? h[e] : e < 2 * count ? back[e - count] : first(e + 3);
+    }
+    constexpr int kOrdinaryRows = 7;
+    std::vector<double> ordinary_block(kOrdinaryRows * count);
+    for (double& v : ordinary_block) {
+      v = std::ldexp(rng.uniform(-1.0, 1.0), rng.uniform_int(-30, 30));
+    }
+    for (const auto& [block, rows] :
+         {std::pair{&specials_block, kRows}, std::pair{&ordinary_block, kOrdinaryRows}}) {
+      std::vector<double> sums(back), sums_want(back);
+      std::vector<double> mean(count), mean_want(count, 0.0);
+      nnk::add_col_sums(block->data(), rows, cols, sums.data());
+      nnk::mean_readout(block->data(), rows, cols, inv, mean.data());
+      for (int r = 0; r < rows; ++r) {
+        for (int j = 0; j < cols; ++j) {
+          sums_want[j] += (*block)[static_cast<std::size_t>(r) * cols + j];
+          mean_want[j] += (*block)[static_cast<std::size_t>(r) * cols + j];
+        }
+      }
+      for (double& v : mean_want) v *= inv;
+      expect_same_bits(sums, sums_want, "add_col_sums", count);
+      expect_same_bits(mean, mean_want, "mean_readout", count);
+
+      // The pooled mean over CSR rows skips zeros, signed ones included.
+      if (count > 0) {
+        Matrix x(rows, cols);
+        std::copy(block->begin(), block->end(), x.data());
+        std::vector<double> pooled(count);
+        nnk::mean_readout_csr(*staged_rows(x), 0, rows, inv, pooled.data());
+        expect_same_bits(pooled, mean_want, "mean_readout_csr", count);
+      }
+    }
   }
 }
 

@@ -225,6 +225,47 @@ TEST(ActorCritic, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(a.forward(obs).value.item(), b.forward(obs).value.item());
 }
 
+// Staging keeps each observation's features as CSR rows in batch order: a
+// graph's rows rebuild its feature matrix, and every stored entry is a
+// nonzero in ascending columns. The GAT encoder stages no features.
+TEST(ActorCritic, StagedFeaturesRoundTripEveryObservation) {
+  const testing::OrionBatch orion = testing::orion_batch(32, 3);
+  std::vector<const Observation*> obs;
+  for (const StepRecord& s : orion.batch.steps) obs.push_back(&s.obs);
+  Rng rng(5);
+  const ActorCritic net(orion.net_config, rng);
+  const ActorCritic::ObservationBatch staged = net.stage_batch(obs);
+  ASSERT_NE(staged.features, nullptr);
+  const CsrRows& rows = *staged.features;
+  const int n = orion.net_config.num_nodes;
+  const int f = orion.net_config.feature_dim;
+  ASSERT_EQ(rows.rows(), static_cast<int>(obs.size()) * n);
+  ASSERT_EQ(rows.cols(), f);
+  for (std::size_t b = 0; b < obs.size(); ++b) {
+    Matrix rebuilt(n, f);
+    for (int i = 0; i < n; ++i) {
+      const int r = static_cast<int>(b) * n + i;
+      int prev_col = -1;
+      for (std::size_t t = rows.row_begin(r); t < rows.row_end(r); ++t) {
+        const int c = rows.csr_cols()[t];
+        EXPECT_GT(c, prev_col);
+        EXPECT_NE(rows.csr_vals()[t], 0.0);
+        prev_col = c;
+        rebuilt.at(i, c) = rows.csr_vals()[t];
+      }
+    }
+    const Matrix& features = obs[b]->features;
+    for (int e = 0; e < features.size(); ++e) {
+      EXPECT_EQ(rebuilt.data()[e], features.data()[e]) << "observation " << b << ", entry " << e;
+    }
+  }
+
+  ActorCritic::Config gat = orion.net_config;
+  gat.encoder = GraphEncoder::kGat;
+  Rng gat_rng(5);
+  EXPECT_EQ(ActorCritic(gat, gat_rng).stage_batch(obs).features, nullptr);
+}
+
 // PPO's importance ratios divide the update's batched log-probabilities by
 // ones taken from the rollout's forward(obs), so every row of both batched
 // heads must equal that forward bit for bit, at every encoder depth, for the
