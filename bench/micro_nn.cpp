@@ -21,7 +21,13 @@
 //                 batch is staged once outside the timed region (staging is
 //                 weight-independent; an update stages once) and forwarded
 //                 under the reference and the fast family, so the ratio
-//                 isolates the kernel family like every gemm entry.
+//                 isolates the kernel family like every gemm entry. Each
+//                 scenario also prints the training bits of each family,
+//                 update_digest_reference and update_digest_fast: a 64-bit
+//                 FNV-1a hash of every parameter and both Adam moment sets
+//                 after two ppo_update calls on that batch. They are strings,
+//                 so the gate ignores them; a kernel change that keeps the
+//                 bits keeps both, in every build configuration.
 //
 // Output is a single JSON document on stdout (the shared micro-bench schema:
 // name-keyed objects; metrics named speedup* are tracked by
@@ -31,6 +37,7 @@
 //   micro_nn [--fast|--paper]
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -41,6 +48,8 @@
 #include "core/planner.hpp"
 #include "nn/kernels.hpp"
 #include "rl/actor_critic.hpp"
+#include "rl/distribution.hpp"
+#include "rl/ppo.hpp"
 #include "scenarios/ads.hpp"
 #include "scenarios/orion.hpp"
 #include "scenarios/scenario.hpp"
@@ -125,39 +134,97 @@ void bench_gemm(const char* name, int m, int k, int n, int reps, bool last, cons
       last ? "" : ",");
 }
 
-// Collects one epoch worth of observations by rolling the planning
-// environment with uniformly random masked actions (the observation
-// distribution the trainer actually sees, without paying for PPO updates).
-std::vector<Observation> rollout_observations(const PlanningProblem& problem,
-                                              const NptsnConfig& config, int steps) {
+// Collects one epoch worth of steps (observation, mask, action, reward) by
+// rolling the planning environment with uniformly random masked actions (the
+// observation distribution the trainer actually sees, without paying for
+// PPO updates).
+std::vector<StepRecord> rollout_steps(const PlanningProblem& problem,
+                                      const NptsnConfig& config, int steps) {
   const HeuristicRecovery nbf;
   SolutionRecorder recorder;
   Rng rng(17);
   PlanningEnv env(problem, nbf, config, recorder, rng.split());
-  std::vector<Observation> obs;
-  obs.reserve(static_cast<std::size_t>(steps));
+  std::vector<StepRecord> records;
+  records.reserve(static_cast<std::size_t>(steps));
   env.reset();
-  while (static_cast<int>(obs.size()) < steps) {
-    const auto& mask = env.action_mask();
+  while (static_cast<int>(records.size()) < steps) {
+    StepRecord s;
+    s.mask = env.action_mask();
     std::vector<int> allowed;
-    for (std::size_t a = 0; a < mask.size(); ++a) {
-      if (mask[a] != 0) allowed.push_back(static_cast<int>(a));
+    for (std::size_t a = 0; a < s.mask.size(); ++a) {
+      if (s.mask[a] != 0) allowed.push_back(static_cast<int>(a));
     }
     if (allowed.empty()) {
       env.reset();
       continue;
     }
-    obs.push_back(env.observe());
-    if (env.step(rng.pick(allowed)).episode_end) env.reset();
+    s.obs = env.observe();
+    s.action = rng.pick(allowed);
+    const Environment::StepResult result = env.step(s.action);
+    s.reward = result.reward;
+    records.push_back(std::move(s));
+    if (result.episode_end) env.reset();
   }
-  return obs;
+  return records;
+}
+
+std::uint64_t fnv1a(std::uint64_t hash, const Matrix& m) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+  for (std::size_t i = 0; i < static_cast<std::size_t>(m.size()) * sizeof(double); ++i) {
+    hash = (hash ^ bytes[i]) * 1099511628211ull;
+  }
+  return hash;
+}
+
+// The training bits of `family`: a fresh network (Rng(3), as the timed
+// forwards use) takes two ppo_update calls with the scenario's PPO
+// configuration on a batch of the rollout's steps, built the way
+// tests/testing/orion_batch.hpp builds one: behavior log-probabilities and
+// values from the network itself, so the update starts at ratio 1,
+// advantages uniform in [-1, 1) from Rng(23), returns the rewards. Returns
+// the FNV-1a hash of every parameter, then every first and second Adam
+// moment of the actor and then the critic optimizer.
+std::uint64_t update_digest(const ActorCritic::Config& net_config, const NptsnConfig& config,
+                            const std::vector<StepRecord>& steps, NnKernel family) {
+  set_nn_kernel(family);
+  Rng net_rng(3);
+  const ActorCritic net(net_config, net_rng);
+  Batch batch;
+  Rng rng(23);
+  for (const StepRecord& step : steps) {
+    StepRecord s = step;
+    const ActorCritic::Output forward = net.forward(s.obs);
+    s.log_prob = std::log(
+        masked_probabilities(forward.logits.value(), s.mask)[static_cast<std::size_t>(s.action)]);
+    s.value = forward.value.item();
+    batch.advantages.push_back(2.0 * rng.uniform() - 1.0);
+    batch.returns.push_back(s.reward);
+    batch.steps.push_back(std::move(s));
+  }
+  Adam actor_opt(net.actor_parameters(), {.learning_rate = config.actor_lr});
+  Adam critic_opt(net.critic_parameters(), {.learning_rate = config.critic_lr});
+  PpoConfig ppo;
+  ppo.clip_ratio = config.clip_ratio;
+  ppo.train_actor_iters = config.train_actor_iters;
+  ppo.train_critic_iters = config.train_critic_iters;
+  ppo.target_kl = config.target_kl;
+  for (int update = 0; update < 2; ++update) {
+    ppo_update(net, actor_opt, critic_opt, batch, ppo);
+  }
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const Tensor& p : net.all_parameters()) hash = fnv1a(hash, p.value());
+  for (const Adam* opt : {&actor_opt, &critic_opt}) {
+    for (const Matrix& m : opt->first_moments()) hash = fnv1a(hash, m);
+    for (const Matrix& v : opt->second_moments()) hash = fnv1a(hash, v);
+  }
+  return hash;
 }
 
 void bench_scenario(const char* name, const PlanningProblem& problem, const Mode& mode,
                     int reps, bool last) {
   const NptsnConfig config = training_config(mode, /*seed=*/11);
   const int steps = config.steps_per_epoch;
-  const std::vector<Observation> obs = rollout_observations(problem, config, steps);
+  const std::vector<StepRecord> records = rollout_steps(problem, config, steps);
 
   const ObservationEncoder encoder(problem, config.path_actions);
   ActorCritic::Config net_config;
@@ -173,8 +240,8 @@ void bench_scenario(const char* name, const PlanningProblem& problem, const Mode
   const ActorCritic net(net_config, net_rng);
 
   std::vector<const Observation*> ptrs;
-  ptrs.reserve(obs.size());
-  for (const Observation& o : obs) ptrs.push_back(&o);
+  ptrs.reserve(records.size());
+  for (const StepRecord& r : records) ptrs.push_back(&r.obs);
 
   const ActorCritic::ObservationBatch staged = net.stage_batch(ptrs);
 
@@ -190,9 +257,9 @@ void bench_scenario(const char* name, const PlanningProblem& problem, const Mode
     logits = net.forward_logits_batch(staged).value();
     values = net.forward_value_batch(staged).value();
     double err = 0.0;
-    for (std::size_t i = 0; i < obs.size(); ++i) {
+    for (std::size_t i = 0; i < records.size(); ++i) {
       const int row = static_cast<int>(i);
-      const ActorCritic::Output single = net.forward(obs[i]);
+      const ActorCritic::Output single = net.forward(records[i].obs);
       for (int j = 0; j < logits.cols(); ++j) {
         err = std::max(err, std::fabs(logits.at(row, j) - single.logits.value().at(0, j)));
       }
@@ -224,6 +291,10 @@ void bench_scenario(const char* name, const PlanningProblem& problem, const Mode
     }
   }
 
+  const std::uint64_t digest_reference =
+      update_digest(net_config, config, records, NnKernel::kReference);
+  const std::uint64_t digest_fast = update_digest(net_config, config, records, NnKernel::kFast);
+
   std::printf(
       "    {\n"
       "      \"name\": \"%s\",\n"
@@ -233,10 +304,14 @@ void bench_scenario(const char* name, const PlanningProblem& problem, const Mode
       "      \"seconds_reference\": %.6f,\n"
       "      \"seconds_fast\": %.6f,\n"
       "      \"speedup_epoch_forward\": %.3f,\n"
-      "      \"max_rel_err\": %.3g\n"
+      "      \"max_rel_err\": %.3g,\n"
+      "      \"update_digest_reference\": \"%016llx\",\n"
+      "      \"update_digest_fast\": \"%016llx\"\n"
       "    }%s\n",
       name, steps, problem.num_nodes(), encoder.feature_dim(), ref_s, fast_s,
-      fast_s > 0.0 ? ref_s / fast_s : 0.0, err, last ? "" : ",");
+      fast_s > 0.0 ? ref_s / fast_s : 0.0, err,
+      static_cast<unsigned long long>(digest_reference),
+      static_cast<unsigned long long>(digest_fast), last ? "" : ",");
 }
 
 int run(int argc, char** argv) {
@@ -314,13 +389,12 @@ int run(int argc, char** argv) {
     // Real observations: the features staged as CSR rows, as the first GCN
     // layer's products read them, and the symmetric A-hat blocks the
     // backward propagates through.
-    const std::vector<Observation> obs =
-        rollout_observations(orion_problem, fast_config, batch);
+    const std::vector<StepRecord> records = rollout_steps(orion_problem, fast_config, batch);
     std::vector<const Matrix*> features;
     std::vector<Matrix> a_hats;
-    for (const Observation& o : obs) {
-      features.push_back(&o.features);
-      a_hats.push_back(o.a_hat);
+    for (const StepRecord& r : records) {
+      features.push_back(&r.obs.features);
+      a_hats.push_back(r.obs.a_hat);
     }
     const auto staged_features = std::make_shared<const CsrRows>(f, features);
     const auto adj = std::make_shared<const BlockAdjacency>(std::move(a_hats));
@@ -336,18 +410,18 @@ int run(int argc, char** argv) {
       // about 2.5% of the shape's entries, so the shape-based count left
       // the timed region at 1.5 ms; 40 times the iterations make it 60 ms.
       Matrix out(f, e);
-      nnk::gcn_kernels(nn_kernel())
+      nnk::kernel_table(nn_kernel())
           .matmul_tn_resume_csr(*staged_features, 0, batch * n, grad.data(), e, out.data());
       return out;
     }, /*iter_scale=*/40);
     bench_gemm("orion_gcn_backprop", batch * n, n, e, reps, false, [&] {
       // A-hat_g delta_g for every graph, through the encoder's per-graph
       // primitive of the active family.
-      const nnk::GcnKernels& kernels = nnk::gcn_kernels(nn_kernel());
+      const nnk::KernelTable& kernels = nnk::kernel_table(nn_kernel());
       Matrix out = Matrix::uninitialized(grad.rows(), grad.cols());
       for (int g = 0; g < batch; ++g) {
         const std::size_t at = static_cast<std::size_t>(g) * n * e;
-        kernels.propagate(*adj, g, grad.data() + at, e, out.data() + at);
+        kernels.propagate(*adj, g, grad.data() + at, e, Epilogue::kNone, out.data() + at);
       }
       return out;
     });

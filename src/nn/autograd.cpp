@@ -187,15 +187,9 @@ Tensor add_row_broadcast(const Tensor& a, const Tensor& row) {
     add_grad(parent(self, 0), self.grad);
     Node& prow = parent(self, 1);
     if (prow.requires_grad) {
-      // Column sums in a scratch row first, then one accumulate: the order
-      // the .at() loops summed in, on raw pointers.
-      const int cols = self.grad.cols();
-      Matrix col_sums(1, cols);
-      double* sums = col_sums.data();
-      for (int i = 0; i < self.grad.rows(); ++i) {
-        const double* grow = self.grad.data() + static_cast<std::size_t>(i) * cols;
-        for (int j = 0; j < cols; ++j) sums[j] += grow[j];
-      }
+      // Column sums in a scratch row first, then one accumulate.
+      Matrix col_sums(1, self.grad.cols());
+      nnk::add_col_sums(self.grad.data(), self.grad.rows(), self.grad.cols(), col_sums.data());
       add_grad(prow, std::move(col_sums));
     }
   });
@@ -237,15 +231,9 @@ Tensor exp_op(const Tensor& a) {
 Tensor mean_rows(const Tensor& a) {
   const Matrix& v = a.value();
   NPTSN_EXPECT(v.rows() >= 1, "mean_rows requires at least one row");
-  const int cols = v.cols();
-  Matrix out(1, cols);
-  double* po = out.data();
-  for (int i = 0; i < v.rows(); ++i) {
-    const double* vrow = v.data() + static_cast<std::size_t>(i) * cols;
-    for (int j = 0; j < cols; ++j) po[j] += vrow[j];
-  }
   const double inv = 1.0 / static_cast<double>(v.rows());
-  for (int j = 0; j < cols; ++j) po[j] *= inv;
+  Matrix out = Matrix::uninitialized(1, v.cols());
+  nnk::mean_readout(v.data(), v.rows(), v.cols(), inv, out.data());
   return Tensor::make_op(std::move(out), {a}, [inv](Node& self) {
     Node& pa = parent(self, 0);
     if (!pa.requires_grad) return;
@@ -435,16 +423,10 @@ Matrix epilogue_delta(const Matrix& grad, const Matrix& out, Epilogue act) {
 }
 
 // Column sums of grad accumulated directly into a 1 x C parent gradient
-// (ascending rows per column, on raw pointers: this runs once per fused layer
-// over the whole stacked batch).
+// (ascending rows per column).
 void add_grad_col_sums(Node& parent_node, const Matrix& grad) {
   if (!parent_node.requires_grad) return;
-  double* g = parent_node.ensure_grad().data();
-  const int cols = grad.cols();
-  for (int i = 0; i < grad.rows(); ++i) {
-    const double* grow = grad.data() + static_cast<std::size_t>(i) * cols;
-    for (int j = 0; j < cols; ++j) g[j] += grow[j];
-  }
+  nnk::add_col_sums(grad.data(), grad.rows(), grad.cols(), parent_node.ensure_grad().data());
 }
 
 }  // namespace
@@ -498,7 +480,7 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
   // features. Only the outputs the backward reads leave the tiles: layers
   // 1..L-1 (the next layer's input and ReLU gate), and the last layer's gate
   // as one byte per element.
-  const nnk::GcnKernels& kernels = nnk::gcn_kernels(nn_kernel());
+  const nnk::KernelTable& kernels = nnk::kernel_table(nn_kernel());
   std::vector<Matrix> hidden;
   for (int l = 0; l + 1 < depth; ++l) {
     hidden.push_back(
@@ -518,18 +500,21 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
         nnk::mean_readout_csr(x, g * n, n, inv, orow);
         continue;
       }
+      // Each layer: z = x W + b in the tile, then y = relu(A-hat_g z).
       const double* h = nullptr;
       for (int l = 0; l < depth; ++l) {
-        const GcnWeights& layer = layers[static_cast<std::size_t>(l)];
+        const Matrix& w = layers[static_cast<std::size_t>(l)].weight.value();
+        const double* bias = layers[static_cast<std::size_t>(l)].bias.value().data();
         double* y = l + 1 < depth ? hidden[static_cast<std::size_t>(l)].data() +
-                                        static_cast<std::size_t>(g) * n * layer.weight.cols()
+                                        static_cast<std::size_t>(g) * n * w.cols()
                                   : last.data();
         if (l == 0) {
-          kernels.layer_csr(*a_hats, g, x, layer.weight.value(), layer.bias.value(), z.data(),
-                            y);
+          kernels.affine_csr(x, g * n, n, w.data(), w.cols(), bias, z.data());
         } else {
-          kernels.layer(*a_hats, g, h, layer.weight.value(), layer.bias.value(), z.data(), y);
+          kernels.affine_rows(h, w.rows(), w.data(), w.cols(), bias, Epilogue::kNone, z.data(),
+                              0, n);
         }
+        kernels.propagate(*a_hats, g, z.data(), w.cols(), Epilogue::kRelu, y);
         h = y;
       }
       nnk::mean_readout(h, n, width, inv, orow);
@@ -556,7 +541,7 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
     int lowest = 0;
     while (!weight(lowest).requires_grad && !bias(lowest).requires_grad) ++lowest;
 
-    const nnk::GcnKernels& kernels = nnk::gcn_kernels(nn_kernel());
+    const nnk::KernelTable& kernels = nnk::kernel_table(nn_kernel());
     const int count = self.value.rows();
     const int width = self.value.cols();
     // W^T packed once per pass, and each weight gradient's chain, started
@@ -594,7 +579,8 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
         const int out = w.cols();
         for (int g = g0; g < g1; ++g) {
           const std::size_t at = static_cast<std::size_t>(g - g0) * n * out;
-          kernels.propagate(*a_hats, g, delta.data() + at, out, prop.data() + at);
+          kernels.propagate(*a_hats, g, delta.data() + at, out, Epilogue::kNone,
+                            prop.data() + at);
         }
         if (bias(l).requires_grad) {
           nnk::add_col_sums(prop.data(), rows, out, bias(l).ensure_grad().data());
@@ -609,12 +595,12 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
             kernels.matmul_tn_resume_csr(*features, static_cast<int>(row0), rows, prop.data(),
                                          out, gw);
           } else {
-            kernels.matmul_tn_resume(h, rows, in, prop.data(), out, gw);
+            kernels.matmul_tn_resume(h, rows, in, prop.data(), out, gw, 0, in);
           }
         }
         if (l > lowest) {
-          kernels.matmul_rows(prop.data(), rows, out, wt[static_cast<std::size_t>(l)].data(),
-                              in, back.data());
+          kernels.matmul_rows(prop.data(), out, wt[static_cast<std::size_t>(l)].data(), in,
+                              back.data(), 0, rows);
           // The layer below's ReLU gate, at its stored output.
           nnk::relu_gate(h, back.data(), static_cast<std::size_t>(rows) * in, delta.data());
         }

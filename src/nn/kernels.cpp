@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 
 #include "util/thread_pool.hpp"
 
@@ -158,6 +159,8 @@ inline vnd fmaddv(vnd a, vnd b, vnd acc) {
 #endif
 }
 
+namespace fast {
+
 // Register-resident column width of the full-tile micro-kernels: a kMr x
 // kNrReg f64 accumulator block is 8 vector registers (ymm under AVX2, zmm
 // under AVX-512), leaving room for the B-row loads and the broadcast A
@@ -170,9 +173,9 @@ constexpr int kNrReg = 2 * kLanes;
 // fma(0, b, acc) returns acc exactly, so including or skipping zero terms
 // produces identical bits — which is what makes the sparse/dense strategy
 // dispatch below legal in the first place (see fmadd above).
-template <int MR>
+template <Epilogue Act, bool Bias, int MR>
 void affine_microkernel(const double* pa, const double* pb, int cols_k, int cols_n,
-                        int i0, int j0, const double* pbias, Epilogue act, double* po) {
+                        int i0, int j0, const double* pbias, double* po) {
   vnd acc[MR][2];
   for (int r = 0; r < MR; ++r) acc[r][0] = acc[r][1] = broadcastv(0.0);
   for (int k = 0; k < cols_k; ++k) {
@@ -191,8 +194,8 @@ void affine_microkernel(const double* pa, const double* pb, int cols_k, int cols
     storev(tile, acc[r][0]);
     storev(tile + kLanes, acc[r][1]);
     for (int j = 0; j < kNrReg; ++j) {
-      const double v = pbias ? tile[j] + pbias[j0 + j] : tile[j];
-      orow[j] = apply_epilogue(v, act);
+      const double v = Bias ? tile[j] + pbias[j0 + j] : tile[j];
+      orow[j] = apply_epilogue(v, Act);
     }
   }
 }
@@ -200,10 +203,9 @@ void affine_microkernel(const double* pa, const double* pb, int cols_k, int cols
 // Single-vector-wide variant for the column remainder: a full kLanes-wide
 // tile that doesn't fill two vectors. Same chain per element as the two-wide
 // kernel, so mixing the two along a row is bit-transparent.
-template <int MR>
+template <Epilogue Act, bool Bias, int MR>
 void affine_microkernel_v1(const double* pa, const double* pb, int cols_k, int cols_n,
-                           int i0, int j0, const double* pbias, Epilogue act,
-                           double* po) {
+                           int i0, int j0, const double* pbias, double* po) {
   vnd acc[MR];
   for (int r = 0; r < MR; ++r) acc[r] = broadcastv(0.0);
   for (int k = 0; k < cols_k; ++k) {
@@ -218,8 +220,8 @@ void affine_microkernel_v1(const double* pa, const double* pb, int cols_k, int c
     double tile[kLanes];
     storev(tile, acc[r]);
     for (int j = 0; j < kLanes; ++j) {
-      const double v = pbias ? tile[j] + pbias[j0 + j] : tile[j];
-      orow[j] = apply_epilogue(v, act);
+      const double v = Bias ? tile[j] + pbias[j0 + j] : tile[j];
+      orow[j] = apply_epilogue(v, Act);
     }
   }
 }
@@ -238,9 +240,9 @@ void affine_microkernel_v1(const double* pa, const double* pb, int cols_k, int c
 // sweeps instead of nnz + 2. For A-hat rows (a handful of neighbors) and
 // observation feature rows (mostly one or two nonzeros) that is the
 // difference between being store-bound and being nnz-bound.
+template <Epilogue Act, bool Bias>
 void affine_rows_sparse(const double* pa, const double* pb, int cols_k, int cols_n,
-                        const double* pbias, Epilogue act, double* po, int i_begin,
-                        int i_end) {
+                        const double* pbias, double* po, int i_begin, int i_end) {
   for (int i = i_begin; i < i_end; ++i) {
     double* orow = po + static_cast<std::size_t>(i) * cols_n;
     const double* arow = pa + static_cast<std::size_t>(i) * cols_k;
@@ -250,7 +252,7 @@ void affine_rows_sparse(const double* pa, const double* pb, int cols_k, int cols
       // Empty row. 0.0 + pbias[j] (not bare pbias[j]): keeps the bits of the
       // accumulate-into-zeros formulation even for a -0.0 bias entry.
       for (int j = 0; j < cols_n; ++j) {
-        orow[j] = apply_epilogue(pbias ? 0.0 + pbias[j] : 0.0, act);
+        orow[j] = apply_epilogue(Bias ? 0.0 + pbias[j] : 0.0, Act);
       }
       continue;
     }
@@ -261,7 +263,7 @@ void affine_rows_sparse(const double* pa, const double* pb, int cols_k, int cols
       const double* brow = pb + static_cast<std::size_t>(k_first) * cols_n;
       for (int j = 0; j < cols_n; ++j) {
         const double acc = fmadd(aik, brow[j], 0.0);
-        orow[j] = apply_epilogue(pbias ? acc + pbias[j] : acc, act);
+        orow[j] = apply_epilogue(Bias ? acc + pbias[j] : acc, Act);
       }
       continue;
     }
@@ -281,7 +283,7 @@ void affine_rows_sparse(const double* pa, const double* pb, int cols_k, int cols
       const double* brow = pb + static_cast<std::size_t>(k_last) * cols_n;
       for (int j = 0; j < cols_n; ++j) {
         const double acc = fmadd(aik, brow[j], orow[j]);
-        orow[j] = apply_epilogue(pbias ? acc + pbias[j] : acc, act);
+        orow[j] = apply_epilogue(Bias ? acc + pbias[j] : acc, Act);
       }
     }
   }
@@ -291,13 +293,12 @@ void affine_rows_sparse(const double* pa, const double* pb, int cols_k, int cols
 // sparse path. Pure performance knob: both paths produce identical bits.
 constexpr double kSparseDensityMax = 0.25;
 
-// Rows [i_begin, i_end) of out = act(a * b + bias). The accumulation order
-// of every output element is a single chain over ascending k. Raw-pointer
-// interface so the block-diagonal batched kernels can address sub-blocks of
-// a stacked matrix without copying them out first.
-void affine_rows(const double* pa, int cols_k, const double* pb, int cols_n,
-                 const double* pbias, Epilogue act, double* po, int i_begin,
-                 int i_end) {
+// Rows [i_begin, i_end) of out = Act(a * b + bias), with a bias row iff
+// Bias. The accumulation order of every output element is a single chain
+// over ascending k.
+template <Epilogue Act, bool Bias>
+void affine_rows_act(const double* pa, int cols_k, const double* pb, int cols_n,
+                     const double* pbias, double* po, int i_begin, int i_end) {
   for (int i0 = i_begin; i0 < i_end; i0 += kMr) {
     const int mi = std::min(kMr, i_end - i0);
     // One cheap scan decides the strategy for this row block.
@@ -305,7 +306,7 @@ void affine_rows(const double* pa, int cols_k, const double* pb, int cols_n,
     const double* block = pa + static_cast<std::size_t>(i0) * cols_k;
     for (int e = 0; e < mi * cols_k; ++e) nnz += block[e] != 0.0;
     if (nnz < kSparseDensityMax * mi * cols_k) {
-      affine_rows_sparse(pa, pb, cols_k, cols_n, pbias, act, po, i0, i0 + mi);
+      affine_rows_sparse<Act, Bias>(pa, pb, cols_k, cols_n, pbias, po, i0, i0 + mi);
       continue;
     }
     // Register tiles for every row count — the MR template covers partial row
@@ -315,27 +316,27 @@ void affine_rows(const double* pa, int cols_k, const double* pb, int cols_n,
     switch (mi) {
       case 4:
         for (; j0 + kNrReg <= cols_n; j0 += kNrReg)
-          affine_microkernel<4>(pa, pb, cols_k, cols_n, i0, j0, pbias, act, po);
+          affine_microkernel<Act, Bias, 4>(pa, pb, cols_k, cols_n, i0, j0, pbias, po);
         for (; j0 + kLanes <= cols_n; j0 += kLanes)
-          affine_microkernel_v1<4>(pa, pb, cols_k, cols_n, i0, j0, pbias, act, po);
+          affine_microkernel_v1<Act, Bias, 4>(pa, pb, cols_k, cols_n, i0, j0, pbias, po);
         break;
       case 3:
         for (; j0 + kNrReg <= cols_n; j0 += kNrReg)
-          affine_microkernel<3>(pa, pb, cols_k, cols_n, i0, j0, pbias, act, po);
+          affine_microkernel<Act, Bias, 3>(pa, pb, cols_k, cols_n, i0, j0, pbias, po);
         for (; j0 + kLanes <= cols_n; j0 += kLanes)
-          affine_microkernel_v1<3>(pa, pb, cols_k, cols_n, i0, j0, pbias, act, po);
+          affine_microkernel_v1<Act, Bias, 3>(pa, pb, cols_k, cols_n, i0, j0, pbias, po);
         break;
       case 2:
         for (; j0 + kNrReg <= cols_n; j0 += kNrReg)
-          affine_microkernel<2>(pa, pb, cols_k, cols_n, i0, j0, pbias, act, po);
+          affine_microkernel<Act, Bias, 2>(pa, pb, cols_k, cols_n, i0, j0, pbias, po);
         for (; j0 + kLanes <= cols_n; j0 += kLanes)
-          affine_microkernel_v1<2>(pa, pb, cols_k, cols_n, i0, j0, pbias, act, po);
+          affine_microkernel_v1<Act, Bias, 2>(pa, pb, cols_k, cols_n, i0, j0, pbias, po);
         break;
       case 1:
         for (; j0 + kNrReg <= cols_n; j0 += kNrReg)
-          affine_microkernel<1>(pa, pb, cols_k, cols_n, i0, j0, pbias, act, po);
+          affine_microkernel<Act, Bias, 1>(pa, pb, cols_k, cols_n, i0, j0, pbias, po);
         for (; j0 + kLanes <= cols_n; j0 += kLanes)
-          affine_microkernel_v1<1>(pa, pb, cols_k, cols_n, i0, j0, pbias, act, po);
+          affine_microkernel_v1<Act, Bias, 1>(pa, pb, cols_k, cols_n, i0, j0, pbias, po);
         break;
       default:
         break;
@@ -358,12 +359,39 @@ void affine_rows(const double* pa, int cols_k, const double* pb, int cols_n,
       for (int r = 0; r < mi; ++r) {
         double* orow = po + static_cast<std::size_t>(i0 + r) * cols_n + j0;
         for (int j = 0; j < nj; ++j) {
-          const double v = pbias ? acc[r][j] + pbias[j0 + j] : acc[r][j];
-          orow[j] = apply_epilogue(v, act);
+          const double v = Bias ? acc[r][j] + pbias[j0 + j] : acc[r][j];
+          orow[j] = apply_epilogue(v, Act);
         }
       }
     }
   }
+}
+
+// Calls f(std::integral_constant<Epilogue, act>{}), so that the row loops
+// take the activation as a constant and carry no per-element switch.
+// affine_rows fixes the bias's presence the same way. Behind the table's
+// function pointer both are run-time values: left to a per-element test,
+// the CSR propagation took twice as long and the dense tiles a third longer.
+template <typename F>
+void with_epilogue(Epilogue act, const F& f) {
+  switch (act) {
+    case Epilogue::kNone: return f(std::integral_constant<Epilogue, Epilogue::kNone>{});
+    case Epilogue::kRelu: return f(std::integral_constant<Epilogue, Epilogue::kRelu>{});
+    case Epilogue::kTanh: return f(std::integral_constant<Epilogue, Epilogue::kTanh>{});
+  }
+}
+
+// Rows [i_begin, i_end) of out = act(a * b + bias): the table's affine rows.
+void affine_rows(const double* pa, int cols_k, const double* pb, int cols_n,
+                 const double* pbias, Epilogue act, double* po, int i_begin, int i_end) {
+  with_epilogue(act, [&](auto epilogue) {
+    constexpr Epilogue kAct = decltype(epilogue)::value;
+    if (pbias) {
+      affine_rows_act<kAct, true>(pa, cols_k, pb, cols_n, pbias, po, i_begin, i_end);
+    } else {
+      affine_rows_act<kAct, false>(pa, cols_k, pb, cols_n, nullptr, po, i_begin, i_end);
+    }
+  });
 }
 
 // Full-tile micro-kernel for out += a^T * b over k in [k0, k1); same
@@ -471,14 +499,13 @@ void tn_rows_sparse(const double* pa, int k0, int k1, int cols_m, const double* 
 
 // Rows [i_begin, i_end) of out += a^T * b (a row-major K x M; out M x N),
 // walked one k chunk (nnk::kTnChunk rows of a and b) at a time, each element
-// continuing the chain already in `out` (matmul_tn_fast starts it at +0.0).
-// A chunk whose columns [i_begin, i_end) of a are below the affine_rows
-// density threshold takes the sparse path, any other the register tiles;
-// counting reads the chunk into cache for whichever path follows. The paths
-// may alternate from chunk to chunk because both continue the same
-// per-element chain.
-void matmul_tn_rows(const double* pa, int rows_k, int cols_m, const double* pb,
-                    int cols_n, double* po, int i_begin, int i_end) {
+// continuing the chain already in `out`. A chunk whose columns [i_begin,
+// i_end) of a are below the affine_rows density threshold takes the sparse
+// path, any other the register tiles; counting reads the chunk into cache
+// for whichever path follows. The paths may alternate from chunk to chunk
+// because both continue the same per-element chain.
+void matmul_tn_resume(const double* pa, int rows_k, int cols_m, const double* pb,
+                      int cols_n, double* po, int i_begin, int i_end) {
   for (int k0 = 0; k0 < rows_k; k0 += nnk::kTnChunk) {
     const int k1 = std::min(rows_k, k0 + nnk::kTnChunk);
     int nnz = 0;
@@ -501,134 +528,6 @@ void matmul_tn_rows(const double* pa, int rows_k, int cols_m, const double* pb,
     }
   }
 }
-
-// Partitions rows [0, total) into kRowsPerTask chunks and runs `rows` over
-// them, in parallel when the shape is large enough and the pool is free.
-template <typename RowsFn>
-void run_rows(int total, std::int64_t m, std::int64_t n, std::int64_t k,
-              const RowsFn& rows) {
-  if (total == 0) return;
-  if (want_parallel(m, n, k)) {
-    const int chunks = (total + kRowsPerTask - 1) / kRowsPerTask;
-    const bool ran = try_parallel(chunks, [&](int c) {
-      const int begin = c * kRowsPerTask;
-      rows(begin, std::min(begin + kRowsPerTask, total));
-    });
-    if (ran) return;
-  }
-  rows(0, total);
-}
-
-}  // namespace
-
-void set_nn_kernel(NnKernel kernel) {
-  g_kernel.store(static_cast<int>(kernel), std::memory_order_relaxed);
-}
-
-NnKernel nn_kernel() {
-  return static_cast<NnKernel>(g_kernel.load(std::memory_order_relaxed));
-}
-
-void set_nn_kernel_threads(int threads) {
-  NPTSN_EXPECT(threads >= 1, "nn kernel thread count must be positive");
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  g_threads.store(threads, std::memory_order_relaxed);
-  if (g_pool && g_pool->size() != threads) g_pool.reset();
-}
-
-int nn_kernel_threads() { return g_threads.load(std::memory_order_relaxed); }
-
-namespace nnk {
-
-void matmul_reference(const Matrix& a, const Matrix& b, Matrix& out) {
-  out = Matrix(a.rows(), b.cols());
-  // i-k-j order: streams through b and out rows, cache friendly for row-major.
-  for (int i = 0; i < a.rows(); ++i) {
-    for (int k = 0; k < a.cols(); ++k) {
-      const double aik = a.at(i, k);
-      if (aik == 0.0) continue;  // A-hat and feature blocks are sparse
-      const double* brow = b.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(b.cols());
-      double* orow = out.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(out.cols());
-      for (int j = 0; j < b.cols(); ++j) orow[j] += aik * brow[j];
-    }
-  }
-}
-
-void matmul_nt_reference(const Matrix& a, const Matrix& b, Matrix& out) {
-  out = Matrix(a.rows(), b.rows());
-  for (int i = 0; i < a.rows(); ++i) {
-    for (int j = 0; j < b.rows(); ++j) {
-      double sum = 0.0;
-      for (int k = 0; k < a.cols(); ++k) sum += a.at(i, k) * b.at(j, k);
-      out.at(i, j) = sum;
-    }
-  }
-}
-
-void matmul_tn_reference(const Matrix& a, const Matrix& b, Matrix& out) {
-  out = Matrix(a.cols(), b.cols());
-  matmul_tn_resume_reference(a.data(), a.rows(), a.cols(), b.data(), b.cols(), out.data());
-}
-
-void affine_reference(const Matrix& a, const Matrix& b, const Matrix* bias,
-                      Epilogue act, Matrix& out) {
-  matmul_reference(a, b, out);
-  for (int i = 0; i < out.rows(); ++i) {
-    for (int j = 0; j < out.cols(); ++j) {
-      double v = out.at(i, j);
-      if (bias) v += bias->at(0, j);
-      out.at(i, j) = apply_epilogue(v, act);
-    }
-  }
-}
-
-void matmul_fast(const Matrix& a, const Matrix& b, Matrix& out) {
-  out = Matrix::uninitialized(a.rows(), b.cols());
-  run_rows(a.rows(), a.rows(), b.cols(), a.cols(), [&](int begin, int end) {
-    affine_rows(a.data(), a.cols(), b.data(), b.cols(), nullptr, Epilogue::kNone,
-                out.data(), begin, end);
-  });
-}
-
-void matmul_nt_fast(const Matrix& a, const Matrix& b, Matrix& out) {
-  // Pack b^T once (b is a weight matrix, at most 256 x 256) so a * b^T runs on
-  // the affine_rows micro-kernels: register tiles for dense rows, the
-  // zero-skipping sparse rows for a ReLU-masked delta. Each element is still
-  // the one chain fma(a(i, k), b(j, k), acc) over ascending k from +0.0.
-  const int cols_k = a.cols();
-  const int rows_n = b.rows();
-  Matrix bt = Matrix::uninitialized(cols_k, rows_n);
-  for (int j = 0; j < rows_n; ++j) {
-    const double* brow = b.data() + static_cast<std::size_t>(j) * cols_k;
-    for (int k = 0; k < cols_k; ++k) {
-      bt.data()[static_cast<std::size_t>(k) * rows_n + j] = brow[k];
-    }
-  }
-  out = Matrix::uninitialized(a.rows(), rows_n);
-  run_rows(a.rows(), a.rows(), rows_n, cols_k, [&](int begin, int end) {
-    affine_rows(a.data(), cols_k, bt.data(), rows_n, nullptr, Epilogue::kNone,
-                out.data(), begin, end);
-  });
-}
-
-void matmul_tn_fast(const Matrix& a, const Matrix& b, Matrix& out) {
-  out = Matrix(a.cols(), b.cols());  // every chain starts at +0.0
-  run_rows(a.cols(), a.cols(), b.cols(), a.rows(), [&](int begin, int end) {
-    matmul_tn_rows(a.data(), a.rows(), a.cols(), b.data(), b.cols(), out.data(),
-                   begin, end);
-  });
-}
-
-void affine_fast(const Matrix& a, const Matrix& b, const Matrix* bias,
-                 Epilogue act, Matrix& out) {
-  out = Matrix::uninitialized(a.rows(), b.cols());
-  run_rows(a.rows(), a.rows(), b.cols(), a.cols(), [&](int begin, int end) {
-    affine_rows(a.data(), a.cols(), b.data(), b.cols(),
-                bias ? bias->data() : nullptr, act, out.data(), begin, end);
-  });
-}
-
-namespace {
 
 // Rows [0, rows) of out = finish(M src) for a sparse M whose row i holds the
 // entries t in [begin(i), begin(i + 1)): columns cols[t], values vals[t].
@@ -671,182 +570,191 @@ void csr_product_rows(int rows, const Begin& begin, const int* cols, const doubl
   }
 }
 
-// Propagation of one block via the staged CSR index: out_g = act(adj_g *
-// src), no bias (adjacency products never carry one).
-void propagate_rows_csr(const BlockAdjacency& adj, int g, const double* psrc,
-                        int cols_n, Epilogue act, double* po) {
+// Graph g's rows of out = act(A_g src), through the staged CSR index (no
+// bias: adjacency products never carry one).
+void propagate(const BlockAdjacency& adj, int g, const double* psrc, int cols_n,
+               Epilogue act, double* po) {
+  with_epilogue(act, [&](auto epilogue) {
+    csr_product_rows(
+        adj.block_size(), [&](int i) { return adj.row_begin(g, i); }, adj.csr_cols(),
+        adj.csr_vals(), psrc, cols_n, po,
+        [](double v, int) { return apply_epilogue(v, decltype(epilogue)::value); });
+  });
+}
+
+void affine_csr(const CsrRows& x, int row0, int rows, const double* pw, int cols_n,
+                const double* pbias, double* po) {
   csr_product_rows(
-      adj.block_size(), [&](int i) { return adj.row_begin(g, i); }, adj.csr_cols(),
-      adj.csr_vals(), psrc, cols_n, po, [act](double v, int) { return apply_epilogue(v, act); });
+      rows, [&](int i) { return x.row_begin(row0 + i); }, x.csr_cols(), x.csr_vals(), pw,
+      cols_n, po, [pbias](double v, int j) { return v + pbias[j]; });
 }
 
-// The reference layer's second half: y = relu(A_g z).
-void propagate_relu_reference(const BlockAdjacency& adj, int g, const double* z, int cols_n,
-                              double* y) {
-  propagate_reference(adj, g, z, cols_n, y);
-  const std::size_t count = static_cast<std::size_t>(adj.block_size()) * cols_n;
-  for (std::size_t e = 0; e < count; ++e) y[e] = apply_epilogue(y[e], Epilogue::kRelu);
-}
-
-}  // namespace
-
-void gcn_layer_reference(const BlockAdjacency& adj, int g, const double* x,
-                         const Matrix& w, const Matrix& bias, double* z, double* y) {
-  const int n = adj.block_size();
-  const int cols_k = w.rows();
-  const int cols_n = w.cols();
-  // z = x * w + bias, the i-k-j accumulation affine_reference performs on the
-  // stacked matrix: the per-element reduction order is row-local, so
-  // splitting the rows by graph changes nothing bitwise.
-  std::fill(z, z + static_cast<std::size_t>(n) * cols_n, 0.0);
-  for (int i = 0; i < n; ++i) {
-    double* zrow = z + static_cast<std::size_t>(i) * cols_n;
-    for (int k = 0; k < cols_k; ++k) {
-      const double xik = x[static_cast<std::size_t>(i) * cols_k + k];
-      if (xik == 0.0) continue;
-      const double* wrow = w.data() + static_cast<std::size_t>(k) * cols_n;
-      for (int j = 0; j < cols_n; ++j) zrow[j] += xik * wrow[j];
-    }
-    for (int j = 0; j < cols_n; ++j) zrow[j] += bias.data()[j];
-  }
-  propagate_relu_reference(adj, g, z, cols_n, y);
-}
-
-void gcn_layer_fast(const BlockAdjacency& adj, int g, const double* x, const Matrix& w,
-                    const Matrix& bias, double* z, double* y) {
-  affine_rows(x, w.rows(), w.data(), w.cols(), bias.data(), Epilogue::kNone, z, 0,
-              adj.block_size());
-  propagate_rows_csr(adj, g, z, w.cols(), Epilogue::kRelu, y);
-}
-
-void gcn_layer_csr_reference(const BlockAdjacency& adj, int g, const CsrRows& x,
-                             const Matrix& w, const Matrix& bias, double* z, double* y) {
-  const int n = adj.block_size();
-  const int cols_n = w.cols();
-  const int* cols = x.csr_cols();
-  const double* vals = x.csr_vals();
-  // gcn_layer_reference's loop over the stored entries of the graph's rows.
-  std::fill(z, z + static_cast<std::size_t>(n) * cols_n, 0.0);
-  for (int i = 0; i < n; ++i) {
-    double* zrow = z + static_cast<std::size_t>(i) * cols_n;
-    for (std::size_t t = x.row_begin(g * n + i); t < x.row_end(g * n + i); ++t) {
-      const double xik = vals[t];
-      const double* wrow = w.data() + static_cast<std::size_t>(cols[t]) * cols_n;
-      for (int j = 0; j < cols_n; ++j) zrow[j] += xik * wrow[j];
-    }
-    for (int j = 0; j < cols_n; ++j) zrow[j] += bias.data()[j];
-  }
-  propagate_relu_reference(adj, g, z, cols_n, y);
-}
-
-void gcn_layer_csr_fast(const BlockAdjacency& adj, int g, const CsrRows& x, const Matrix& w,
-                        const Matrix& bias, double* z, double* y) {
-  const int n = adj.block_size();
-  const double* pbias = bias.data();
-  csr_product_rows(
-      n, [&](int i) { return x.row_begin(g * n + i); }, x.csr_cols(), x.csr_vals(), w.data(),
-      w.cols(), z, [pbias](double v, int j) { return v + pbias[j]; });
-  propagate_rows_csr(adj, g, z, w.cols(), Epilogue::kRelu, y);
-}
-
-void propagate_reference(const BlockAdjacency& adj, int g, const double* src, int cols,
-                         double* out) {
-  const int n = adj.block_size();
-  const double* pa = adj.blocks()[static_cast<std::size_t>(g)].data();
-  // The i-k-j zero-skip loop of matmul_reference, addressed into the stacked
-  // rows instead of a copied-out block: identical operations in identical
-  // order.
-  std::fill(out, out + static_cast<std::size_t>(n) * cols, 0.0);
-  for (int i = 0; i < n; ++i) {
-    double* orow = out + static_cast<std::size_t>(i) * cols;
-    for (int k = 0; k < n; ++k) {
-      const double aik = pa[static_cast<std::size_t>(i) * n + k];
-      if (aik == 0.0) continue;
-      const double* srow = src + static_cast<std::size_t>(k) * cols;
-      for (int j = 0; j < cols; ++j) orow[j] += aik * srow[j];
-    }
-  }
-}
-
-void propagate_fast(const BlockAdjacency& adj, int g, const double* src, int cols,
-                    double* out) {
-  propagate_rows_csr(adj, g, src, cols, Epilogue::kNone, out);
-}
-
-void matmul_rows_reference(const double* a, int rows, int cols_k, const double* b,
-                           int cols_n, double* out) {
-  for (int i = 0; i < rows; ++i) {
-    const double* arow = a + static_cast<std::size_t>(i) * cols_k;
-    for (int j = 0; j < cols_n; ++j) {
-      double sum = 0.0;
-      for (int k = 0; k < cols_k; ++k) sum += arow[k] * b[static_cast<std::size_t>(k) * cols_n + j];
-      out[static_cast<std::size_t>(i) * cols_n + j] = sum;
-    }
-  }
-}
-
-void matmul_rows_fast(const double* a, int rows, int cols_k, const double* b, int cols_n,
-                      double* out) {
-  affine_rows(a, cols_k, b, cols_n, nullptr, Epilogue::kNone, out, 0, rows);
-}
-
-void matmul_tn_resume_reference(const double* a, int rows, int cols_m, const double* b,
-                                int cols_n, double* out) {
-  // k outer: streams rows of a and b, accumulates rank-1 updates into out.
-  for (int k = 0; k < rows; ++k) {
-    const double* arow = a + static_cast<std::size_t>(k) * cols_m;
-    const double* brow = b + static_cast<std::size_t>(k) * cols_n;
-    for (int i = 0; i < cols_m; ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      double* orow = out + static_cast<std::size_t>(i) * cols_n;
-      for (int j = 0; j < cols_n; ++j) orow[j] += aki * brow[j];
-    }
-  }
-}
-
-void matmul_tn_resume_fast(const double* a, int rows, int cols_m, const double* b,
-                           int cols_n, double* out) {
-  matmul_tn_rows(a, rows, cols_m, b, cols_n, out, 0, cols_m);
-}
-
-// Both CSR weight gradients are the k-outer AXPY of tn_rows_sparse and
-// matmul_tn_resume_reference, one sweep of output row i per stored x(k, i).
-void matmul_tn_resume_csr_reference(const CsrRows& x, int row0, int rows, const double* b,
-                                    int cols_n, double* out) {
+// tn_rows_sparse's k-outer AXPY over the stored entries: one sweep of output
+// row i per stored x(k, i).
+void matmul_tn_resume_csr(const CsrRows& x, int row0, int rows, const double* pb, int cols_n,
+                          double* po) {
   const int* cols = x.csr_cols();
   const double* vals = x.csr_vals();
   for (int k = 0; k < rows; ++k) {
-    const double* brow = b + static_cast<std::size_t>(k) * cols_n;
+    const double* brow = pb + static_cast<std::size_t>(k) * cols_n;
     for (std::size_t t = x.row_begin(row0 + k); t < x.row_end(row0 + k); ++t) {
       const double aki = vals[t];
-      double* orow = out + static_cast<std::size_t>(cols[t]) * cols_n;
-      for (int j = 0; j < cols_n; ++j) orow[j] += aki * brow[j];
-    }
-  }
-}
-
-void matmul_tn_resume_csr_fast(const CsrRows& x, int row0, int rows, const double* b,
-                               int cols_n, double* out) {
-  const int* cols = x.csr_cols();
-  const double* vals = x.csr_vals();
-  for (int k = 0; k < rows; ++k) {
-    const double* brow = b + static_cast<std::size_t>(k) * cols_n;
-    for (std::size_t t = x.row_begin(row0 + k); t < x.row_end(row0 + k); ++t) {
-      const double aki = vals[t];
-      double* orow = out + static_cast<std::size_t>(cols[t]) * cols_n;
+      double* orow = po + static_cast<std::size_t>(cols[t]) * cols_n;
       for (int j = 0; j < cols_n; ++j) orow[j] = fmadd(aki, brow[j], orow[j]);
     }
   }
 }
 
-const GcnKernels& gcn_kernels(NnKernel family) {
-  static constexpr GcnKernels reference = {
-      gcn_layer_reference,   gcn_layer_csr_reference,    propagate_reference,
-      matmul_rows_reference, matmul_tn_resume_reference, matmul_tn_resume_csr_reference};
-  static constexpr GcnKernels fast = {gcn_layer_fast,        gcn_layer_csr_fast,
-                                      propagate_fast,        matmul_rows_fast,
-                                      matmul_tn_resume_fast, matmul_tn_resume_csr_fast};
+// delta W^T on the affine_rows micro-kernels: register tiles for dense
+// rows, the zero-skipping sparse rows for a ReLU-masked delta.
+void matmul_rows(const double* pa, int cols_k, const double* pbt, int cols_n, double* po,
+                 int i_begin, int i_end) {
+  affine_rows(pa, cols_k, pbt, cols_n, nullptr, Epilogue::kNone, po, i_begin, i_end);
+}
+
+}  // namespace fast
+
+// The reference family: the original mul-then-add loops, one per loop shape.
+namespace reference {
+
+// The i-k-j loop with zero-skip: streams through b and out rows, and skips
+// the zero entries of the sparse A-hat and feature blocks. The bias and the
+// activation follow the whole chain.
+void affine_rows(const double* pa, int cols_k, const double* pb, int cols_n,
+                 const double* pbias, Epilogue act, double* po, int i_begin, int i_end) {
+  for (int i = i_begin; i < i_end; ++i) {
+    double* orow = po + static_cast<std::size_t>(i) * cols_n;
+    const double* arow = pa + static_cast<std::size_t>(i) * cols_k;
+    std::fill(orow, orow + cols_n, 0.0);
+    for (int k = 0; k < cols_k; ++k) {
+      const double aik = arow[k];
+      if (aik == 0.0) continue;
+      const double* brow = pb + static_cast<std::size_t>(k) * cols_n;
+      for (int j = 0; j < cols_n; ++j) orow[j] += aik * brow[j];
+    }
+    if (pbias == nullptr && act == Epilogue::kNone) continue;
+    for (int j = 0; j < cols_n; ++j) {
+      orow[j] = apply_epilogue(pbias ? orow[j] + pbias[j] : orow[j], act);
+    }
+  }
+}
+
+// The dot loop: every term, zero or not, in ascending k.
+void matmul_rows(const double* pa, int cols_k, const double* pbt, int cols_n, double* po,
+                 int i_begin, int i_end) {
+  for (int i = i_begin; i < i_end; ++i) {
+    const double* arow = pa + static_cast<std::size_t>(i) * cols_k;
+    for (int j = 0; j < cols_n; ++j) {
+      double sum = 0.0;
+      for (int k = 0; k < cols_k; ++k) {
+        sum += arow[k] * pbt[static_cast<std::size_t>(k) * cols_n + j];
+      }
+      po[static_cast<std::size_t>(i) * cols_n + j] = sum;
+    }
+  }
+}
+
+// k outer: streams rows of a and b, accumulates rank-1 updates into out.
+void matmul_tn_resume(const double* pa, int rows_k, int cols_m, const double* pb, int cols_n,
+                      double* po, int i_begin, int i_end) {
+  for (int k = 0; k < rows_k; ++k) {
+    const double* arow = pa + static_cast<std::size_t>(k) * cols_m;
+    const double* brow = pb + static_cast<std::size_t>(k) * cols_n;
+    for (int i = i_begin; i < i_end; ++i) {
+      const double aki = arow[i];
+      if (aki == 0.0) continue;
+      double* orow = po + static_cast<std::size_t>(i) * cols_n;
+      for (int j = 0; j < cols_n; ++j) orow[j] += aki * brow[j];
+    }
+  }
+}
+
+void propagate(const BlockAdjacency& adj, int g, const double* psrc, int cols_n,
+               Epilogue act, double* po) {
+  const int n = adj.block_size();
+  affine_rows(adj.blocks()[static_cast<std::size_t>(g)].data(), n, psrc, cols_n, nullptr, act,
+              po, 0, n);
+}
+
+// affine_rows' loop over the stored entries of the rows.
+void affine_csr(const CsrRows& x, int row0, int rows, const double* pw, int cols_n,
+                const double* pbias, double* po) {
+  const int* cols = x.csr_cols();
+  const double* vals = x.csr_vals();
+  for (int i = 0; i < rows; ++i) {
+    double* orow = po + static_cast<std::size_t>(i) * cols_n;
+    std::fill(orow, orow + cols_n, 0.0);
+    for (std::size_t t = x.row_begin(row0 + i); t < x.row_end(row0 + i); ++t) {
+      const double xik = vals[t];
+      const double* wrow = pw + static_cast<std::size_t>(cols[t]) * cols_n;
+      for (int j = 0; j < cols_n; ++j) orow[j] += xik * wrow[j];
+    }
+    for (int j = 0; j < cols_n; ++j) orow[j] += pbias[j];
+  }
+}
+
+// matmul_tn_resume's loop over the stored entries of the rows.
+void matmul_tn_resume_csr(const CsrRows& x, int row0, int rows, const double* pb, int cols_n,
+                          double* po) {
+  const int* cols = x.csr_cols();
+  const double* vals = x.csr_vals();
+  for (int k = 0; k < rows; ++k) {
+    const double* brow = pb + static_cast<std::size_t>(k) * cols_n;
+    for (std::size_t t = x.row_begin(row0 + k); t < x.row_end(row0 + k); ++t) {
+      const double aki = vals[t];
+      double* orow = po + static_cast<std::size_t>(cols[t]) * cols_n;
+      for (int j = 0; j < cols_n; ++j) orow[j] += aki * brow[j];
+    }
+  }
+}
+
+}  // namespace reference
+
+// Partitions rows [0, total) into kRowsPerTask chunks and runs `rows` over
+// them, in parallel when the shape is large enough and the pool is free.
+template <typename RowsFn>
+void run_rows(int total, std::int64_t m, std::int64_t n, std::int64_t k,
+              const RowsFn& rows) {
+  if (total == 0) return;
+  if (want_parallel(m, n, k)) {
+    const int chunks = (total + kRowsPerTask - 1) / kRowsPerTask;
+    const bool ran = try_parallel(chunks, [&](int c) {
+      const int begin = c * kRowsPerTask;
+      rows(begin, std::min(begin + kRowsPerTask, total));
+    });
+    if (ran) return;
+  }
+  rows(0, total);
+}
+
+}  // namespace
+
+void set_nn_kernel(NnKernel kernel) {
+  g_kernel.store(static_cast<int>(kernel), std::memory_order_relaxed);
+}
+
+NnKernel nn_kernel() {
+  return static_cast<NnKernel>(g_kernel.load(std::memory_order_relaxed));
+}
+
+void set_nn_kernel_threads(int threads) {
+  NPTSN_EXPECT(threads >= 1, "nn kernel thread count must be positive");
+  std::lock_guard<std::mutex> lock(g_pool_mutex);
+  g_threads.store(threads, std::memory_order_relaxed);
+  if (g_pool && g_pool->size() != threads) g_pool.reset();
+}
+
+int nn_kernel_threads() { return g_threads.load(std::memory_order_relaxed); }
+
+namespace nnk {
+
+const KernelTable& kernel_table(NnKernel family) {
+  static constexpr KernelTable reference = {
+      reference::affine_rows, reference::matmul_rows, reference::matmul_tn_resume,
+      reference::propagate,   reference::affine_csr,  reference::matmul_tn_resume_csr};
+  static constexpr KernelTable fast = {fast::affine_rows, fast::matmul_rows,
+                                       fast::matmul_tn_resume, fast::propagate,
+                                       fast::affine_csr, fast::matmul_tn_resume_csr};
   return family == NnKernel::kFast ? fast : reference;
 }
 
@@ -925,4 +833,46 @@ void for_each_graph_range(int count, std::int64_t flops,
 }
 
 }  // namespace nnk
+
+Matrix matmul(const Matrix& a, const Matrix& b) {
+  NPTSN_EXPECT(a.cols() == b.rows(), "matmul shape mismatch");
+  return affine(a, b, nullptr, Epilogue::kNone);
+}
+
+Matrix affine(const Matrix& x, const Matrix& w, const Matrix* bias, Epilogue act) {
+  NPTSN_EXPECT(x.cols() == w.rows(), "affine shape mismatch");
+  NPTSN_EXPECT(bias == nullptr || (bias->rows() == 1 && bias->cols() == w.cols()),
+               "affine bias shape mismatch");
+  const nnk::KernelTable& kernels = nnk::kernel_table(nn_kernel());
+  Matrix out = Matrix::uninitialized(x.rows(), w.cols());
+  run_rows(x.rows(), x.rows(), w.cols(), x.cols(), [&](int begin, int end) {
+    kernels.affine_rows(x.data(), x.cols(), w.data(), w.cols(), bias ? bias->data() : nullptr,
+                        act, out.data(), begin, end);
+  });
+  return out;
+}
+
+Matrix matmul_transposed(const Matrix& a, const Matrix& b) {
+  NPTSN_EXPECT(a.cols() == b.cols(), "matmul_transposed shape mismatch");
+  // b^T packed once (b is a weight matrix, at most 256 x 256).
+  const Matrix bt = transpose(b);
+  const nnk::KernelTable& kernels = nnk::kernel_table(nn_kernel());
+  Matrix out = Matrix::uninitialized(a.rows(), b.rows());
+  run_rows(a.rows(), a.rows(), b.rows(), a.cols(), [&](int begin, int end) {
+    kernels.matmul_rows(a.data(), a.cols(), bt.data(), b.rows(), out.data(), begin, end);
+  });
+  return out;
+}
+
+Matrix matmul_transposed_a(const Matrix& a, const Matrix& b) {
+  NPTSN_EXPECT(a.rows() == b.rows(), "matmul_transposed_a shape mismatch");
+  const nnk::KernelTable& kernels = nnk::kernel_table(nn_kernel());
+  Matrix out(a.cols(), b.cols());  // every chain starts at +0.0
+  run_rows(a.cols(), a.cols(), b.cols(), a.rows(), [&](int begin, int end) {
+    kernels.matmul_tn_resume(a.data(), a.rows(), a.cols(), b.data(), b.cols(), out.data(),
+                             begin, end);
+  });
+  return out;
+}
+
 }  // namespace nptsn

@@ -1,20 +1,27 @@
 // Throughput kernels for the NN hot path (DESIGN.md §11).
 //
-// Two interchangeable kernel families sit behind the free functions of
-// matrix.hpp:
+// Each kernel family is one table of raw-pointer row routines
+// (nnk::KernelTable):
 //
 //   kReference  the original naive loops — the ground truth every fast
-//               kernel is differential-tested against, and the kernel the
+//               routine is differential-tested against, and the family the
 //               bit-identity/checkpoint suites pin their goldens to.
-//   kFast       register-blocked, cache-tiled GEMM with fused bias +
-//               activation epilogues and an optional ThreadPool-parallel
-//               path for large shapes.
+//   kFast       register-blocked, cache-tiled rows with fused bias +
+//               activation epilogues, a zero-skipping sparse path chosen
+//               per row block by density, and CSR walks over staged rows.
 //
-// Determinism contract: every fast kernel accumulates each output element
-// with a SINGLE accumulator over ascending k. Tiling only reorders which
-// elements are computed when, never the reduction order within an element,
-// and the parallel path partitions output rows into fixed-size chunks that
-// are independent of the thread count. Fast results are therefore
+// Everything above the rows is written once over the table of the active
+// family: the GEMM entry points of matrix.hpp (matmul, affine,
+// matmul_transposed, matmul_transposed_a), which split their output rows
+// over the kernel pool for large shapes, and the batched GCN encoder node
+// (gcn_encoder), which composes each layer as affine rows into a tile, then
+// the propagation with its ReLU.
+//
+// Determinism contract: every routine accumulates each output element with a
+// SINGLE accumulator over ascending k. Tiling and sparsity skips only reorder
+// which elements are computed when, never the reduction order within an
+// element, and the pool split partitions output rows into fixed-size chunks
+// that are independent of the thread count. Both families are therefore
 // bit-identical run-to-run and across thread counts (tested in
 // tests/nn/kernel_differential_test.cpp); fast-vs-reference may differ by FMA
 // contraction only, bounded at 1e-12 relative in the differential suite.
@@ -27,104 +34,65 @@
 
 namespace nptsn::nnk {
 
-// The Matrix kernels overwrite `out` (resizing it to the result shape); `out`
-// must not alias an input. Shape checks live in the matrix.hpp dispatchers.
-
-// --- reference family (naive loops, the retained ground truth) --------------
-void matmul_reference(const Matrix& a, const Matrix& b, Matrix& out);
-// out = a * b^T
-void matmul_nt_reference(const Matrix& a, const Matrix& b, Matrix& out);
-// out = a^T * b
-void matmul_tn_reference(const Matrix& a, const Matrix& b, Matrix& out);
-// out = act(a * b + bias); bias is a 1 x N row broadcast or nullptr.
-void affine_reference(const Matrix& a, const Matrix& b, const Matrix* bias,
-                      Epilogue act, Matrix& out);
-
-// --- fast family (register-blocked, cache-tiled, optional parallel) ----------
-// matmul_tn_fast (the weight gradient x^T * delta) accumulates over k in
-// chunks of this many rows of both operands. One chunk (kTnChunk x (M + N)
-// doubles: 184 KiB at the ORION GCN shapes, 512 KiB at the 256-wide MLP
-// ones) stays in L2 while every output tile walks it, where an unchunked
+// The fast matmul_tn_resume (the weight gradient x^T * delta) accumulates
+// over k in chunks of this many rows of both operands. One chunk (kTnChunk x
+// (M + N) doubles: 184 KiB at the ORION GCN shapes, 512 KiB at the 256-wide
+// MLP ones) stays in L2 while every output tile walks it, where an unchunked
 // walk re-streams both K-row operands (8.7 MiB each at the stacked ORION
 // shapes) once per tile; 128 was the fastest of 64/128/256/512 on the ORION
 // shape on a Xeon with 2 MiB of L2 per core. Pure performance knob: each
 // chunk after the first resumes the tile's accumulators from `out`, and a
 // stored double is the exact accumulator, so every element is still one
-// chain over ascending k.
+// chain over ascending k. The encoder's backward sizes its runs of graphs by
+// it too.
 inline constexpr int kTnChunk = 128;
 
-void matmul_fast(const Matrix& a, const Matrix& b, Matrix& out);
-void matmul_nt_fast(const Matrix& a, const Matrix& b, Matrix& out);
-void matmul_tn_fast(const Matrix& a, const Matrix& b, Matrix& out);
-void affine_fast(const Matrix& a, const Matrix& b, const Matrix* bias,
-                 Epilogue act, Matrix& out);
-
-// --- per-graph GCN primitives (the batched encoder node, gcn_encoder) -------
-// Graph g of a stacked batch owns rows [g n, (g + 1) n) of every stacked
-// matrix, n = adj.block_size(). The pointers address the first row of a row
-// block, and every block is dense row-major at the width given. Each
-// primitive computes every output element as the same chain its family's
-// whole-batch kernel did (DESIGN.md §11), so streaming a batch through them
-// graph by graph changes no bit.
-//
-// y = relu(A_g (x W + bias)) for graph g: x is n x w.rows(); y and the
-// scratch tile z are n x w.cols(). The affine product lives only in z. The
-// fast family walks the staged CSR, the reference family the dense block.
-void gcn_layer_reference(const BlockAdjacency& adj, int g, const double* x,
-                         const Matrix& w, const Matrix& bias, double* z, double* y);
-void gcn_layer_fast(const BlockAdjacency& adj, int g, const double* x, const Matrix& w,
-                    const Matrix& bias, double* z, double* y);
-// out = A_g src, both n x cols. For the symmetric Eq. 4 blocks this is also
-// the backward's A_g^T delta.
-void propagate_reference(const BlockAdjacency& adj, int g, const double* src, int cols,
-                         double* out);
-void propagate_fast(const BlockAdjacency& adj, int g, const double* src, int cols,
-                    double* out);
-// out = a b for `rows` rows of a (rows x cols_k) and b (cols_k x cols_n):
-// the backward's delta W^T, with b = W^T packed once per pass. Every element
-// is one chain over ascending k from +0.0, the chain of matmul_transposed in
-// its family; the reference family keeps matmul_nt_reference's loop, zero
-// terms included.
-void matmul_rows_reference(const double* a, int rows, int cols_k, const double* b,
-                           int cols_n, double* out);
-void matmul_rows_fast(const double* a, int rows, int cols_k, const double* b, int cols_n,
-                      double* out);
-// Continues every element's chain of out (cols_m x cols_n) += a^T b over
-// `rows` more rows of a (rows x cols_m) and b (rows x cols_n), in ascending
-// row order: the weight gradient x^T delta, resumed run by run. Resuming
-// from a +0.0 out over all rows gives matmul_transposed_a's bits.
-void matmul_tn_resume_reference(const double* a, int rows, int cols_m, const double* b,
-                                int cols_n, double* out);
-void matmul_tn_resume_fast(const double* a, int rows, int cols_m, const double* b,
-                           int cols_n, double* out);
-// The first layer's two products over the staged CSR features x instead of
-// dense rows. gcn_layer_csr is gcn_layer with x = rows [g n, (g + 1) n) of
-// x: every element of z is the chain the zero-skipping dense scan computes,
-// ascending k from +0.0 with the bias added last (fmadd in the fast family,
-// affine_rows_sparse's chain; mul-then-add in the reference family,
-// gcn_layer_reference's). matmul_tn_resume_csr continues out (x.cols() x
-// cols_n) += a^T b with a = rows [row0, row0 + rows) of x: per element
-// matmul_tn_resume's chain minus its zero terms. For finite w and b both
-// equal the dense products bit for bit, since fma(0, b, acc) == acc.
-void gcn_layer_csr_reference(const BlockAdjacency& adj, int g, const CsrRows& x,
-                             const Matrix& w, const Matrix& bias, double* z, double* y);
-void gcn_layer_csr_fast(const BlockAdjacency& adj, int g, const CsrRows& x, const Matrix& w,
-                        const Matrix& bias, double* z, double* y);
-void matmul_tn_resume_csr_reference(const CsrRows& x, int row0, int rows, const double* b,
-                                    int cols_n, double* out);
-void matmul_tn_resume_csr_fast(const CsrRows& x, int row0, int rows, const double* b,
+// One family's row routines. Every matrix operand is dense row-major at the
+// width given; the routines overwrite (or, for the *_resume ones, continue)
+// `out`, which must not alias an input. Graph g of a stacked batch owns rows
+// [g n, (g + 1) n) of every stacked matrix, n = adj.block_size().
+struct KernelTable {
+  // Rows [i_begin, i_end) of out = act(a b + bias): a has cols_k columns, b
+  // is cols_k x cols_n, bias a row of cols_n or nullptr. Per element: one
+  // chain over ascending k from +0.0 without the zero a(i, k) terms (the
+  // fast register tiles keep them, which for finite b is the same chain),
+  // then + bias, then act.
+  void (*affine_rows)(const double* a, int cols_k, const double* b, int cols_n,
+                      const double* bias, Epilogue act, double* out, int i_begin,
+                      int i_end);
+  // Rows [i_begin, i_end) of out = a bt, bt being W^T packed once (cols_k x
+  // cols_n): the gradient delta W^T. Per element one chain over ascending k
+  // from +0.0; the reference family keeps the zero terms (a dot loop, so
+  // 0 * Inf is NaN there), the fast family's sparse rows skip them.
+  void (*matmul_rows)(const double* a, int cols_k, const double* bt, int cols_n, double* out,
+                      int i_begin, int i_end);
+  // Rows [i_begin, i_end) of out (cols_m x cols_n) += a^T b over rows_k rows
+  // of a (rows_k x cols_m) and b (rows_k x cols_n): the weight gradient
+  // x^T delta. Every element continues the chain stored in out over
+  // ascending rows, zero a(k, i) skipped, so resuming run by run from a +0.0
+  // out gives the bits of one call over all rows.
+  void (*matmul_tn_resume)(const double* a, int rows_k, int cols_m, const double* b,
+                           int cols_n, double* out, int i_begin, int i_end);
+  // out = act(A_g src) for graph g, both n x cols: the fast family walks the
+  // staged CSR, the reference family affine_rows over the dense block. For
+  // the symmetric Eq. 4 blocks this is also the backward's A_g^T delta.
+  void (*propagate)(const BlockAdjacency& adj, int g, const double* src, int cols,
+                    Epilogue act, double* out);
+  // out = x w + bias over rows [row0, row0 + rows) of the CSR features x (w
+  // is x.cols() x cols_n): the first GCN layer's affine. Per element the
+  // chain affine_rows computes on the dense rows, minus their zero terms.
+  void (*affine_csr)(const CsrRows& x, int row0, int rows, const double* w, int cols_n,
+                     const double* bias, double* out);
+  // out (x.cols() x cols_n) += a^T b with a = rows [row0, row0 + rows) of x:
+  // the first layer's weight gradient, matmul_tn_resume's chain per element
+  // minus its zero terms.
+  void (*matmul_tn_resume_csr)(const CsrRows& x, int row0, int rows, const double* b,
                                int cols_n, double* out);
-
-// One family's primitives, picked once per encoder pass.
-struct GcnKernels {
-  decltype(&gcn_layer_fast) layer;
-  decltype(&gcn_layer_csr_fast) layer_csr;
-  decltype(&propagate_fast) propagate;
-  decltype(&matmul_rows_fast) matmul_rows;
-  decltype(&matmul_tn_resume_fast) matmul_tn_resume;
-  decltype(&matmul_tn_resume_csr_fast) matmul_tn_resume_csr;
 };
-const GcnKernels& gcn_kernels(NnKernel family);
+// For finite operands the CSR routines equal their dense forms bit for bit:
+// a skipped zero term is a no-op, since fma(0, b, acc) == 0 * b + acc == acc
+// and an accumulator starting at +0.0 never becomes -0.0.
+const KernelTable& kernel_table(NnKernel family);
 
 // --- the encoder node's elementwise passes (both families) ------------------
 // They use no fmadd, and the TU's -ffp-contract=off keeps readout_gate's

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <new>
 
-#include "nn/kernels.hpp"
-
 // ASAN_(UN)POISON_MEMORY_REGION: the header makes them no-ops unless
 // AddressSanitizer is on.
 #if __has_include(<sanitizer/asan_interface.h>)
@@ -158,52 +156,6 @@ bool Matrix::all_finite() const {
   return true;
 }
 
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  NPTSN_EXPECT(a.cols() == b.rows(), "matmul shape mismatch");
-  Matrix out;
-  if (nn_kernel() == NnKernel::kFast) {
-    nnk::matmul_fast(a, b, out);
-  } else {
-    nnk::matmul_reference(a, b, out);
-  }
-  return out;
-}
-
-Matrix matmul_transposed(const Matrix& a, const Matrix& b) {
-  NPTSN_EXPECT(a.cols() == b.cols(), "matmul_transposed shape mismatch");
-  Matrix out;
-  if (nn_kernel() == NnKernel::kFast) {
-    nnk::matmul_nt_fast(a, b, out);
-  } else {
-    nnk::matmul_nt_reference(a, b, out);
-  }
-  return out;
-}
-
-Matrix matmul_transposed_a(const Matrix& a, const Matrix& b) {
-  NPTSN_EXPECT(a.rows() == b.rows(), "matmul_transposed_a shape mismatch");
-  Matrix out;
-  if (nn_kernel() == NnKernel::kFast) {
-    nnk::matmul_tn_fast(a, b, out);
-  } else {
-    nnk::matmul_tn_reference(a, b, out);
-  }
-  return out;
-}
-
-Matrix affine(const Matrix& x, const Matrix& w, const Matrix* bias, Epilogue act) {
-  NPTSN_EXPECT(x.cols() == w.rows(), "affine shape mismatch");
-  NPTSN_EXPECT(bias == nullptr || (bias->rows() == 1 && bias->cols() == w.cols()),
-               "affine bias shape mismatch");
-  Matrix out;
-  if (nn_kernel() == NnKernel::kFast) {
-    nnk::affine_fast(x, w, bias, act, out);
-  } else {
-    nnk::affine_reference(x, w, bias, act, out);
-  }
-  return out;
-}
-
 BlockAdjacency::BlockAdjacency(std::vector<Matrix> blocks)
     : blocks_(std::move(blocks)) {
   NPTSN_EXPECT(!blocks_.empty(), "BlockAdjacency needs at least one block");
@@ -266,9 +218,12 @@ CsrRows::CsrRows(int cols, const std::vector<const Matrix*>& blocks) : cols_(col
 }
 
 Matrix transpose(const Matrix& a) {
-  Matrix out(a.cols(), a.rows());
+  Matrix out = Matrix::uninitialized(a.cols(), a.rows());
   for (int i = 0; i < a.rows(); ++i) {
-    for (int j = 0; j < a.cols(); ++j) out.at(j, i) = a.at(i, j);
+    const double* arow = a.data() + static_cast<std::size_t>(i) * a.cols();
+    for (int j = 0; j < a.cols(); ++j) {
+      out.data()[static_cast<std::size_t>(j) * a.rows() + i] = arow[j];
+    }
   }
   return out;
 }

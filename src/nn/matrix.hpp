@@ -239,12 +239,13 @@ class CsrRows {
 };
 
 // Free-function kernels. All check shapes. The GEMM entry points (matmul,
-// matmul_transposed, matmul_transposed_a, affine) dispatch on the
-// process-global kernel family.
+// matmul_transposed, matmul_transposed_a, affine) run the row routines of
+// the process-global kernel family (nnk::kernel_table; defined in
+// kernels.cpp).
 Matrix matmul(const Matrix& a, const Matrix& b);
 // a (M x K) * b^T with b given row-major as N x K — the gradient kernel
-// grad_x = grad * W^T (the fast family packs W^T once per call, W being a
-// weight matrix of at most 256 x 256).
+// grad_x = grad * W^T (b^T is packed once per call, W being a weight matrix
+// of at most 256 x 256).
 Matrix matmul_transposed(const Matrix& a, const Matrix& b);
 // a^T * b with a given row-major as K x M — the gradient kernel
 // grad_W = x^T * grad without materializing the transpose.

@@ -1,7 +1,7 @@
 #include "scenarios/problem_spec.hpp"
 
-#include <charconv>
 #include <climits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,6 +9,7 @@
 #include "scenarios/ads.hpp"
 #include "scenarios/generator.hpp"
 #include "scenarios/orion.hpp"
+#include "util/parse_number.hpp"
 
 namespace nptsn {
 namespace {
@@ -36,14 +37,9 @@ ProblemSpec parse_problem_spec(const std::string& text, const SpecFlowDefaults& 
   };
   // Field i as a non-negative decimal integer no larger than `max`.
   const auto number = [&](std::size_t i, std::uint64_t max) {
-    const std::string& field = fields[i];
-    std::uint64_t value = 0;
-    const char* end = field.data() + field.size();
-    const auto [stop, error] = std::from_chars(field.data(), end, value);
-    if (field.empty() || error != std::errc() || stop != end || value > max) {
-      fail("field " + std::to_string(i) + " is not a non-negative integer");
-    }
-    return value;
+    const std::optional<std::uint64_t> value = parse_decimal<std::uint64_t>(fields[i], 0, max);
+    if (!value) fail("field " + std::to_string(i) + " is not a non-negative integer");
+    return *value;
   };
   const auto count = [&](std::size_t i) { return static_cast<int>(number(i, INT_MAX)); };
   const std::string& family = fields[0];

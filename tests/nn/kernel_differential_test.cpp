@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -572,14 +573,17 @@ TEST(KernelDifferential, CsrLayerPrimitivesEqualTheDenseRowsInBothFamilies) {
         const Matrix delta = random_matrix(kBatch * n, out, 0.8, rng);
         const Matrix start = random_matrix(f, out, 1.0, rng);
         for (const NnKernel family : {NnKernel::kReference, NnKernel::kFast}) {
-          const nnk::GcnKernels& kernels = nnk::gcn_kernels(family);
+          const nnk::KernelTable& kernels = nnk::kernel_table(family);
           for (int g = 0; g < kBatch; ++g) {
+            // The encoder's layer: affine into z, then y = relu(A-hat_g z).
             Matrix z_dense(n, out), y_dense(n, out), z_csr(n, out), y_csr(n, out);
-            kernels.layer(adj, g, x.data() + static_cast<std::size_t>(g) * n * f, w, bias,
-                          z_dense.data(), y_dense.data());
-            kernels.layer_csr(adj, g, *staged, w, bias, z_csr.data(), y_csr.data());
-            expect_identical(z_csr, z_dense, "layer_csr affine");
-            expect_identical(y_csr, y_dense, "layer_csr output");
+            kernels.affine_rows(x.data() + static_cast<std::size_t>(g) * n * f, f, w.data(), out,
+                                bias.data(), Epilogue::kNone, z_dense.data(), 0, n);
+            kernels.affine_csr(*staged, g * n, n, w.data(), out, bias.data(), z_csr.data());
+            kernels.propagate(adj, g, z_dense.data(), out, Epilogue::kRelu, y_dense.data());
+            kernels.propagate(adj, g, z_csr.data(), out, Epilogue::kRelu, y_csr.data());
+            expect_identical(z_csr, z_dense, "affine_csr");
+            expect_identical(y_csr, y_dense, "layer output over affine_csr");
           }
           // Per graph (one density each) and over the whole batch at once.
           for (const auto& [row0, rows] :
@@ -588,7 +592,7 @@ TEST(KernelDifferential, CsrLayerPrimitivesEqualTheDenseRowsInBothFamilies) {
             Matrix csr = start;
             const double* b = delta.data() + static_cast<std::size_t>(row0) * out;
             kernels.matmul_tn_resume(x.data() + static_cast<std::size_t>(row0) * f, rows, f, b,
-                                     out, dense.data());
+                                     out, dense.data(), 0, f);
             kernels.matmul_tn_resume_csr(*staged, row0, rows, b, out, csr.data());
             expect_identical(csr, dense, "matmul_tn_resume_csr");
           }
@@ -711,23 +715,239 @@ TEST(KernelDifferential, GatePrimitivesEqualTheScalarExpressions) {
   }
 }
 
+// Copies of the reference family's loops as they stood before its routines
+// moved into one table (nnk::kernel_table), for the non-finite case below.
+// The test TU, like the kernel TU, is compiled with -ffp-contract=off, so
+// these round as the library's loops do.
+double oracle_epilogue(double v, Epilogue act) {
+  switch (act) {
+    case Epilogue::kNone: return v;
+    case Epilogue::kRelu: return v > 0.0 ? v : 0.0;
+    case Epilogue::kTanh: return std::tanh(v);
+  }
+  return v;
+}
+
+// matmul_reference: i-k-j, zero a(i, k) skipped.
+Matrix oracle_matmul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int k = 0; k < a.cols(); ++k) {
+      const double aik = a.at(i, k);
+      if (aik == 0.0) continue;
+      const double* brow = b.data() + static_cast<std::size_t>(k) * b.cols();
+      double* orow = out.data() + static_cast<std::size_t>(i) * out.cols();
+      for (int j = 0; j < b.cols(); ++j) orow[j] += aik * brow[j];
+    }
+  }
+  return out;
+}
+
+// matmul_nt_reference: the dot loop, zero terms included.
+Matrix oracle_matmul_nt(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.rows());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.rows(); ++j) {
+      double sum = 0.0;
+      for (int k = 0; k < a.cols(); ++k) sum += a.at(i, k) * b.at(j, k);
+      out.at(i, j) = sum;
+    }
+  }
+  return out;
+}
+
+// matmul_tn_resume_reference: out (a.cols() x b.cols()) += a^T b, k outer,
+// zero a(k, i) skipped.
+void oracle_matmul_tn_resume(const Matrix& a, const Matrix& b, Matrix& out) {
+  for (int k = 0; k < a.rows(); ++k) {
+    const double* arow = a.data() + static_cast<std::size_t>(k) * a.cols();
+    const double* brow = b.data() + static_cast<std::size_t>(k) * b.cols();
+    for (int i = 0; i < a.cols(); ++i) {
+      const double aki = arow[i];
+      if (aki == 0.0) continue;
+      double* orow = out.data() + static_cast<std::size_t>(i) * b.cols();
+      for (int j = 0; j < b.cols(); ++j) orow[j] += aki * brow[j];
+    }
+  }
+}
+
+// affine_reference: matmul_reference, then + bias, then the epilogue.
+Matrix oracle_affine(const Matrix& a, const Matrix& b, const Matrix* bias, Epilogue act) {
+  Matrix out = oracle_matmul(a, b);
+  for (int i = 0; i < out.rows(); ++i) {
+    for (int j = 0; j < out.cols(); ++j) {
+      double v = out.at(i, j);
+      if (bias) v += bias->at(0, j);
+      out.at(i, j) = oracle_epilogue(v, act);
+    }
+  }
+  return out;
+}
+
+// propagate_reference (out = A_g src over the dense block), then the
+// epilogue pass the reference layer applied to it.
+Matrix oracle_propagate(const BlockAdjacency& adj, int g, const Matrix& src, Epilogue act) {
+  const int n = adj.block_size();
+  const int cols = src.cols();
+  const double* pa = adj.blocks()[static_cast<std::size_t>(g)].data();
+  Matrix out(n, cols);
+  for (int i = 0; i < n; ++i) {
+    double* orow = out.data() + static_cast<std::size_t>(i) * cols;
+    for (int k = 0; k < n; ++k) {
+      const double aik = pa[static_cast<std::size_t>(i) * n + k];
+      if (aik == 0.0) continue;
+      const double* srow = src.data() + static_cast<std::size_t>(k) * cols;
+      for (int j = 0; j < cols; ++j) orow[j] += aik * srow[j];
+    }
+  }
+  for (int e = 0; e < out.size(); ++e) out.data()[e] = oracle_epilogue(out.data()[e], act);
+  return out;
+}
+
+// matmul_rows_reference: the dot loop over a packed b = W^T.
+Matrix oracle_matmul_rows(const Matrix& a, const Matrix& b) {
+  const int cols_k = a.cols();
+  const int cols_n = b.cols();
+  Matrix out(a.rows(), cols_n);
+  for (int i = 0; i < a.rows(); ++i) {
+    const double* arow = a.data() + static_cast<std::size_t>(i) * cols_k;
+    for (int j = 0; j < cols_n; ++j) {
+      double sum = 0.0;
+      for (int k = 0; k < cols_k; ++k) {
+        sum += arow[k] * b.data()[static_cast<std::size_t>(k) * cols_n + j];
+      }
+      out.data()[static_cast<std::size_t>(i) * cols_n + j] = sum;
+    }
+  }
+  return out;
+}
+
+void expect_same_bytes(const Matrix& got, const Matrix& want, const std::string& what) {
+  ASSERT_TRUE(got.same_shape(want)) << what;
+  if (got.size() == 0) return;
+  if (std::memcmp(got.data(), want.data(), sizeof(double) * got.size()) == 0) return;
+  for (int e = 0; e < got.size(); ++e) {
+    if (bits(got.data()[e]) != bits(want.data()[e])) {
+      ADD_FAILURE() << what << ": first differing element " << e << " is " << got.data()[e]
+                    << ", the reference loop's " << want.data()[e];
+      return;
+    }
+  }
+}
+
+// The reference family is the ground truth for IEEE special values too.
+// Every entry point and every reference table routine, on operands holding
+// +/-0.0, +/-Inf and NaN next to zeros, equals (memcmp) the loop it replaced:
+// zero-skipping i-k-j loops, where 0 * Inf never happens, and dot loops,
+// where it is NaN. A dot loop that started skipping zeros would fail here.
+TEST(KernelDifferential, ReferenceFamilyKeepsItsNonFiniteSemantics) {
+  KernelGuard guard;
+  set_nn_kernel(NnKernel::kReference);
+  const nnk::KernelTable& reference = nnk::kernel_table(NnKernel::kReference);
+  const double inf = std::numeric_limits<double>::infinity();
+  // The hardware's NaN, the one 0 * Inf makes, so that every NaN of a result
+  // has the same bits whichever operand of a sum the compiler puts first.
+  volatile double zero = 0.0;
+  const double nan = inf * zero;
+  const double values[] = {0.0, -0.0, inf, -inf, nan, 0.0, 1.5, -0.0, -2.25, 0.0, 0.5};
+  constexpr int kValues = sizeof(values) / sizeof(values[0]);
+  Rng rng(4711);
+  const auto special = [&](int rows, int cols) {
+    Matrix m(rows, cols);
+    for (int e = 0; e < m.size(); ++e) m.data()[e] = values[rng.uniform_int(0, kValues - 1)];
+    return m;
+  };
+  const auto csr = [](const Matrix& m) {
+    return CsrRows(m.cols(), std::vector<const Matrix*>{&m});
+  };
+  const Epilogue acts[] = {Epilogue::kNone, Epilogue::kRelu, Epilogue::kTanh};
+  for (const Shape& s : std::vector<Shape>{{1, 1, 1}, {3, 5, 4}, {7, 6, 9}, {13, 11, 10}}) {
+    const std::string shape =
+        " at " + std::to_string(s.m) + "x" + std::to_string(s.k) + "x" + std::to_string(s.n);
+    const Matrix a = special(s.m, s.k);
+    const Matrix b = special(s.k, s.n);
+    const Matrix bias = special(1, s.n);
+    const Matrix b_nt = special(s.n, s.k);  // matmul_transposed's b, stored n x k
+    const Matrix a_tn = special(s.k, s.m);  // matmul_transposed_a's a, stored k x m
+    const Matrix start = special(s.m, s.n);  // partial sums a resume continues
+
+    // The entry points.
+    expect_same_bytes(matmul(a, b), oracle_matmul(a, b), "matmul" + shape);
+    for (const Epilogue act : acts) {
+      for (const Matrix* pbias : {static_cast<const Matrix*>(nullptr), &bias}) {
+        expect_same_bytes(affine(a, b, pbias, act), oracle_affine(a, b, pbias, act),
+                          "affine" + shape);
+      }
+    }
+    expect_same_bytes(matmul_transposed(a, b_nt), oracle_matmul_nt(a, b_nt),
+                      "matmul_transposed" + shape);
+    Matrix tn(s.m, s.n);
+    oracle_matmul_tn_resume(a_tn, b, tn);
+    expect_same_bytes(matmul_transposed_a(a_tn, b), tn, "matmul_transposed_a" + shape);
+
+    // The table's routines.
+    for (const Epilogue act : acts) {
+      Matrix out(s.m, s.n);
+      reference.affine_rows(a.data(), s.k, b.data(), s.n, bias.data(), act, out.data(), 0, s.m);
+      expect_same_bytes(out, oracle_affine(a, b, &bias, act), "affine_rows" + shape);
+    }
+    const Matrix packed = transpose(b_nt);
+    Matrix rows(s.m, s.n);
+    reference.matmul_rows(a.data(), s.k, packed.data(), s.n, rows.data(), 0, s.m);
+    expect_same_bytes(rows, oracle_matmul_rows(a, packed), "matmul_rows" + shape);
+    Matrix resumed = start;
+    Matrix resumed_want = start;
+    reference.matmul_tn_resume(a_tn.data(), s.k, s.m, b.data(), s.n, resumed.data(), 0, s.m);
+    oracle_matmul_tn_resume(a_tn, b, resumed_want);
+    expect_same_bytes(resumed, resumed_want, "matmul_tn_resume" + shape);
+    // The CSR rows hold the entries != 0.0, NaN and the infinities included.
+    Matrix z(s.m, s.n);
+    reference.affine_csr(csr(a), 0, s.m, b.data(), s.n, bias.data(), z.data());
+    expect_same_bytes(z, oracle_affine(a, b, &bias, Epilogue::kNone), "affine_csr" + shape);
+    Matrix resumed_csr = start;
+    reference.matmul_tn_resume_csr(csr(a_tn), 0, s.k, b.data(), s.n, resumed_csr.data());
+    expect_same_bytes(resumed_csr, resumed_want, "matmul_tn_resume_csr" + shape);
+    const BlockAdjacency adj({special(s.m, s.m), special(s.m, s.m)});
+    const Matrix src = special(s.m, s.n);
+    for (int g = 0; g < adj.count(); ++g) {
+      for (const Epilogue act : acts) {
+        Matrix out(s.m, s.n);
+        reference.propagate(adj, g, src.data(), s.n, act, out.data());
+        expect_same_bytes(out, oracle_propagate(adj, g, src, act), "propagate" + shape);
+      }
+    }
+  }
+}
+
 TEST(KernelDifferential, FastKernelsAreBitIdenticalAcrossThreadCounts) {
   KernelGuard guard;
   Rng rng(4242);
   set_nn_kernel(NnKernel::kFast);
-  // Big enough that the parallel path actually partitions rows.
-  const Matrix a = random_matrix(97, 53, 0.5, rng);
-  const Matrix b = random_matrix(53, 61, 0.5, rng);
-  const Matrix bias = random_matrix(1, 61, 1.0, rng);
-  set_nn_kernel_threads(1);
-  const Matrix serial = affine(a, b, &bias, Epilogue::kTanh);
-  const Matrix serial_mm = matmul(a, b);
-  for (const int threads : {2, 3, 5, 8}) {
-    set_nn_kernel_threads(threads);
-    expect_identical(affine(a, b, &bias, Epilogue::kTanh), serial,
-                     "affine across thread counts");
-    expect_identical(matmul(a, b), serial_mm, "matmul across thread counts");
+  // Big enough that the parallel path actually partitions rows: every
+  // product below has 2 m n k >= 2^21, the pool's threshold.
+  const Matrix a = random_matrix(150, 90, 0.5, rng);
+  const Matrix b = random_matrix(90, 80, 0.5, rng);
+  const Matrix bias = random_matrix(1, 80, 1.0, rng);
+  // The entry points split rows over the pool in both families.
+  for (const NnKernel family : {NnKernel::kFast, NnKernel::kReference}) {
+    set_nn_kernel(family);
+    set_nn_kernel_threads(1);
+    const Matrix serial = affine(a, b, &bias, Epilogue::kTanh);
+    const Matrix serial_mm = matmul(a, b);
+    const Matrix serial_nt = matmul_transposed(a, a);
+    const Matrix serial_tn = matmul_transposed_a(a, a);
+    for (const int threads : {2, 3, 5, 8}) {
+      set_nn_kernel_threads(threads);
+      expect_identical(affine(a, b, &bias, Epilogue::kTanh), serial,
+                       "affine across thread counts");
+      expect_identical(matmul(a, b), serial_mm, "matmul across thread counts");
+      expect_identical(matmul_transposed(a, a), serial_nt,
+                       "matmul_transposed across thread counts");
+      expect_identical(matmul_transposed_a(a, a), serial_tn,
+                       "matmul_transposed_a across thread counts");
+    }
   }
+  set_nn_kernel(NnKernel::kFast);
   // The encoder node at a size where its forward splits graphs over the pool.
   const EncoderCase c = encoder_case(46, 16, 30, {40, 40}, rng);
   set_nn_kernel_threads(1);

@@ -12,6 +12,9 @@
 //   2 = usage error (bad flags, unknown scenario)
 //   3 = I/O error (unreadable, truncated, or corrupt certificate file)
 //   4 = deadline exceeded (--deadline-ms budget fired before a verdict)
+#include <cfloat>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +22,7 @@
 #include <string>
 
 #include "analysis/auditor.hpp"
+#include "numeric_flag.hpp"
 #include "scenarios/problem_spec.hpp"
 
 namespace {
@@ -82,22 +86,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag's value in [min, max]; anything else exits 2.
+    auto number = [&](auto min, auto max) { return numeric_flag(arg.c_str(), value(), min, max); };
     if (arg == "--certificate") {
       certificate_path = value();
     } else if (arg == "--scenario") {
       scenario_name = value();
     } else if (arg == "--flows") {
-      flows = std::atoi(value());
+      flows = number(0, INT_MAX);
     } else if (arg == "--flow-seed") {
-      flow_seed = static_cast<std::uint64_t>(std::strtoull(value(), nullptr, 10));
+      flow_seed = number(std::uint64_t{0}, UINT64_MAX);
     } else if (arg == "--budget") {
-      options.exhaustive_budget_seconds = std::atof(value());
+      options.exhaustive_budget_seconds = number(0.0, DBL_MAX);
     } else if (arg == "--deadline-ms") {
-      deadline_ms = std::atof(value());
-      if (deadline_ms < 0.0) {
-        std::fprintf(stderr, "error: --deadline-ms must be non-negative\n");
-        return 2;
-      }
+      deadline_ms = number(0.0, DBL_MAX);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;

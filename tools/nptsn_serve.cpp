@@ -36,8 +36,11 @@
 //       lost, but the run did not finish
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -47,6 +50,7 @@
 #include <vector>
 
 #include "analysis/certificate.hpp"
+#include "numeric_flag.hpp"
 #include "scenarios/problem_spec.hpp"
 #include "service/crash_point.hpp"
 #include "service/service.hpp"
@@ -198,7 +202,8 @@ struct Spec {
   int priority = 0;
 };
 
-// "name@P" -> {name, P}; no @ -> priority 0.
+// "name@P" -> {name, P}; no @ -> priority 0. P is a decimal int whose
+// negation fits too (the queue orders by -P).
 Spec parse_spec(const std::string& raw) {
   Spec spec;
   const std::size_t at = raw.rfind('@');
@@ -206,7 +211,7 @@ Spec parse_spec(const std::string& raw) {
     spec.text = raw;
   } else {
     spec.text = raw.substr(0, at);
-    spec.priority = std::atoi(raw.c_str() + at + 1);
+    spec.priority = numeric_flag("spec priority @P", raw.c_str() + at + 1, -INT_MAX, INT_MAX);
   }
   return spec;
 }
@@ -332,12 +337,14 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag's value in [min, max]; anything else exits 2.
+    auto number = [&](auto min, auto max) { return numeric_flag(arg.c_str(), value(), min, max); };
     if (arg == "--shards") {
-      config.shards = std::atoi(value());
+      config.shards = number(1, INT_MAX);
     } else if (arg == "--workers") {
-      config.workers_per_shard = std::atoi(value());
+      config.workers_per_shard = number(1, INT_MAX);
     } else if (arg == "--queue-capacity") {
-      config.queue_capacity = static_cast<std::size_t>(std::atoll(value()));
+      config.queue_capacity = number(std::size_t{1}, SIZE_MAX);
     } else if (arg == "--no-shared-cache") {
       config.shared_caches = false;
     } else if (arg == "--warm-start") {
@@ -347,31 +354,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--journal") {
       config.journal_dir = value();
     } else if (arg == "--max-attempts") {
-      config.default_max_attempts = std::atoi(value());
+      config.default_max_attempts = number(1, INT_MAX);
     } else if (arg == "--admission-timeout") {
-      admission_timeout = std::atof(value());
+      admission_timeout = number(0.0, DBL_MAX);
     } else if (arg == "--epochs") {
-      config.session.epochs = std::atoi(value());
+      config.session.epochs = number(1, INT_MAX);
     } else if (arg == "--steps") {
-      config.session.steps_per_epoch = std::atoi(value());
+      config.session.steps_per_epoch = number(1, INT_MAX);
     } else if (arg == "--seed") {
-      config.session.seed = std::strtoull(value(), nullptr, 10);
+      config.session.seed = number(std::uint64_t{0}, UINT64_MAX);
     } else if (arg == "--workers-per-session") {
-      config.session.num_workers = std::atoi(value());
+      config.session.num_workers = number(1, INT_MAX);
     } else if (arg == "--audit") {
       config.session.audit_mode = AuditMode::kFinal;
     } else if (arg == "--certificates") {
       certificates_dir = value();
     } else if (arg == "--min-order") {
-      config.session.min_frontier_order = std::atoi(value());
+      config.session.min_frontier_order = number(0, 4096);
     } else if (arg == "--include-links") {
       config.session.frontier_include_links = true;
     } else if (arg == "--session-wall") {
-      config.session_wall_seconds = std::atof(value());
+      config.session_wall_seconds = number(0.0, DBL_MAX);
     } else if (arg == "--watchdog-grace") {
-      config.watchdog_grace = std::atof(value());
+      config.watchdog_grace = number(0.0, DBL_MAX);
     } else if (arg == "--repeat") {
-      repeat = std::atoi(value());
+      repeat = number(1, INT_MAX);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -385,20 +392,6 @@ int main(int argc, char** argv) {
   }
   if (specs.empty()) {
     usage(argv[0]);
-    return 2;
-  }
-  if (config.shards < 1 || config.workers_per_shard < 1 || repeat < 1) {
-    std::fprintf(stderr, "error: --shards/--workers/--repeat must be positive\n");
-    return 2;
-  }
-  if (config.default_max_attempts < 1 || admission_timeout < 0.0) {
-    std::fprintf(stderr,
-                 "error: --max-attempts must be positive and "
-                 "--admission-timeout non-negative\n");
-    return 2;
-  }
-  if (config.session.min_frontier_order < 0 || config.session.min_frontier_order > 4096) {
-    std::fprintf(stderr, "error: --min-order must be in [0, 4096]\n");
     return 2;
   }
   if (config.watchdog_grace != 0.0 &&

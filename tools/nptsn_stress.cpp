@@ -15,12 +15,16 @@
 // Exit codes: 0 = success (search or replay), 1 = replay found a regression
 // (an entry no longer terminates cleanly inside its envelope), 2 = usage,
 // 3 = I/O error.
+#include <cfloat>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "core/planner.hpp"
+#include "numeric_flag.hpp"
 #include "scenarios/stress_search.hpp"
 #include "tsn/recovery.hpp"
 
@@ -73,26 +77,28 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag's value in [min, max]; anything else exits 2.
+    auto number = [&](auto min, auto max) { return numeric_flag(arg.c_str(), value(), min, max); };
     if (arg == "--out") {
       out_dir = value();
     } else if (arg == "--replay") {
       replay_dir = value();
     } else if (arg == "--seed") {
-      config.seed = static_cast<std::uint64_t>(std::strtoull(value(), nullptr, 10));
+      config.seed = number(std::uint64_t{0}, UINT64_MAX);
     } else if (arg == "--restarts") {
-      config.restarts = std::atoi(value());
+      config.restarts = number(1, INT_MAX);
     } else if (arg == "--rounds") {
-      config.rounds = std::atoi(value());
+      config.rounds = number(1, INT_MAX);
     } else if (arg == "--top") {
-      config.top_k = std::atoi(value());
+      config.top_k = number(1, INT_MAX);
     } else if (arg == "--tick-budget") {
-      config.plan_tick_budget = std::atoll(value());
+      config.plan_tick_budget = number(std::int64_t{1}, INT64_MAX);
     } else if (arg == "--min-order") {
-      config.min_frontier_order = std::atoi(value());
+      config.min_frontier_order = number(0, 4096);
     } else if (arg == "--include-links") {
       config.frontier_include_links = true;
     } else if (arg == "--budget-scale") {
-      budget_scale = std::atof(value());
+      budget_scale = number(1.0, DBL_MAX);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -105,12 +111,6 @@ int main(int argc, char** argv) {
   if (out_dir.empty() == replay_dir.empty()) {
     std::fprintf(stderr, "error: exactly one of --out or --replay is required\n");
     usage(argv[0]);
-    return 2;
-  }
-  if (config.min_frontier_order < 0 || config.min_frontier_order > 4096 ||
-      budget_scale < 1.0) {
-    std::fprintf(stderr,
-                 "error: --min-order must be in [0, 4096] and --budget-scale >= 1\n");
     return 2;
   }
 
