@@ -94,7 +94,7 @@ struct NptsnConfig {
   static constexpr int verification_threads = 1;
 
   // --- TSN compute kernels ----------------------------------------------------
-  // Whether the stateless NBF runs as a bitset-packed staged session
+  // Whether the stateless NBF runs as a packed staged session
   // (kFast) or through the scalar HeuristicRecovery::recover (kReference;
   // DESIGN.md §16). The two are bit-identical by contract — every slot
   // decision is integer arithmetic, so unlike nn_kernel there is no FP

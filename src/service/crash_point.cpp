@@ -1,5 +1,6 @@
 #include "service/crash_point.hpp"
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -7,6 +8,10 @@
 
 #include <atomic>
 #include <mutex>
+#include <optional>
+#include <string_view>
+
+#include "util/parse_number.hpp"
 
 namespace nptsn {
 namespace {
@@ -67,10 +72,14 @@ bool arm_crash_point_from_env() {
   int at_hit = 1;
   const std::size_t at = name.rfind('@');
   if (at != std::string::npos) {
-    at_hit = std::atoi(name.c_str() + at + 1);
+    // One whole decimal >= 1: "@2x" arms nothing rather than hit 2.
+    const std::optional<int> hit =
+        parse_decimal(std::string_view(name).substr(at + 1), 1, INT_MAX);
+    if (!hit) return false;
+    at_hit = *hit;
     name.resize(at);
   }
-  if (name.empty() || at_hit <= 0) return false;
+  if (name.empty()) return false;
   arm_crash_point(name, at_hit);
   return true;
 }

@@ -35,9 +35,10 @@ void crash_point(const char* name);
 void arm_crash_point(const std::string& name, int at_hit = 1);
 void disarm_crash_points();
 
-// Reads NPTSN_CRASH_POINT ("name" or "name@hit") and arms accordingly.
-// Returns true when a point was armed. The serve daemon calls this at boot so
-// the chaos harness can plant crashes inside a real process.
+// Reads NPTSN_CRASH_POINT ("name" or "name@hit", hit a whole decimal >= 1)
+// and arms accordingly. Returns true when a point was armed; a malformed spec
+// ("name@2x", "name@0", "@3") arms nothing. The serve daemon calls this at
+// boot so the chaos harness can plant crashes inside a real process.
 bool arm_crash_point_from_env();
 
 // In-process interception: when set, the hook runs on the armed point's

@@ -17,6 +17,9 @@
 namespace nptsn {
 namespace {
 
+// A retry's backoff is scaled by a seeded factor in [1, 1 + kRetryJitter).
+constexpr double kRetryJitter = 0.25;
+
 double seconds_between(std::chrono::steady_clock::time_point from,
                        std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -50,8 +53,7 @@ PlannerService::PlannerService(ServiceConfig config) : config_(std::move(config)
                "session budgets must be non-negative");
   NPTSN_EXPECT(config_.default_max_attempts >= 1,
                "service needs at least one attempt per request");
-  NPTSN_EXPECT(config_.retry_base_seconds >= 0.0 && config_.retry_max_seconds >= 0.0 &&
-                   config_.retry_jitter >= 0.0,
+  NPTSN_EXPECT(config_.retry_base_seconds >= 0.0 && config_.retry_max_seconds >= 0.0,
                "retry backoff parameters must be non-negative");
   NPTSN_EXPECT(config_.watchdog_grace == 0.0 || config_.watchdog_grace >= 1.0,
                "watchdog grace is a multiplier of the session budget: 0 (off) or >= 1");
@@ -63,7 +65,7 @@ PlannerService::PlannerService(ServiceConfig config) : config_(std::move(config)
     stage_cache_ = std::make_shared<AdjacencyStageCache>(config_.stage_cache_bytes);
   }
   if (config_.warm_start) {
-    policy_store_ = std::make_shared<PolicyStore>(config_.policy_store_bytes);
+    policy_store_ = std::make_shared<PolicyStore>();
   }
   if (!config_.state_dir.empty()) {
     std::filesystem::create_directories(config_.state_dir);
@@ -71,10 +73,6 @@ PlannerService::PlannerService(ServiceConfig config) : config_(std::move(config)
   if (!config_.journal_dir.empty()) {
     RequestJournal::Config journal_config;
     journal_config.dir = config_.journal_dir;
-    journal_config.segment_bytes = config_.journal_segment_bytes;
-    journal_config.compact_min_delivered = config_.journal_compact_min_delivered;
-    journal_config.io_retry_attempts = config_.journal_io_retry_attempts;
-    journal_config.io_retry_base_seconds = config_.journal_io_retry_base_seconds;
     journal_ = std::make_unique<RequestJournal>(std::move(journal_config));
   }
   retry_rng_ = Rng(config_.retry_seed);
@@ -345,7 +343,7 @@ void PlannerService::schedule_retry(Ticket ticket, int shard_index,
     double backoff =
         std::min(config_.retry_max_seconds,
                  config_.retry_base_seconds * std::ldexp(1.0, failed_attempt - 1));
-    backoff *= 1.0 + config_.retry_jitter * retry_rng_.uniform();
+    backoff *= 1.0 + kRetryJitter * retry_rng_.uniform();
     if (journal_) journal_->append_retry(ticket.request.id, failed_attempt, error, backoff);
 
     PendingRetry pending;
@@ -428,7 +426,7 @@ void PlannerService::replay_recovered(RequestJournal::Recovered item) {
   // A replayed plan goes back through the independent auditor before anyone
   // sees it, so a recovered answer is never weaker than a freshly planned
   // one. (Digest integrity was already checked by the journal scan.)
-  if (config_.audit_replays && response.status == ResponseStatus::kPlanned &&
+  if (response.status == ResponseStatus::kPlanned &&
       !response.certificate_bytes.empty() && !item.request.problem_bytes.empty()) {
     std::string rejection;
     try {

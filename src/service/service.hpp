@@ -99,7 +99,6 @@ struct ServiceConfig {
   // rl/warm_start.hpp). Installs the policy store and sets warm_start on
   // every session.
   bool warm_start = false;
-  std::size_t policy_store_bytes = std::size_t{256} << 20;
 
   // Session template: every request's NptsnConfig starts from this (the
   // request may override epochs/steps/seed). The template's deadline and
@@ -116,29 +115,22 @@ struct ServiceConfig {
   // missing.
   std::string state_dir;
 
-  // When non-empty: the write-ahead request journal lives here and the
-  // service recovers journaled requests on construction (take_recovered()).
+  // When non-empty: the write-ahead request journal lives here (with
+  // RequestJournal::Config's segment, compaction and I/O-retry defaults) and
+  // the service recovers journaled requests on construction
+  // (take_recovered()); replayed kPlanned answers are re-audited before they
+  // are handed out. The probe cadence re-arms a degraded journal once its
+  // storage heals.
   std::string journal_dir;
-  std::size_t journal_segment_bytes = std::size_t{4} << 20;
-  int journal_compact_min_delivered = 64;
-  // Transient-I/O retry policy handed to the journal (see RequestJournal::
-  // Config) and the cadence of the durability probe that re-arms a degraded
-  // journal once its storage heals.
-  int journal_io_retry_attempts = 4;
-  double journal_io_retry_base_seconds = 0.002;
   double durability_probe_seconds = 0.25;
-  // Re-run the independent auditor over replayed kPlanned answers before
-  // handing them out, so a recovered result is never weaker than a fresh one.
-  bool audit_replays = true;
 
   // Retry policy for kFaulted / deadline-expired sessions. Attempt k waits
   // min(retry_max_seconds, retry_base_seconds * 2^(k-1)) scaled by a
-  // deterministic jitter in [1, 1 + retry_jitter) before re-running.
-  // Requests with max_attempts == 0 inherit default_max_attempts.
+  // deterministic jitter in [1, 1.25) before re-running. Requests with
+  // max_attempts == 0 inherit default_max_attempts.
   int default_max_attempts = 1;
   double retry_base_seconds = 0.05;
   double retry_max_seconds = 2.0;
-  double retry_jitter = 0.25;
   std::uint64_t retry_seed = 0x9e3779b97f4a7c15ull;
 
   // Stuck-session watchdog (0 disables; requires session_wall_seconds > 0).
@@ -175,9 +167,9 @@ class PlannerService {
                                               double timeout_seconds);
 
   // What the journal recovered at construction. Replayed sessions carry a
-  // ready future (the persisted, digest-checked, optionally re-audited
-  // answer); live ones were resubmitted and resolve when their session runs.
-  // Clears on first call. Empty without a journal.
+  // ready future (the persisted, digest-checked, re-audited answer); live
+  // ones were resubmitted and resolve when their session runs. Clears on
+  // first call. Empty without a journal.
   struct RecoveredSession {
     PlanningRequest request;
     std::future<PlanningResponse> response;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,14 +17,6 @@ namespace {
 // makes the session safe under concurrent recover() calls.
 struct PackedScratch {
   explicit PackedScratch(const CsrGraph& gt) : search(gt) {}
-
-  // Scenario state.
-  std::vector<std::uint64_t> alive;              // words
-  std::vector<const std::uint64_t*> rows;        // n row pointers (base or patched)
-  std::vector<std::uint64_t> patched;            // copies of failed-link endpoint rows
-
-  // Reachability scratch.
-  std::vector<std::uint64_t> visited, frontier, next;
 
   // Dijkstra and Yen over the staged CSR of Gt, with the scenario's failed
   // nodes and links as base bans.
@@ -49,34 +40,12 @@ class PackedRecoverySession final : public NbfSession {
         problem_(&topology.problem()),
         path_candidates_(path_candidates),
         discipline_(discipline),
-        csr_(topology.graph()) {
-    n_ = csr_.num_nodes();
-    words_ = tsk::words_for(n_);
-    slots_ = problem_->tsn.slots_per_base;
-
-    adj_.assign(static_cast<std::size_t>(n_) * static_cast<std::size_t>(words_), 0);
-    alive_base_.assign(static_cast<std::size_t>(words_), 0);
-    transit_.assign(static_cast<std::size_t>(words_), 0);
-    eid_lookup_.assign(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), -1);
-
-    can_transit_.assign(static_cast<std::size_t>(n_), 1);
+        csr_(topology.graph()),
+        slots_(problem_->tsn.slots_per_base) {
+    can_transit_.assign(static_cast<std::size_t>(csr_.num_nodes()), 1);
     for (NodeId v = 0; v < problem_->num_end_stations; ++v) {
       can_transit_[static_cast<std::size_t>(v)] = 0;
     }
-
-    // Directed edge ids are the CSR's.
-    for (NodeId v = 0; v < n_; ++v) {
-      if (csr_.is_active(v)) tsk::set_bit(alive_base_.data(), v);
-      if (can_transit_[static_cast<std::size_t>(v)] != 0) tsk::set_bit(transit_.data(), v);
-      for (int e = csr_.row_begin(v); e < csr_.row_end(v); ++e) {
-        const NodeId nb = csr_.target(e);
-        tsk::set_bit(&adj_[static_cast<std::size_t>(v) * static_cast<std::size_t>(words_)],
-                     nb);
-        eid_lookup_[static_cast<std::size_t>(v) * static_cast<std::size_t>(n_) +
-                    static_cast<std::size_t>(nb)] = e;
-      }
-    }
-
     timings_.reserve(problem_->flows.size());
     for (const FlowSpec& flow : problem_->flows) {
       timings_.push_back(FlowTiming::of(*problem_, flow));
@@ -94,14 +63,8 @@ class PackedRecoverySession final : public NbfSession {
       const FlowSpec& flow = problem_->flows[i];
       const FlowTiming& timing = timings_[i];
       bool placed = false;
-      if (tsk::test_bit(s.alive.data(), flow.source) &&
-          tsk::test_bit(s.alive.data(), flow.destination) &&
-          tsk::reach_fast(s.rows.data(), words_, s.alive.data(), transit_.data(),
-                          flow.source, flow.destination, s.visited.data(),
-                          s.frontier.data(), s.next.data())) {
-        // The reach guard has established that a path exists.
-        auto sp = s.search.shortest_path(flow.source, flow.destination, &can_transit_);
-        NPTSN_ASSERT(sp.has_value(), "packed recovery: destination unreachable after reach guard");
+      // A failed or inactive endpoint has no path, as in the scalar recovery.
+      if (auto sp = s.search.shortest_path(flow.source, flow.destination, &can_transit_)) {
         std::vector<int> slots;
         if (schedule(s, *sp, timing, slots)) {
           result.state[i] = FlowAssignment{std::move(*sp), std::move(slots)};
@@ -138,11 +101,6 @@ class PackedRecoverySession final : public NbfSession {
       }
     }
     auto s = std::make_unique<PackedScratch>(csr_);
-    s->alive.resize(static_cast<std::size_t>(words_));
-    s->rows.resize(static_cast<std::size_t>(n_));
-    s->visited.resize(static_cast<std::size_t>(words_));
-    s->frontier.resize(static_cast<std::size_t>(words_));
-    s->next.resize(static_cast<std::size_t>(words_));
     s->slot_rows.assign(static_cast<std::size_t>(csr_.num_edge_ids()), 0);
     return s;
   }
@@ -152,59 +110,22 @@ class PackedRecoverySession final : public NbfSession {
     pool_.push_back(std::move(s));
   }
 
-  // Applies the scenario to the scratch: alive mask and node bans, patched
-  // adjacency rows and edge bans for failed links, clean slot table.
-  // Mirrors Topology::residual()'s validation so malformed scenarios fail
-  // the same way as the scalar path.
+  // Applies the scenario to the scratch as bans on the CSR search and clears
+  // the slot table. Validation follows Topology::residual(): each failed node
+  // must be part of the topology, and CsrSearch range-checks ids with
+  // Graph's message, failed switches before failed links. So a malformed
+  // scenario fails as on the scalar path, and a failed link that Gt lacks
+  // is ignored there as here.
   void prepare(PackedScratch& s, const FailureScenario& scenario) const {
     for (const std::int32_t eid : s.touched) s.slot_rows[static_cast<std::size_t>(eid)] = 0;
     s.touched.clear();
     s.search.clear_bans();
-
-    std::copy(alive_base_.begin(), alive_base_.end(), s.alive.begin());
     for (const NodeId v : scenario.failed_switches) {
       NPTSN_EXPECT(topology_->has_switch(v) || problem_->is_end_station(v),
                    "failed node is not part of the topology");
-      NPTSN_EXPECT(v >= 0 && v < n_, "node id out of range: " + std::to_string(v));
-      tsk::clear_bit(s.alive.data(), v);
       s.search.ban_node(v);
     }
-
-    for (NodeId v = 0; v < n_; ++v) {
-      s.rows[static_cast<std::size_t>(v)] =
-          &adj_[static_cast<std::size_t>(v) * static_cast<std::size_t>(words_)];
-    }
-    s.patched.resize(2 * scenario.failed_links.size() * static_cast<std::size_t>(words_));
-    std::size_t used = 0;
-    for (const EdgeKey& link : scenario.failed_links) {
-      NPTSN_EXPECT(link.a >= 0 && link.a < n_, "node id out of range: " + std::to_string(link.a));
-      NPTSN_EXPECT(link.b >= 0 && link.b < n_, "node id out of range: " + std::to_string(link.b));
-      if (eid_of(link.a, link.b) < 0) continue;  // not a planned link
-      s.search.ban_edge(link.a, link.b);
-      patch_row(s, used, link.a, link.b);
-      patch_row(s, used, link.b, link.a);
-    }
-  }
-
-  // Clears bit `v` from node `u`'s adjacency row, copying the row into the
-  // scratch's patch area on first touch (base rows are shared and const).
-  void patch_row(PackedScratch& s, std::size_t& used, NodeId u, NodeId v) const {
-    const std::uint64_t* row = s.rows[static_cast<std::size_t>(u)];
-    std::uint64_t* target;
-    if (row >= s.patched.data() && row < s.patched.data() + s.patched.size()) {
-      target = const_cast<std::uint64_t*>(row);  // already patched this call
-    } else {
-      target = s.patched.data() + used;
-      used += static_cast<std::size_t>(words_);
-      std::copy(row, row + words_, target);
-      s.rows[static_cast<std::size_t>(u)] = target;
-    }
-    tsk::clear_bit(target, v);
-  }
-
-  std::int32_t eid_of(NodeId from, NodeId to) const {
-    return eid_lookup_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
-                       static_cast<std::size_t>(to)];
+    for (const EdgeKey& link : scenario.failed_links) s.search.ban_edge(link.a, link.b);
   }
 
   // schedule_on_path() over the packed slot rows; identical search order and
@@ -217,7 +138,7 @@ class PackedRecoverySession final : public NbfSession {
     s.folds.resize(static_cast<std::size_t>(hops));
     for (int i = 0; i < hops; ++i) {
       const std::int32_t eid =
-          eid_of(path[static_cast<std::size_t>(i)], path[static_cast<std::size_t>(i) + 1]);
+          csr_.edge_id(path[static_cast<std::size_t>(i)], path[static_cast<std::size_t>(i) + 1]);
       NPTSN_ASSERT(eid >= 0, "packed schedule: path uses an unknown link");
       s.hop_eids[static_cast<std::size_t>(i)] = eid;
       s.folds[static_cast<std::size_t>(i)] = tsk::fold_occupancy_fast(
@@ -274,14 +195,8 @@ class PackedRecoverySession final : public NbfSession {
   int path_candidates_;
   TtDiscipline discipline_;
 
-  CsrGraph csr_;                          // Gt; its edge ids are the directed eids
-  int n_ = 0;
-  int words_ = 0;
-  int slots_ = 0;
-  std::vector<std::uint64_t> adj_;        // n * words adjacency bit-rows
-  std::vector<std::uint64_t> alive_base_; // active nodes of Gt
-  std::vector<std::uint64_t> transit_;    // transit-capable nodes
-  std::vector<std::int32_t> eid_lookup_;  // dense (from, to) -> directed eid
+  CsrGraph csr_;  // Gt; its directed edge ids index the slot rows
+  int slots_;
   TransitFilter can_transit_;
   std::vector<FlowTiming> timings_;
 
@@ -294,9 +209,7 @@ class PackedRecoverySession final : public NbfSession {
 std::unique_ptr<NbfSession> make_packed_recovery_session(const Topology& topology,
                                                          int path_candidates,
                                                          TtDiscipline discipline) {
-  const PlanningProblem& problem = topology.problem();
-  if (topology.graph().num_nodes() > kPackedMaxNodes) return nullptr;
-  if (problem.tsn.slots_per_base > tsk::kWordBits) return nullptr;
+  if (topology.problem().tsn.slots_per_base > tsk::kWordBits) return nullptr;
   return std::make_unique<PackedRecoverySession>(topology, path_candidates, discipline);
 }
 

@@ -29,7 +29,7 @@ struct NbfResult {
   bool ok() const { return errors.empty(); }
 };
 
-// A staged NBF session: per-topology precomputation (packed adjacency, CSR,
+// A staged NBF session: per-topology precomputation (a CSR view of Gt,
 // flow timings, slot-table layout) done once so that repeated recover()
 // calls skip the per-call Graph copy and std::map walks of the generic
 // path. Sessions are BIT-identical to the staging NBF's
@@ -89,10 +89,10 @@ class HeuristicRecovery final : public StatelessNbf {
   NbfResult recover(const Topology& topology,
                     const FailureScenario& scenario) const override;
 
-  // Bitset-packed staged session (src/tsn/packed.cpp). Non-null when the
-  // instance fits the packed envelope (slots_per_base <= 64, node count
-  // within the packed bound) and the global tsn_kernel() is kFast;
-  // otherwise nullptr and callers use the scalar reference path.
+  // Packed staged session (src/tsn/packed.cpp). Non-null when the instance
+  // fits the packed envelope (slots_per_base <= 64) and the global
+  // tsn_kernel() is kFast; otherwise nullptr and callers use the scalar
+  // reference path.
   std::unique_ptr<NbfSession> stage(const Topology& topology) const override;
 
  private:

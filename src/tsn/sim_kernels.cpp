@@ -17,71 +17,6 @@ TsnKernel tsn_kernel() { return g_tsn_kernel.load(std::memory_order_relaxed); }
 
 namespace tsk {
 
-bool reach_reference(const std::uint64_t* const* rows, int words,
-                     const std::uint64_t* alive, const std::uint64_t* transit,
-                     int src, int dst, std::uint64_t* visited,
-                     std::uint64_t* frontier, std::uint64_t* next) {
-  if (src == dst) return true;
-  const int n = words * kWordBits;
-  for (int w = 0; w < words; ++w) visited[w] = frontier[w] = 0;
-  set_bit(visited, src);
-  set_bit(frontier, src);
-  while (true) {
-    for (int w = 0; w < words; ++w) next[w] = 0;
-    for (int u = 0; u < n; ++u) {
-      if (!test_bit(frontier, u)) continue;
-      if (u != src && !test_bit(transit, u)) continue;
-      for (int v = 0; v < n; ++v) {
-        if (!test_bit(rows[u], v)) continue;
-        if (!test_bit(alive, v) || test_bit(visited, v)) continue;
-        set_bit(next, v);
-      }
-    }
-    bool any = false;
-    for (int w = 0; w < words; ++w) {
-      visited[w] |= next[w];
-      if (next[w] != 0) any = true;
-    }
-    if (test_bit(visited, dst)) return true;
-    if (!any) return false;
-    for (int w = 0; w < words; ++w) frontier[w] = next[w];
-  }
-}
-
-bool reach_fast(const std::uint64_t* const* rows, int words,
-                const std::uint64_t* alive, const std::uint64_t* transit,
-                int src, int dst, std::uint64_t* visited, std::uint64_t* frontier,
-                std::uint64_t* next) {
-  if (src == dst) return true;
-  for (int w = 0; w < words; ++w) visited[w] = frontier[w] = 0;
-  set_bit(visited, src);
-  set_bit(frontier, src);
-  while (true) {
-    for (int w = 0; w < words; ++w) next[w] = 0;
-    for (int w = 0; w < words; ++w) {
-      // Expand only src and transit-capable frontier nodes, word-OR'ing
-      // whole adjacency rows at a time.
-      std::uint64_t bits = frontier[w] & transit[w];
-      if (w == src / kWordBits) bits |= frontier[w] & (std::uint64_t{1} << (src % kWordBits));
-      while (bits != 0) {
-        const int u = w * kWordBits + std::countr_zero(bits);
-        bits &= bits - 1;
-        const std::uint64_t* row = rows[u];
-        for (int x = 0; x < words; ++x) next[x] |= row[x];
-      }
-    }
-    bool any = false;
-    for (int w = 0; w < words; ++w) {
-      next[w] &= alive[w] & ~visited[w];
-      visited[w] |= next[w];
-      if (next[w] != 0) any = true;
-    }
-    if (test_bit(visited, dst)) return true;
-    if (!any) return false;
-    for (int w = 0; w < words; ++w) frontier[w] = next[w];
-  }
-}
-
 std::uint64_t fold_occupancy_reference(std::uint64_t row, int stride, int repetitions) {
   std::uint64_t fold = 0;
   for (int s = 0; s < stride; ++s) {

@@ -1,10 +1,11 @@
-// SWAR kernels of the packed NBF session (src/tsn/packed.cpp), following the
-// src/nn/kernels pattern: every kernel ships as a `_reference` / `_fast`
-// pair with identical semantics. The reference member is the bit-frozen
-// scalar ground truth, kept for the differential tests; the session always
-// calls the fast member. All decisions these kernels make are integer/bit
-// decisions, so the pair is BIT-identical on every platform (unlike the nn
-// kernels, no float-summation caveat applies).
+// Slot-row SWAR kernels of the packed NBF session (src/tsn/packed.cpp),
+// following the src/nn/kernels pattern: every kernel ships as a
+// `_reference` / `_fast` pair with identical semantics. The reference member
+// is the bit-frozen scalar ground truth, kept for the differential tests;
+// the session always calls the fast member. All decisions these kernels make
+// are integer/bit decisions, so the pair is BIT-identical on every platform
+// (unlike the nn kernels, no float-summation caveat applies). Routing is not
+// here: the session runs the CSR Dijkstra and Yen of graph/csr.hpp.
 //
 // The global TsnKernel selector has one job: HeuristicRecovery::stage()
 // returns a packed session only under kFast. kReference sends every NBF
@@ -22,47 +23,16 @@ enum class TsnKernel { kReference, kFast };
 void set_tsn_kernel(TsnKernel kernel);
 TsnKernel tsn_kernel();
 
-// Word-level primitives. Bit i of word w addresses entity w * 64 + i.
+// Slot-row primitives. Bit s of a directed link's slot row is slot s of the
+// base period.
 namespace tsk {
 
 inline constexpr int kWordBits = 64;
-
-inline int words_for(int bits) { return (bits + kWordBits - 1) / kWordBits; }
-
-inline bool test_bit(const std::uint64_t* words, int i) {
-  return (words[i / kWordBits] >> (i % kWordBits)) & 1u;
-}
-
-inline void set_bit(std::uint64_t* words, int i) {
-  words[i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
-}
-
-inline void clear_bit(std::uint64_t* words, int i) {
-  words[i / kWordBits] &= ~(std::uint64_t{1} << (i % kWordBits));
-}
 
 // Mask selecting bits [0, b); b may be >= 64 (full mask).
 inline std::uint64_t low_mask(int b) {
   return b >= kWordBits ? ~std::uint64_t{0} : (std::uint64_t{1} << b) - 1;
 }
-
-// --- Reachability closure ----------------------------------------------
-//
-// BFS over a packed adjacency with shortest_path()'s transit semantics:
-// expansion happens only from `src` and from nodes whose `transit` bit is
-// set; every discovered node is masked by `alive`. Returns true iff `dst`
-// is reached. `rows[u]` points to the `words`-word adjacency row of node u
-// (callers patch rows of failed-link endpoints); `visited`, `frontier`,
-// and `next` are caller-provided `words`-word scratch. Requires `src`
-// alive; src == dst returns true.
-bool reach_reference(const std::uint64_t* const* rows, int words,
-                     const std::uint64_t* alive, const std::uint64_t* transit,
-                     int src, int dst, std::uint64_t* visited,
-                     std::uint64_t* frontier, std::uint64_t* next);
-bool reach_fast(const std::uint64_t* const* rows, int words,
-                const std::uint64_t* alive, const std::uint64_t* transit,
-                int src, int dst, std::uint64_t* visited, std::uint64_t* frontier,
-                std::uint64_t* next);
 
 // --- Slot-table occupancy (single-word envelope: slots_per_base <= 64) ---
 //

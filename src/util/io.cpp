@@ -5,10 +5,15 @@
 
 #include <atomic>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <string_view>
+
+#include "util/parse_number.hpp"
 
 namespace nptsn {
 namespace io {
@@ -67,13 +72,11 @@ int parse_errno(const std::string& text) {
   for (const ErrnoName& entry : kErrnoNames) {
     if (text == entry.name) return entry.value;
   }
-  if (!text.empty() && text.find_first_not_of("0123456789") == std::string::npos) {
-    return std::atoi(text.c_str());
-  }
-  return -1;
+  return parse_decimal(text, 0, INT_MAX).value_or(-1);
 }
 
-// SITE:ERRNO[@HIT][xCOUNT] -> IoFault; false on garbage.
+// SITE:ERRNO[@HIT][xCOUNT] -> IoFault; false on garbage. Every number is one
+// whole decimal (parse_decimal), so "@2junk" arms nothing rather than hit 2.
 bool parse_fault(const std::string& spec, IoFault* fault) {
   const std::size_t colon = spec.rfind(':');
   if (colon == std::string::npos || colon == 0) return false;
@@ -84,14 +87,19 @@ bool parse_fault(const std::string& spec, IoFault* fault) {
   fault->count = 1;
   const std::size_t x = rest.rfind('x');
   if (x != std::string::npos) {
-    fault->count = std::atoi(rest.c_str() + x + 1);
-    if (fault->count == 0) return false;
+    // A negative count is forever; 0 would never fire.
+    const std::optional<int> count =
+        parse_decimal(std::string_view(rest).substr(x + 1), INT_MIN, INT_MAX);
+    if (!count || *count == 0) return false;
+    fault->count = *count;
     rest.resize(x);
   }
   const std::size_t at = rest.rfind('@');
   if (at != std::string::npos) {
-    fault->at_hit = std::atoi(rest.c_str() + at + 1);
-    if (fault->at_hit <= 0) return false;
+    const std::optional<int> at_hit =
+        parse_decimal(std::string_view(rest).substr(at + 1), 1, INT_MAX);
+    if (!at_hit) return false;
+    fault->at_hit = *at_hit;
     rest.resize(at);
   }
   const int error = parse_errno(rest);

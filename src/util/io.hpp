@@ -94,7 +94,9 @@ void disarm_io_faults();
 // Reads NPTSN_IO_FAULT and arms accordingly. Grammar, ';'-separated:
 //   SITE:ERRNO[@HIT][xCOUNT]
 // where ERRNO is a symbolic name (ENOSPC, EIO, EMFILE, EINTR, EAGAIN, ...) or
-// a number, or SHORT for a short write. Examples:
+// a number, or SHORT for a short write. HIT (>= 1), COUNT (nonzero; < 0 =
+// forever) and a numeric ERRNO are whole decimal numbers: a part with a
+// malformed one ("@2junk") arms nothing. Examples:
 //   journal.append.fsync:ENOSPC@3x-1   third fsync onward fails with ENOSPC
 //   checkpoint.write:EINTR@1x16        a 16-deep EINTR storm
 //   journal.*:EIO@2                    one EIO on the second journal syscall

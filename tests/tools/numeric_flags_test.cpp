@@ -2,11 +2,13 @@
 // that is not one whole decimal number in the flag's range is a usage error
 // (exit 2) before any work starts, not the 0, 5 or SIZE_MAX that atoi, atof
 // and strtoull would make of "abc", "5x" or "-1". Runs the real binaries,
-// whose paths are compiled in as NPTSN_{SERVE,AUDIT,STRESS}_BIN.
+// whose paths are compiled in as NPTSN_{SERVE,AUDIT,STRESS,BENCH_COMPARE}_BIN.
 #include <sys/wait.h>
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,6 +87,27 @@ TEST(NumericFlags, StressRejectsMalformedNumbersAsUsageErrors) {
                                    "2", "--budget-scale", "4"}),
             3)
       << "no corpus under the replay directory";
+}
+
+TEST(NumericFlags, BenchCompareRejectsMalformedThresholdsAsUsageErrors) {
+  // A speedup that fell 2.0 -> 1.6 is 1.25x slower: inside a 1.3 threshold,
+  // outside 1.2.
+  const std::string stem = ::testing::TempDir() + "nptsn_bench_compare_" +
+                           std::to_string(::getpid());
+  const std::string baseline = stem + "_baseline.json";
+  const std::string fresh = stem + "_fresh.json";
+  std::ofstream(baseline) << R"({"speedup": 2.0})";
+  std::ofstream(fresh) << R"({"speedup": 1.6})";
+
+  for (const char* threshold : {"1.3x", "abc", "", "0.5", "-1.3", "inf", "nan", " 1.3"}) {
+    EXPECT_EQ(run(NPTSN_BENCH_COMPARE_BIN, {"--threshold", threshold, baseline, fresh}), 2)
+        << "--threshold '" << threshold << "'";
+  }
+  EXPECT_EQ(run(NPTSN_BENCH_COMPARE_BIN, {"--threshold", "1.3", baseline, fresh}), 0);
+  EXPECT_EQ(run(NPTSN_BENCH_COMPARE_BIN, {"--threshold", "1.2", baseline, fresh}), 1);
+  EXPECT_EQ(run(NPTSN_BENCH_COMPARE_BIN, {"--threshold", "1", baseline, baseline}), 0);
+  std::remove(baseline.c_str());
+  std::remove(fresh.c_str());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Differential tests for the bitset-packed TSN fast path (DESIGN.md §16):
+// Differential tests for the packed TSN fast path (DESIGN.md §16):
 // the packed NBF session must be BYTE-identical to the scalar
 // HeuristicRecovery ground truth — same paths, same slots, same error sets —
 // for every scenario shape (switch-only, link-only, mixed, higher-order),
@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -46,18 +49,10 @@ void expect_identical(const NbfResult& a, const NbfResult& b, const std::string&
   }
 }
 
-// Every failure scenario of order <= 2 over the topology's selected
-// switches and present optional links (the exact shapes the mixed frontier
-// enumerates).
-std::vector<FailureScenario> scenarios_up_to_order_two(const PlanningProblem& problem,
-                                                       const Topology& topology) {
-  std::vector<NodeId> switches = topology.selected_switches();
-  std::vector<EdgeKey> links;
-  for (const Edge& e : problem.connections.edges()) {
-    if (topology.has_link(e.u, e.v)) {
-      links.push_back(EdgeKey{std::min(e.u, e.v), std::max(e.u, e.v)});
-    }
-  }
+// Every failure scenario of order <= 2 over the given switches and links
+// (the exact shapes the mixed frontier enumerates).
+std::vector<FailureScenario> scenarios_up_to_order_two(const std::vector<NodeId>& switches,
+                                                       const std::vector<EdgeKey>& links) {
   std::vector<FailureScenario> scenarios;
   scenarios.push_back(FailureScenario::none());
   for (const NodeId s : switches) scenarios.push_back(FailureScenario::of_switches({s}));
@@ -89,6 +84,73 @@ std::vector<FailureScenario> scenarios_up_to_order_two(const PlanningProblem& pr
   return scenarios;
 }
 
+// The same over the topology's selected switches and present optional links.
+std::vector<FailureScenario> scenarios_up_to_order_two(const PlanningProblem& problem,
+                                                       const Topology& topology) {
+  std::vector<EdgeKey> links;
+  for (const Edge& e : problem.connections.edges()) {
+    if (topology.has_link(e.u, e.v)) {
+      links.push_back(EdgeKey{std::min(e.u, e.v), std::max(e.u, e.v)});
+    }
+  }
+  return scenarios_up_to_order_two(topology.selected_switches(), links);
+}
+
+// A ladder of two switch rails, a_i = 6 + i and b_i = 6 + kRungs + i, with a
+// rung a_i - b_i at every i: 6 + 2 * 520 = 1046 nodes, past 1024. End
+// station e is dual-homed to rung kStations[e]. Five flows 0 -> 1 share the
+// rails between rungs 0 and 3: four fit the 8-slot table on the shortest
+// path, the fifth needs the Yen fallback. Flow 4 -> 5 moves to rail b, ids
+// past 1024, when a scenario cuts rail a near rung 516.
+constexpr int kRungs = 520;
+constexpr int kStations[] = {0, 3, 260, 263, 515, 518};
+
+NodeId rail_a(int rung) { return 6 + rung; }
+NodeId rail_b(int rung) { return 6 + kRungs + rung; }
+
+PlanningProblem ladder_problem() {
+  PlanningProblem problem;
+  problem.num_end_stations = 6;
+  Graph g(6 + 2 * kRungs);
+  for (int i = 0; i < kRungs; ++i) {
+    g.add_edge(rail_a(i), rail_b(i), 1.0);
+    if (i + 1 < kRungs) {
+      g.add_edge(rail_a(i), rail_a(i + 1), 1.0);
+      g.add_edge(rail_b(i), rail_b(i + 1), 1.0);
+    }
+  }
+  for (NodeId e = 0; e < 6; ++e) {
+    g.add_edge(e, rail_a(kStations[e]), 1.0);
+    g.add_edge(e, rail_b(kStations[e]), 1.0);
+  }
+  problem.connections = std::move(g);
+  problem.tsn.base_period_us = 500.0;
+  problem.tsn.slots_per_base = 8;
+  const auto flow = [](NodeId source, NodeId destination) {
+    FlowSpec f;
+    f.source = source;
+    f.destination = destination;
+    f.period_us = 500.0;
+    f.deadline_us = 500.0;
+    f.frame_bytes = 1500;
+    return f;
+  };
+  for (int i = 0; i < 5; ++i) problem.flows.push_back(flow(0, 1));
+  problem.flows.push_back(flow(2, 3));
+  problem.flows.push_back(flow(4, 5));
+  return problem;
+}
+
+// Gt = Gc: every switch planned, every link present.
+Topology ladder_topology(const PlanningProblem& problem) {
+  Topology t(problem);
+  for (const NodeId s : problem.switch_ids()) t.add_switch(s);
+  for (const Edge& e : problem.connections.edges()) t.add_link(e.u, e.v);
+  return t;
+}
+
+EdgeKey link(NodeId u, NodeId v) { return EdgeKey{std::min(u, v), std::max(u, v)}; }
+
 TEST(PackedNbf, ByteIdenticalToScalarAcrossScenarioShapes) {
   for (const int flows : {1, 3, 4}) {
     const auto problem = tiny_problem(flows);
@@ -109,6 +171,28 @@ TEST(PackedNbf, ByteIdenticalToScalarAcrossScenarioShapes) {
                              context);
           }
         }
+      }
+    }
+  }
+
+  // More than 1024 nodes: staged like any other instance. Switch, link and
+  // mixed scenarios around each flow's rungs, ids past 1024 included.
+  const auto problem = ladder_problem();
+  const Topology t = ladder_topology(problem);
+  const std::vector<NodeId> switches = {rail_a(1), rail_b(2), rail_a(261), rail_b(516)};
+  const std::vector<EdgeKey> links = {link(0, rail_a(0)), link(rail_a(1), rail_b(1)),
+                                      link(rail_b(2), rail_b(3)),
+                                      link(rail_a(516), rail_a(517))};
+  const auto scenarios = scenarios_up_to_order_two(switches, links);
+  for (const TtDiscipline discipline : {TtDiscipline::kNoWait, TtDiscipline::kStoreAndForward}) {
+    for (const int candidates : {1, 3}) {
+      const HeuristicRecovery nbf(candidates, discipline);
+      const auto session = nbf.stage(t);
+      ASSERT_NE(session, nullptr) << "the packed envelope has no node bound";
+      for (const auto& scenario : scenarios) {
+        expect_identical(session->recover(scenario), nbf.recover(t, scenario),
+                         "ladder, candidates " + std::to_string(candidates) +
+                             " scenario order " + std::to_string(scenario.order()));
       }
     }
   }
@@ -172,6 +256,48 @@ TEST(PackedNbf, ConcurrentRecoverCallsMatchTheScalarPath) {
   }
 }
 
+TEST(PackedNbf, MalformedScenariosFailAsOnTheScalarPath) {
+  // The session validates a scenario as Topology::residual() does: the same
+  // exception with the same message, failed switches before failed links.
+  const auto problem = tiny_problem(2);
+  const auto t = dual_homed_topology(problem);
+  const HeuristicRecovery nbf;
+  const auto session = nbf.stage(t);
+  ASSERT_NE(session, nullptr);
+  // The text after the precondition's file and line.
+  const auto failure = [](const auto& recover) -> std::string {
+    try {
+      recover();
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      return what.substr(what.find(" — "));
+    }
+    return "no throw";
+  };
+  const auto with_links = [](std::vector<NodeId> switches, std::vector<EdgeKey> links) {
+    FailureScenario scenario;
+    scenario.failed_switches = std::move(switches);
+    scenario.failed_links = std::move(links);
+    return scenario;
+  };
+  const FailureScenario malformed[] = {
+      FailureScenario::of_switches({6}),   // an unplanned switch
+      FailureScenario::of_switches({7}),   // out of range
+      FailureScenario::of_switches({-1}),  // out of range
+      with_links({}, {EdgeKey{0, 9}}),     // link endpoint out of range
+      with_links({}, {EdgeKey{-2, 4}}),
+      with_links({6}, {EdgeKey{0, 9}}),    // the switch is reported first
+  };
+  for (const FailureScenario& scenario : malformed) {
+    const std::string scalar = failure([&] { nbf.recover(t, scenario); });
+    EXPECT_NE(scalar, "no throw");
+    EXPECT_EQ(failure([&] { session->recover(scenario); }), scalar);
+  }
+  // A well-formed scenario still recovers on the session that threw.
+  expect_identical(session->recover(FailureScenario::of_switches({4})),
+                   nbf.recover(t, FailureScenario::of_switches({4})), "after throws");
+}
+
 TEST(PackedNbf, StageRespectsEnvelopeAndKernelSelection) {
   const auto problem = tiny_problem(2);
   const auto t = dual_homed_topology(problem);
@@ -233,48 +359,6 @@ TEST(SimKernelPairs, EarliestFreeMatchesReference) {
     EXPECT_EQ(tsk::earliest_free_fast(fold, from, deadline_slots),
               tsk::earliest_free_reference(fold, from, deadline_slots))
         << "fold " << fold << " from " << from << " deadline " << deadline_slots;
-  }
-}
-
-TEST(SimKernelPairs, ReachMatchesReferenceOnRandomGraphs) {
-  Rng rng(19);
-  for (int trial = 0; trial < 400; ++trial) {
-    const int n = rng.uniform_int(2, 130);  // crosses the 64-bit word boundary
-    const int words = tsk::words_for(n);
-    std::vector<std::vector<std::uint64_t>> adjacency(
-        static_cast<std::size_t>(n), std::vector<std::uint64_t>(static_cast<std::size_t>(words), 0));
-    const double density = rng.uniform() * 0.2;
-    for (int u = 0; u < n; ++u) {
-      for (int v = u + 1; v < n; ++v) {
-        if (rng.uniform() < density) {
-          tsk::set_bit(adjacency[static_cast<std::size_t>(u)].data(), v);
-          tsk::set_bit(adjacency[static_cast<std::size_t>(v)].data(), u);
-        }
-      }
-    }
-    std::vector<const std::uint64_t*> rows(static_cast<std::size_t>(n));
-    for (int u = 0; u < n; ++u) rows[static_cast<std::size_t>(u)] = adjacency[static_cast<std::size_t>(u)].data();
-    std::vector<std::uint64_t> alive(static_cast<std::size_t>(words), 0);
-    std::vector<std::uint64_t> transit(static_cast<std::size_t>(words), 0);
-    for (int v = 0; v < n; ++v) {
-      if (rng.uniform() < 0.85) tsk::set_bit(alive.data(), v);
-      if (rng.uniform() < 0.6) tsk::set_bit(transit.data(), v);
-    }
-    std::vector<std::uint64_t> visited(static_cast<std::size_t>(words));
-    std::vector<std::uint64_t> frontier(static_cast<std::size_t>(words));
-    std::vector<std::uint64_t> next(static_cast<std::size_t>(words));
-    for (int probe = 0; probe < 16; ++probe) {
-      const int src = rng.uniform_int(0, n - 1);
-      const int dst = rng.uniform_int(0, n - 1);
-      if (!tsk::test_bit(alive.data(), src)) continue;
-      const bool fast = tsk::reach_fast(rows.data(), words, alive.data(), transit.data(),
-                                        src, dst, visited.data(), frontier.data(),
-                                        next.data());
-      const bool reference = tsk::reach_reference(rows.data(), words, alive.data(),
-                                                  transit.data(), src, dst, visited.data(),
-                                                  frontier.data(), next.data());
-      EXPECT_EQ(fast, reference) << "n " << n << " src " << src << " dst " << dst;
-    }
   }
 }
 

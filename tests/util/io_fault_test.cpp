@@ -148,8 +148,11 @@ TEST_F(IoFaultTest, ClassificationSeparatesTransientFromPersistent) {
 }
 
 TEST_F(IoFaultTest, EnvGrammarArmsSchedules) {
-  ::setenv("NPTSN_IO_FAULT", "t.write:ENOSPC@3x-1;t.fsync:SHORT;garbage", 1);
-  EXPECT_EQ(io::arm_io_faults_from_env(), 2);  // the garbage spec is skipped
+  // "@2junk" is not a hit number, so that part arms nothing. Armed at hit 2
+  // it would fail the second write below with EIO.
+  ::setenv("NPTSN_IO_FAULT", "t.write:ENOSPC@3x-1;t.fsync:SHORT;garbage;t.write:EIO@2junk",
+           1);
+  EXPECT_EQ(io::arm_io_faults_from_env(), 2);  // the malformed specs are skipped
   const int fd = open_scratch();
   EXPECT_EQ(io::write("t.write", fd, kPayload, 4), 4);
   EXPECT_EQ(io::write("t.write", fd, kPayload, 4), 4);

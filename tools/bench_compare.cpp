@@ -8,15 +8,17 @@
 // metric (speedup*, latency_*, overhead_percent — see
 // src/util/bench_compare.hpp) stayed within the slowdown threshold in every
 // pair; 1 on any regression, missing metric, unreadable file, or malformed
-// JSON.
+// JSON; 2 on a usage error (a threshold that is not a decimal number >= 1
+// included).
 
+#include <cfloat>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "numeric_flag.hpp"
 #include "util/bench_compare.hpp"
 
 namespace {
@@ -41,7 +43,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--threshold needs a value\n");
         return 2;
       }
-      threshold = std::atof(argv[++i]);
+      threshold = nptsn::numeric_flag("--threshold", argv[++i], 1.0, DBL_MAX);
     } else if (arg == "--help" || arg == "-h") {
       std::printf("usage: bench_compare [--threshold R] BASELINE.json FRESH.json ...\n");
       return 0;
