@@ -15,6 +15,13 @@
 //                 a differential check (the families must agree to ~1e-12
 //                 relative — FMA contraction only).
 //
+//   "elementwise" — the tanh of the MLP heads' hidden layers over a 256 x
+//                 256 block drawn like their pre-activations on ADS (N(0,
+//                 0.35): 86% below 0.52 in magnitude): std::tanh, as the
+//                 reference family applies it, against nnk::fast_tanh, the
+//                 fast family's. The fast tanh must return libm's bits; any
+//                 differing output exits 1, so CI fails on a divergence.
+//
 //   "scenarios" — the epoch forward: one staged 256-observation rollout
 //                 batch pushed through the encoder node and the actor AND
 //                 critic heads, the way ppo_update consumes a batch. The
@@ -39,6 +46,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -218,6 +226,65 @@ std::uint64_t update_digest(const ActorCritic::Config& net_config, const NptsnCo
     for (const Matrix& v : opt->second_moments()) hash = fnv1a(hash, v);
   }
   return hash;
+}
+
+// The "elementwise" tanh entry (see the header comment).
+void bench_tanh(int reps) {
+  constexpr int kRows = 256;
+  constexpr int kCols = 256;
+  constexpr int kIters = 40;
+  Rng rng(31);
+  Matrix x(kRows, kCols);
+  for (int e = 0; e < x.size(); ++e) x.data()[e] = 0.35 * rng.normal();
+  Matrix ref(kRows, kCols);
+  Matrix fast(kRows, kCols);
+  const std::size_t count = static_cast<std::size_t>(x.size());
+  for (std::size_t e = 0; e < count; ++e) ref.data()[e] = std::tanh(x.data()[e]);
+  nnk::fast_tanh(x.data(), count, fast.data());
+  int mismatches = 0;
+  for (std::size_t e = 0; e < count; ++e) {
+    if (std::memcmp(&ref.data()[e], &fast.data()[e], sizeof(double)) != 0) ++mismatches;
+  }
+  if (mismatches != 0) {
+    std::fprintf(stderr, "tanh: fast tanh differs from std::tanh in %d of %zu outputs\n",
+                 mismatches, count);
+    std::exit(1);
+  }
+
+  double ref_s = 0.0;
+  double fast_s = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    {
+      const Stopwatch watch;
+      for (int i = 0; i < kIters; ++i) {
+        for (std::size_t e = 0; e < count; ++e) ref.data()[e] = std::tanh(x.data()[e]);
+        g_sink = g_sink + ref.data()[i];
+      }
+      const double seconds = watch.seconds();
+      if (rep == 0 || seconds < ref_s) ref_s = seconds;
+    }
+    {
+      const Stopwatch watch;
+      for (int i = 0; i < kIters; ++i) {
+        nnk::fast_tanh(x.data(), count, fast.data());
+        g_sink = g_sink + fast.data()[i];
+      }
+      const double seconds = watch.seconds();
+      if (rep == 0 || seconds < fast_s) fast_s = seconds;
+    }
+  }
+
+  std::printf(
+      "    {\n"
+      "      \"name\": \"tanh\",\n"
+      "      \"rows\": %d, \"cols\": %d,\n"
+      "      \"iters\": %d,\n"
+      "      \"seconds_reference\": %.6f,\n"
+      "      \"seconds_fast\": %.6f,\n"
+      "      \"speedup\": %.3f,\n"
+      "      \"mismatches\": %d\n"
+      "    }\n",
+      kRows, kCols, kIters, ref_s, fast_s, fast_s > 0.0 ? ref_s / fast_s : 0.0, mismatches);
 }
 
 void bench_scenario(const char* name, const PlanningProblem& problem, const Mode& mode,
@@ -453,6 +520,8 @@ int run(int argc, char** argv) {
     });
   }
 
+  std::printf("  ],\n  \"elementwise\": [\n");
+  bench_tanh(reps);
   std::printf("  ],\n  \"scenarios\": [\n");
   bench_scenario("ADS", ads_problem, mode, reps, /*last=*/false);
   bench_scenario("ORION", orion_problem, mode, reps, /*last=*/true);

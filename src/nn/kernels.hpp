@@ -124,6 +124,13 @@ void add_col_sums(const double* m, int rows, int cols, double* sums);
 // of the layer below, at its stored output h.
 void relu_gate(const double* h, const double* back, std::size_t count, double* delta);
 
+// out[e] = tanh(x[e]) for e < count, as the fast family's kTanh epilogue
+// computes it. Built with FMA it is a vector port of glibc's tanh (fdlibm's
+// over the FMA build of its expm1) that returns std::tanh's bits on glibc
+// and stays one function of the value on any libm; without FMA it is
+// std::tanh. The reference family calls std::tanh and is its oracle.
+void fast_tanh(const double* x, std::size_t count, double* out);
+
 // Calls graphs(begin, end) over consecutive ranges covering [0, count): on
 // the kernel pool when nn threads > 1 and `flops` is large enough to pay for
 // it, otherwise once over the whole range. Each call must write only state

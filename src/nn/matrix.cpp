@@ -218,11 +218,21 @@ CsrRows::CsrRows(int cols, const std::vector<const Matrix*>& blocks) : cols_(col
 }
 
 Matrix transpose(const Matrix& a) {
-  Matrix out = Matrix::uninitialized(a.cols(), a.rows());
-  for (int i = 0; i < a.rows(); ++i) {
-    const double* arow = a.data() + static_cast<std::size_t>(i) * a.cols();
-    for (int j = 0; j < a.cols(); ++j) {
-      out.data()[static_cast<std::size_t>(j) * a.rows() + i] = arow[j];
+  // In square blocks: walked row by row, the column writes of a 256-wide
+  // matrix stride 2 KiB and keep evicting each other from a few L1 sets
+  // (about 4 ns per element, against about 1 ns in 8 x 8 blocks).
+  constexpr int kBlock = 8;
+  const int rows = a.rows();
+  const int cols = a.cols();
+  Matrix out = Matrix::uninitialized(cols, rows);
+  for (int i0 = 0; i0 < rows; i0 += kBlock) {
+    const int i1 = std::min(rows, i0 + kBlock);
+    for (int j0 = 0; j0 < cols; j0 += kBlock) {
+      const int j1 = std::min(cols, j0 + kBlock);
+      for (int i = i0; i < i1; ++i) {
+        const double* arow = a.data() + static_cast<std::size_t>(i) * cols;
+        for (int j = j0; j < j1; ++j) out.data()[static_cast<std::size_t>(j) * rows + i] = arow[j];
+      }
     }
   }
   return out;

@@ -18,6 +18,9 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#if defined(__GLIBC__)
+#include <gnu/libc-version.h>
+#endif
 
 #include "nn/autograd.hpp"
 #include "nn/kernels.hpp"
@@ -916,6 +919,188 @@ TEST(KernelDifferential, ReferenceFamilyKeepsItsNonFiniteSemantics) {
         expect_same_bytes(out, oracle_propagate(adj, g, src, act), "propagate" + shape);
       }
     }
+  }
+}
+
+// The C library the process runs against, for the tanh test's messages.
+std::string libc_name() {
+#if defined(__GLIBC__)
+  return std::string("glibc ") + gnu_get_libc_version();
+#else
+  return "a C library other than glibc";
+#endif
+}
+
+// Streams inputs through nnk::fast_tanh and std::tanh in blocks and counts
+// the outputs whose bytes differ, reporting the first few.
+class TanhComparison {
+ public:
+  void add(double x) {
+    block_.push_back(x);
+    if (block_.size() == kBlock) flush();
+  }
+
+  // Flushes the last block; returns the number of inputs compared.
+  std::size_t finish() {
+    flush();
+    return compared_;
+  }
+
+  std::size_t mismatches() const { return mismatches_; }
+
+ private:
+  static constexpr std::size_t kBlock = 1 << 16;
+
+  void flush() {
+    std::vector<double> fast(block_.size());
+    nnk::fast_tanh(block_.data(), block_.size(), fast.data());
+    for (std::size_t e = 0; e < block_.size(); ++e) {
+      const double libm = std::tanh(block_[e]);
+      if (std::memcmp(&fast[e], &libm, sizeof(double)) == 0) continue;
+      if (++mismatches_ <= 8) {
+        ADD_FAILURE() << "fast tanh(" << std::hexfloat << block_[e] << ") = " << fast[e]
+                      << ", std::tanh = " << libm << std::defaultfloat << " under " << libc_name()
+                      << ": the fast family ports glibc 2.36's fdlibm tanh over its FMA expm1 "
+                         "(DESIGN.md section 11) and must return libm's bits";
+      }
+    }
+    compared_ += block_.size();
+    block_.clear();
+  }
+
+  std::vector<double> block_;
+  std::size_t compared_ = 0;
+  std::size_t mismatches_ = 0;
+};
+
+// x and -x for x and the `steps` doubles on either side of it.
+void add_around(TanhComparison& cmp, double x, int steps) {
+  double below = x;
+  double above = x;
+  for (int s = 0; s <= steps; ++s) {
+    for (const double v : {below, above}) {
+      cmp.add(v);
+      cmp.add(-v);
+    }
+    below = std::nextafter(below, 0.0);
+    above = std::nextafter(above, std::numeric_limits<double>::infinity());
+  }
+}
+
+double from_bits(std::uint64_t b) {
+  double v;
+  std::memcpy(&v, &b, sizeof(v));
+  return v;
+}
+
+// The fast family's tanh is a port of glibc's and must equal std::tanh byte
+// for byte: over 2^24 random inputs (bit patterns with exponents -60 to 5,
+// uniform values on [-25, 25] and the N(0, 0.35) mix the ADS heads see),
+// around every branch edge of tanh and of the expm1 it runs (both the
+// mathematical cut and fdlibm's high-word cut), and on the special values.
+// A libm that is not glibc's fdlibm tanh fails here, by name.
+TEST(KernelDifferential, FastTanhMatchesLibmBitForBit) {
+  TanhComparison cmp;
+  Rng rng(20261019);
+  constexpr int kRandom = 1 << 22;
+  for (int i = 0; i < 2 * kRandom; ++i) {
+    const std::uint64_t exponent = static_cast<std::uint64_t>(rng.uniform_int(-60, 5) + 1023);
+    const std::uint64_t word = rng.next_u64();
+    cmp.add(from_bits((word & 0x800fffffffffffffull) | exponent << 52));
+  }
+  for (int i = 0; i < kRandom; ++i) cmp.add(rng.uniform(-25.0, 25.0));
+  for (int i = 0; i < kRandom; ++i) cmp.add(0.35 * rng.normal());
+
+  const double ln2 = std::log(2.0);
+  // |x| where tanh switches to x (2^-55), to expm1(2|x|) (1) and to +-1 (22);
+  // where expm1(-2|x|) reduces by k = -1 (|u| = ln2 / 2) and by k <= -2
+  // (1.5 ln2); where expm1(2|x|) rounds k to 20 (19.5 ln2) and to 57
+  // (56.5 ln2), and where fdlibm stops filtering (56 ln2).
+  const double edges[] = {std::ldexp(1.0, -55), 0.25 * ln2,  0.75 * ln2, 1.0,
+                          9.75 * ln2,           28.25 * ln2, 28.0 * ln2, 22.0};
+  for (const double edge : edges) {
+    add_around(cmp, edge, 4096);
+    // fdlibm compares the high 32 bits of |u| = 2|x| (the same mantissa
+    // bits as |x|) with a constant: the first |x| of the edge's high word and
+    // of the next one.
+    std::uint64_t b;
+    std::memcpy(&b, &edge, sizeof(b));
+    add_around(cmp, from_bits(b & ~0xffffffffull), 4096);
+    add_around(cmp, from_bits((b | 0xffffffffull) + 1), 4096);
+    // And relative steps of 2^-s on either side.
+    for (int s = 1; s <= 52; ++s) {
+      for (const double f : {1.0 - std::ldexp(1.0, -s), 1.0 + std::ldexp(1.0, -s)}) {
+        cmp.add(edge * f);
+        cmp.add(-edge * f);
+      }
+    }
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             from_bits(0x000fffffffffffffull),
+                             std::numeric_limits<double>::max(),
+                             inf,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::signaling_NaN()};
+  for (const double v : specials) {
+    cmp.add(v);
+    cmp.add(-v);
+  }
+  const std::size_t compared = cmp.finish();
+  EXPECT_GE(compared, std::size_t{1} << 24);
+  EXPECT_EQ(cmp.mismatches(), 0u) << "of " << compared << " inputs under " << libc_name();
+}
+
+// The fast family applies that tanh in every loop shape: register tiles and
+// single-vector tiles over 1 to 4 rows, sparse rows, the sub-vector column
+// remainder and the CSR propagation. Each equals std::tanh of the same
+// shape's kNone output, so each batched row also equals its batch of one.
+// The bias row holds entries that hit the ported range's ends: +-30 and
+// 1e-20 over empty sparse rows.
+TEST(KernelDifferential, FastTanhEpilogueEqualsTanhOfTheAffineInEveryLoopShape) {
+  KernelGuard guard;
+  set_nn_kernel(NnKernel::kFast);
+  Rng rng(2026);
+  const auto tanh_of = [](Matrix m) {
+    for (int e = 0; e < m.size(); ++e) m.data()[e] = std::tanh(m.data()[e]);
+    return m;
+  };
+  std::vector<Shape> shapes = test_shapes(rng);
+  shapes.push_back({1, 57, 256});   // the ADS actor's first layer, batch of one
+  shapes.push_back({6, 256, 256});  // its second layer over a short batch
+  for (const Shape& s : shapes) {
+    const std::string shape =
+        " at " + std::to_string(s.m) + "x" + std::to_string(s.k) + "x" + std::to_string(s.n);
+    Matrix bias = random_matrix(1, s.n, 1.0, rng);
+    const double ends[] = {30.0, -30.0, 1e-20, 0.0};
+    for (int j = 0; j < s.n && j < 4; ++j) bias.at(0, j) = ends[j];
+    for (const double density : {0.1, 1.0}) {
+      Matrix x = random_matrix(s.m, s.k, density, rng);
+      // Scaled so the pre-activations cover every branch of tanh.
+      for (int e = 0; e < x.size(); ++e) x.data()[e] *= 3.0;
+      const Matrix w = random_matrix(s.k, s.n, 1.0, rng);
+      const Matrix* const biases[] = {nullptr, &bias};
+      for (const Matrix* pbias : biases) {
+        const Matrix th = affine(x, w, pbias, Epilogue::kTanh);
+        expect_same_bytes(th, tanh_of(affine(x, w, pbias, Epilogue::kNone)), "tanh" + shape);
+        for (int i = 0; i < s.m; ++i) {
+          expect_same_bytes(affine(rows_of(x, i, 1), w, pbias, Epilogue::kTanh), rows_of(th, i, 1),
+                            "tanh batch of one" + shape);
+        }
+      }
+    }
+    if (s.m == 0 || s.n == 0) continue;
+    const BlockAdjacency adj({random_symmetric_block(s.m, rng)});
+    const Matrix src = random_matrix(s.m, s.n, 1.0, rng);
+    Matrix linear(s.m, s.n);
+    Matrix th(s.m, s.n);
+    const nnk::KernelTable& fast = nnk::kernel_table(NnKernel::kFast);
+    fast.propagate(adj, 0, src.data(), s.n, Epilogue::kNone, linear.data());
+    fast.propagate(adj, 0, src.data(), s.n, Epilogue::kTanh, th.data());
+    expect_same_bytes(th, tanh_of(linear), "propagate tanh" + shape);
   }
 }
 

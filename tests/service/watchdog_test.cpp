@@ -100,9 +100,16 @@ TEST(Watchdog, WedgedSessionQuarantinesItsShardAndBacklogReroutes) {
   config.session = small_session();
   config.shards = 2;
   config.workers_per_shard = 1;
-  config.session_wall_seconds = 0.05;
-  config.watchdog_grace = 1.0;        // cancel at ~0.05s, wedge at ~0.1s
-  config.watchdog_poll_seconds = 0.005;
+  // Every session of the service gets this budget, the rerouted "queued" and
+  // the final "after" included, and those must run to a plan. Under TSan the
+  // tiny session took 0.05-0.09 s alone and at most 0.56 s with eight copies
+  // on four cores, so 2 s clears it by a wide margin on a slow host; only the
+  // parked session, which never returns, can overrun it.
+  config.session_wall_seconds = 2.0;
+  config.watchdog_grace = 1.0;  // cancel at ~2 s, wedge at ~4 s
+  config.watchdog_poll_seconds = 0.01;
+  // The waits below cover the watchdog's two windows several times over.
+  constexpr double kWatchdogWait = 30.0;
 
   PlannerService service(config);
   WorkerGate gate;
@@ -140,7 +147,7 @@ TEST(Watchdog, WedgedSessionQuarantinesItsShardAndBacklogReroutes) {
         }
         return false;
       },
-      10.0));
+      kWatchdogWait));
   {
     const auto counters = service.counters();
     EXPECT_GE(counters.watchdog_cancels, 1);
@@ -177,7 +184,7 @@ TEST(Watchdog, WedgedSessionQuarantinesItsShardAndBacklogReroutes) {
         }
         return true;
       },
-      10.0));
+      kWatchdogWait));
 
   const PlanningResponse after = service.submit(tiny_request("after")).get();
   ASSERT_TRUE(after.status == ResponseStatus::kPlanned ||
