@@ -49,6 +49,7 @@
 #include "scenarios/orion.hpp"
 #include "scenarios/scenario.hpp"
 #include "tsn/sim_kernels.hpp"
+#include "util/parse_number.hpp"
 #include "util/rng.hpp"
 
 namespace nptsn::bench {
@@ -442,15 +443,21 @@ void print_scenario_json(const char* name, std::size_t num_states,
 }
 
 int run(int argc, char** argv) {
-  const Mode mode = Mode::parse(argc, argv);
+  // --maxord is read before Mode::parse, so a malformed value is a usage
+  // error (exit 2) even next to --help.
   int maxord = 0;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--maxord") == 0) maxord = std::atoi(argv[i + 1]);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--maxord") != 0) continue;
+    const std::optional<int> value =
+        i + 1 < argc ? parse_decimal<int>(argv[i + 1], 0, 8) : std::nullopt;
+    if (!value) {
+      std::fprintf(stderr, "error: --maxord needs a whole number in [0, 8]\n");
+      return 2;
+    }
+    maxord = *value;
+    ++i;
   }
-  if (maxord < 0 || maxord > 8) {
-    std::fprintf(stderr, "error: --maxord must be in [0, 8]\n");
-    return 2;
-  }
+  const Mode mode = Mode::parse(argc, argv);
 
   // Best-of-reps over a ~100-episode stream: single fast-mode passes are a
   // few ms, too short to time reliably on a loaded machine.

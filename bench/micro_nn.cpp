@@ -10,16 +10,20 @@
 //                 W^T, the dense weight gradient x^T * delta and the first
 //                 layer's over the CSR-staged features, the per-graph
 //                 backprop through A-hat, and the whole batched encoder node
-//                 (forward and backward), on real observations. Reference
-//                 vs fast family, best-of-reps, plus
-//                 a differential check (the families must agree to ~1e-12
-//                 relative — FMA contraction only).
+//                 (forward and backward), on real observations; and the
+//                 256-wide heads ads_plan runs (57 -> 256 -> 256 -> 20).
+//                 Reference vs fast family, best-of-reps, with the GFLOP/s
+//                 of each (2 m k n over the best time: for the entries over
+//                 the CSR features or A-hat, which skip most of that shape,
+//                 it only compares the families), plus a differential check
+//                 (the families must agree to ~1e-12 relative — FMA
+//                 contraction only).
 //
 //   "elementwise" — the tanh of the MLP heads' hidden layers over a 256 x
 //                 256 block drawn like their pre-activations on ADS (N(0,
 //                 0.35): 86% below 0.52 in magnitude): std::tanh, as the
-//                 reference family applies it, against nnk::fast_tanh, the
-//                 fast family's. The fast tanh must return libm's bits; any
+//                 reference family applies it, against the dispatched fast
+//                 table's tanh. The fast tanh must return libm's bits; any
 //                 differing output exits 1, so CI fails on a divergence.
 //
 //   "scenarios" — the epoch forward: one staged 256-observation rollout
@@ -39,7 +43,9 @@
 // Output is a single JSON document on stdout (the shared micro-bench schema:
 // name-keyed objects; metrics named speedup* are tracked by
 // tools/bench_compare as higher-is-better, and CI fails a drop of more than
-// 30% against bench/results/micro_nn_fast.json).
+// 30% against bench/results/micro_nn_fast.json). "fast_table" names the fast
+// table the host dispatched to (x86-64-v4 or x86-64-v3); like the digests
+// it is a string the gate ignores.
 //
 //   micro_nn [--fast|--paper]
 #include <algorithm>
@@ -128,6 +134,9 @@ void bench_gemm(const char* name, int m, int k, int n, int reps, bool last, cons
     }
   }
 
+  const auto gflops = [&](double seconds) {
+    return seconds > 0.0 ? flops * iters / seconds * 1e-9 : 0.0;
+  };
   std::printf(
       "    {\n"
       "      \"name\": \"%s\",\n"
@@ -135,11 +144,13 @@ void bench_gemm(const char* name, int m, int k, int n, int reps, bool last, cons
       "      \"iters\": %d,\n"
       "      \"seconds_reference\": %.6f,\n"
       "      \"seconds_fast\": %.6f,\n"
+      "      \"gflops_reference\": %.2f,\n"
+      "      \"gflops_fast\": %.2f,\n"
       "      \"speedup\": %.3f,\n"
       "      \"max_rel_err\": %.3g\n"
       "    }%s\n",
-      name, m, k, n, iters, ref_s, fast_s, fast_s > 0.0 ? ref_s / fast_s : 0.0, err,
-      last ? "" : ",");
+      name, m, k, n, iters, ref_s, fast_s, gflops(ref_s), gflops(fast_s),
+      fast_s > 0.0 ? ref_s / fast_s : 0.0, err, last ? "" : ",");
 }
 
 // Collects one epoch worth of steps (observation, mask, action, reward) by
@@ -240,7 +251,8 @@ void bench_tanh(int reps) {
   Matrix fast(kRows, kCols);
   const std::size_t count = static_cast<std::size_t>(x.size());
   for (std::size_t e = 0; e < count; ++e) ref.data()[e] = std::tanh(x.data()[e]);
-  nnk::fast_tanh(x.data(), count, fast.data());
+  const nnk::KernelTable& table = nnk::kernel_table(NnKernel::kFast);
+  table.tanh(x.data(), count, fast.data());
   int mismatches = 0;
   for (std::size_t e = 0; e < count; ++e) {
     if (std::memcmp(&ref.data()[e], &fast.data()[e], sizeof(double)) != 0) ++mismatches;
@@ -266,7 +278,7 @@ void bench_tanh(int reps) {
     {
       const Stopwatch watch;
       for (int i = 0; i < kIters; ++i) {
-        nnk::fast_tanh(x.data(), count, fast.data());
+        table.tanh(x.data(), count, fast.data());
         g_sink = g_sink + fast.data()[i];
       }
       const double seconds = watch.seconds();
@@ -396,8 +408,8 @@ int run(int argc, char** argv) {
   const int batch = fast_config.steps_per_epoch;
 
   std::printf("{\n  \"bench\": \"micro_nn\",\n  \"mode\": \"%s\",\n"
-              "  \"reps\": %d,\n  \"gemm\": [\n",
-              mode.paper ? "paper" : "fast", reps);
+              "  \"reps\": %d,\n  \"fast_table\": \"%s\",\n  \"gemm\": [\n",
+              mode.paper ? "paper" : "fast", reps, nnk::kernel_table(NnKernel::kFast).name);
 
   // Shapes from the ADS encoder in the selected mode: stacked batched-GCN
   // affine, per-graph propagation, gradient orientations, MLP hidden layers.
@@ -438,6 +450,18 @@ int run(int argc, char** argv) {
                [&] { return matmul(emb, w1); });
     bench_gemm("ads_mlp_hidden2", batch, h, h, reps, false,
                [&] { return matmul(h1, w2); });
+    // The heads ads_plan runs at every scale (NptsnConfig's 256 x 256
+    // hidden layers over the 57-wide embedding, 20 actions): the hidden
+    // layer and the actor's logits over a 256-step batch.
+    const int wide = NptsnConfig{}.mlp_hidden.front();
+    const int actions = ads_problem.num_switches() + NptsnConfig{}.path_actions;
+    const Matrix x_wide = random_matrix(batch, wide, rng);
+    const Matrix w_wide = random_matrix(wide, wide, rng);
+    const Matrix w_logits = random_matrix(wide, actions, rng);
+    bench_gemm("ads_plan_hidden", batch, wide, wide, reps, false,
+               [&] { return matmul(x_wide, w_wide); });
+    bench_gemm("ads_plan_logits", batch, wide, actions, reps, false,
+               [&] { return matmul(x_wide, w_logits); });
   }
   // The ORION encoder is the larger graph; its stacked affine is the single
   // most expensive GEMM of a training epoch, and its backward products are

@@ -491,6 +491,13 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
       depth > 0 ? static_cast<std::size_t>(x.rows()) * width : 0);
   Matrix out = Matrix::uninitialized(count, width);
   const double inv = 1.0 / static_cast<double>(n);
+  // The W of every layer above the first as the table reads it, packed once
+  // per pass and shared by the graphs and their pool tasks.
+  std::vector<nnk::PackedOperand> packed(static_cast<std::size_t>(depth));
+  for (int l = 1; l < depth; ++l) {
+    const Matrix& w = layers[static_cast<std::size_t>(l)].weight.value();
+    packed[static_cast<std::size_t>(l)].pack(kernels, w.data(), w.rows(), w.cols(), n);
+  }
   nnk::for_each_graph_range(count, flops, [&](int begin, int end) {
     Matrix z = Matrix::uninitialized(n, tile_width);
     Matrix last = Matrix::uninitialized(n, width);
@@ -511,8 +518,8 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
         if (l == 0) {
           kernels.affine_csr(x, g * n, n, w.data(), w.cols(), bias, z.data());
         } else {
-          kernels.affine_rows(h, w.rows(), w.data(), w.cols(), bias, Epilogue::kNone, z.data(),
-                              0, n);
+          kernels.affine_rows(h, w.rows(), packed[static_cast<std::size_t>(l)].operand(),
+                              w.cols(), bias, Epilogue::kNone, z.data(), 0, n);
         }
         kernels.propagate(*a_hats, g, z.data(), w.cols(), Epilogue::kRelu, y);
         h = y;
@@ -546,12 +553,14 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
     const int width = self.value.cols();
     // W^T packed once per pass, and each weight gradient's chain, started
     // at +0.0 and resumed run by run in ascending row order.
-    std::vector<Matrix> wt(static_cast<std::size_t>(depth));
+    std::vector<nnk::PackedOperand> wt(static_cast<std::size_t>(depth));
     std::vector<Matrix> dw(static_cast<std::size_t>(depth));
     int tile_width = 0;
     for (int l = lowest; l < depth; ++l) {
       const Matrix& w = weight(l).value;
-      if (l > lowest) wt[static_cast<std::size_t>(l)] = transpose(w);
+      if (l > lowest) {
+        wt[static_cast<std::size_t>(l)].pack_transposed(kernels, w.data(), w.rows(), w.cols());
+      }
       if (weight(l).requires_grad) dw[static_cast<std::size_t>(l)] = Matrix(w.rows(), w.cols());
       tile_width = std::max({tile_width, w.rows(), w.cols()});
     }
@@ -561,6 +570,7 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
     Matrix delta = Matrix::uninitialized(run * n, tile_width);
     Matrix prop = Matrix::uninitialized(run * n, tile_width);
     Matrix back = Matrix::uninitialized(run * n, tile_width);
+    nnk::PackedOperand prop_packed;  // a run's delta, as x^T delta reads it
     const double inv = 1.0 / static_cast<double>(n);
     for (int g0 = 0; g0 < count; g0 += run) {
       const int g1 = std::min(count, g0 + run);
@@ -595,11 +605,12 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
             kernels.matmul_tn_resume_csr(*features, static_cast<int>(row0), rows, prop.data(),
                                          out, gw);
           } else {
-            kernels.matmul_tn_resume(h, rows, in, prop.data(), out, gw, 0, in);
+            prop_packed.pack(kernels, prop.data(), rows, out, in);
+            kernels.matmul_tn_resume(h, rows, in, prop_packed.operand(), out, gw, 0, in);
           }
         }
         if (l > lowest) {
-          kernels.matmul_rows(prop.data(), out, wt[static_cast<std::size_t>(l)].data(), in,
+          kernels.matmul_rows(prop.data(), out, wt[static_cast<std::size_t>(l)].operand(), in,
                               back.data(), 0, rows);
           // The layer below's ReLU gate, at its stored output.
           nnk::relu_gate(h, back.data(), static_cast<std::size_t>(rows) * in, delta.data());

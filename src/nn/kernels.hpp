@@ -6,14 +6,19 @@
 //   kReference  the original naive loops — the ground truth every fast
 //               routine is differential-tested against, and the family the
 //               bit-identity/checkpoint suites pin their goldens to.
-//   kFast       register-blocked, cache-tiled rows with fused bias +
-//               activation epilogues, a zero-skipping sparse path chosen
-//               per row block by density, and CSR walks over staged rows.
+//   kFast       6-row x two-vector register tiles over packed column panels
+//               of the right-hand operand, with fused bias + activation
+//               epilogues, a zero-skipping sparse path chosen per row block
+//               by density, and CSR walks over staged rows. Its dense rows
+//               are compiled once per ISA level (fast_rows.cpp: x86-64-v3,
+//               and x86-64-v4 where the compiler takes it); kernel_table
+//               picks the best one the CPU runs, once.
 //
 // Everything above the rows is written once over the table of the active
 // family: the GEMM entry points of matrix.hpp (matmul, affine,
-// matmul_transposed, matmul_transposed_a), which split their output rows
-// over the kernel pool for large shapes, and the batched GCN encoder node
+// matmul_transposed, matmul_transposed_a), which pack their right-hand
+// operand for the table (PackedOperand) and split their output rows over
+// the kernel pool for large shapes, and the batched GCN encoder node
 // (gcn_encoder), which composes each layer as affine rows into a tile, then
 // the propagation with its ReLU.
 //
@@ -22,13 +27,15 @@
 // which elements are computed when, never the reduction order within an
 // element, and the pool split partitions output rows into fixed-size chunks
 // that are independent of the thread count. Both families are therefore
-// bit-identical run-to-run and across thread counts (tested in
+// bit-identical run-to-run and across thread counts, and every fast table
+// returns the same bits at every vector width (tested in
 // tests/nn/kernel_differential_test.cpp); fast-vs-reference may differ by FMA
 // contraction only, bounded at 1e-12 relative in the differential suite.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "nn/matrix.hpp"
 
@@ -47,32 +54,52 @@ namespace nptsn::nnk {
 // it too.
 inline constexpr int kTnChunk = 128;
 
+// The right-hand operand b (cols_k x cols_n) of a dense row routine, as the
+// routine's table reads it:
+//   rows     b row-major, row k at rows + k * cols_n (for matmul_rows: W,
+//            which is b^T, row j at rows + j * cols_k). The reference family
+//            reads only this, the fast family's sparse rows too.
+//   panels   for a fast table (panel_cols > 0), b as k-major column panels:
+//            panel p holds columns [p w, (p + 1) w), w = panel_cols, zero
+//            past cols_n, with row k at panels + ((p - first_panel) cols_k
+//            + k) w. The fast tiles read panels from first_panel on from
+//            here, and the ones before it in place from `rows`.
+// PackedOperand makes it for a table; a fast table reads nothing else.
+struct Operand {
+  const double* rows = nullptr;
+  const double* panels = nullptr;
+  int first_panel = 0;
+};
+
 // One family's row routines. Every matrix operand is dense row-major at the
 // width given; the routines overwrite (or, for the *_resume ones, continue)
 // `out`, which must not alias an input. Graph g of a stacked batch owns rows
 // [g n, (g + 1) n) of every stacked matrix, n = adj.block_size().
 struct KernelTable {
+  // "reference", or the ISA level the fast table was compiled for.
+  const char* name;
+  // Columns per panel of the dense routines' operands; 0 = no panels.
+  int panel_cols;
   // Rows [i_begin, i_end) of out = act(a b + bias): a has cols_k columns, b
   // is cols_k x cols_n, bias a row of cols_n or nullptr. Per element: one
   // chain over ascending k from +0.0 without the zero a(i, k) terms (the
   // fast register tiles keep them, which for finite b is the same chain),
   // then + bias, then act.
-  void (*affine_rows)(const double* a, int cols_k, const double* b, int cols_n,
-                      const double* bias, Epilogue act, double* out, int i_begin,
-                      int i_end);
-  // Rows [i_begin, i_end) of out = a bt, bt being W^T packed once (cols_k x
-  // cols_n): the gradient delta W^T. Per element one chain over ascending k
-  // from +0.0; the reference family keeps the zero terms (a dot loop, so
-  // 0 * Inf is NaN there), the fast family's sparse rows skip them.
-  void (*matmul_rows)(const double* a, int cols_k, const double* bt, int cols_n, double* out,
+  void (*affine_rows)(const double* a, int cols_k, Operand b, int cols_n, const double* bias,
+                      Epilogue act, double* out, int i_begin, int i_end);
+  // Rows [i_begin, i_end) of out = a W^T, W being cols_n x cols_k: the
+  // gradient delta W^T. Per element one chain over ascending k from +0.0,
+  // zero terms included (the reference family's dot loop makes 0 * Inf NaN
+  // there; the fast family's tiles read W^T's panels).
+  void (*matmul_rows)(const double* a, int cols_k, Operand w, int cols_n, double* out,
                       int i_begin, int i_end);
   // Rows [i_begin, i_end) of out (cols_m x cols_n) += a^T b over rows_k rows
   // of a (rows_k x cols_m) and b (rows_k x cols_n): the weight gradient
   // x^T delta. Every element continues the chain stored in out over
   // ascending rows, zero a(k, i) skipped, so resuming run by run from a +0.0
   // out gives the bits of one call over all rows.
-  void (*matmul_tn_resume)(const double* a, int rows_k, int cols_m, const double* b,
-                           int cols_n, double* out, int i_begin, int i_end);
+  void (*matmul_tn_resume)(const double* a, int rows_k, int cols_m, Operand b, int cols_n,
+                           double* out, int i_begin, int i_end);
   // out = act(A_g src) for graph g, both n x cols: the fast family walks the
   // staged CSR, the reference family affine_rows over the dense block. For
   // the symmetric Eq. 4 blocks this is also the backward's A_g^T delta.
@@ -88,11 +115,57 @@ struct KernelTable {
   // minus its zero terms.
   void (*matmul_tn_resume_csr)(const CsrRows& x, int row0, int rows, const double* b,
                                int cols_n, double* out);
+  // out[e] = tanh(x[e]) for e < count, as the family's kTanh epilogue
+  // computes it: std::tanh in the reference family. The fast tables built
+  // with FMA run a vector port of glibc's tanh (fdlibm's over the FMA build
+  // of its expm1) that returns std::tanh's bits on glibc and stays one
+  // function of the value on any libm; without FMA they call std::tanh.
+  void (*tanh)(const double* x, std::size_t count, double* out);
 };
 // For finite operands the CSR routines equal their dense forms bit for bit:
 // a skipped zero term is a no-op, since fma(0, b, acc) == 0 * b + acc == acc
 // and an accumulator starting at +0.0 never becomes -0.0.
+
+// The family's table. kFast is the best fast table the host can run, picked
+// once, at first use: the x86-64-v4 (AVX-512) build of the fast rows where
+// the CPU has it, else the x86-64-v3 (AVX2) one (the portable one in a
+// -DNPTSN_KERNEL_SIMD=OFF build). Every fast table returns the same bits.
 const KernelTable& kernel_table(NnKernel family);
+// Every fast table of this build that the host can run, the one kFast
+// dispatches to first. For tests and benchmarks: the GEMM entry points and
+// the encoder node always use kernel_table(nn_kernel()).
+const std::vector<KernelTable>& fast_kernel_tables();
+
+// A right-hand operand packed for one table, before a call splits its rows
+// over the kernel pool, so that every pool task reads one copy. For a fast
+// table the panels are copied once per call; the buffer is kept for the
+// next pack.
+class PackedOperand {
+ public:
+  PackedOperand() = default;
+  // The operand points into the buffer, which a move keeps and a copy would
+  // not.
+  PackedOperand(const PackedOperand&) = delete;
+  PackedOperand& operator=(const PackedOperand&) = delete;
+  PackedOperand(PackedOperand&&) = default;
+  PackedOperand& operator=(PackedOperand&&) = default;
+
+  // b (cols_k x cols_n, row-major) for `table`'s affine_rows or
+  // matmul_tn_resume over `rows` output rows: every panel when the call has
+  // a whole register tile of rows, else only the last, zero-padded one (a
+  // short call, such as a rollout's batch of one, reads the others in place).
+  void pack(const KernelTable& table, const double* b, int cols_k, int cols_n, int rows);
+  // W^T for `table`'s matmul_rows, W being cols_n x cols_k row-major: a fast
+  // table's panels are packed straight from W.
+  void pack_transposed(const KernelTable& table, const double* w, int cols_n, int cols_k);
+  const Operand& operand() const { return operand_; }
+
+ private:
+  double* reserve(std::size_t count);
+
+  Matrix buffer_;
+  Operand operand_;
+};
 
 // --- the encoder node's elementwise passes (both families) ------------------
 // They use no fmadd, and the TU's -ffp-contract=off keeps readout_gate's
@@ -123,13 +196,6 @@ void add_col_sums(const double* m, int rows, int cols, double* sums);
 // delta[e] = h[e] <= 0.0 ? 0.0 : 0.0 + back[e] for e < count: the ReLU gate
 // of the layer below, at its stored output h.
 void relu_gate(const double* h, const double* back, std::size_t count, double* delta);
-
-// out[e] = tanh(x[e]) for e < count, as the fast family's kTanh epilogue
-// computes it. Built with FMA it is a vector port of glibc's tanh (fdlibm's
-// over the FMA build of its expm1) that returns std::tanh's bits on glibc
-// and stays one function of the value on any libm; without FMA it is
-// std::tanh. The reference family calls std::tanh and is its oracle.
-void fast_tanh(const double* x, std::size_t count, double* out);
 
 // Calls graphs(begin, end) over consecutive ranges covering [0, count): on
 // the kernel pool when nn threads > 1 and `flops` is large enough to pay for

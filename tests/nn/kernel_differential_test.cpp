@@ -1,13 +1,14 @@
 // Differential tests between the two GEMM kernel families (DESIGN.md §11).
 //
 // The reference family is the bit-frozen ground truth: naive loops, pure
-// mul+add. The fast family (register-blocked, cache-tiled, explicit FMA) must
-// stay within 1e-12 of it on every shape — including the degenerate ones the
-// tiled path is most likely to get wrong (1x1, single rows/columns, empty
+// mul+add. The fast family (register tiles over packed panels, explicit FMA)
+// must stay within 1e-12 of it on every shape — including the degenerate ones
+// the tiled path is most likely to get wrong (1x1, single rows/columns, empty
 // dimensions, sizes that are not multiples of the register tile) — and must
-// be BIT-identical to itself run-to-run and across thread counts. The
-// backward kernels are pinned harder: they must be bit-identical to the
-// single-chain loops they replaced, so training stays byte-for-byte the same.
+// be BIT-identical to itself run-to-run, across thread counts and across its
+// per-ISA tables. The backward kernels are pinned harder: they must be
+// bit-identical to the single-chain loops they replaced, so training stays
+// byte-for-byte the same.
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -70,17 +71,28 @@ void expect_identical(const Matrix& a, const Matrix& b, const char* what) {
   }
 }
 
-// The fast family's multiply-add: one fused rounding where the kernel unit
-// was compiled with FMA, mul-then-add otherwise. Probed through the library:
-// 1 * -(1 + 2^-29) + (1 + 2^-30)^2 is 2^-60 fused and 0 unfused.
-bool fast_family_fuses() {
-  KernelGuard guard;
-  set_nn_kernel(NnKernel::kFast);
-  const double e = 1.0 + std::ldexp(1.0, -30);
-  const Matrix a = Matrix::from({{1.0, e}});
-  const Matrix b = Matrix::from({{-(1.0 + std::ldexp(1.0, -29))}, {e}});
-  return matmul(a, b).at(0, 0) != 0.0;
+// The reference table and every fast table the host runs.
+std::vector<const nnk::KernelTable*> every_table() {
+  std::vector<const nnk::KernelTable*> tables = {&nnk::kernel_table(NnKernel::kReference)};
+  for (const nnk::KernelTable& table : nnk::fast_kernel_tables()) tables.push_back(&table);
+  return tables;
 }
+
+// A table's multiply-add: one fused rounding where its unit was compiled
+// with FMA, mul-then-add otherwise. Probed through its affine_rows:
+// 1 * -(1 + 2^-29) + (1 + 2^-30)^2 is 2^-60 fused and 0 unfused.
+bool table_fuses(const nnk::KernelTable& table) {
+  const double e = 1.0 + std::ldexp(1.0, -30);
+  const double a[] = {1.0, e};
+  const double b[] = {-(1.0 + std::ldexp(1.0, -29)), e};
+  nnk::PackedOperand packed;
+  packed.pack(table, b, 2, 1, 1);
+  double out = 1.0;
+  table.affine_rows(a, 2, packed.operand(), 1, nullptr, Epilogue::kNone, &out, 0, 1);
+  return out != 0.0;
+}
+
+bool fast_family_fuses() { return table_fuses(nnk::kernel_table(NnKernel::kFast)); }
 
 double madd(bool fused, double a, double b, double acc) {
   return fused ? std::fma(a, b, acc) : a * b + acc;
@@ -243,6 +255,167 @@ TEST(KernelDifferential, TransposedFamiliesAgreeOnAllShapes) {
       for (const int threads : {1, 2, 3}) {
         set_nn_kernel_threads(threads);
         expect_identical(matmul_transposed_a(x, delta), oracle, "matmul_transposed_a chunks");
+      }
+    }
+  }
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+void expect_same_bytes(const Matrix& got, const Matrix& want, const std::string& what) {
+  ASSERT_TRUE(got.same_shape(want)) << what;
+  if (got.size() == 0) return;
+  if (std::memcmp(got.data(), want.data(), sizeof(double) * got.size()) == 0) return;
+  for (int e = 0; e < got.size(); ++e) {
+    if (bits(got.data()[e]) != bits(want.data()[e])) {
+      ADD_FAILURE() << what << ": first differing element " << e << " is " << got.data()[e]
+                    << ", the reference loop's " << want.data()[e];
+      return;
+    }
+  }
+}
+
+// act(x W + bias) as the fast tables compute it: per element one chain over
+// ascending k from +0.0, then + bias, then the activation (std::tanh, whose
+// bits the fast tanh returns).
+Matrix affine_chain_oracle(const Matrix& x, const Matrix& w, const Matrix* bias, Epilogue act,
+                           bool fused) {
+  Matrix out = scalar_nt_oracle(x, transpose(w), fused);
+  for (int i = 0; i < out.rows(); ++i) {
+    for (int j = 0; j < out.cols(); ++j) {
+      double v = out.at(i, j);
+      if (bias) v += bias->at(0, j);
+      if (act == Epilogue::kRelu) v = v > 0.0 ? v : 0.0;
+      if (act == Epilogue::kTanh) v = std::tanh(v);
+      out.at(i, j) = v;
+    }
+  }
+  return out;
+}
+
+// The dense row routines of every fast table the host runs (x86-64-v3, and
+// x86-64-v4 where the CPU has AVX-512), called through the tables and fed
+// what PackedOperand packs for each, equal the single-chain oracles byte for
+// byte, and so each other. Column counts leave every last-panel width at 4,
+// 8 and 16 columns per panel; row counts below a tile (the in-place panels
+// of a short call) and of every remainder mod 6 above it; x^T delta's k
+// across the chunk boundary, sparse and dense chunks, resumed over two runs;
+// and the heads ads_plan runs. Each call is split in two row ranges, as the
+// kernel pool splits one.
+TEST(KernelDifferential, EveryFastTableMatchesTheSingleChainOracles) {
+  const std::vector<nnk::KernelTable>& tables = nnk::fast_kernel_tables();
+  ASSERT_FALSE(tables.empty());
+  EXPECT_STREQ(tables.front().name, nnk::kernel_table(NnKernel::kFast).name);
+  Rng rng(2210);
+  std::vector<Shape> shapes;
+  for (const int n : {17, 20, 31, 45, 92}) {
+    for (const int m : {1, 5, 6, 7, 8, 9, 10, 11, 12}) {
+      for (const int k : {1, 37}) shapes.push_back({m, k, n});
+    }
+  }
+  shapes.push_back({256, 256, 256});  // the ADS heads' hidden layer
+  shapes.push_back({256, 57, 256});   // their first layer over the embedding
+  shapes.push_back({256, 256, 20});   // the actor's logits
+  const auto shape_name = [](const char* what, const Shape& s, double density) {
+    return std::string(what) + " " + std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+           std::to_string(s.n) + " at density " + std::to_string(density);
+  };
+  // Runs rows [0, split) and [split, m) of one routine, as two pool tasks.
+  const auto halves = [](int m, const auto& rows) {
+    const int split = m / 2 + (m > 13 ? 1 : 0);
+    rows(0, split);
+    rows(split, m);
+  };
+  const Epilogue acts[] = {Epilogue::kNone, Epilogue::kRelu, Epilogue::kTanh};
+  for (const Shape& s : shapes) {
+    for (const double density : {1.0, 0.1}) {
+      Matrix x = random_matrix(s.m, s.k, density, rng);
+      for (int e = 0; e < x.size(); ++e) x.data()[e] *= 1.5;  // every tanh branch
+      const Matrix w = random_matrix(s.k, s.n, 1.0, rng);
+      const Matrix bias = random_matrix(1, s.n, 1.0, rng);
+      const Matrix w_nt = random_matrix(s.n, s.k, 1.0, rng);  // delta W^T's W
+      const bool fused = table_fuses(tables.front());
+      std::vector<Matrix> first;  // the first table's results, in order
+      for (std::size_t t = 0; t < tables.size(); ++t) {
+        const nnk::KernelTable& table = tables[t];
+        SCOPED_TRACE(table.name);
+        ASSERT_EQ(table_fuses(table), fused);
+        std::vector<Matrix> results;
+        nnk::PackedOperand packed;
+        packed.pack(table, w.data(), s.k, s.n, s.m);
+        for (const Epilogue act : acts) {
+          for (const Matrix* pbias : {static_cast<const Matrix*>(nullptr), &bias}) {
+            Matrix out = Matrix::uninitialized(s.m, s.n);
+            halves(s.m, [&](int begin, int end) {
+              table.affine_rows(x.data(), s.k, packed.operand(), s.n,
+                                pbias ? pbias->data() : nullptr, act, out.data(), begin, end);
+            });
+            expect_same_bytes(out, affine_chain_oracle(x, w, pbias, act, fused),
+                              shape_name("affine_rows", s, density));
+            results.push_back(std::move(out));
+          }
+        }
+        nnk::PackedOperand packed_t;
+        packed_t.pack_transposed(table, w_nt.data(), s.n, s.k);
+        Matrix nt = Matrix::uninitialized(s.m, s.n);
+        halves(s.m, [&](int begin, int end) {
+          table.matmul_rows(x.data(), s.k, packed_t.operand(), s.n, nt.data(), begin, end);
+        });
+        expect_same_bytes(nt, scalar_nt_oracle(x, w_nt, fused),
+                          shape_name("matmul_rows", s, density));
+        results.push_back(std::move(nt));
+        if (t == 0) {
+          first = std::move(results);
+          continue;
+        }
+        for (std::size_t r = 0; r < results.size(); ++r) {
+          expect_same_bytes(results[r], first[r], shape_name("tables differ", s, density));
+        }
+      }
+    }
+  }
+
+  // x^T delta: out (m x n) += x^T delta over k rows, x being k x m.
+  for (const int k : {5, nnk::kTnChunk - 1, nnk::kTnChunk + 1}) {
+    for (const int m : {1, 4, 6, 11, 17}) {
+      for (const int n : {17, 20, 31, 45, 92}) {
+        for (const double density : {1.0, 0.3, 0.1}) {
+          const Matrix x = random_matrix(k, m, density, rng);
+          const Matrix delta = random_matrix(k, n, 0.8, rng);
+          const Matrix want = single_chain_tn_oracle(x, delta, table_fuses(tables.front()));
+          const Shape s{m, k, n};
+          Matrix first;
+          for (const nnk::KernelTable& table : tables) {
+            SCOPED_TRACE(table.name);
+            // One call, split in two row ranges.
+            Matrix out(m, n);
+            nnk::PackedOperand packed;
+            packed.pack(table, delta.data(), k, n, m);
+            halves(m, [&](int begin, int end) {
+              table.matmul_tn_resume(x.data(), k, m, packed.operand(), n, out.data(), begin, end);
+            });
+            expect_same_bytes(out, want, shape_name("matmul_tn_resume", s, density));
+            // Two runs over the k rows, the second resuming the first's sums.
+            Matrix resumed(m, n);
+            const int k1 = k / 2 + 1;
+            for (const auto& [row0, rows] : {std::pair{0, k1}, std::pair{k1, k - k1}}) {
+              packed.pack(table, delta.data() + static_cast<std::size_t>(row0) * n, rows, n, m);
+              table.matmul_tn_resume(x.data() + static_cast<std::size_t>(row0) * m, rows, m,
+                                     packed.operand(), n, resumed.data(), 0, m);
+            }
+            expect_same_bytes(resumed, want, shape_name("matmul_tn_resume in two runs", s,
+                                                        density));
+            if (first.empty()) {
+              first = std::move(out);
+            } else {
+              expect_same_bytes(out, first, shape_name("tables differ", s, density));
+            }
+          }
+        }
       }
     }
   }
@@ -551,8 +724,9 @@ TEST(KernelDifferential, CsrRowsKeepEveryNonzeroInAscendingColumns) {
   EXPECT_THROW(CsrRows(9, {&top, &narrow}), std::invalid_argument);
 }
 
-// The first layer's products over CSR rows equal the same family's dense
-// per-graph primitives bit for bit: rows with no entry, one entry, only
+// The first layer's products over CSR rows equal the same table's dense
+// per-graph primitives bit for bit, in the reference family and in every
+// fast table the host runs: rows with no entry, one entry, only
 // -0.0 zeros, and blocks on both sides of the fast family's 25% density
 // switch (tiles versus sparse rows), with the weight gradient resumed from
 // nonzero partial sums.
@@ -575,13 +749,16 @@ TEST(KernelDifferential, CsrLayerPrimitivesEqualTheDenseRowsInBothFamilies) {
         const Matrix bias = random_matrix(1, out, 1.0, rng);
         const Matrix delta = random_matrix(kBatch * n, out, 0.8, rng);
         const Matrix start = random_matrix(f, out, 1.0, rng);
-        for (const NnKernel family : {NnKernel::kReference, NnKernel::kFast}) {
-          const nnk::KernelTable& kernels = nnk::kernel_table(family);
+        for (const nnk::KernelTable* table : every_table()) {
+          const nnk::KernelTable& kernels = *table;
+          nnk::PackedOperand packed_w;
+          packed_w.pack(kernels, w.data(), f, out, n);
           for (int g = 0; g < kBatch; ++g) {
             // The encoder's layer: affine into z, then y = relu(A-hat_g z).
             Matrix z_dense(n, out), y_dense(n, out), z_csr(n, out), y_csr(n, out);
-            kernels.affine_rows(x.data() + static_cast<std::size_t>(g) * n * f, f, w.data(), out,
-                                bias.data(), Epilogue::kNone, z_dense.data(), 0, n);
+            kernels.affine_rows(x.data() + static_cast<std::size_t>(g) * n * f, f,
+                                packed_w.operand(), out, bias.data(), Epilogue::kNone,
+                                z_dense.data(), 0, n);
             kernels.affine_csr(*staged, g * n, n, w.data(), out, bias.data(), z_csr.data());
             kernels.propagate(adj, g, z_dense.data(), out, Epilogue::kRelu, y_dense.data());
             kernels.propagate(adj, g, z_csr.data(), out, Epilogue::kRelu, y_csr.data());
@@ -594,8 +771,10 @@ TEST(KernelDifferential, CsrLayerPrimitivesEqualTheDenseRowsInBothFamilies) {
             Matrix dense = start;
             Matrix csr = start;
             const double* b = delta.data() + static_cast<std::size_t>(row0) * out;
-            kernels.matmul_tn_resume(x.data() + static_cast<std::size_t>(row0) * f, rows, f, b,
-                                     out, dense.data(), 0, f);
+            nnk::PackedOperand packed_b;
+            packed_b.pack(kernels, b, rows, out, f);
+            kernels.matmul_tn_resume(x.data() + static_cast<std::size_t>(row0) * f, rows, f,
+                                     packed_b.operand(), out, dense.data(), 0, f);
             kernels.matmul_tn_resume_csr(*staged, row0, rows, b, out, csr.data());
             expect_identical(csr, dense, "matmul_tn_resume_csr");
           }
@@ -603,12 +782,6 @@ TEST(KernelDifferential, CsrLayerPrimitivesEqualTheDenseRowsInBothFamilies) {
       }
     }
   }
-}
-
-std::uint64_t bits(double v) {
-  std::uint64_t b;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
 }
 
 // Bitwise, except that any NaN matches any NaN: which operand's payload a
@@ -746,7 +919,8 @@ Matrix oracle_matmul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-// matmul_nt_reference: the dot loop, zero terms included.
+// matmul_nt_reference: the dot loop, zero terms included (the reference
+// matmul_rows over W).
 Matrix oracle_matmul_nt(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.rows());
   for (int i = 0; i < a.rows(); ++i) {
@@ -807,37 +981,6 @@ Matrix oracle_propagate(const BlockAdjacency& adj, int g, const Matrix& src, Epi
   return out;
 }
 
-// matmul_rows_reference: the dot loop over a packed b = W^T.
-Matrix oracle_matmul_rows(const Matrix& a, const Matrix& b) {
-  const int cols_k = a.cols();
-  const int cols_n = b.cols();
-  Matrix out(a.rows(), cols_n);
-  for (int i = 0; i < a.rows(); ++i) {
-    const double* arow = a.data() + static_cast<std::size_t>(i) * cols_k;
-    for (int j = 0; j < cols_n; ++j) {
-      double sum = 0.0;
-      for (int k = 0; k < cols_k; ++k) {
-        sum += arow[k] * b.data()[static_cast<std::size_t>(k) * cols_n + j];
-      }
-      out.data()[static_cast<std::size_t>(i) * cols_n + j] = sum;
-    }
-  }
-  return out;
-}
-
-void expect_same_bytes(const Matrix& got, const Matrix& want, const std::string& what) {
-  ASSERT_TRUE(got.same_shape(want)) << what;
-  if (got.size() == 0) return;
-  if (std::memcmp(got.data(), want.data(), sizeof(double) * got.size()) == 0) return;
-  for (int e = 0; e < got.size(); ++e) {
-    if (bits(got.data()[e]) != bits(want.data()[e])) {
-      ADD_FAILURE() << what << ": first differing element " << e << " is " << got.data()[e]
-                    << ", the reference loop's " << want.data()[e];
-      return;
-    }
-  }
-}
-
 // The reference family is the ground truth for IEEE special values too.
 // Every entry point and every reference table routine, on operands holding
 // +/-0.0, +/-Inf and NaN next to zeros, equals (memcmp) the loop it replaced:
@@ -891,16 +1034,16 @@ TEST(KernelDifferential, ReferenceFamilyKeepsItsNonFiniteSemantics) {
     // The table's routines.
     for (const Epilogue act : acts) {
       Matrix out(s.m, s.n);
-      reference.affine_rows(a.data(), s.k, b.data(), s.n, bias.data(), act, out.data(), 0, s.m);
+      reference.affine_rows(a.data(), s.k, {b.data()}, s.n, bias.data(), act, out.data(), 0,
+                            s.m);
       expect_same_bytes(out, oracle_affine(a, b, &bias, act), "affine_rows" + shape);
     }
-    const Matrix packed = transpose(b_nt);
     Matrix rows(s.m, s.n);
-    reference.matmul_rows(a.data(), s.k, packed.data(), s.n, rows.data(), 0, s.m);
-    expect_same_bytes(rows, oracle_matmul_rows(a, packed), "matmul_rows" + shape);
+    reference.matmul_rows(a.data(), s.k, {b_nt.data()}, s.n, rows.data(), 0, s.m);
+    expect_same_bytes(rows, oracle_matmul_nt(a, b_nt), "matmul_rows" + shape);
     Matrix resumed = start;
     Matrix resumed_want = start;
-    reference.matmul_tn_resume(a_tn.data(), s.k, s.m, b.data(), s.n, resumed.data(), 0, s.m);
+    reference.matmul_tn_resume(a_tn.data(), s.k, s.m, {b.data()}, s.n, resumed.data(), 0, s.m);
     oracle_matmul_tn_resume(a_tn, b, resumed_want);
     expect_same_bytes(resumed, resumed_want, "matmul_tn_resume" + shape);
     // The CSR rows hold the entries != 0.0, NaN and the infinities included.
@@ -931,10 +1074,12 @@ std::string libc_name() {
 #endif
 }
 
-// Streams inputs through nnk::fast_tanh and std::tanh in blocks and counts
-// the outputs whose bytes differ, reporting the first few.
+// Streams inputs through a fast table's tanh and std::tanh in blocks and
+// counts the outputs whose bytes differ, reporting the first few.
 class TanhComparison {
  public:
+  explicit TanhComparison(const nnk::KernelTable& table) : table_(table) {}
+
   void add(double x) {
     block_.push_back(x);
     if (block_.size() == kBlock) flush();
@@ -953,12 +1098,12 @@ class TanhComparison {
 
   void flush() {
     std::vector<double> fast(block_.size());
-    nnk::fast_tanh(block_.data(), block_.size(), fast.data());
+    table_.tanh(block_.data(), block_.size(), fast.data());
     for (std::size_t e = 0; e < block_.size(); ++e) {
       const double libm = std::tanh(block_[e]);
       if (std::memcmp(&fast[e], &libm, sizeof(double)) == 0) continue;
       if (++mismatches_ <= 8) {
-        ADD_FAILURE() << "fast tanh(" << std::hexfloat << block_[e] << ") = " << fast[e]
+        ADD_FAILURE() << table_.name << " tanh(" << std::hexfloat << block_[e] << ") = " << fast[e]
                       << ", std::tanh = " << libm << std::defaultfloat << " under " << libc_name()
                       << ": the fast family ports glibc 2.36's fdlibm tanh over its FMA expm1 "
                          "(DESIGN.md section 11) and must return libm's bits";
@@ -968,6 +1113,7 @@ class TanhComparison {
     block_.clear();
   }
 
+  const nnk::KernelTable& table_;
   std::vector<double> block_;
   std::size_t compared_ = 0;
   std::size_t mismatches_ = 0;
@@ -993,70 +1139,73 @@ double from_bits(std::uint64_t b) {
   return v;
 }
 
-// The fast family's tanh is a port of glibc's and must equal std::tanh byte
+// Every fast table's tanh is a port of glibc's and must equal std::tanh byte
 // for byte: over 2^24 random inputs (bit patterns with exponents -60 to 5,
 // uniform values on [-25, 25] and the N(0, 0.35) mix the ADS heads see),
 // around every branch edge of tanh and of the expm1 it runs (both the
 // mathematical cut and fdlibm's high-word cut), and on the special values.
 // A libm that is not glibc's fdlibm tanh fails here, by name.
 TEST(KernelDifferential, FastTanhMatchesLibmBitForBit) {
-  TanhComparison cmp;
-  Rng rng(20261019);
-  constexpr int kRandom = 1 << 22;
-  for (int i = 0; i < 2 * kRandom; ++i) {
-    const std::uint64_t exponent = static_cast<std::uint64_t>(rng.uniform_int(-60, 5) + 1023);
-    const std::uint64_t word = rng.next_u64();
-    cmp.add(from_bits((word & 0x800fffffffffffffull) | exponent << 52));
-  }
-  for (int i = 0; i < kRandom; ++i) cmp.add(rng.uniform(-25.0, 25.0));
-  for (int i = 0; i < kRandom; ++i) cmp.add(0.35 * rng.normal());
+  for (const nnk::KernelTable& table : nnk::fast_kernel_tables()) {
+    SCOPED_TRACE(table.name);
+    TanhComparison cmp(table);
+    Rng rng(20261019);
+    constexpr int kRandom = 1 << 22;
+    for (int i = 0; i < 2 * kRandom; ++i) {
+      const std::uint64_t exponent = static_cast<std::uint64_t>(rng.uniform_int(-60, 5) + 1023);
+      const std::uint64_t word = rng.next_u64();
+      cmp.add(from_bits((word & 0x800fffffffffffffull) | exponent << 52));
+    }
+    for (int i = 0; i < kRandom; ++i) cmp.add(rng.uniform(-25.0, 25.0));
+    for (int i = 0; i < kRandom; ++i) cmp.add(0.35 * rng.normal());
 
-  const double ln2 = std::log(2.0);
-  // |x| where tanh switches to x (2^-55), to expm1(2|x|) (1) and to +-1 (22);
-  // where expm1(-2|x|) reduces by k = -1 (|u| = ln2 / 2) and by k <= -2
-  // (1.5 ln2); where expm1(2|x|) rounds k to 20 (19.5 ln2) and to 57
-  // (56.5 ln2), and where fdlibm stops filtering (56 ln2).
-  const double edges[] = {std::ldexp(1.0, -55), 0.25 * ln2,  0.75 * ln2, 1.0,
-                          9.75 * ln2,           28.25 * ln2, 28.0 * ln2, 22.0};
-  for (const double edge : edges) {
-    add_around(cmp, edge, 4096);
-    // fdlibm compares the high 32 bits of |u| = 2|x| (the same mantissa
-    // bits as |x|) with a constant: the first |x| of the edge's high word and
-    // of the next one.
-    std::uint64_t b;
-    std::memcpy(&b, &edge, sizeof(b));
-    add_around(cmp, from_bits(b & ~0xffffffffull), 4096);
-    add_around(cmp, from_bits((b | 0xffffffffull) + 1), 4096);
-    // And relative steps of 2^-s on either side.
-    for (int s = 1; s <= 52; ++s) {
-      for (const double f : {1.0 - std::ldexp(1.0, -s), 1.0 + std::ldexp(1.0, -s)}) {
-        cmp.add(edge * f);
-        cmp.add(-edge * f);
+    const double ln2 = std::log(2.0);
+    // |x| where tanh switches to x (2^-55), to expm1(2|x|) (1) and to +-1 (22);
+    // where expm1(-2|x|) reduces by k = -1 (|u| = ln2 / 2) and by k <= -2
+    // (1.5 ln2); where expm1(2|x|) rounds k to 20 (19.5 ln2) and to 57
+    // (56.5 ln2), and where fdlibm stops filtering (56 ln2).
+    const double edges[] = {std::ldexp(1.0, -55), 0.25 * ln2,  0.75 * ln2, 1.0,
+                            9.75 * ln2,           28.25 * ln2, 28.0 * ln2, 22.0};
+    for (const double edge : edges) {
+      add_around(cmp, edge, 4096);
+      // fdlibm compares the high 32 bits of |u| = 2|x| (the same mantissa
+      // bits as |x|) with a constant: the first |x| of the edge's high word and
+      // of the next one.
+      std::uint64_t b;
+      std::memcpy(&b, &edge, sizeof(b));
+      add_around(cmp, from_bits(b & ~0xffffffffull), 4096);
+      add_around(cmp, from_bits((b | 0xffffffffull) + 1), 4096);
+      // And relative steps of 2^-s on either side.
+      for (int s = 1; s <= 52; ++s) {
+        for (const double f : {1.0 - std::ldexp(1.0, -s), 1.0 + std::ldexp(1.0, -s)}) {
+          cmp.add(edge * f);
+          cmp.add(-edge * f);
+        }
       }
     }
+    const double inf = std::numeric_limits<double>::infinity();
+    const double specials[] = {0.0,
+                               -0.0,
+                               std::numeric_limits<double>::denorm_min(),
+                               std::numeric_limits<double>::min(),
+                               from_bits(0x000fffffffffffffull),
+                               std::numeric_limits<double>::max(),
+                               inf,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::signaling_NaN()};
+    for (const double v : specials) {
+      cmp.add(v);
+      cmp.add(-v);
+    }
+    const std::size_t compared = cmp.finish();
+    EXPECT_GE(compared, std::size_t{1} << 24);
+    EXPECT_EQ(cmp.mismatches(), 0u) << "of " << compared << " inputs under " << libc_name();
   }
-  const double inf = std::numeric_limits<double>::infinity();
-  const double specials[] = {0.0,
-                             -0.0,
-                             std::numeric_limits<double>::denorm_min(),
-                             std::numeric_limits<double>::min(),
-                             from_bits(0x000fffffffffffffull),
-                             std::numeric_limits<double>::max(),
-                             inf,
-                             std::numeric_limits<double>::quiet_NaN(),
-                             std::numeric_limits<double>::signaling_NaN()};
-  for (const double v : specials) {
-    cmp.add(v);
-    cmp.add(-v);
-  }
-  const std::size_t compared = cmp.finish();
-  EXPECT_GE(compared, std::size_t{1} << 24);
-  EXPECT_EQ(cmp.mismatches(), 0u) << "of " << compared << " inputs under " << libc_name();
 }
 
-// The fast family applies that tanh in every loop shape: register tiles and
-// single-vector tiles over 1 to 4 rows, sparse rows, the sub-vector column
-// remainder and the CSR propagation. Each equals std::tanh of the same
+// The fast family applies that tanh in every loop shape: register tiles over
+// 1 to 6 rows, the zero-padded last panel, sparse rows and the CSR
+// propagation. Each equals std::tanh of the same
 // shape's kNone output, so each batched row also equals its batch of one.
 // The bias row holds entries that hit the ported range's ends: +-30 and
 // 1e-20 over empty sparse rows.

@@ -2,7 +2,8 @@
 // that is not one whole decimal number in the flag's range is a usage error
 // (exit 2) before any work starts, not the 0, 5 or SIZE_MAX that atoi, atof
 // and strtoull would make of "abc", "5x" or "-1". Runs the real binaries,
-// whose paths are compiled in as NPTSN_{SERVE,AUDIT,STRESS,BENCH_COMPARE}_BIN.
+// whose paths are compiled in as
+// NPTSN_{SERVE,AUDIT,STRESS,BENCH_COMPARE,MICRO_ANALYZER}_BIN.
 #include <sys/wait.h>
 #include <fcntl.h>
 #include <unistd.h>
@@ -108,6 +109,19 @@ TEST(NumericFlags, BenchCompareRejectsMalformedThresholdsAsUsageErrors) {
   EXPECT_EQ(run(NPTSN_BENCH_COMPARE_BIN, {"--threshold", "1", baseline, baseline}), 0);
   std::remove(baseline.c_str());
   std::remove(fresh.c_str());
+}
+
+TEST(NumericFlags, MicroAnalyzerRejectsMalformedMaxordAsUsageError) {
+  // atoi once made "2x" order 2, "abc" the non-sweep mode (exit 0), and a
+  // trailing --maxord was ignored.
+  for (const auto& args : std::vector<std::vector<std::string>>{
+           {"--maxord", "2x"}, {"--maxord", "abc"}, {"--maxord", ""}, {"--maxord", "-1"},
+           {"--maxord", "9"}, {"--maxord", " 2"}, {"--fast", "--maxord"},
+           {"--maxord", "2x", "--help"}}) {
+    EXPECT_EQ(run(NPTSN_MICRO_ANALYZER_BIN, args), 2) << args[0] << " " << args[1];
+  }
+  // A well-formed order gets past parsing, to --help's usage line.
+  EXPECT_EQ(run(NPTSN_MICRO_ANALYZER_BIN, {"--maxord", "2", "--help"}), 0);
 }
 
 }  // namespace
