@@ -182,19 +182,6 @@ Tensor hadamard(const Tensor& a, const Tensor& b) {
   });
 }
 
-Tensor add_row_broadcast(const Tensor& a, const Tensor& row) {
-  return Tensor::make_op(add_row_broadcast(a.value(), row.value()), {a, row}, [](Node& self) {
-    add_grad(parent(self, 0), self.grad);
-    Node& prow = parent(self, 1);
-    if (prow.requires_grad) {
-      // Column sums in a scratch row first, then one accumulate.
-      Matrix col_sums(1, self.grad.cols());
-      nnk::add_col_sums(self.grad.data(), self.grad.rows(), self.grad.cols(), col_sums.data());
-      add_grad(prow, std::move(col_sums));
-    }
-  });
-}
-
 Tensor relu(const Tensor& a) {
   Matrix out = a.value();
   for (int i = 0; i < out.size(); ++i) out.data()[i] = std::max(0.0, out.data()[i]);

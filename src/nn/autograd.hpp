@@ -78,8 +78,6 @@ Tensor add(const Tensor& a, const Tensor& b);
 Tensor sub(const Tensor& a, const Tensor& b);
 Tensor scale(const Tensor& a, double s);
 Tensor hadamard(const Tensor& a, const Tensor& b);
-// Adds a 1 x C bias row to each row of an R x C input.
-Tensor add_row_broadcast(const Tensor& a, const Tensor& row);
 Tensor relu(const Tensor& a);
 Tensor tanh_op(const Tensor& a);
 Tensor exp_op(const Tensor& a);

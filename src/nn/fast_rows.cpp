@@ -1,6 +1,8 @@
 // The fast family's dense rows (DESIGN.md §11): x W + b, delta W^T and the
-// resumable x^T delta on register tiles over packed column panels, their
-// sparse-row paths, and the vector tanh.
+// resumable x^T delta on register tiles over packed column panels, and the
+// vector tanh. Every output element is one fma chain over every k, zero
+// terms included: sparsity is read only where staging made it structural,
+// in kernels.cpp's CSR walks.
 //
 // src/nn/CMakeLists.txt compiles this file once per ISA level
 // (-march=x86-64-v3, plus -march=x86-64-v4 where the compiler takes it; once
@@ -25,11 +27,6 @@ using nnk::Operand;
 // has 32).
 constexpr int kMr = nnk::detail::kTileRows;
 constexpr int kPanel = 2 * kLanes;
-
-// Density threshold (nonzeros / elements) below which a row block, or a k
-// chunk of x^T delta, takes the sparse path. Pure performance knob: both
-// paths produce identical bits.
-constexpr double kSparseDensityMax = 0.25;
 
 inline int min_int(int a, int b) { return a < b ? a : b; }
 
@@ -79,9 +76,8 @@ __attribute__((always_inline)) inline void store_cols(double* p, int cols, vnd l
 // k_count. Each row's two vectors are named accumulators that live in
 // registers across the k loop. They start at +0.0 or, when Resume, at the
 // partial sums stored in out (a stored double is the exact accumulator);
-// then acc + bias and the activation are stored. Branch-free over k:
-// fma(0, b, acc) returns acc exactly, so the tiles keeping zero terms and
-// the sparse paths skipping them compute the same bits.
+// then acc + bias and the activation are stored. Branch-free over k: zero
+// a terms are computed like any other.
 template <int MR, bool Resume, Epilogue Act, bool Bias>
 void tile(const double* a, std::size_t a_row, std::size_t a_k, int k_count, PanelView b,
           const double* bias, double* out, std::size_t ldo, int cols) {
@@ -189,86 +185,16 @@ void tile_rows(int mr, Args... args) {
 }
 static_assert(kMr == 6, "tile_rows covers 1 to 6 rows");
 
-// Sparse-block path: one AXPY over the full output row per nonzero A
-// element, reading b row-major. For the GCN inputs (A-hat, ReLU-masked
-// hidden rows) a sparse row carries a handful of nonzeros, and the tiles
-// would spend most of their FMAs on exact zeros. Bit-identical to the tiles:
-// per output element the sum is still one accumulator over ascending k, and
-// dropped zero terms are no-ops (see tile).
-// The row sweeps are kept to the minimum the chain allows: the FIRST nonzero
-// initializes the row directly (fmadd(a, b, +0.0) is the exact expression
-// the zero-filled version would compute) and the LAST nonzero carries the
-// bias/activation epilogue with it, so a row with nnz nonzeros costs nnz
-// sweeps instead of nnz + 2.
-template <Epilogue Act, bool Bias>
-void affine_rows_sparse(const double* pa, const double* pb, int cols_k, int cols_n,
-                        const double* pbias, double* po, int i_begin, int i_end) {
-  for (int i = i_begin; i < i_end; ++i) {
-    double* orow = po + static_cast<std::size_t>(i) * cols_n;
-    const double* arow = pa + static_cast<std::size_t>(i) * cols_k;
-    int k_first = 0;
-    while (k_first < cols_k && arow[k_first] == 0.0) ++k_first;
-    if (k_first == cols_k) {
-      // Empty row. 0.0 + pbias[j] (not bare pbias[j]): keeps the bits of the
-      // accumulate-into-zeros formulation even for a -0.0 bias entry.
-      for (int j = 0; j < cols_n; ++j) {
-        orow[j] = epilogue<Act>(Bias ? 0.0 + pbias[j] : 0.0);
-      }
-      continue;
-    }
-    int k_last = cols_k - 1;
-    while (arow[k_last] == 0.0) --k_last;
-    if (k_first == k_last) {
-      const double aik = arow[k_first];
-      const double* brow = pb + static_cast<std::size_t>(k_first) * cols_n;
-      for (int j = 0; j < cols_n; ++j) {
-        const double acc = fmadd(aik, brow[j], 0.0);
-        orow[j] = epilogue<Act>(Bias ? acc + pbias[j] : acc);
-      }
-      continue;
-    }
-    {
-      const double aik = arow[k_first];
-      const double* brow = pb + static_cast<std::size_t>(k_first) * cols_n;
-      for (int j = 0; j < cols_n; ++j) orow[j] = fmadd(aik, brow[j], 0.0);
-    }
-    for (int k = k_first + 1; k < k_last; ++k) {
-      const double aik = arow[k];
-      if (aik == 0.0) continue;
-      const double* brow = pb + static_cast<std::size_t>(k) * cols_n;
-      for (int j = 0; j < cols_n; ++j) orow[j] = fmadd(aik, brow[j], orow[j]);
-    }
-    {
-      const double aik = arow[k_last];
-      const double* brow = pb + static_cast<std::size_t>(k_last) * cols_n;
-      for (int j = 0; j < cols_n; ++j) {
-        const double acc = fmadd(aik, brow[j], orow[j]);
-        orow[j] = epilogue<Act>(Bias ? acc + pbias[j] : acc);
-      }
-    }
-  }
-}
-
 // Rows [i_begin, i_end) of out = Act(a * b + bias), with a bias row iff Bias:
 // kMr rows at a time, each block across every panel of b, so that the
-// block's rows stay in L1 while the panels stream past. With Sparse, a block
-// below the density threshold takes the sparse rows instead.
-template <Epilogue Act, bool Bias, bool Sparse>
+// block's rows stay in L1 while the panels stream past.
+template <Epilogue Act, bool Bias>
 void dense_rows(const double* pa, int cols_k, const Operand& b, int cols_n, const double* pbias,
                 double* po, int i_begin, int i_end) {
   const int panels = (cols_n + kPanel - 1) / kPanel;
   for (int i0 = i_begin; i0 < i_end; i0 += kMr) {
     const int mi = min_int(kMr, i_end - i0);
     const double* block = pa + static_cast<std::size_t>(i0) * cols_k;
-    if constexpr (Sparse) {
-      // One cheap scan decides the strategy for this row block.
-      int nnz = 0;
-      for (int e = 0; e < mi * cols_k; ++e) nnz += block[e] != 0.0;
-      if (nnz < kSparseDensityMax * mi * cols_k) {
-        affine_rows_sparse<Act, Bias>(pa, b.rows, cols_k, cols_n, pbias, po, i0, i0 + mi);
-        continue;
-      }
-    }
     for (int p = 0; p < panels; ++p) {
       const int j0 = p * kPanel;
       tile_rows<false, Act, Bias>(mi, block, static_cast<std::size_t>(cols_k), std::size_t{1},
@@ -286,63 +212,28 @@ void affine_rows(const double* pa, int cols_k, Operand b, int cols_n, const doub
   with_epilogue(act, [&](auto act_constant) {
     constexpr Epilogue kAct = decltype(act_constant)::value;
     if (pbias) {
-      dense_rows<kAct, true, true>(pa, cols_k, b, cols_n, pbias, po, i_begin, i_end);
+      dense_rows<kAct, true>(pa, cols_k, b, cols_n, pbias, po, i_begin, i_end);
     } else {
-      dense_rows<kAct, false, true>(pa, cols_k, b, cols_n, nullptr, po, i_begin, i_end);
+      dense_rows<kAct, false>(pa, cols_k, b, cols_n, nullptr, po, i_begin, i_end);
     }
   });
 }
 
-// delta W^T on the tiles over W^T's panels, every row block dense: delta
-// rows are dense in the MLP heads and, past the A-hat propagation, in the
-// encoder's backward.
+// delta W^T on the tiles over W^T's panels.
 void matmul_rows(const double* pa, int cols_k, Operand w, int cols_n, double* po, int i_begin,
                  int i_end) {
-  dense_rows<Epilogue::kNone, false, false>(pa, cols_k, w, cols_n, nullptr, po, i_begin, i_end);
-}
-
-// Sparse-a path for out += a^T * b over k in [k0, k1): k-outer AXPY, one
-// sweep of output row i per nonzero a(k, i), reading b row-major. The weight
-// gradient of a layer over ReLU-masked inputs multiplies by rows that carry
-// a handful of nonzeros, where the tiles would spend most of their FMAs on
-// exact zeros. Continues the rows' chains from `out`: per element the same
-// fma over ascending k, minus zero terms that are no-ops (see tile).
-void tn_rows_sparse(const double* pa, int k0, int k1, int cols_m, const double* pb,
-                    int cols_n, double* po, int i_begin, int i_end) {
-  for (int k = k0; k < k1; ++k) {
-    const double* arow = pa + static_cast<std::size_t>(k) * cols_m;
-    const double* brow = pb + static_cast<std::size_t>(k) * cols_n;
-    for (int i = i_begin; i < i_end; ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      double* orow = po + static_cast<std::size_t>(i) * cols_n;
-      for (int j = 0; j < cols_n; ++j) orow[j] = fmadd(aki, brow[j], orow[j]);
-    }
-  }
+  dense_rows<Epilogue::kNone, false>(pa, cols_k, w, cols_n, nullptr, po, i_begin, i_end);
 }
 
 // Rows [i_begin, i_end) of out += a^T * b (a row-major K x M; out M x N),
-// walked one k chunk (nnk::kTnChunk rows of a and b) at a time, each element
-// continuing the chain already in `out`. A chunk whose columns [i_begin,
-// i_end) of a are below the density threshold takes the sparse path, any
-// other the tiles, which read the chunk's rows of each panel of b; counting
-// reads the chunk into cache for whichever path follows. The paths may
-// alternate from chunk to chunk because both continue the same per-element
-// chain.
+// walked one k chunk (nnk::kTnChunk rows of a and b) at a time by the tiles,
+// which read the chunk's rows of each panel of b, each element continuing
+// the chain already in `out`.
 void matmul_tn_resume(const double* pa, int rows_k, int cols_m, Operand b, int cols_n,
                       double* po, int i_begin, int i_end) {
   const int panels = (cols_n + kPanel - 1) / kPanel;
   for (int k0 = 0; k0 < rows_k; k0 += nnk::kTnChunk) {
     const int k1 = min_int(rows_k, k0 + nnk::kTnChunk);
-    int nnz = 0;
-    for (int k = k0; k < k1; ++k) {
-      const double* arow = pa + static_cast<std::size_t>(k) * cols_m;
-      for (int i = i_begin; i < i_end; ++i) nnz += arow[i] != 0.0;
-    }
-    if (nnz < kSparseDensityMax * (k1 - k0) * (i_end - i_begin)) {
-      tn_rows_sparse(pa, k0, k1, cols_m, b.rows, cols_n, po, i_begin, i_end);
-      continue;
-    }
     // Each panel's chunk rows stay in L1 while the row blocks walk them.
     const double* chunk = pa + static_cast<std::size_t>(k0) * cols_m;
     for (int p = 0; p < panels; ++p) {

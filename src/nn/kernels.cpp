@@ -70,10 +70,12 @@ namespace fast {
 
 // Rows [0, rows) of out = finish(M src) for a sparse M whose row i holds the
 // entries t in [begin(i), begin(i + 1)): columns cols[t], values vals[t].
-// Per output element the chain is the single accumulator over ascending k
-// the dense-scan sparse path walks (the index just skips the rescans), with
-// the first and last nonzero carrying the init and finish(acc, j) sweeps
-// (see affine_rows_sparse); an empty row is finish(0.0, j).
+// Per output element the chain is fma over the stored entries in ascending
+// k from +0.0, then finish(acc, j): the dense rows' chain minus its zero
+// terms. The row sweeps are kept to the minimum the chain allows: the first
+// entry initializes the row (fma(a, b, +0.0) is what the zero-filled form
+// computes) and the last carries finish with it, so a row of e entries costs
+// e sweeps instead of e + 2; an empty row is finish(0.0, j).
 template <typename Begin, typename Finish>
 void csr_product_rows(int rows, const Begin& begin, const int* cols, const double* vals,
                       const double* psrc, int cols_n, double* po, const Finish& finish) {
@@ -128,8 +130,9 @@ void affine_csr(const CsrRows& x, int row0, int rows, const double* pw, int cols
       cols_n, po, [pbias](double v, int j) { return v + pbias[j]; });
 }
 
-// tn_rows_sparse's k-outer AXPY over the stored entries: one sweep of output
-// row i per stored x(k, i).
+// A k-outer AXPY over the stored entries: one sweep of output row i per
+// stored x(k, i), so every element continues its chain in `out` over
+// ascending k, the dense matmul_tn_resume's chain minus its zero terms.
 void matmul_tn_resume_csr(const CsrRows& x, int row0, int rows, const double* pb, int cols_n,
                           double* po) {
   const int* cols = x.csr_cols();

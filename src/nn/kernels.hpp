@@ -8,8 +8,7 @@
 //               bit-identity/checkpoint suites pin their goldens to.
 //   kFast       6-row x two-vector register tiles over packed column panels
 //               of the right-hand operand, with fused bias + activation
-//               epilogues, a zero-skipping sparse path chosen per row block
-//               by density, and CSR walks over staged rows. Its dense rows
+//               epilogues, and CSR walks over staged rows. Its dense rows
 //               are compiled once per ISA level (fast_rows.cpp: x86-64-v3,
 //               and x86-64-v4 where the compiler takes it); kernel_table
 //               picks the best one the CPU runs, once.
@@ -23,14 +22,19 @@
 // the propagation with its ReLU.
 //
 // Determinism contract: every routine accumulates each output element with a
-// SINGLE accumulator over ascending k. Tiling and sparsity skips only reorder
-// which elements are computed when, never the reduction order within an
-// element, and the pool split partitions output rows into fixed-size chunks
-// that are independent of the thread count. Both families are therefore
-// bit-identical run-to-run and across thread counts, and every fast table
-// returns the same bits at every vector width (tested in
-// tests/nn/kernel_differential_test.cpp); fast-vs-reference may differ by FMA
-// contraction only, bounded at 1e-12 relative in the differential suite.
+// SINGLE accumulator over ascending k. Tiling only reorders which elements
+// are computed when, never the reduction order within an element, and the
+// pool split partitions output rows into fixed-size chunks that are
+// independent of the thread count. Both families are therefore bit-identical
+// run-to-run and across thread counts, and every fast table returns the same
+// bits at every vector width (tested in tests/nn/kernel_differential_test.cpp);
+// fast-vs-reference may differ by FMA contraction only, bounded at 1e-12
+// relative in the differential suite. No routine picks its loop by the
+// data's density: the fast family's dense rows run one fma chain over every
+// k, zero terms included, and sparsity is read only where staging made it
+// structural, by the CSR walks (propagate, affine_csr, matmul_tn_resume_csr);
+// the reference family's i-k-j and k-outer loops skip zero a terms and its
+// dot loop keeps them.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +62,7 @@ inline constexpr int kTnChunk = 128;
 // routine's table reads it:
 //   rows     b row-major, row k at rows + k * cols_n (for matmul_rows: W,
 //            which is b^T, row j at rows + j * cols_k). The reference family
-//            reads only this, the fast family's sparse rows too.
+//            reads only this.
 //   panels   for a fast table (panel_cols > 0), b as k-major column panels:
 //            panel p holds columns [p w, (p + 1) w), w = panel_cols, zero
 //            past cols_n, with row k at panels + ((p - first_panel) cols_k
@@ -82,9 +86,9 @@ struct KernelTable {
   int panel_cols;
   // Rows [i_begin, i_end) of out = act(a b + bias): a has cols_k columns, b
   // is cols_k x cols_n, bias a row of cols_n or nullptr. Per element: one
-  // chain over ascending k from +0.0 without the zero a(i, k) terms (the
-  // fast register tiles keep them, which for finite b is the same chain),
-  // then + bias, then act.
+  // chain over ascending k from +0.0, then + bias, then act. The fast tiles
+  // keep the zero a(i, k) terms and the reference loop skips them, which for
+  // finite b is the same chain.
   void (*affine_rows)(const double* a, int cols_k, Operand b, int cols_n, const double* bias,
                       Epilogue act, double* out, int i_begin, int i_end);
   // Rows [i_begin, i_end) of out = a W^T, W being cols_n x cols_k: the
@@ -96,8 +100,9 @@ struct KernelTable {
   // Rows [i_begin, i_end) of out (cols_m x cols_n) += a^T b over rows_k rows
   // of a (rows_k x cols_m) and b (rows_k x cols_n): the weight gradient
   // x^T delta. Every element continues the chain stored in out over
-  // ascending rows, zero a(k, i) skipped, so resuming run by run from a +0.0
-  // out gives the bits of one call over all rows.
+  // ascending rows (the fast tiles keep the zero a(k, i) terms, the reference
+  // loop skips them), so resuming run by run from a +0.0 out gives the bits
+  // of one call over all rows.
   void (*matmul_tn_resume)(const double* a, int rows_k, int cols_m, Operand b, int cols_n,
                            double* out, int i_begin, int i_end);
   // out = act(A_g src) for graph g, both n x cols: the fast family walks the
@@ -107,7 +112,7 @@ struct KernelTable {
                     Epilogue act, double* out);
   // out = x w + bias over rows [row0, row0 + rows) of the CSR features x (w
   // is x.cols() x cols_n): the first GCN layer's affine. Per element the
-  // chain affine_rows computes on the dense rows, minus their zero terms.
+  // chain affine_rows computes on the dense rows, minus its zero terms.
   void (*affine_csr)(const CsrRows& x, int row0, int rows, const double* w, int cols_n,
                      const double* bias, double* out);
   // out (x.cols() x cols_n) += a^T b with a = rows [row0, row0 + rows) of x:
@@ -124,7 +129,9 @@ struct KernelTable {
 };
 // For finite operands the CSR routines equal their dense forms bit for bit:
 // a skipped zero term is a no-op, since fma(0, b, acc) == 0 * b + acc == acc
-// and an accumulator starting at +0.0 never becomes -0.0.
+// and an accumulator starting at +0.0 never becomes -0.0. A non-finite b
+// entry met by a zero term makes the fast dense chain NaN and leaves the
+// CSR chain as it was.
 
 // The family's table. kFast is the best fast table the host can run, picked
 // once, at first use: the x86-64-v4 (AVX-512) build of the fast rows where

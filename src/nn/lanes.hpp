@@ -78,16 +78,16 @@ inline vnd selectv(vnm keep, vnd v) {
 // helpers, and nowhere else (the kernel units are built with
 // -ffp-contract=off, so the compiler cannot contract — or fail to contract —
 // anything on its own). That uniformity is the determinism story: whichever
-// loop shape touches an output element (register tile, sparse row, any
+// loop shape touches an output element (register tile, CSR walk, any
 // vector width, any ISA table, any thread count), its reduction is the
 // identical chain of fma(a_k, b_k, acc) over ascending k, so every strategy
 // produces the same bits. Where the hardware has FMA this roughly doubles
 // dense GEMM throughput over separate mul+add; fast-vs-reference then
 // differs by the contraction rounding only, inside the documented 1e-12
 // envelope (the reference family keeps the original mul-then-add bits as
-// ground truth). Zero-skip stays legal too: fma(+/-0, b, acc) returns acc
-// exactly for finite b, and an accumulator that starts at +0.0 can never
-// become -0.0.
+// ground truth). The CSR walks' zero-skip stays legal too: fma(+/-0, b,
+// acc) returns acc exactly for finite b, and an accumulator that starts at
+// +0.0 can never become -0.0.
 inline double fmadd(double a, double b, double acc) {
 #if defined(__FMA__)
   return __builtin_fma(a, b, acc);
@@ -224,7 +224,7 @@ inline double tanh1(double v) { return std::tanh(v); }
 
 // The fast family's activation of one vector and of one element. kTanh runs
 // tanhv in every loop shape, so a row's bits do not depend on which path
-// (tile, sparse row, CSR walk) computed it.
+// (tile or CSR walk) computed it.
 template <Epilogue Act>
 inline vnd epiloguev(vnd v) {
   if constexpr (Act == Epilogue::kRelu) return selectv(v > 0.0, v);

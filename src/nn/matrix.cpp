@@ -265,17 +265,6 @@ Matrix hadamard(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix add_row_broadcast(const Matrix& a, const Matrix& row) {
-  NPTSN_EXPECT(row.rows() == 1 && row.cols() == a.cols(), "broadcast shape mismatch");
-  Matrix out = a;
-  const int cols = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    double* orow = out.data() + static_cast<std::size_t>(i) * cols;
-    for (int j = 0; j < cols; ++j) orow[j] += row.data()[j];
-  }
-  return out;
-}
-
 void accumulate(Matrix& a, const Matrix& b) {
   NPTSN_EXPECT(a.same_shape(b), "accumulate shape mismatch");
   for (int i = 0; i < a.size(); ++i) a.data()[i] += b.data()[i];

@@ -214,9 +214,9 @@ class BlockAdjacency {
 // Rows of a sparse matrix in CSR form: a GCN batch's observation features,
 // staged once (ActorCritic's staging) for the first layer's x W + b and its
 // weight gradient x^T delta (gcn_encoder). Each row keeps its entries that
-// are != 0.0 in ascending column order, so walking a row performs the
-// zero-skipping dense scan's chain; -0.0 entries are dropped like +0.0 ones,
-// as every kernel's zero-skip drops them.
+// are != 0.0 in ascending column order, so walking a row performs the dense
+// chain minus its zero terms; -0.0 entries are dropped like +0.0 ones, as
+// the reference loops' zero-skip (x == 0.0) drops both.
 class CsrRows {
  public:
   // The rows of `blocks`, each `cols` wide, stacked top to bottom.
@@ -258,8 +258,6 @@ Matrix add(const Matrix& a, const Matrix& b);
 Matrix sub(const Matrix& a, const Matrix& b);
 Matrix scale(const Matrix& a, double s);
 Matrix hadamard(const Matrix& a, const Matrix& b);
-// Adds a 1 x C row vector to every row of an R x C matrix.
-Matrix add_row_broadcast(const Matrix& a, const Matrix& row);
 // Accumulates b into a (in place), shapes must match.
 void accumulate(Matrix& a, const Matrix& b);
 

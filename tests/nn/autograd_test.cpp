@@ -131,18 +131,6 @@ TEST(AutogradGradCheck, AddSubScaleHadamard) {
   });
 }
 
-TEST(AutogradGradCheck, RowBroadcastBias) {
-  Rng rng(3);
-  const Matrix a = random_matrix(3, 2, rng);
-  const Matrix bias = random_matrix(1, 2, rng);
-  check_gradient(bias, [&](const Tensor& x) {
-    return sum_all(add_row_broadcast(Tensor::constant(a), x));
-  });
-  check_gradient(a, [&](const Tensor& x) {
-    return sum_all(add_row_broadcast(x, Tensor::constant(bias)));
-  });
-}
-
 TEST(AutogradGradCheck, Relu) {
   // Stay away from the kink at 0 for finite differences.
   const Matrix a = Matrix::from({{0.5, -0.7, 1.2, -0.1}});

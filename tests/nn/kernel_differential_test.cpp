@@ -230,25 +230,14 @@ TEST(KernelDifferential, TransposedFamiliesAgreeOnAllShapes) {
   constexpr int kM = 102;
   constexpr int kN = 85;
   for (const int k : {nnk::kTnChunk - 1, nnk::kTnChunk, nnk::kTnChunk + 1, 11776}) {
-    // Column-uniform nonzero patterns: clearly sparse, just under and just
-    // over the 25% density that switches a k chunk to the sparse path, dense.
+    // Column-uniform nonzero patterns from clearly sparse to dense: every k
+    // chunk runs the tiles over all of its terms, whatever its density.
     for (const int percent : {5, 24, 26, 100}) {
       Matrix x(k, kM);
-      int nnz = 0;
       for (int r = 0; r < k; ++r) {
         for (int c = 0; c < kM; ++c) {
-          if ((7 * r + 13 * c) % 100 < percent) {
-            x.at(r, c) = rng.uniform(-2.0, 2.0);
-            ++nnz;
-          }
+          if ((7 * r + 13 * c) % 100 < percent) x.at(r, c) = rng.uniform(-2.0, 2.0);
         }
-      }
-      const double density = static_cast<double>(nnz) / x.size();
-      if (percent == 24) {
-        ASSERT_LT(density, 0.25);
-      }
-      if (percent == 26) {
-        ASSERT_GT(density, 0.25);
       }
       const Matrix delta = random_matrix(k, kN, 0.7, rng);
       const Matrix oracle = single_chain_tn_oracle(x, delta, fused);
@@ -266,11 +255,15 @@ std::uint64_t bits(double v) {
   return b;
 }
 
-void expect_same_bytes(const Matrix& got, const Matrix& want, const std::string& what) {
+// Byte for byte; with nan_as_nan, any NaN also matches any NaN (which NaN a
+// sum keeps is the compiler's choice of operand order).
+void expect_same_bytes(const Matrix& got, const Matrix& want, const std::string& what,
+                       bool nan_as_nan = false) {
   ASSERT_TRUE(got.same_shape(want)) << what;
   if (got.size() == 0) return;
   if (std::memcmp(got.data(), want.data(), sizeof(double) * got.size()) == 0) return;
   for (int e = 0; e < got.size(); ++e) {
+    if (nan_as_nan && std::isnan(got.data()[e]) && std::isnan(want.data()[e])) continue;
     if (bits(got.data()[e]) != bits(want.data()[e])) {
       ADD_FAILURE() << what << ": first differing element " << e << " is " << got.data()[e]
                     << ", the reference loop's " << want.data()[e];
@@ -303,9 +296,12 @@ Matrix affine_chain_oracle(const Matrix& x, const Matrix& w, const Matrix* bias,
 // byte, and so each other. Column counts leave every last-panel width at 4,
 // 8 and 16 columns per panel; row counts below a tile (the in-place panels
 // of a short call) and of every remainder mod 6 above it; x^T delta's k
-// across the chunk boundary, sparse and dense chunks, resumed over two runs;
-// and the heads ads_plan runs. Each call is split in two row ranges, as the
-// kernel pool splits one.
+// across the chunk boundary, at three densities, resumed over two runs; and
+// the heads ads_plan runs. Each call is split in two row ranges, as the
+// kernel pool splits one. Every input is also run with infinite terms: the
+// left operand's entries at one k are zero and the right-hand row k holds
+// +Inf and -Inf. Each element's chain keeps every term, zero ones included,
+// so 0 * Inf makes NaN there at every density, as in the oracles.
 TEST(KernelDifferential, EveryFastTableMatchesTheSingleChainOracles) {
   const std::vector<nnk::KernelTable>& tables = nnk::fast_kernel_tables();
   ASSERT_FALSE(tables.empty());
@@ -330,50 +326,70 @@ TEST(KernelDifferential, EveryFastTableMatchesTheSingleChainOracles) {
     rows(0, split);
     rows(split, m);
   };
+  // +Inf, -Inf and a finite entry in turn over `count` entries `stride`
+  // apart: a right-hand operand's row k.
+  const auto put_infinities = [](double* row, int count, int stride) {
+    const double inf = std::numeric_limits<double>::infinity();
+    for (int j = 0; j < count; ++j) {
+      if (j % 3 < 2) row[static_cast<std::size_t>(j) * stride] = j % 3 == 0 ? inf : -inf;
+    }
+  };
   const Epilogue acts[] = {Epilogue::kNone, Epilogue::kRelu, Epilogue::kTanh};
   for (const Shape& s : shapes) {
     for (const double density : {1.0, 0.1}) {
       Matrix x = random_matrix(s.m, s.k, density, rng);
       for (int e = 0; e < x.size(); ++e) x.data()[e] *= 1.5;  // every tanh branch
-      const Matrix w = random_matrix(s.k, s.n, 1.0, rng);
+      Matrix w = random_matrix(s.k, s.n, 1.0, rng);
       const Matrix bias = random_matrix(1, s.n, 1.0, rng);
-      const Matrix w_nt = random_matrix(s.n, s.k, 1.0, rng);  // delta W^T's W
+      Matrix w_nt = random_matrix(s.n, s.k, 1.0, rng);  // delta W^T's W
       const bool fused = table_fuses(tables.front());
-      std::vector<Matrix> first;  // the first table's results, in order
-      for (std::size_t t = 0; t < tables.size(); ++t) {
-        const nnk::KernelTable& table = tables[t];
-        SCOPED_TRACE(table.name);
-        ASSERT_EQ(table_fuses(table), fused);
-        std::vector<Matrix> results;
-        nnk::PackedOperand packed;
-        packed.pack(table, w.data(), s.k, s.n, s.m);
-        for (const Epilogue act : acts) {
-          for (const Matrix* pbias : {static_cast<const Matrix*>(nullptr), &bias}) {
-            Matrix out = Matrix::uninitialized(s.m, s.n);
-            halves(s.m, [&](int begin, int end) {
-              table.affine_rows(x.data(), s.k, packed.operand(), s.n,
-                                pbias ? pbias->data() : nullptr, act, out.data(), begin, end);
-            });
-            expect_same_bytes(out, affine_chain_oracle(x, w, pbias, act, fused),
-                              shape_name("affine_rows", s, density));
-            results.push_back(std::move(out));
+      for (const bool infinite : {false, true}) {
+        SCOPED_TRACE(infinite ? "infinite terms" : "finite terms");
+        if (infinite) {
+          // x's column k0 is zero; W's row k0 and W^T's (w_nt's column k0)
+          // hold the infinities.
+          const int k0 = s.k / 2;
+          for (int i = 0; i < s.m; ++i) x.at(i, k0) = 0.0;
+          put_infinities(w.data() + static_cast<std::size_t>(k0) * s.n, s.n, 1);
+          put_infinities(w_nt.data() + k0, s.n, s.k);
+        }
+        std::vector<Matrix> first;  // the first table's results, in order
+        for (std::size_t t = 0; t < tables.size(); ++t) {
+          const nnk::KernelTable& table = tables[t];
+          SCOPED_TRACE(table.name);
+          ASSERT_EQ(table_fuses(table), fused);
+          std::vector<Matrix> results;
+          nnk::PackedOperand packed;
+          packed.pack(table, w.data(), s.k, s.n, s.m);
+          for (const Epilogue act : acts) {
+            for (const Matrix* pbias : {static_cast<const Matrix*>(nullptr), &bias}) {
+              Matrix out = Matrix::uninitialized(s.m, s.n);
+              halves(s.m, [&](int begin, int end) {
+                table.affine_rows(x.data(), s.k, packed.operand(), s.n,
+                                  pbias ? pbias->data() : nullptr, act, out.data(), begin, end);
+              });
+              expect_same_bytes(out, affine_chain_oracle(x, w, pbias, act, fused),
+                                shape_name("affine_rows", s, density), infinite);
+              results.push_back(std::move(out));
+            }
           }
-        }
-        nnk::PackedOperand packed_t;
-        packed_t.pack_transposed(table, w_nt.data(), s.n, s.k);
-        Matrix nt = Matrix::uninitialized(s.m, s.n);
-        halves(s.m, [&](int begin, int end) {
-          table.matmul_rows(x.data(), s.k, packed_t.operand(), s.n, nt.data(), begin, end);
-        });
-        expect_same_bytes(nt, scalar_nt_oracle(x, w_nt, fused),
-                          shape_name("matmul_rows", s, density));
-        results.push_back(std::move(nt));
-        if (t == 0) {
-          first = std::move(results);
-          continue;
-        }
-        for (std::size_t r = 0; r < results.size(); ++r) {
-          expect_same_bytes(results[r], first[r], shape_name("tables differ", s, density));
+          nnk::PackedOperand packed_t;
+          packed_t.pack_transposed(table, w_nt.data(), s.n, s.k);
+          Matrix nt = Matrix::uninitialized(s.m, s.n);
+          halves(s.m, [&](int begin, int end) {
+            table.matmul_rows(x.data(), s.k, packed_t.operand(), s.n, nt.data(), begin, end);
+          });
+          expect_same_bytes(nt, scalar_nt_oracle(x, w_nt, fused),
+                            shape_name("matmul_rows", s, density), infinite);
+          results.push_back(std::move(nt));
+          if (t == 0) {
+            first = std::move(results);
+            continue;
+          }
+          for (std::size_t r = 0; r < results.size(); ++r) {
+            expect_same_bytes(results[r], first[r], shape_name("tables differ", s, density),
+                              infinite);
+          }
         }
       }
     }
@@ -384,35 +400,45 @@ TEST(KernelDifferential, EveryFastTableMatchesTheSingleChainOracles) {
     for (const int m : {1, 4, 6, 11, 17}) {
       for (const int n : {17, 20, 31, 45, 92}) {
         for (const double density : {1.0, 0.3, 0.1}) {
-          const Matrix x = random_matrix(k, m, density, rng);
-          const Matrix delta = random_matrix(k, n, 0.8, rng);
-          const Matrix want = single_chain_tn_oracle(x, delta, table_fuses(tables.front()));
-          const Shape s{m, k, n};
-          Matrix first;
-          for (const nnk::KernelTable& table : tables) {
-            SCOPED_TRACE(table.name);
-            // One call, split in two row ranges.
-            Matrix out(m, n);
-            nnk::PackedOperand packed;
-            packed.pack(table, delta.data(), k, n, m);
-            halves(m, [&](int begin, int end) {
-              table.matmul_tn_resume(x.data(), k, m, packed.operand(), n, out.data(), begin, end);
-            });
-            expect_same_bytes(out, want, shape_name("matmul_tn_resume", s, density));
-            // Two runs over the k rows, the second resuming the first's sums.
-            Matrix resumed(m, n);
-            const int k1 = k / 2 + 1;
-            for (const auto& [row0, rows] : {std::pair{0, k1}, std::pair{k1, k - k1}}) {
-              packed.pack(table, delta.data() + static_cast<std::size_t>(row0) * n, rows, n, m);
-              table.matmul_tn_resume(x.data() + static_cast<std::size_t>(row0) * m, rows, m,
-                                     packed.operand(), n, resumed.data(), 0, m);
+          Matrix x = random_matrix(k, m, density, rng);
+          Matrix delta = random_matrix(k, n, 0.8, rng);
+          for (const bool infinite : {false, true}) {
+            SCOPED_TRACE(infinite ? "infinite terms" : "finite terms");
+            if (infinite) {
+              // x's row k0 is zero and delta's row k0 holds the infinities.
+              const int k0 = k / 2;
+              for (int i = 0; i < m; ++i) x.at(k0, i) = 0.0;
+              put_infinities(delta.data() + static_cast<std::size_t>(k0) * n, n, 1);
             }
-            expect_same_bytes(resumed, want, shape_name("matmul_tn_resume in two runs", s,
-                                                        density));
-            if (first.empty()) {
-              first = std::move(out);
-            } else {
-              expect_same_bytes(out, first, shape_name("tables differ", s, density));
+            const Matrix want = single_chain_tn_oracle(x, delta, table_fuses(tables.front()));
+            const Shape s{m, k, n};
+            Matrix first;
+            for (const nnk::KernelTable& table : tables) {
+              SCOPED_TRACE(table.name);
+              // One call, split in two row ranges.
+              Matrix out(m, n);
+              nnk::PackedOperand packed;
+              packed.pack(table, delta.data(), k, n, m);
+              halves(m, [&](int begin, int end) {
+                table.matmul_tn_resume(x.data(), k, m, packed.operand(), n, out.data(), begin,
+                                       end);
+              });
+              expect_same_bytes(out, want, shape_name("matmul_tn_resume", s, density), infinite);
+              // Two runs over the k rows, the second resuming the first's sums.
+              Matrix resumed(m, n);
+              const int k1 = k / 2 + 1;
+              for (const auto& [row0, rows] : {std::pair{0, k1}, std::pair{k1, k - k1}}) {
+                packed.pack(table, delta.data() + static_cast<std::size_t>(row0) * n, rows, n, m);
+                table.matmul_tn_resume(x.data() + static_cast<std::size_t>(row0) * m, rows, m,
+                                       packed.operand(), n, resumed.data(), 0, m);
+              }
+              expect_same_bytes(resumed, want,
+                                shape_name("matmul_tn_resume in two runs", s, density), infinite);
+              if (first.empty()) {
+                first = std::move(out);
+              } else {
+                expect_same_bytes(out, first, shape_name("tables differ", s, density), infinite);
+              }
             }
           }
         }
@@ -726,9 +752,9 @@ TEST(KernelDifferential, CsrRowsKeepEveryNonzeroInAscendingColumns) {
 
 // The first layer's products over CSR rows equal the same table's dense
 // per-graph primitives bit for bit, in the reference family and in every
-// fast table the host runs: rows with no entry, one entry, only
-// -0.0 zeros, and blocks on both sides of the fast family's 25% density
-// switch (tiles versus sparse rows), with the weight gradient resumed from
+// fast table the host runs: rows with no entry, one entry, only -0.0 zeros,
+// and graphs at 5% and 50% density, where the fast tiles run every term and
+// the CSR walks only the stored ones, with the weight gradient resumed from
 // nonzero partial sums.
 TEST(KernelDifferential, CsrLayerPrimitivesEqualTheDenseRowsInBothFamilies) {
   Rng rng(2718);
@@ -1204,11 +1230,10 @@ TEST(KernelDifferential, FastTanhMatchesLibmBitForBit) {
 }
 
 // The fast family applies that tanh in every loop shape: register tiles over
-// 1 to 6 rows, the zero-padded last panel, sparse rows and the CSR
-// propagation. Each equals std::tanh of the same
-// shape's kNone output, so each batched row also equals its batch of one.
-// The bias row holds entries that hit the ported range's ends: +-30 and
-// 1e-20 over empty sparse rows.
+// 1 to 6 rows, the zero-padded last panel and the CSR propagation. Each
+// equals std::tanh of the same shape's kNone output, so each batched row
+// also equals its batch of one. The bias row holds entries that hit the
+// ported range's ends: +-30 and 1e-20 over all-zero rows of x.
 TEST(KernelDifferential, FastTanhEpilogueEqualsTanhOfTheAffineInEveryLoopShape) {
   KernelGuard guard;
   set_nn_kernel(NnKernel::kFast);

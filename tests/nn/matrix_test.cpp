@@ -132,16 +132,6 @@ TEST(Matrix, ElementwiseShapeChecked) {
   EXPECT_THROW(hadamard(Matrix(1, 2), Matrix(1, 3)), std::invalid_argument);
 }
 
-TEST(Matrix, RowBroadcast) {
-  const auto a = Matrix::from({{1.0, 2.0}, {3.0, 4.0}});
-  const auto row = Matrix::from({{10.0, 20.0}});
-  const auto r = add_row_broadcast(a, row);
-  EXPECT_DOUBLE_EQ(r.at(0, 0), 11.0);
-  EXPECT_DOUBLE_EQ(r.at(1, 1), 24.0);
-  EXPECT_THROW(add_row_broadcast(a, Matrix(1, 3)), std::invalid_argument);
-  EXPECT_THROW(add_row_broadcast(a, Matrix(2, 2)), std::invalid_argument);
-}
-
 TEST(Matrix, AccumulateInPlace) {
   auto a = Matrix::from({{1.0, 1.0}});
   accumulate(a, Matrix::from({{2.0, 3.0}}));
