@@ -1,5 +1,6 @@
 #include "baselines/neuroplan.hpp"
 
+#include "core/planner.hpp"
 #include "util/expect.hpp"
 
 namespace nptsn {
@@ -152,22 +153,7 @@ NeuroPlanResult run_neuroplan(const PlanningProblem& problem, const StatelessNbf
   Rng rng(config.seed);
   ActorCritic net(net_config, rng);
 
-  TrainerConfig trainer_config;
-  trainer_config.epochs = config.epochs;
-  trainer_config.steps_per_epoch = config.steps_per_epoch;
-  trainer_config.gamma = config.discount_factor;
-  trainer_config.gae_lambda = config.gae_lambda;
-  trainer_config.actor_lr = config.actor_lr;
-  trainer_config.critic_lr = config.critic_lr;
-  trainer_config.ppo.clip_ratio = config.clip_ratio;
-  trainer_config.ppo.train_actor_iters = config.train_actor_iters;
-  trainer_config.ppo.train_critic_iters = config.train_critic_iters;
-  trainer_config.ppo.target_kl = config.target_kl;
-  trainer_config.num_workers = config.num_workers;
-  trainer_config.seed = rng.next_u64();
-  trainer_config.max_wall_seconds = config.max_wall_seconds;
-  trainer_config.max_total_steps = config.max_total_steps;
-  trainer_config.deadline = config.deadline.get();
+  const TrainerConfig trainer_config = prepare_training(config, rng.next_u64());
 
   Trainer trainer(
       net,

@@ -11,14 +11,6 @@ PlanningResult plan(const PlanningProblem& problem, const StatelessNbf& nbf,
                     const NptsnConfig& config, const Trainer::EpochCallback& on_epoch) {
   problem.validate();
 
-  // Install the configured GEMM kernel family for every forward/backward
-  // pass of this run (process-global; see NptsnConfig::nn_kernel).
-  set_nn_kernel(config.nn_kernel);
-  set_nn_kernel_threads(config.nn_threads);
-  // Same for the TSN data-plane family (packed NBF sessions + packed
-  // simulator state) — bit-identical to the scalar reference by contract.
-  set_tsn_kernel(config.tsn_kernel);
-
   SolutionRecorder recorder;
   const ObservationEncoder encoder(problem, config.path_actions);
   const Soag soag(problem, config.path_actions);
@@ -44,32 +36,10 @@ PlanningResult plan(const PlanningProblem& problem, const StatelessNbf& nbf,
   // the checkpointed weights over these).
   if (config.warm_start && config.policy_store) config.policy_store->warm_start(net);
 
-  TrainerConfig trainer_config;
-  trainer_config.epochs = config.epochs;
-  trainer_config.steps_per_epoch = config.steps_per_epoch;
-  trainer_config.gamma = config.discount_factor;
-  trainer_config.gae_lambda = config.gae_lambda;
-  trainer_config.actor_lr = config.actor_lr;
-  trainer_config.critic_lr = config.critic_lr;
-  trainer_config.ppo.clip_ratio = config.clip_ratio;
-  trainer_config.ppo.train_actor_iters = config.train_actor_iters;
-  trainer_config.ppo.train_critic_iters = config.train_critic_iters;
-  trainer_config.ppo.target_kl = config.target_kl;
-  trainer_config.num_workers = config.num_workers;
-  trainer_config.seed = rng.next_u64();
+  TrainerConfig trainer_config = prepare_training(config, rng.next_u64());
   trainer_config.checkpoint_path = config.checkpoint_path;
   trainer_config.checkpoint_interval = config.checkpoint_interval;
   trainer_config.checkpoint_on_stop = config.checkpoint_on_stop;
-  trainer_config.max_epoch_retries = config.max_epoch_retries;
-  trainer_config.health.enabled = config.health_checks;
-  trainer_config.health.max_rollbacks = config.max_rollbacks;
-  trainer_config.health.max_grad_norm = config.max_grad_norm;
-  trainer_config.health.max_approx_kl = config.max_approx_kl;
-  trainer_config.health.min_mean_entropy = config.min_mean_entropy;
-  trainer_config.health.max_critic_loss = config.max_critic_loss;
-  trainer_config.max_wall_seconds = config.max_wall_seconds;
-  trainer_config.max_total_steps = config.max_total_steps;
-  trainer_config.deadline = config.deadline.get();
 
   // Engine per-problem constants, staged ONCE for the whole session: every
   // worker env's engine borrows them instead of re-deriving per environment.
@@ -178,6 +148,37 @@ PlanningResult plan(const PlanningProblem& problem, const StatelessNbf& nbf,
     }
   }
   return result;
+}
+
+TrainerConfig prepare_training(const NptsnConfig& config, std::uint64_t seed) {
+  set_nn_kernel(config.nn_kernel);
+  set_nn_kernel_threads(config.nn_threads);
+  set_tsn_kernel(config.tsn_kernel);
+
+  TrainerConfig trainer_config;
+  trainer_config.epochs = config.epochs;
+  trainer_config.steps_per_epoch = config.steps_per_epoch;
+  trainer_config.gamma = config.discount_factor;
+  trainer_config.gae_lambda = config.gae_lambda;
+  trainer_config.actor_lr = config.actor_lr;
+  trainer_config.critic_lr = config.critic_lr;
+  trainer_config.ppo.clip_ratio = config.clip_ratio;
+  trainer_config.ppo.train_actor_iters = config.train_actor_iters;
+  trainer_config.ppo.train_critic_iters = config.train_critic_iters;
+  trainer_config.ppo.target_kl = config.target_kl;
+  trainer_config.num_workers = config.num_workers;
+  trainer_config.seed = seed;
+  trainer_config.max_epoch_retries = config.max_epoch_retries;
+  trainer_config.health.enabled = config.health_checks;
+  trainer_config.health.max_rollbacks = config.max_rollbacks;
+  trainer_config.health.max_grad_norm = config.max_grad_norm;
+  trainer_config.health.max_approx_kl = config.max_approx_kl;
+  trainer_config.health.min_mean_entropy = config.min_mean_entropy;
+  trainer_config.health.max_critic_loss = config.max_critic_loss;
+  trainer_config.max_wall_seconds = config.max_wall_seconds;
+  trainer_config.max_total_steps = config.max_total_steps;
+  trainer_config.deadline = config.deadline.get();
+  return trainer_config;
 }
 
 std::array<int, kNumAsilLevels> switch_asil_histogram(const Topology& topology) {

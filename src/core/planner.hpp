@@ -62,6 +62,14 @@ PlanningResult plan(const PlanningProblem& problem, const StatelessNbf& nbf,
                     const NptsnConfig& config,
                     const Trainer::EpochCallback& on_epoch = {});
 
+// The training half of plan()'s config translation, which the NeuroPlan
+// baseline trains through as well: installs the configured NN and TSN kernel
+// families process-globally (set_nn_kernel, set_nn_kernel_threads,
+// set_tsn_kernel) and returns the trainer settings, with `seed` as the
+// trainer's seed. The checkpoint fields stay unset: only plan() has a
+// best-solution section to resume.
+TrainerConfig prepare_training(const NptsnConfig& config, std::uint64_t seed);
+
 // Per-level switch count of a topology (Fig. 4(c) histograms), indexed by
 // static_cast<int>(Asil).
 std::array<int, kNumAsilLevels> switch_asil_histogram(const Topology& topology);

@@ -276,17 +276,6 @@ Tensor concat_cols(const Tensor& a, const Tensor& b) {
   });
 }
 
-Tensor select(const Tensor& a, int r, int c) {
-  Matrix out(1, 1, a.value().at(r, c));
-  return Tensor::make_op(std::move(out), {a}, [r, c](Node& self) {
-    Node& pa = parent(self, 0);
-    if (!pa.requires_grad) return;
-    Matrix delta(pa.value.rows(), pa.value.cols());
-    delta.at(r, c) = self.grad.at(0, 0);
-    add_grad(pa, std::move(delta));
-  });
-}
-
 Tensor clamp(const Tensor& a, double lo, double hi) {
   NPTSN_EXPECT(lo <= hi, "clamp requires lo <= hi");
   Matrix out = a.value();
@@ -324,64 +313,61 @@ Tensor min2(const Tensor& a, const Tensor& b) {
   });
 }
 
-Tensor average(const std::vector<Tensor>& items) {
-  NPTSN_EXPECT(!items.empty(), "average of zero tensors");
-  Matrix out = items.front().value();
-  for (std::size_t i = 1; i < items.size(); ++i) {
-    NPTSN_EXPECT(items[i].value().same_shape(out), "average shape mismatch");
-    accumulate(out, items[i].value());
-  }
-  const double inv = 1.0 / static_cast<double>(items.size());
-  for (int i = 0; i < out.size(); ++i) out.data()[i] *= inv;
-  return Tensor::make_op(std::move(out), items, [inv](Node& self) {
-    const Matrix delta = scale(self.grad, inv);
-    for (std::size_t i = 0; i < self.parents.size(); ++i) add_grad(*self.parents[i], delta);
-  });
-}
-
-Tensor masked_log_softmax_row(const Tensor& logits, const std::vector<std::uint8_t>& mask) {
+Tensor masked_log_prob(const Tensor& logits, const std::vector<std::uint8_t>& masks,
+                       const std::vector<int>& actions) {
   const Matrix& x = logits.value();
-  NPTSN_EXPECT(x.rows() == 1, "masked_log_softmax_row expects a 1 x A row");
-  NPTSN_EXPECT(static_cast<int>(mask.size()) == x.cols(), "mask size mismatch");
+  const int rows = x.rows();
+  const int cols = x.cols();
+  NPTSN_EXPECT(masks.size() == static_cast<std::size_t>(rows) * cols, "mask size mismatch");
+  NPTSN_EXPECT(actions.size() == static_cast<std::size_t>(rows), "action count mismatch");
 
-  // Stable masked log-softmax.
-  double max_logit = -std::numeric_limits<double>::infinity();
-  bool any = false;
-  for (int j = 0; j < x.cols(); ++j) {
-    if (mask[static_cast<std::size_t>(j)]) {
-      max_logit = std::max(max_logit, x.at(0, j));
-      any = true;
+  // Each row's stable masked log-softmax, kept for the backward.
+  Matrix log_probs(rows, cols);
+  Matrix out = Matrix::uninitialized(rows, 1);
+  for (int i = 0; i < rows; ++i) {
+    const double* xrow = x.data() + static_cast<std::size_t>(i) * cols;
+    const std::uint8_t* mrow = masks.data() + static_cast<std::size_t>(i) * cols;
+    double max_logit = -std::numeric_limits<double>::infinity();
+    bool any = false;
+    for (int j = 0; j < cols; ++j) {
+      if (mrow[j]) {
+        max_logit = std::max(max_logit, xrow[j]);
+        any = true;
+      }
     }
-  }
-  NPTSN_EXPECT(any, "all actions are masked");
-  double denom = 0.0;
-  for (int j = 0; j < x.cols(); ++j) {
-    if (mask[static_cast<std::size_t>(j)]) denom += std::exp(x.at(0, j) - max_logit);
-  }
-  const double log_denom = std::log(denom) + max_logit;
-
-  constexpr double kMaskedLogProb = -1e30;
-  Matrix out(1, x.cols());
-  for (int j = 0; j < x.cols(); ++j) {
-    out.at(0, j) = mask[static_cast<std::size_t>(j)] ? x.at(0, j) - log_denom : kMaskedLogProb;
-  }
-  const std::vector<std::uint8_t> mask_copy = mask;
-  return Tensor::make_op(std::move(out), {logits}, [mask_copy](Node& self) {
-    Node& pa = parent(self, 0);
-    if (!pa.requires_grad) return;
-    // d logp_j / d x_i = delta_ij - p_i (over unmasked entries).
-    double grad_sum = 0.0;
-    for (int j = 0; j < self.grad.cols(); ++j) {
-      if (mask_copy[static_cast<std::size_t>(j)]) grad_sum += self.grad.at(0, j);
+    NPTSN_EXPECT(any, "all actions are masked");
+    const int a = actions[static_cast<std::size_t>(i)];
+    NPTSN_EXPECT(a >= 0 && a < cols && mrow[a], "the action is masked or out of range");
+    double denom = 0.0;
+    for (int j = 0; j < cols; ++j) {
+      if (mrow[j]) denom += std::exp(xrow[j] - max_logit);
     }
-    Matrix delta(1, self.grad.cols());
-    for (int i = 0; i < delta.cols(); ++i) {
-      if (!mask_copy[static_cast<std::size_t>(i)]) continue;
-      const double p_i = std::exp(self.value.at(0, i));
-      delta.at(0, i) = self.grad.at(0, i) - p_i * grad_sum;
+    const double log_denom = std::log(denom) + max_logit;
+    double* lrow = log_probs.data() + static_cast<std::size_t>(i) * cols;
+    for (int j = 0; j < cols; ++j) {
+      if (mrow[j]) lrow[j] = xrow[j] - log_denom;
     }
-    add_grad(pa, std::move(delta));
-  });
+    out.data()[i] = lrow[a];
+  }
+  return Tensor::make_op(
+      std::move(out), {logits},
+      [masks, actions, log_probs = std::move(log_probs)](Node& self) {
+        Node& pa = parent(self, 0);
+        if (!pa.requires_grad) return;
+        // d logp_i / d x_ij = [j == a_i] - p_ij over the unmasked j.
+        const int cols = log_probs.cols();
+        Matrix delta(log_probs.rows(), cols);
+        for (int i = 0; i < delta.rows(); ++i) {
+          const double g = self.grad.data()[i];
+          const int a = actions[static_cast<std::size_t>(i)];
+          const std::size_t at = static_cast<std::size_t>(i) * cols;
+          for (int j = 0; j < cols; ++j) {
+            if (!masks[at + j]) continue;
+            delta.data()[at + j] = (j == a ? g : 0.0) - std::exp(log_probs.data()[at + j]) * g;
+          }
+        }
+        add_grad(pa, std::move(delta));
+      });
 }
 
 Tensor transpose_op(const Tensor& a) {
@@ -609,24 +595,6 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
     }
   };
   return Tensor::make_op(std::move(out), std::move(inputs), std::move(backward));
-}
-
-Tensor select_row(const Tensor& a, int r) {
-  const Matrix& v = a.value();
-  NPTSN_EXPECT(r >= 0 && r < v.rows(), "select_row index out of range");
-  const int cols = v.cols();
-  Matrix out = Matrix::uninitialized(1, cols);
-  const double* vrow = v.data() + static_cast<std::size_t>(r) * cols;
-  std::copy(vrow, vrow + cols, out.data());
-  return Tensor::make_op(std::move(out), {a}, [r](Node& self) {
-    Node& pa = parent(self, 0);
-    if (!pa.requires_grad) return;
-    // Accumulate straight into row r — no full-size scratch matrix, so
-    // selecting all B rows of a batch costs O(B x C), not O(B^2 x C).
-    const int cols = self.grad.cols();
-    double* grow = pa.ensure_grad().data() + static_cast<std::size_t>(r) * cols;
-    for (int j = 0; j < cols; ++j) grow[j] += self.grad.data()[j];
-  });
 }
 
 Tensor stack_rows(const std::vector<Tensor>& rows) {

@@ -81,21 +81,20 @@ Tensor hadamard(const Tensor& a, const Tensor& b);
 Tensor relu(const Tensor& a);
 Tensor tanh_op(const Tensor& a);
 Tensor exp_op(const Tensor& a);
-// Column-wise mean over rows: n x F -> 1 x F (GCN readout).
+// Column-wise mean over rows: n x F -> 1 x F (GCN readout, PPO batch means).
 Tensor mean_rows(const Tensor& a);
 Tensor sum_all(const Tensor& a);  // -> 1 x 1
 Tensor concat_cols(const Tensor& a, const Tensor& b);
-Tensor select(const Tensor& a, int r, int c);  // -> 1 x 1
 // Elementwise clamp; gradient is zero outside [lo, hi] (PPO clipping).
 Tensor clamp(const Tensor& a, double lo, double hi);
 // Elementwise min; gradient routed to the smaller input (ties: a).
 Tensor min2(const Tensor& a, const Tensor& b);
-// Elementwise mean of same-shaped tensors (loss averaging across steps).
-Tensor average(const std::vector<Tensor>& items);
-// Log-softmax over a 1 x A logit row where entries with mask[i] == 0 are
-// excluded (treated as -inf; they get probability 0 and zero gradient).
-// At least one entry must be unmasked.
-Tensor masked_log_softmax_row(const Tensor& logits, const std::vector<std::uint8_t>& mask);
+// B x A logits -> B x 1: row i's log-probability of actions[i] under the
+// stable softmax over the entries with masks[i * A + j] != 0 (masked entries
+// get probability 0 and zero gradient). masks is B x A row-major; every row
+// needs an unmasked entry, and actions[i] must be one of them.
+Tensor masked_log_prob(const Tensor& logits, const std::vector<std::uint8_t>& masks,
+                       const std::vector<int>& actions);
 Tensor transpose_op(const Tensor& a);
 
 // --- fused / batched operations (the NN hot path, DESIGN.md §11) -------------
@@ -129,10 +128,6 @@ struct GcnWeights {
 Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int block_rows,
                    const std::shared_ptr<const CsrRows>& features,
                    const std::vector<GcnWeights>& layers);
-// Row r as a 1 x C tensor. The gradient accumulates directly into row r of
-// the parent (no full-size scratch), so selecting every row of a batch
-// stays O(rows x cols) total.
-Tensor select_row(const Tensor& a, int r);
 // Stacks B 1 x C rows into a B x C tensor (per-observation fallback path
 // for encoders without a batched forward).
 Tensor stack_rows(const std::vector<Tensor>& rows);

@@ -45,34 +45,6 @@ std::vector<double> masked_probabilities(const Matrix& logits,
   return probs;
 }
 
-CategoricalSample sample_masked(const Matrix& logits, const std::vector<std::uint8_t>& mask,
-                                Rng& rng) {
-  const auto probs = masked_probabilities(logits, mask);
-  const int action = rng.sample_weighted(probs);
-  NPTSN_ASSERT(mask[static_cast<std::size_t>(action)] != 0, "sampled a masked action");
-  return {action, std::log(probs[static_cast<std::size_t>(action)])};
-}
-
-int argmax_masked(const Matrix& logits, const std::vector<std::uint8_t>& mask) {
-  int best = -1;
-  double best_logit = -std::numeric_limits<double>::infinity();
-  for (int j = 0; j < logits.cols(); ++j) {
-    if (mask[static_cast<std::size_t>(j)] && logits.at(0, j) > best_logit) {
-      best = j;
-      best_logit = logits.at(0, j);
-    }
-  }
-  if (best < 0) {
-    throw MaskedDistributionError(
-        "all actions are masked: the state offers no legal action");
-  }
-  return best;
-}
-
-double entropy_masked(const Matrix& logits, const std::vector<std::uint8_t>& mask) {
-  return entropy_of(masked_probabilities(logits, mask));
-}
-
 double entropy_of(const std::vector<double>& probs) {
   double h = 0.0;
   for (const double p : probs) {

@@ -1,5 +1,6 @@
 #include "rl/ppo.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "rl/health.hpp"
@@ -7,13 +8,6 @@
 
 namespace nptsn {
 namespace {
-
-// Builds the clipped-surrogate actor loss (negated objective) and returns it
-// together with the mean approximate KL of the update so far.
-struct ActorLoss {
-  Tensor loss;
-  double approx_kl = 0.0;
-};
 
 // Observation pointers for the batched head forwards (one stacked GEMM per
 // network layer instead of one forward per step).
@@ -24,64 +18,70 @@ std::vector<const Observation*> batch_observations(const Batch& batch) {
   return obs;
 }
 
-ActorLoss actor_loss(const ActorCritic& net, const ActorCritic::ObservationBatch& staged,
-                     const Batch& batch, double clip_ratio) {
-  const Tensor all_logits = net.forward_logits_batch(staged);
-  std::vector<Tensor> objectives;
-  objectives.reserve(batch.steps.size());
-  double kl_sum = 0.0;
-  for (std::size_t i = 0; i < batch.steps.size(); ++i) {
-    const StepRecord& s = batch.steps[i];
-    const Tensor logits = select_row(all_logits, static_cast<int>(i));
-    const Tensor log_probs = masked_log_softmax_row(logits, s.mask);
-    const Tensor logp = select(log_probs, 0, s.action);
-
-    // ratio = pi(a|s) / pi_old(a|s)
-    const Tensor ratio = exp_op(sub(logp, Tensor::constant(Matrix(1, 1, s.log_prob))));
-    const double adv = batch.advantages[i];
-    const Tensor unclipped = scale(ratio, adv);
-    const Tensor clipped = scale(clamp(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio), adv);
-    objectives.push_back(min2(unclipped, clipped));
-
-    kl_sum += s.log_prob - logp.item();
-  }
-  ActorLoss result;
-  result.loss = scale(average(objectives), -1.0);  // gradient ASCENT on the objective
-  result.approx_kl = kl_sum / static_cast<double>(batch.steps.size());
-  return result;
+Tensor column(const std::vector<double>& values) {
+  Matrix m = Matrix::uninitialized(static_cast<int>(values.size()), 1);
+  std::copy(values.begin(), values.end(), m.data());
+  return Tensor::constant(std::move(m));
 }
 
-Tensor critic_loss(const ActorCritic& net, const ActorCritic::ObservationBatch& staged,
-                   const Batch& batch) {
-  const Tensor all_values = net.forward_value_batch(staged);
-  std::vector<Tensor> losses;
-  losses.reserve(batch.steps.size());
-  for (std::size_t i = 0; i < batch.steps.size(); ++i) {
-    const Tensor value = select_row(all_values, static_cast<int>(i));
-    const Tensor err = sub(value, Tensor::constant(Matrix(1, 1, batch.returns[i])));
-    losses.push_back(hadamard(err, err));
-  }
-  return average(losses);
-}
-
-}  // namespace
-
-PpoStats ppo_update(const ActorCritic& net, Adam& actor_opt, Adam& critic_opt,
-                    const Batch& batch, const PpoConfig& config) {
+PpoTargets stage_targets(const Batch& batch) {
   NPTSN_EXPECT(!batch.steps.empty(), "cannot update from an empty batch");
   NPTSN_EXPECT(batch.advantages.size() == batch.steps.size() &&
                    batch.returns.size() == batch.steps.size(),
                "batch arity mismatch");
-  PpoStats stats;
+  PpoTargets targets;
+  const std::size_t actions = batch.steps.front().mask.size();
+  targets.masks.reserve(batch.steps.size() * actions);
+  targets.actions.reserve(batch.steps.size());
+  std::vector<double> old_log_probs;
+  old_log_probs.reserve(batch.steps.size());
+  for (const StepRecord& s : batch.steps) {
+    NPTSN_EXPECT(s.mask.size() == actions, "steps disagree on the action count");
+    targets.masks.insert(targets.masks.end(), s.mask.begin(), s.mask.end());
+    targets.actions.push_back(s.action);
+    old_log_probs.push_back(s.log_prob);
+  }
+  targets.old_log_probs = column(old_log_probs);
+  targets.advantages = column(batch.advantages);
+  targets.returns = column(batch.returns);
+  return targets;
+}
 
-  // Stage the batch once for the whole update: the stacked features/params
-  // and the adjacency CSR index are weight-independent, so every actor and
-  // critic iteration below reuses the same staged constants.
+}  // namespace
+
+ActorLoss actor_loss(const Tensor& logits, const PpoTargets& targets, double clip_ratio) {
+  const Tensor logp = masked_log_prob(logits, targets.masks, targets.actions);
+  const Tensor ratio = exp_op(sub(logp, targets.old_log_probs));
+  const Tensor& adv = targets.advantages;
+  const Tensor objective = min2(hadamard(ratio, adv),
+                                hadamard(clamp(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio), adv));
+  ActorLoss result;
+  result.loss = scale(mean_rows(objective), -1.0);  // gradient ASCENT on the objective
+  const Matrix& now = logp.value();
+  const Matrix& old = targets.old_log_probs.value();
+  double kl_sum = 0.0;
+  for (int i = 0; i < now.rows(); ++i) kl_sum += old.data()[i] - now.data()[i];
+  result.approx_kl = kl_sum / static_cast<double>(now.rows());
+  return result;
+}
+
+Tensor critic_loss(const Tensor& values, const PpoTargets& targets) {
+  const Tensor err = sub(values, targets.returns);
+  return mean_rows(hadamard(err, err));
+}
+
+PpoStats ppo_update(const ActorCritic& net, Adam& actor_opt, Adam& critic_opt,
+                    const Batch& batch, const PpoConfig& config) {
+  // Stage the batch once for the whole update: the loss targets, the stacked
+  // features/params and the adjacency CSR index are weight-independent, so
+  // every actor and critic iteration below reuses the same staged constants.
+  const PpoTargets targets = stage_targets(batch);
   const std::vector<const Observation*> obs = batch_observations(batch);
   const ActorCritic::ObservationBatch staged = net.stage_batch(obs);
+  PpoStats stats;
 
   for (int iter = 0; iter < config.train_actor_iters; ++iter) {
-    ActorLoss al = actor_loss(net, staged, batch, config.clip_ratio);
+    ActorLoss al = actor_loss(net.forward_logits_batch(staged), targets, config.clip_ratio);
     if (iter == 0) stats.actor_loss = al.loss.item();
     stats.approx_kl = al.approx_kl;
     if (config.check_numerics &&
@@ -101,7 +101,7 @@ PpoStats ppo_update(const ActorCritic& net, Adam& actor_opt, Adam& critic_opt,
   }
 
   for (int iter = 0; iter < config.train_critic_iters; ++iter) {
-    Tensor loss = critic_loss(net, staged, batch);
+    Tensor loss = critic_loss(net.forward_value_batch(staged), targets);
     if (iter == 0) stats.critic_loss = loss.item();
     if (config.check_numerics && !std::isfinite(loss.item())) {
       throw NumericAnomalyError(Anomaly{AnomalyCode::kNonFiniteLoss, -1, -1,

@@ -3,6 +3,9 @@
 // critic, with KL-based early stopping as in SpinningUp.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/adam.hpp"
 #include "rl/actor_critic.hpp"
 #include "rl/buffer.hpp"
@@ -31,6 +34,29 @@ struct PpoStats {
   double approx_kl = 0.0;    // at the last actor iteration run
   int actor_iters_run = 0;
 };
+
+// What the losses compare a batch's network outputs against, staged once per
+// update (ppo_update builds it from the Batch). Row i belongs to step i.
+struct PpoTargets {
+  std::vector<std::uint8_t> masks;  // B x A action masks, row-major
+  std::vector<int> actions;
+  Tensor old_log_probs;  // B x 1 constants: log pi_old(a_i | s_i)
+  Tensor advantages;     // B x 1
+  Tensor returns;        // B x 1
+};
+
+// SpinningUp's compute_loss_pi over the B x A policy logits: with
+// ratio = exp(logp - logp_old), the negated mean of
+// min(ratio * A, clip(ratio, 1 - clip_ratio, 1 + clip_ratio) * A), and the
+// approximate KL mean(logp_old - logp).
+struct ActorLoss {
+  Tensor loss;
+  double approx_kl = 0.0;
+};
+ActorLoss actor_loss(const Tensor& logits, const PpoTargets& targets, double clip_ratio);
+
+// SpinningUp's compute_loss_v over the B x 1 values: mean((v - R)^2).
+Tensor critic_loss(const Tensor& values, const PpoTargets& targets);
 
 // One full PPO update over the batch. actor_opt must own the network's
 // actor_parameters() and critic_opt its critic_parameters(); the shared GCN

@@ -95,9 +95,9 @@ EpochStats Trainer::run_epoch(int epoch) {
 
   // The rollout body. Forward passes only read shared network parameters, so
   // concurrent workers are safe; each worker owns its env/rng/buffer. The
-  // sampling path below (masked_probabilities + sample_weighted + log) draws
-  // exactly the same stream as sample_masked, so enabling the supervisor —
-  // which additionally reads the probs for entropy and scans for NaN — is
+  // sampling path below (masked_probabilities + sample_weighted + log) is the
+  // same with the supervisor on or off; the supervisor only additionally
+  // reads the probs for entropy and scans for NaN, so enabling it is
   // bit-identical to a supervisor-off rollout.
   auto collect_body = [&](Worker& worker, int w) {
     for (int step = 0; step < steps_per_worker; ++step) {

@@ -123,5 +123,37 @@ TEST(NeuroPlan, TrainingOnTinyProblemFindsSolutions) {
   EXPECT_DOUBLE_EQ(result.best->cost(), result.best_cost);
 }
 
+TEST(NeuroPlan, InstallsTheConfiguredKernelFamilies) {
+  // run_neuroplan trains through plan()'s config translation, so it installs
+  // the configured NN and TSN kernel families process-globally, as plan()
+  // does. The globals are restored for the tests that run after this one.
+  struct Restore {
+    NnKernel nn = nn_kernel();
+    int threads = nn_kernel_threads();
+    TsnKernel tsn = tsn_kernel();
+    ~Restore() {
+      set_nn_kernel(nn);
+      set_nn_kernel_threads(threads);
+      set_tsn_kernel(tsn);
+    }
+  } restore;
+  set_nn_kernel(NnKernel::kFast);
+  set_nn_kernel_threads(1);
+  set_tsn_kernel(TsnKernel::kFast);
+
+  NptsnConfig config = small_config();
+  config.epochs = 1;
+  config.steps_per_epoch = 16;
+  config.nn_kernel = NnKernel::kReference;
+  config.nn_threads = 2;
+  config.tsn_kernel = TsnKernel::kReference;
+  const auto p = tiny_problem(2);
+  const HeuristicRecovery nbf;
+  run_neuroplan(p, nbf, config);
+  EXPECT_EQ(nn_kernel(), NnKernel::kReference);
+  EXPECT_EQ(nn_kernel_threads(), 2);
+  EXPECT_EQ(tsn_kernel(), TsnKernel::kReference);
+}
+
 }  // namespace
 }  // namespace nptsn

@@ -147,7 +147,9 @@ TEST(AutogradGradCheck, TanhExp) {
 TEST(AutogradGradCheck, MeanRowsAndSelect) {
   Rng rng(5);
   const Matrix a = random_matrix(4, 3, rng);
-  check_gradient(a, [](const Tensor& x) { return select(mean_rows(x), 0, 1); });
+  // Entry (0, 1) of the row mean, selected by a one-hot weight.
+  const Tensor pick = Tensor::constant(Matrix::from({{0.0, 1.0, 0.0}}));
+  check_gradient(a, [&](const Tensor& x) { return sum_all(hadamard(mean_rows(x), pick)); });
 }
 
 TEST(AutogradGradCheck, ConcatCols) {
@@ -184,44 +186,68 @@ TEST(AutogradGradCheck, Average) {
   Rng rng(7);
   const Matrix a = random_matrix(1, 3, rng);
   check_gradient(a, [](const Tensor& x) {
-    // average of {x, 2x}: gradient 1.5 per entry.
-    return sum_all(average({x, scale(x, 2.0)}));
+    // mean of the rows {x, 2x}: gradient 1.5 per entry.
+    return sum_all(mean_rows(stack_rows({x, scale(x, 2.0)})));
   });
+  // The PPO losses' batch mean over a column, here of squares.
+  const Matrix column = random_matrix(5, 1, rng);
+  check_gradient(column, [](const Tensor& x) { return mean_rows(hadamard(x, x)); });
 }
 
 TEST(AutogradGradCheck, MaskedLogSoftmax) {
   Rng rng(8);
-  const Matrix logits = random_matrix(1, 5, rng);
-  const std::vector<std::uint8_t> mask = {1, 0, 1, 1, 0};
-  // Check the gradient of one selected unmasked log-prob.
+  const Matrix logits = random_matrix(3, 5, rng);
+  // Row 2 has one legal action: its log-prob is 0 whatever the logits.
+  const std::vector<std::uint8_t> masks = {1, 0, 1, 1, 0,  //
+                                           1, 1, 1, 1, 1,  //
+                                           0, 0, 0, 1, 0};
+  const std::vector<int> actions = {2, 0, 3};
+  // Distinct row weights, so each row's gradient is checked on its own.
+  const Tensor weights = Tensor::constant(Matrix::from({{1.0}, {-0.5}, {2.0}}));
   check_gradient(logits, [&](const Tensor& x) {
-    return select(masked_log_softmax_row(x, mask), 0, 2);
+    return sum_all(hadamard(masked_log_prob(x, masks, actions), weights));
   });
 }
 
 TEST(Autograd, MaskedLogSoftmaxValues) {
-  const Tensor logits = Tensor::constant(Matrix::from({{1.0, 100.0, 1.0}}));
-  const std::vector<std::uint8_t> mask = {1, 0, 1};
-  const Tensor logp = masked_log_softmax_row(logits, mask);
+  const Tensor logits = Tensor::constant(Matrix::from({{1.0, 100.0, 1.0}, {1.0, 100.0, 1.0}}));
+  const Tensor logp = masked_log_prob(logits, {1, 0, 1, 1, 0, 1}, {0, 2});
+  ASSERT_EQ(logp.rows(), 2);
+  ASSERT_EQ(logp.cols(), 1);
   // Masked entry ignored: the two unmasked logits are equal -> log(1/2).
   EXPECT_NEAR(logp.value().at(0, 0), std::log(0.5), 1e-12);
-  EXPECT_NEAR(logp.value().at(0, 2), std::log(0.5), 1e-12);
-  EXPECT_LT(logp.value().at(0, 1), -1e20);  // effectively -inf
+  EXPECT_NEAR(logp.value().at(1, 0), std::log(0.5), 1e-12);
+  // One legal action: probability 1.
+  EXPECT_EQ(masked_log_prob(logits, {0, 1, 0, 1, 0, 0}, {1, 0}).value().at(1, 0), 0.0);
 }
 
 TEST(Autograd, MaskedLogSoftmaxNumericallyStable) {
-  const Tensor logits = Tensor::constant(Matrix::from({{1000.0, 999.0}}));
-  const std::vector<std::uint8_t> mask = {1, 1};
-  const Tensor logp = masked_log_softmax_row(logits, mask);
-  EXPECT_TRUE(std::isfinite(logp.value().at(0, 0)));
-  EXPECT_NEAR(std::exp(logp.value().at(0, 0)) + std::exp(logp.value().at(0, 1)), 1.0,
-              1e-9);
+  const Tensor logits =
+      Tensor::constant(Matrix::from({{1000.0, 999.0}, {1000.0, 999.0},  //
+                                     {-1000.0, -999.0}, {-1000.0, -999.0}}));
+  const Tensor logp = masked_log_prob(logits, std::vector<std::uint8_t>(8, 1), {0, 1, 0, 1});
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(std::isfinite(logp.value().at(i, 0))) << i;
+  EXPECT_NEAR(std::exp(logp.value().at(0, 0)) + std::exp(logp.value().at(1, 0)), 1.0, 1e-9);
+  EXPECT_NEAR(std::exp(logp.value().at(2, 0)) + std::exp(logp.value().at(3, 0)), 1.0, 1e-9);
 }
 
 TEST(Autograd, MaskedLogSoftmaxAllMaskedThrows) {
-  const Tensor logits = Tensor::constant(Matrix(1, 3));
-  EXPECT_THROW(masked_log_softmax_row(logits, {0, 0, 0}), std::invalid_argument);
-  EXPECT_THROW(masked_log_softmax_row(logits, {1, 1}), std::invalid_argument);
+  const Tensor logits = Tensor::constant(Matrix(2, 3));
+  EXPECT_THROW(masked_log_prob(logits, {1, 0, 0, 0, 0, 0}, {0, 0}), std::invalid_argument);
+}
+
+TEST(Autograd, MaskedLogProbRejectsMismatchedMasksAndActions) {
+  const Tensor logits = Tensor::constant(Matrix(2, 3));
+  const std::vector<std::uint8_t> masks = {1, 1, 0, 0, 1, 1};
+  EXPECT_NO_THROW(masked_log_prob(logits, masks, {0, 2}));
+  // Mask size: one mask per logit.
+  EXPECT_THROW(masked_log_prob(logits, {1, 1, 0}, {0, 2}), std::invalid_argument);
+  // Action count: one action per row.
+  EXPECT_THROW(masked_log_prob(logits, masks, {0}), std::invalid_argument);
+  // The action must be a legal one of its row.
+  EXPECT_THROW(masked_log_prob(logits, masks, {2, 2}), std::invalid_argument);
+  EXPECT_THROW(masked_log_prob(logits, masks, {0, 3}), std::invalid_argument);
+  EXPECT_THROW(masked_log_prob(logits, masks, {-1, 2}), std::invalid_argument);
 }
 
 TEST(AutogradGradCheck, Transpose) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -204,12 +205,192 @@ TEST(Ppo, MaskedActionsStayMaskedAfterUpdate) {
   EXPECT_DOUBLE_EQ(probs[0], 0.0);
 }
 
-// --- recycled stacked-batch buffers --------------------------------------------
+// --- the batch losses against Eq. 5 in plain doubles ----------------------------
 
 bool same_bits(const Matrix& a, const Matrix& b) {
   return a.same_shape(b) &&
          std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.size()) * sizeof(double)) == 0;
 }
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+Tensor column(const std::vector<double>& values) {
+  Matrix m(static_cast<int>(values.size()), 1);
+  for (std::size_t i = 0; i < values.size(); ++i) m.data()[i] = values[i];
+  return Tensor::constant(std::move(m));
+}
+
+// Row i's stable masked log-softmax: log p_ij = x_ij - (log sum_j' exp(x_ij' - max) + max)
+// over the unmasked j (masked entries are left 0).
+std::vector<double> reference_log_softmax(const Matrix& x, const PpoTargets& t, int i) {
+  const int cols = x.cols();
+  const auto legal = [&](int j) { return t.masks[static_cast<std::size_t>(i * cols + j)] != 0; };
+  double max_logit = -std::numeric_limits<double>::infinity();
+  for (int j = 0; j < cols; ++j) {
+    if (legal(j)) max_logit = std::max(max_logit, x.at(i, j));
+  }
+  double denom = 0.0;
+  for (int j = 0; j < cols; ++j) {
+    if (legal(j)) denom += std::exp(x.at(i, j) - max_logit);
+  }
+  const double log_denom = std::log(denom) + max_logit;
+  std::vector<double> logp(static_cast<std::size_t>(cols), 0.0);
+  for (int j = 0; j < cols; ++j) {
+    if (legal(j)) logp[static_cast<std::size_t>(j)] = x.at(i, j) - log_denom;
+  }
+  return logp;
+}
+
+struct ReferenceLosses {
+  double actor_loss = 0.0;
+  double approx_kl = 0.0;
+  double critic_loss = 0.0;
+  Matrix logits_grad;
+  Matrix values_grad;
+};
+
+// Eq. 5's negated mean objective, SpinningUp's value loss, and their
+// gradients, per sample in plain doubles. Sums run in row order from +0.0,
+// as the tape's batch mean does, and each "0.0 + x" marks where the tape
+// starts a gradient at zero (it turns -0.0 into +0.0).
+ReferenceLosses reference_losses(const Matrix& logits, const Matrix& values,
+                                 const PpoTargets& t, double eps) {
+  const int rows = logits.rows();
+  const int cols = logits.cols();
+  const double inv = 1.0 / static_cast<double>(rows);
+  const double lo = 1.0 - eps;
+  const double hi = 1.0 + eps;
+  ReferenceLosses ref;
+  ref.logits_grad = Matrix(rows, cols);
+  ref.values_grad = Matrix(rows, 1);
+  double objective_sum = 0.0;
+  double kl_sum = 0.0;
+  double squares_sum = 0.0;
+  for (int i = 0; i < rows; ++i) {
+    const int a = t.actions[static_cast<std::size_t>(i)];
+    const double old = t.old_log_probs.value().at(i, 0);
+    const double adv = t.advantages.value().at(i, 0);
+    const std::vector<double> logp = reference_log_softmax(logits, t, i);
+    const double ratio = std::exp(logp[static_cast<std::size_t>(a)] - old);
+    const double clipped_ratio = std::clamp(ratio, lo, hi);
+    const double unclipped = ratio * adv;
+    const double clipped = clipped_ratio * adv;
+    objective_sum += std::min(unclipped, clipped);
+    kl_sum += old - logp[static_cast<std::size_t>(a)];
+
+    // d loss / d objective_i = -1/B, routed to the unclipped term unless the
+    // clipped one is strictly smaller.
+    const double g = -1.0 * inv;
+    const bool take_unclipped = unclipped <= clipped;
+    const double g_unclipped = 0.0 + (take_unclipped ? g : 0.0);
+    const double g_clipped = 0.0 + (take_unclipped ? 0.0 : g);
+    const double g_clamp = 0.0 + g_clipped * adv;
+    const double through_clamp = ratio < lo || ratio > hi ? 0.0 : g_clamp;
+    const double g_ratio = (0.0 + through_clamp) + g_unclipped * adv;
+    const double g_logp = 0.0 + (0.0 + g_ratio * ratio);
+    for (int j = 0; j < cols; ++j) {
+      if (!t.masks[static_cast<std::size_t>(i * cols + j)]) continue;
+      const double p = std::exp(logp[static_cast<std::size_t>(j)]);
+      ref.logits_grad.at(i, j) = 0.0 + ((j == a ? g_logp : 0.0) - p * g_logp);
+    }
+
+    const double err = values.at(i, 0) - t.returns.value().at(i, 0);
+    squares_sum += err * err;
+    const double g_square = 0.0 + 1.0 * inv;
+    const double g_err = (0.0 + g_square * err) + g_square * err;
+    ref.values_grad.at(i, 0) = 0.0 + g_err;
+  }
+  ref.actor_loss = objective_sum * inv * -1.0;
+  ref.approx_kl = kl_sum / static_cast<double>(rows);
+  ref.critic_loss = squares_sum * inv;
+  return ref;
+}
+
+// The old log-prob that puts a row's ratio exp(logp - old) exactly at
+// `target`, stepping one ulp at a time from the real-valued answer.
+double old_log_prob_for_ratio(double logp, double target) {
+  double old = logp - std::log(target);
+  for (int step = 0; step < 256; ++step) {
+    const double ratio = std::exp(logp - old);
+    if (ratio == target) return old;
+    old = std::nextafter(old, ratio < target ? -std::numeric_limits<double>::infinity()
+                                             : std::numeric_limits<double>::infinity());
+  }
+  ADD_FAILURE() << "no old log-prob gives ratio " << target;
+  return old;
+}
+
+TEST(Ppo, BatchLossesMatchTheClippedSurrogateFormula) {
+  const double eps = 0.2;
+  Rng rng(21);
+  for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE(trial);
+    const int rows = 8 + trial;
+    const int cols = 1 + trial % 7;
+    Matrix logits(rows, cols);
+    Matrix values(rows, 1);
+    for (int k = 0; k < logits.size(); ++k) logits.data()[k] = rng.uniform(-1.0, 1.0);
+    PpoTargets t;
+    std::vector<double> old(static_cast<std::size_t>(rows));
+    std::vector<double> adv(static_cast<std::size_t>(rows));
+    std::vector<double> ret(static_cast<std::size_t>(rows));
+    for (int i = 0; i < rows; ++i) {
+      // Every fourth row has one legal action; the others about 2/3 of them.
+      const int only = static_cast<int>(rng.uniform(0.0, cols));
+      int legal = 0;
+      for (int j = 0; j < cols; ++j) {
+        const bool on = i % 4 == 0 ? j == only : rng.uniform(0.0, 1.0) < 0.67;
+        t.masks.push_back(on ? 1 : 0);
+        legal += on ? 1 : 0;
+      }
+      if (legal == 0) t.masks[static_cast<std::size_t>(i * cols + only)] = 1;
+      int a = static_cast<int>(rng.uniform(0.0, cols));
+      while (!t.masks[static_cast<std::size_t>(i * cols + a)]) a = (a + 1) % cols;
+      t.actions.push_back(a);
+      // A dominant action logit keeps |log p| small, so that one-ulp steps
+      // of the old log-prob can land a ratio exactly on 1 +- eps.
+      if (i % 6 >= 4) logits.at(i, a) = 4.0;
+
+      const double logp = reference_log_softmax(logits, t, i)[static_cast<std::size_t>(a)];
+      const std::size_t r = static_cast<std::size_t>(i);
+      switch (i % 6) {
+        case 0: old[r] = logp + 0.5; break;                              // below 1 - eps
+        case 1: old[r] = logp + rng.uniform(-0.15, 0.15); break;         // inside
+        case 2: old[r] = logp - 0.5; break;                              // above 1 + eps
+        case 3: old[r] = logp; break;                                    // exactly 1
+        case 4: old[r] = old_log_prob_for_ratio(logp, 1.0 - eps); break;  // at the edge
+        default: old[r] = old_log_prob_for_ratio(logp, 1.0 + eps); break;
+      }
+      const int kind = static_cast<int>(rng.uniform(0.0, 6.0));
+      adv[r] = kind == 0 ? 0.0 : kind == 1 ? -0.0 : rng.uniform(-2.0, 2.0);
+      if (trial % 8 == 7) adv[r] = -0.0;  // every objective -0.0
+      values.at(i, 0) = rng.uniform(-2.0, 2.0);
+      ret[r] = i % 5 == 0 ? values.at(i, 0) : rng.uniform(-2.0, 2.0);
+    }
+    t.old_log_probs = column(old);
+    t.advantages = column(adv);
+    t.returns = column(ret);
+
+    const ReferenceLosses ref = reference_losses(logits, values, t, eps);
+    const Tensor logits_leaf = Tensor::parameter(logits);
+    const ActorLoss actor = actor_loss(logits_leaf, t, eps);
+    actor.loss.backward();
+    const Tensor values_leaf = Tensor::parameter(values);
+    const Tensor critic = critic_loss(values_leaf, t);
+    critic.backward();
+
+    EXPECT_TRUE(same_bits(actor.loss.item(), ref.actor_loss))
+        << actor.loss.item() << " vs " << ref.actor_loss;
+    EXPECT_TRUE(same_bits(actor.approx_kl, ref.approx_kl));
+    EXPECT_TRUE(same_bits(critic.item(), ref.critic_loss));
+    EXPECT_TRUE(same_bits(logits_leaf.grad(), ref.logits_grad));
+    EXPECT_TRUE(same_bits(values_leaf.grad(), ref.values_grad));
+  }
+}
+
+// --- recycled stacked-batch buffers --------------------------------------------
 
 // Takes every block parked in this thread's recycle scope, fills it with NaN
 // and parks it again.
