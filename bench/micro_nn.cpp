@@ -477,18 +477,18 @@ int run(int argc, char** argv) {
     const Matrix hidden = random_matrix(batch * n, e, rng);
     const Matrix w2 = random_matrix(e, e, rng);
     const Matrix grad = random_matrix(batch * n, e, rng);
-    // Real observations: the features staged as CSR rows, as the first GCN
-    // layer's products read them, and the symmetric A-hat blocks the
-    // backward propagates through.
+    // Real observations: their CSR features stacked, as the first GCN
+    // layer's products read them, and their symmetric A-hat blocks, which
+    // the backward propagates through.
     const std::vector<StepRecord> records = rollout_steps(orion_problem, fast_config, batch);
-    std::vector<const Matrix*> features;
-    std::vector<Matrix> a_hats;
+    std::vector<const CsrRows*> features;
+    std::vector<const BlockAdjacency*> a_hats;
     for (const StepRecord& r : records) {
-      features.push_back(&r.obs.features);
-      a_hats.push_back(r.obs.a_hat);
+      features.push_back(r.obs.features.get());
+      a_hats.push_back(r.obs.a_hat.get());
     }
-    const auto staged_features = std::make_shared<const CsrRows>(f, features);
-    const auto adj = std::make_shared<const BlockAdjacency>(std::move(a_hats));
+    const auto staged_features = std::make_shared<const CsrRows>(features);
+    const auto adj = std::make_shared<const BlockAdjacency>(a_hats);
     bench_gemm("orion_gcn_affine", batch * n, f, e, reps, false,
                [&] { return matmul(stacked, w); });
     bench_gemm("orion_grad_dx", batch * n, e, e, reps, false,

@@ -77,6 +77,8 @@ class PlanningEnv final : public Environment {
 
   // Accessors for tests and instrumentation.
   const Topology& topology() const { return topology_; }
+  // The current SOAG action space, the one observe() encodes.
+  const ActionSpace& action_space() const { return actions_; }
   const AnalysisOutcome& last_analysis() const { return analysis_; }
   std::int64_t nbf_calls() const { return nbf_calls_; }
   // Cumulative verification work. verify_calls always equals nbf_calls();

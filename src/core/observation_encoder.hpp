@@ -9,7 +9,16 @@
 // Costs are scaled down by a constant so the GCN inputs stay O(1).
 // The parameter vector carries the per-flow (period, frame size) pairs plus
 // the base-period slot count.
+//
+// Both graph inputs are built straight from Gt's ordered adjacency lists in
+// the CSR forms the GCN kernels read (DESIGN.md §11): A_hat row i holds i
+// and its neighbours in ascending order, each entry s_i * s_j with
+// s_i = 1 / sqrt(deg_i + 1); feature row v holds its nonzero entries block
+// by block in column order. Neither is ever a dense matrix.
 #pragma once
+
+#include <cstddef>
+#include <vector>
 
 #include "core/actions.hpp"
 #include "net/topology.hpp"
@@ -30,10 +39,12 @@ class ObservationEncoder {
   const PlanningProblem* problem_;
   int k_;
   Matrix params_;  // constant per problem; computed once
-  // Feature-matrix template with the problem-constant flow block (block 3)
-  // prefilled; encode() copies it and fills only the topology- and
-  // action-dependent blocks, instead of recomputing the flow sums per step.
-  Matrix base_features_;
+  // The flow block (block 3) never changes for the life of the problem: row
+  // v's nonzero entries, columns flow_cols_[t] and values flow_vals_[t] for
+  // t in [flow_ptr_[v], flow_ptr_[v + 1]), ascending columns.
+  std::vector<std::size_t> flow_ptr_;
+  std::vector<int> flow_cols_;
+  std::vector<double> flow_vals_;
 };
 
 }  // namespace nptsn

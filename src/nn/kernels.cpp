@@ -203,11 +203,24 @@ void matmul_tn_resume(const double* pa, int rows_k, int cols_m, nnk::Operand b, 
   }
 }
 
+// affine_rows' loop over the stored entries of A_g's rows, without a bias.
+// The entries it skips are the ones the zero-skipping dense loop skips
+// (+0.0 and -0.0), so every element is that loop's chain.
 void propagate(const BlockAdjacency& adj, int g, const double* psrc, int cols_n,
                Epilogue act, double* po) {
-  const int n = adj.block_size();
-  affine_rows(adj.blocks()[static_cast<std::size_t>(g)].data(), n, {psrc}, cols_n, nullptr, act,
-              po, 0, n);
+  const int* cols = adj.csr_cols();
+  const double* vals = adj.csr_vals();
+  for (int i = 0; i < adj.block_size(); ++i) {
+    double* orow = po + static_cast<std::size_t>(i) * cols_n;
+    std::fill(orow, orow + cols_n, 0.0);
+    for (std::size_t t = adj.row_begin(g, i); t < adj.row_end(g, i); ++t) {
+      const double aik = vals[t];
+      const double* srow = psrc + static_cast<std::size_t>(cols[t]) * cols_n;
+      for (int j = 0; j < cols_n; ++j) orow[j] += aik * srow[j];
+    }
+    if (act == Epilogue::kNone) continue;
+    for (int j = 0; j < cols_n; ++j) orow[j] = apply_epilogue(orow[j], act);
+  }
 }
 
 // affine_rows' loop over the stored entries of the rows.

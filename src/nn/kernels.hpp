@@ -105,9 +105,10 @@ struct KernelTable {
   // of one call over all rows.
   void (*matmul_tn_resume)(const double* a, int rows_k, int cols_m, Operand b, int cols_n,
                            double* out, int i_begin, int i_end);
-  // out = act(A_g src) for graph g, both n x cols: the fast family walks the
-  // staged CSR, the reference family affine_rows over the dense block. For
-  // the symmetric Eq. 4 blocks this is also the backward's A_g^T delta.
+  // out = act(A_g src) for graph g, both n x cols, over the stored entries
+  // of A_g's rows: the fast family's fma chain, the reference family's
+  // mul-then-add one (affine_rows' zero-skipping loop). For the symmetric
+  // Eq. 4 blocks this is also the backward's A_g^T delta.
   void (*propagate)(const BlockAdjacency& adj, int g, const double* src, int cols,
                     Epilogue act, double* out);
   // out = x w + bias over rows [row0, row0 + rows) of the CSR features x (w

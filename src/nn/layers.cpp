@@ -36,30 +36,6 @@ void Linear::collect_parameters(std::vector<Tensor>& out) const {
   out.push_back(bias_);
 }
 
-Matrix normalized_adjacency(const Matrix& adjacency) {
-  NPTSN_EXPECT(adjacency.rows() == adjacency.cols(), "adjacency must be square");
-  const int n = adjacency.rows();
-  Matrix a = adjacency;
-  for (int i = 0; i < n; ++i) a.at(i, i) = 1.0;  // self loops
-
-  std::vector<double> inv_sqrt_degree(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    double degree = 0.0;
-    for (int j = 0; j < n; ++j) {
-      NPTSN_EXPECT(a.at(i, j) == 0.0 || a.at(i, j) == 1.0, "adjacency must be 0/1");
-      degree += a.at(i, j);
-    }
-    inv_sqrt_degree[static_cast<std::size_t>(i)] = 1.0 / std::sqrt(degree);
-  }
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      a.at(i, j) *= inv_sqrt_degree[static_cast<std::size_t>(i)] *
-                    inv_sqrt_degree[static_cast<std::size_t>(j)];
-    }
-  }
-  return a;
-}
-
 GatLayer::GatLayer(int in_features, int out_features, Rng& rng)
     : lin_(in_features, out_features, rng),
       attn_src_(Tensor::parameter(init_weight(out_features, 1, rng))),

@@ -1,6 +1,7 @@
-// Network building blocks: Linear, the Eq. 4 adjacency normalization, the
-// GAT ablation layer, and MLP stacks. The GCN layers of Eq. 4 are Linear
-// weights run by the batched encoder node (gcn_encoder in nn/autograd).
+// Network building blocks: Linear, the GAT ablation layer, and MLP stacks.
+// The GCN layers of Eq. 4 are Linear weights run by the batched encoder node
+// (gcn_encoder in nn/autograd) over the A-hat the observation encoder
+// builds (core/observation_encoder).
 #pragma once
 
 #include <vector>
@@ -31,9 +32,6 @@ class Linear {
   Tensor weight_;
   Tensor bias_;
 };
-
-// Computes A_hat from a raw 0/1 adjacency matrix (self loops added here).
-Matrix normalized_adjacency(const Matrix& adjacency);
 
 // One graph-attention layer (Velickovic et al., the GAT alternative the
 // paper discusses and rejects in Section IV-C — kept as an ablation):

@@ -156,66 +156,157 @@ bool Matrix::all_finite() const {
   return true;
 }
 
-BlockAdjacency::BlockAdjacency(std::vector<Matrix> blocks)
-    : blocks_(std::move(blocks)) {
-  NPTSN_EXPECT(!blocks_.empty(), "BlockAdjacency needs at least one block");
-  n_ = blocks_.front().rows();
-  NPTSN_EXPECT(n_ > 0, "BlockAdjacency needs non-empty blocks");
-  std::size_t nnz = 0;
-  for (const Matrix& b : blocks_) {
-    NPTSN_EXPECT(b.rows() == n_ && b.cols() == n_,
-                 "BlockAdjacency blocks must all be square and same-size");
-    const double* p = b.data();
-    for (int r = 0; r < n_; ++r) {
-      for (int c = 0; c < n_; ++c) {
-        const double v = p[static_cast<std::size_t>(r) * n_ + c];
-        nnz += v != 0.0;
-        symmetric_ = symmetric_ && v == p[static_cast<std::size_t>(c) * n_ + r];
-      }
-    }
-  }
-  row_ptr_.reserve(static_cast<std::size_t>(count()) * n_ + 1);
-  cols_.reserve(nnz);
-  vals_.reserve(nnz);
-  row_ptr_.push_back(0);
-  for (const Matrix& b : blocks_) {
-    for (int r = 0; r < n_; ++r) {
-      const double* row = b.data() + static_cast<std::size_t>(r) * n_;
-      for (int c = 0; c < n_; ++c) {
-        if (row[c] == 0.0) continue;
-        cols_.push_back(c);
-        vals_.push_back(row[c]);
-      }
-      row_ptr_.push_back(cols_.size());
+namespace detail {
+
+void CsrArrays::check(std::size_t rows, int width) const {
+  NPTSN_EXPECT(width >= 0, "CSR rows need a non-negative width");
+  NPTSN_EXPECT(!row_ptr.empty() && row_ptr.size() == rows + 1 && row_ptr.front() == 0 &&
+                   row_ptr.back() == cols.size() && vals.size() == cols.size(),
+               "CSR arrays do not fit together");
+  for (std::size_t r = 0; r < rows; ++r) {
+    NPTSN_EXPECT(row_ptr[r] <= row_ptr[r + 1], "CSR row pointers must ascend");
+    int prev = -1;
+    for (std::size_t t = row_ptr[r]; t < row_ptr[r + 1]; ++t) {
+      NPTSN_EXPECT(cols[t] > prev && cols[t] < width,
+                   "CSR columns must ascend strictly inside the row width");
+      NPTSN_EXPECT(vals[t] != 0.0, "CSR rows store no zero entries");
+      prev = cols[t];
     }
   }
 }
 
-CsrRows::CsrRows(int cols, const std::vector<const Matrix*>& blocks) : cols_(cols) {
-  NPTSN_EXPECT(cols >= 0, "CsrRows needs a non-negative width");
-  std::size_t rows = 0;
-  std::size_t nnz = 0;
-  for (const Matrix* m : blocks) {
-    NPTSN_EXPECT(m->cols() == cols, "CsrRows blocks must all be `cols` wide");
-    rows += static_cast<std::size_t>(m->rows());
-    for (int e = 0; e < m->size(); ++e) nnz += m->data()[e] != 0.0;
-  }
-  row_ptr_.reserve(rows + 1);
-  col_.reserve(nnz);
-  val_.reserve(nnz);
-  row_ptr_.push_back(0);
-  for (const Matrix* m : blocks) {
-    for (int r = 0; r < m->rows(); ++r) {
-      const double* row = m->data() + static_cast<std::size_t>(r) * cols;
-      for (int c = 0; c < cols; ++c) {
-        if (row[c] == 0.0) continue;
-        col_.push_back(c);
-        val_.push_back(row[c]);
-      }
-      row_ptr_.push_back(col_.size());
+void CsrArrays::append_dense(const Matrix& m) {
+  for (int r = 0; r < m.rows(); ++r) {
+    const double* row = m.data() + static_cast<std::size_t>(r) * m.cols();
+    for (int c = 0; c < m.cols(); ++c) {
+      if (row[c] == 0.0) continue;
+      cols.push_back(c);
+      vals.push_back(row[c]);
     }
+    row_ptr.push_back(cols.size());
   }
 }
+
+CsrArrays CsrArrays::stack(const std::vector<const CsrArrays*>& parts) {
+  std::size_t rows = 0;
+  std::size_t nnz = 0;
+  for (const CsrArrays* part : parts) {
+    rows += part->rows();
+    nnz += part->vals.size();
+  }
+  CsrArrays out;
+  out.row_ptr.reserve(rows + 1);
+  out.cols.reserve(nnz);
+  out.vals.reserve(nnz);
+  for (const CsrArrays* part : parts) {
+    const std::size_t base = out.cols.size();
+    for (auto it = part->row_ptr.begin() + 1; it != part->row_ptr.end(); ++it) {
+      out.row_ptr.push_back(base + *it);
+    }
+    out.cols.insert(out.cols.end(), part->cols.begin(), part->cols.end());
+    out.vals.insert(out.vals.end(), part->vals.begin(), part->vals.end());
+  }
+  return out;
+}
+
+Matrix CsrArrays::dense(std::size_t row0, int rows, int width) const {
+  Matrix out(rows, width);
+  for (int r = 0; r < rows; ++r) {
+    double* orow = out.data() + static_cast<std::size_t>(r) * width;
+    const std::size_t row = row0 + static_cast<std::size_t>(r);
+    for (std::size_t t = row_ptr[row]; t < row_ptr[row + 1]; ++t) {
+      orow[cols[t]] = vals[t];
+    }
+  }
+  return out;
+}
+
+}  // namespace detail
+
+BlockAdjacency::BlockAdjacency(int n, std::vector<std::size_t> row_ptr, std::vector<int> cols,
+                               std::vector<double> vals)
+    : n_(n), count_(1), csr_{std::move(row_ptr), std::move(cols), std::move(vals)} {
+  NPTSN_EXPECT(n > 0, "BlockAdjacency needs non-empty blocks");
+  csr_.check(static_cast<std::size_t>(n), n);
+  symmetric_ = stored_symmetric();
+}
+
+BlockAdjacency::BlockAdjacency(const std::vector<const BlockAdjacency*>& parts) {
+  NPTSN_EXPECT(!parts.empty(), "BlockAdjacency needs at least one block");
+  n_ = parts.front()->n_;
+  std::vector<const detail::CsrArrays*> arrays;
+  arrays.reserve(parts.size());
+  for (const BlockAdjacency* part : parts) {
+    NPTSN_EXPECT(part->n_ == n_, "BlockAdjacency blocks must all be square and same-size");
+    count_ += part->count_;
+    symmetric_ = symmetric_ && part->symmetric_;
+    arrays.push_back(&part->csr_);
+  }
+  csr_ = detail::CsrArrays::stack(arrays);
+}
+
+BlockAdjacency::BlockAdjacency(const std::vector<Matrix>& blocks)
+    : count_(static_cast<int>(blocks.size())) {
+  NPTSN_EXPECT(!blocks.empty(), "BlockAdjacency needs at least one block");
+  n_ = blocks.front().rows();
+  NPTSN_EXPECT(n_ > 0, "BlockAdjacency needs non-empty blocks");
+  for (const Matrix& b : blocks) {
+    NPTSN_EXPECT(b.rows() == n_ && b.cols() == n_,
+                 "BlockAdjacency blocks must all be square and same-size");
+    csr_.append_dense(b);
+  }
+  symmetric_ = stored_symmetric();
+}
+
+bool BlockAdjacency::stored_symmetric() const {
+  const auto& cols = csr_.cols;
+  for (int g = 0; g < count_; ++g) {
+    for (int r = 0; r < n_; ++r) {
+      for (std::size_t t = row_begin(g, r); t < row_end(g, r); ++t) {
+        const auto first = cols.begin() + static_cast<std::ptrdiff_t>(row_begin(g, cols[t]));
+        const auto last = cols.begin() + static_cast<std::ptrdiff_t>(row_end(g, cols[t]));
+        const auto mirror = std::lower_bound(first, last, r);
+        if (mirror == last || *mirror != r || csr_.vals[mirror - cols.begin()] != csr_.vals[t]) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
+Matrix BlockAdjacency::to_dense(int g) const {
+  NPTSN_EXPECT(g >= 0 && g < count_, "block index out of range");
+  return csr_.dense(static_cast<std::size_t>(g) * n_, n_, n_);
+}
+
+CsrRows::CsrRows(int cols, std::vector<std::size_t> row_ptr, std::vector<int> col,
+                 std::vector<double> val)
+    : cols_(cols), csr_{std::move(row_ptr), std::move(col), std::move(val)} {
+  csr_.check(csr_.rows(), cols);
+}
+
+CsrRows::CsrRows(const std::vector<const CsrRows*>& parts) {
+  NPTSN_EXPECT(!parts.empty(), "CsrRows needs at least one part");
+  cols_ = parts.front()->cols_;
+  std::vector<const detail::CsrArrays*> arrays;
+  arrays.reserve(parts.size());
+  for (const CsrRows* part : parts) {
+    NPTSN_EXPECT(part->cols_ == cols_, "CsrRows parts must all be `cols` wide");
+    arrays.push_back(&part->csr_);
+  }
+  csr_ = detail::CsrArrays::stack(arrays);
+}
+
+CsrRows::CsrRows(int cols, const std::vector<const Matrix*>& blocks) : cols_(cols) {
+  NPTSN_EXPECT(cols >= 0, "CsrRows needs a non-negative width");
+  for (const Matrix* m : blocks) {
+    NPTSN_EXPECT(m->cols() == cols, "CsrRows blocks must all be `cols` wide");
+    csr_.append_dense(*m);
+  }
+}
+
+Matrix CsrRows::to_dense() const { return csr_.dense(0, rows(), cols_); }
 
 Matrix transpose(const Matrix& a) {
   // In square blocks: walked row by row, the column writes of a 256-wide

@@ -169,73 +169,130 @@ class Matrix {
   std::vector<double, detail::DefaultInitAllocator<double>> data_;
 };
 
+namespace detail {
+
+// The CSR arrays BlockAdjacency and CsrRows hold: row r's entries, columns
+// cols[t] strictly ascending and values vals[t] != 0.0, at t in
+// [row_ptr[r], row_ptr[r + 1]).
+struct CsrArrays {
+  std::vector<std::size_t> row_ptr = {0};
+  std::vector<int> cols;
+  std::vector<double> vals;
+
+  std::size_t rows() const { return row_ptr.size() - 1; }
+  // Throws std::invalid_argument unless the arrays hold `rows` rows with
+  // columns strictly ascending inside [0, width) and no zero value.
+  void check(std::size_t rows, int width) const;
+  // Appends the rows of m, keeping their entries != 0.0.
+  void append_dense(const Matrix& m);
+  // The rows of every part, in order, row pointers rebased.
+  static CsrArrays stack(const std::vector<const CsrArrays*>& parts);
+  // Rows [row0, row0 + rows) as a dense rows x width matrix.
+  Matrix dense(std::size_t row0, int rows, int width) const;
+};
+
+}  // namespace detail
+
 // A batch of same-sized square blocks (the per-graph normalized adjacencies
-// of a stacked GCN batch) staged for repeated per-graph products. The
-// constructor builds a CSR index over every block once; the fast propagation
-// kernels then walk nonzeros directly instead of re-scanning the dense
-// blocks on every layer, head, and PPO iteration that reuses the batch. The
-// dense blocks are retained verbatim — the reference family reads them, and
-// the CSR is ordered ascending by column within each row, so walking it
-// performs the exact accumulation chain the dense scan performs
-// (bit-identical under either strategy).
+// of a stacked GCN batch) in CSR form, for repeated per-graph products: each
+// block row keeps its entries that are != 0.0 in ascending column order, so
+// walking it performs the chain a zero-skipping dense scan of the row
+// performs (-0.0 entries are dropped like +0.0 ones, as that scan skips
+// both). The observation encoder builds Eq. 4's A-hat of one graph straight
+// in this form; stage_batch stacks B of them; the kernels of both families
+// walk the stored entries. No dense block is kept.
 class BlockAdjacency {
  public:
-  explicit BlockAdjacency(std::vector<Matrix> blocks);
+  // One n x n block from its CSR arrays: row_ptr holds n + 1 offsets from 0,
+  // and row r's columns cols[t] (strictly ascending, in [0, n)) and values
+  // vals[t] (each != 0.0) sit at t in [row_ptr[r], row_ptr[r + 1]).
+  BlockAdjacency(int n, std::vector<std::size_t> row_ptr, std::vector<int> cols,
+                 std::vector<double> vals);
+  // The blocks of every part, in order, as one batch: the parts' CSR arrays
+  // concatenated, row pointers rebased. Symmetric when every part is.
+  explicit BlockAdjacency(const std::vector<const BlockAdjacency*>& parts);
+  // Dense square blocks scanned into CSR (tests and benchmarks).
+  explicit BlockAdjacency(const std::vector<Matrix>& blocks);
 
   int block_size() const { return n_; }
-  int count() const { return static_cast<int>(blocks_.size()); }
-  const std::vector<Matrix>& blocks() const { return blocks_; }
+  int count() const { return count_; }
+  // Entries stored over all blocks.
+  std::size_t nnz() const { return csr_.vals.size(); }
   // True when every block equals its transpose exactly (b(r, c) == b(c, r)
-  // for all r, c). Eq. 4's D^-1/2 (A + I) D^-1/2 of an undirected graph
-  // always is, since s_i * s_j == s_j * s_i; the GCN backward relies on it to
+  // for all r, c), checked once when the blocks are built from arrays or
+  // dense blocks. Eq. 4's D^-1/2 (A + I) D^-1/2 of an undirected graph always
+  // is, since s_i * s_j == s_j * s_i; the GCN backward relies on it to
   // propagate gradients with the forward kernels (gcn_encoder).
   bool symmetric() const { return symmetric_; }
 
-  // CSR view of local row r of block g: column indices cols()[t] and values
-  // vals()[t] for t in [row_begin(g, r), row_end(g, r)), ascending columns.
+  // CSR view of local row r of block g: column indices csr_cols()[t] and
+  // values csr_vals()[t] for t in [row_begin(g, r), row_end(g, r)),
+  // ascending columns.
   std::size_t row_begin(int g, int r) const {
-    return row_ptr_[static_cast<std::size_t>(g) * n_ + r];
+    return csr_.row_ptr[static_cast<std::size_t>(g) * n_ + r];
   }
   std::size_t row_end(int g, int r) const {
-    return row_ptr_[static_cast<std::size_t>(g) * n_ + r + 1];
+    return csr_.row_ptr[static_cast<std::size_t>(g) * n_ + r + 1];
   }
-  const int* csr_cols() const { return cols_.data(); }
-  const double* csr_vals() const { return vals_.data(); }
+  const int* csr_cols() const { return csr_.cols.data(); }
+  const double* csr_vals() const { return csr_.vals.data(); }
+
+  // Block g as a dense matrix, for consumers without a CSR path (the GAT
+  // ablation encoder) and for tests.
+  Matrix to_dense(int g) const;
 
  private:
-  std::vector<Matrix> blocks_;
+  // Whether every stored (r, c, v) of every block has a stored (c, r) equal
+  // to v: the dense test b(r, c) == b(c, r), since an entry absent on both
+  // sides is a zero on both.
+  bool stored_symmetric() const;
+
   int n_ = 0;
+  int count_ = 0;
   bool symmetric_ = true;
-  std::vector<std::size_t> row_ptr_;  // count * n + 1 entries
-  std::vector<int> cols_;
-  std::vector<double> vals_;
+  detail::CsrArrays csr_;  // count * n rows
 };
 
-// Rows of a sparse matrix in CSR form: a GCN batch's observation features,
-// staged once (ActorCritic's staging) for the first layer's x W + b and its
-// weight gradient x^T delta (gcn_encoder). Each row keeps its entries that
-// are != 0.0 in ascending column order, so walking a row performs the dense
+// Rows of a sparse matrix in CSR form: an observation's node features, built
+// so by the observation encoder, and a GCN batch's features stacked from
+// them (ActorCritic's staging) for the first layer's x W + b and its weight
+// gradient x^T delta (gcn_encoder). Each row keeps its entries that are
+// != 0.0 in ascending column order, so walking a row performs the dense
 // chain minus its zero terms; -0.0 entries are dropped like +0.0 ones, as
 // the reference loops' zero-skip (x == 0.0) drops both.
 class CsrRows {
  public:
-  // The rows of `blocks`, each `cols` wide, stacked top to bottom.
+  // Rows from their CSR arrays, each `cols` wide: row_ptr holds rows + 1
+  // offsets from 0, and row r's columns col[t] (strictly ascending, in
+  // [0, cols)) and values val[t] (each != 0.0) sit at t in
+  // [row_ptr[r], row_ptr[r + 1]).
+  CsrRows(int cols, std::vector<std::size_t> row_ptr, std::vector<int> col,
+          std::vector<double> val);
+  // The rows of every part, stacked top to bottom; the parts must be equally
+  // wide.
+  explicit CsrRows(const std::vector<const CsrRows*>& parts);
+  // The rows of dense `blocks`, each `cols` wide, stacked top to bottom
+  // (tests and benchmarks).
   CsrRows(int cols, const std::vector<const Matrix*>& blocks);
 
-  int rows() const { return static_cast<int>(row_ptr_.size()) - 1; }
+  int rows() const { return static_cast<int>(csr_.rows()); }
   int cols() const { return cols_; }
+  // Entries stored over all rows.
+  std::size_t nnz() const { return csr_.vals.size(); }
   // Row r's entries: columns csr_cols()[t] and values csr_vals()[t] for t in
   // [row_begin(r), row_end(r)).
-  std::size_t row_begin(int r) const { return row_ptr_[static_cast<std::size_t>(r)]; }
-  std::size_t row_end(int r) const { return row_ptr_[static_cast<std::size_t>(r) + 1]; }
-  const int* csr_cols() const { return col_.data(); }
-  const double* csr_vals() const { return val_.data(); }
+  std::size_t row_begin(int r) const { return csr_.row_ptr[static_cast<std::size_t>(r)]; }
+  std::size_t row_end(int r) const { return csr_.row_ptr[static_cast<std::size_t>(r) + 1]; }
+  const int* csr_cols() const { return csr_.cols.data(); }
+  const double* csr_vals() const { return csr_.vals.data(); }
+
+  // The rows as a dense matrix, for consumers without a CSR path (the GAT
+  // ablation encoder) and for tests.
+  Matrix to_dense() const;
 
  private:
-  int cols_;
-  std::vector<std::size_t> row_ptr_;  // rows() + 1 entries
-  std::vector<int> col_;
-  std::vector<double> val_;
+  int cols_ = 0;
+  detail::CsrArrays csr_;
 };
 
 // Free-function kernels. All check shapes. The GEMM entry points (matmul,

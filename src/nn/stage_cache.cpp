@@ -5,48 +5,73 @@
 namespace nptsn {
 namespace {
 
-// FNV-1a over the block dimensions and raw double bit patterns. Bit patterns
-// (not values) so -0.0 / 0.0 and NaN payloads hash — and later compare —
-// exactly like the content-verification pass sees them.
-std::uint64_t content_hash(const std::vector<Matrix>& blocks) {
+// FNV-1a over the stacked form's shape and, part by part, its row lengths,
+// columns and raw value bit patterns: exactly the arrays the stacked
+// BlockAdjacency holds, with its row pointers as lengths so that no part's
+// offset enters. Bit patterns (not values), so NaN payloads hash — and
+// later compare — exactly like the verification pass sees them.
+std::uint64_t content_hash(const std::vector<const BlockAdjacency*>& parts) {
   std::uint64_t h = 1469598103934665603ull;
-  const auto absorb = [&h](std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (word >> (8 * i)) & 0xff;
+  const auto absorb = [&h](const void* bytes, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(bytes);
+    for (std::size_t i = 0; i < size; ++i) {
+      h ^= p[i];
       h *= 1099511628211ull;
     }
   };
-  absorb(blocks.size());
-  for (const Matrix& m : blocks) {
-    absorb(static_cast<std::uint64_t>(m.rows()));
-    absorb(static_cast<std::uint64_t>(m.cols()));
-    for (int i = 0; i < m.size(); ++i) {
-      std::uint64_t bits;
-      std::memcpy(&bits, m.data() + i, sizeof(bits));
-      absorb(bits);
+  std::uint64_t count = 0;
+  for (const BlockAdjacency* part : parts) count += static_cast<std::uint64_t>(part->count());
+  const auto n = static_cast<std::uint64_t>(parts.front()->block_size());
+  absorb(&count, sizeof(count));
+  absorb(&n, sizeof(n));
+  for (const BlockAdjacency* part : parts) {
+    for (int g = 0; g < part->count(); ++g) {
+      for (int r = 0; r < part->block_size(); ++r) {
+        const std::uint64_t length = part->row_end(g, r) - part->row_begin(g, r);
+        absorb(&length, sizeof(length));
+      }
     }
+    absorb(part->csr_cols(), part->nnz() * sizeof(int));
+    absorb(part->csr_vals(), part->nnz() * sizeof(double));
   }
   return h;
 }
 
-bool content_equal(const std::vector<Matrix>& blocks, const BlockAdjacency& staged) {
-  if (static_cast<std::size_t>(staged.count()) != blocks.size()) return false;
-  const std::vector<Matrix>& cached = staged.blocks();
-  for (std::size_t g = 0; g < blocks.size(); ++g) {
-    const Matrix& a = blocks[g];
-    const Matrix& b = cached[g];
-    if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-    if (std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) return false;
+// Whether `staged` holds exactly the parts' blocks, stacked in order.
+bool content_equal(const std::vector<const BlockAdjacency*>& parts,
+                   const BlockAdjacency& staged) {
+  int block = 0;
+  std::size_t base = 0;
+  for (const BlockAdjacency* part : parts) {
+    if (part->block_size() != staged.block_size() ||
+        block + part->count() > staged.count()) {
+      return false;
+    }
+    for (int g = 0; g < part->count(); ++g, ++block) {
+      for (int r = 0; r < part->block_size(); ++r) {
+        if (staged.row_end(block, r) - base != part->row_end(g, r)) return false;
+      }
+    }
+    const std::size_t nnz = part->nnz();
+    if (nnz > 0 &&
+        (std::memcmp(staged.csr_cols() + base, part->csr_cols(), nnz * sizeof(int)) != 0 ||
+         std::memcmp(staged.csr_vals() + base, part->csr_vals(), nnz * sizeof(double)) != 0)) {
+      return false;
+    }
+    base += nnz;
   }
-  return true;
+  return block == staged.count();
 }
 
-// Estimated resident bytes of a staged form: the dense blocks plus a CSR
-// index bounded by one (col, val, row_ptr) triple per dense entry.
+// The byte budget's charge for a staged form: one (column, value) pair per
+// dense entry of its blocks plus its row pointers. It bounds the stored CSR
+// rather than measuring it, so the budget admits few enough batches to keep
+// a stream's resident memory down (charging the stored bytes let the default
+// budget pin about 6 MB more).
 std::size_t staged_cost(const BlockAdjacency& staged) {
   const std::size_t n = static_cast<std::size_t>(staged.block_size());
   const std::size_t dense = static_cast<std::size_t>(staged.count()) * n * n;
-  return dense * sizeof(double) + dense * (sizeof(int) + sizeof(double)) +
+  return dense * (sizeof(int) + sizeof(double)) +
          (static_cast<std::size_t>(staged.count()) * n + 1) * sizeof(std::size_t);
 }
 
@@ -55,19 +80,20 @@ std::size_t staged_cost(const BlockAdjacency& staged) {
 AdjacencyStageCache::AdjacencyStageCache(std::size_t max_bytes) : store_(max_bytes) {}
 
 std::shared_ptr<const BlockAdjacency> AdjacencyStageCache::stage(
-    std::vector<Matrix> blocks) {
-  const std::uint64_t key = content_hash(blocks);
+    const std::vector<const BlockAdjacency*>& parts) {
+  NPTSN_EXPECT(!parts.empty(), "stage needs at least one part");
+  const std::uint64_t key = content_hash(parts);
   {
     std::lock_guard lock(mutex_);
     if (const auto* hit = store_.get(key)) {
-      if (content_equal(blocks, **hit)) return *hit;
+      if (content_equal(parts, **hit)) return *hit;
       ++collisions_;  // different content behind the same hash: miss
     }
   }
-  // Stage outside the lock — the expensive part — then admit. On a racing
-  // double-stage of the same content, last-writer-wins; both results are
-  // content-identical, so either serves every later probe correctly.
-  auto staged = std::make_shared<const BlockAdjacency>(std::move(blocks));
+  // Stage outside the lock, then admit. On a racing double-stage of the same
+  // content, last-writer-wins; both results are content-identical, so
+  // either serves every later probe correctly.
+  auto staged = std::make_shared<const BlockAdjacency>(parts);
   std::lock_guard lock(mutex_);
   store_.put(key, staged, staged_cost(*staged));
   return staged;

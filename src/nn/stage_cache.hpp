@@ -1,25 +1,27 @@
 // Cross-session cache of staged BlockAdjacency forms (DESIGN.md §13).
 //
-// Staging a batch adjacency (dense block copies + the CSR index the blocked
-// GCN propagation reads) is pure preprocessing: the staged form is a
-// deterministic function of the block contents alone. Within one PPO update
-// ActorCritic::stage_batch already stages once and reuses across head
-// iterations; this cache extends the reuse across updates and across
-// SESSIONS — a planner service replaying a previously seen problem walks the
-// same topology prefixes and re-stages byte-identical adjacency batches
-// every epoch.
+// Staging a batch adjacency (stacking the observations' CSR A-hat blocks
+// into the one index the blocked GCN propagation reads) is pure
+// preprocessing: the staged form is a deterministic function of the parts'
+// CSR arrays alone. Within one PPO update ActorCritic::stage_batch already
+// stages once and reuses across head iterations; this cache extends the
+// reuse across updates and across SESSIONS — a planner service replaying a
+// previously seen problem walks the same topology prefixes and re-stages
+// identical adjacency batches every epoch.
 //
-// Exactness: a probe hashes the block contents, then VERIFIES a hit by
-// comparing every dimension and every double bit pattern against the cached
-// object's own dense blocks before handing it out. A verified-equal staged
-// form is indistinguishable from a fresh one (the CSR index is a
-// deterministic function of the blocks), so batched forwards stay
-// bit-identical with the cache on or off. Hash collisions with different
-// content are counted and treated as misses.
+// Exactness: a probe hashes the parts' CSR arrays in stacking order (row
+// lengths, columns and value bit patterns), then VERIFIES a hit by comparing
+// them with the cached stacked form's arrays before handing it out. A
+// verified-equal staged form is indistinguishable from a fresh one (the
+// stacked arrays are a deterministic function of the parts' arrays), so
+// batched forwards stay bit-identical with the cache on or off. Hash
+// collisions with different content are counted and treated as misses.
 //
 // Thread-safe (one mutex — staging hits are rare enough per second that
-// sharding would buy nothing) and bounded by a byte budget over the staged
-// forms' estimated resident size. Derived state: never checkpointed.
+// sharding would buy nothing) and bounded by a byte budget charged per
+// staged form as one (column, value) pair per dense entry of its blocks plus
+// its row pointers: a bound on the CSR it stores, not its size. Derived
+// state: never checkpointed.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +38,11 @@ class AdjacencyStageCache {
  public:
   explicit AdjacencyStageCache(std::size_t max_bytes = std::size_t{64} << 20);
 
-  // Returns the staged form of `blocks`: a verified cache hit, or a freshly
-  // staged (and admitted) BlockAdjacency. The returned object is immutable
-  // and shared — callers keep it alive independently of eviction.
-  std::shared_ptr<const BlockAdjacency> stage(std::vector<Matrix> blocks);
+  // Returns the parts' blocks stacked into one BlockAdjacency: a verified
+  // cache hit, or a freshly stacked (and admitted) one. The returned object
+  // is immutable and shared — callers keep it alive independently of
+  // eviction.
+  std::shared_ptr<const BlockAdjacency> stage(const std::vector<const BlockAdjacency*>& parts);
 
   struct Stats {
     std::uint64_t hits = 0;

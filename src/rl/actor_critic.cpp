@@ -51,10 +51,11 @@ ActorCritic::ActorCritic(const Config& config, Rng& rng)
               config_.critic_hidden, 1, rng) {}
 
 Tensor ActorCritic::encode(const Observation& obs) const {
-  // The attention neighborhood is A_hat's sparsity pattern (self loops are
-  // already part of the normalized adjacency).
-  Tensor h = Tensor::constant(obs.features);
-  for (const auto& layer : gat_) h = layer.forward(obs.a_hat, h);
+  // GAT reads dense inputs. The attention neighborhood is A_hat's sparsity
+  // pattern (self loops are already part of the normalized adjacency).
+  const Matrix neighborhood = obs.a_hat->to_dense(0);
+  Tensor h = Tensor::constant(obs.features->to_dense());
+  for (const auto& layer : gat_) h = layer.forward(neighborhood, h);
   Tensor embedding = mean_rows(h);
   if (config_.param_dim == 0) return embedding;
   return concat_cols(embedding, Tensor::constant(obs.params));
@@ -70,9 +71,10 @@ ActorCritic::ObservationBatch ActorCritic::stage(const std::vector<const Observa
   NPTSN_EXPECT(!obs.empty(), "stage_batch needs at least one observation");
   const int n = config_.num_nodes;
   for (const Observation* o : obs) {
-    NPTSN_EXPECT(o->features.rows() == n && o->features.cols() == config_.feature_dim,
+    NPTSN_EXPECT(o->features && o->features->rows() == n &&
+                     o->features->cols() == config_.feature_dim,
                  "observation feature shape mismatch");
-    NPTSN_EXPECT(o->a_hat.rows() == n && o->a_hat.cols() == n,
+    NPTSN_EXPECT(o->a_hat && o->a_hat->count() == 1 && o->a_hat->block_size() == n,
                  "observation adjacency shape mismatch");
     NPTSN_EXPECT(o->params.rows() == 1 && o->params.cols() == config_.param_dim,
                  "observation parameter shape mismatch");
@@ -83,20 +85,26 @@ ActorCritic::ObservationBatch ActorCritic::stage(const std::vector<const Observa
   if (!gat_.empty()) return staged;  // per-observation fallback stages nothing
 
   const int batch = staged.batch;
-  // The B graphs' features stacked as CSR rows, plus the per-graph
-  // adjacencies (with their CSR index) the block propagation needs.
-  std::vector<const Matrix*> features;
-  std::vector<Matrix> a_hats;
-  features.reserve(obs.size());
-  if (!gcn_.empty()) a_hats.reserve(obs.size());
-  for (const Observation* o : obs) {
-    features.push_back(&o->features);
-    if (!gcn_.empty()) a_hats.push_back(o->a_hat);
+  // The observations' CSR features and adjacencies: a batch of one shares
+  // them, a larger batch stacks their arrays.
+  if (batch == 1) {
+    staged.features = obs.front()->features;
+  } else {
+    std::vector<const CsrRows*> features;
+    features.reserve(obs.size());
+    for (const Observation* o : obs) features.push_back(o->features.get());
+    staged.features = std::make_shared<const CsrRows>(features);
   }
-  staged.features = std::make_shared<const CsrRows>(config_.feature_dim, features);
   if (!gcn_.empty()) {
-    staged.a_hats = cache ? cache->stage(std::move(a_hats))
-                          : std::make_shared<const BlockAdjacency>(std::move(a_hats));
+    if (batch == 1 && cache == nullptr) {
+      staged.a_hats = obs.front()->a_hat;
+    } else {
+      std::vector<const BlockAdjacency*> a_hats;
+      a_hats.reserve(obs.size());
+      for (const Observation* o : obs) a_hats.push_back(o->a_hat.get());
+      staged.a_hats = cache ? cache->stage(a_hats)
+                            : std::make_shared<const BlockAdjacency>(a_hats);
+    }
   }
   if (config_.param_dim > 0) {
     Matrix params(batch, config_.param_dim);

@@ -38,19 +38,23 @@ class ActorCritic {
     Tensor value;   // 1 x 1
   };
   // One observation through both heads: every rollout step and the
-  // epoch-cut bootstrap. It stages a batch of one and runs the same encoder
-  // node as the PPO update's batched forwards, so its outputs are the
-  // update's rows bit for bit. The stage cache is never consulted here: a
-  // per-step admission would fill it with single-use forms.
+  // epoch-cut bootstrap. It runs the observation's own CSR features and
+  // A_hat (a batch of one shares them, so nothing is staged but the
+  // parameter row) through the same encoder node as the PPO update's
+  // batched forwards, so its outputs are the update's rows bit for bit. The
+  // stage cache is never consulted here: a per-step admission would fill it
+  // with single-use forms.
   Output forward(const Observation& obs) const;
 
   // Everything weight-independent about a batch of observations, staged
-  // once: the stacked features as CSR rows, the stacked parameter rows, and
-  // the adjacency batch with its CSR index. One PPO update forwards the same
-  // observations through the heads dozens of times while only the weights
-  // change — stage once per update, reuse across every iteration of both
-  // head loops. The source observations must outlive the staged batch (the
-  // GAT fallback reads through the retained pointers).
+  // once: the features as CSR rows, the stacked parameter rows, and the
+  // adjacency batch. A batch of one shares its observation's CSR objects; a
+  // larger batch stacks the observations' CSR arrays, row pointers rebased,
+  // so no dense matrix is copied or scanned. One PPO update forwards the
+  // same observations through the heads dozens of times while only the
+  // weights change — stage once per update, reuse across every iteration of
+  // both head loops. The source observations must outlive the staged batch
+  // (the GAT fallback reads through the retained pointers).
   // params is staged as a constant Tensor (safe to reuse across tapes:
   // constants receive no gradient and hold no traversal state), and the
   // features and adjacencies are shared read-only, so a reuse copies
@@ -59,16 +63,17 @@ class ActorCritic {
     int batch = 0;
     std::shared_ptr<const CsrRows> features;       // (B n) x F; null for GAT
     Tensor params;                                 // constant, B x P (undefined when P == 0)
-    std::shared_ptr<const BlockAdjacency> a_hats;  // null unless GCN layers exist
+    std::shared_ptr<const BlockAdjacency> a_hats;  // B blocks; null unless GCN layers exist
     std::vector<const Observation*> observations;  // per-observation fallback path
   };
   ObservationBatch stage_batch(const std::vector<const Observation*>& obs) const;
 
-  // Optional cross-session reuse of staged adjacency forms (nn/stage_cache):
-  // when installed, stage_batch serves content-verified hits from the cache
-  // instead of rebuilding dense blocks + CSR per batch. Exact (bit-identical
-  // forwards with the cache on or off); null uninstalls. forward(obs) stages
-  // past it.
+  // Optional cross-session reuse of staged adjacency batches
+  // (nn/stage_cache): when installed, stage_batch hands the observations'
+  // A_hat blocks to the cache, which serves a content-verified hit instead
+  // of stacking them again (at any batch size, one included). Exact
+  // (bit-identical forwards with the cache on or off); null uninstalls.
+  // forward(obs) stages past it.
   void set_stage_cache(std::shared_ptr<AdjacencyStageCache> cache) {
     stage_cache_ = std::move(cache);
   }

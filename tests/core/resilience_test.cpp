@@ -85,9 +85,11 @@ TEST(PlanningEnvSnapshot, RoundTripReproducesActionSpaceAndStream) {
   EXPECT_EQ(restored.nbf_calls(), original.nbf_calls());
   const auto obs_a = original.observe();
   const auto obs_b = restored.observe();
-  ASSERT_TRUE(obs_b.features.same_shape(obs_a.features));
-  for (int i = 0; i < obs_a.features.size(); ++i) {
-    EXPECT_DOUBLE_EQ(obs_b.features.data()[i], obs_a.features.data()[i]);
+  const Matrix features_a = obs_a.features->to_dense();
+  const Matrix features_b = obs_b.features->to_dense();
+  ASSERT_TRUE(features_b.same_shape(features_a));
+  for (int i = 0; i < features_a.size(); ++i) {
+    EXPECT_DOUBLE_EQ(features_b.data()[i], features_a.data()[i]);
   }
 
   // The restored env must continue bit-identically: same actions, same

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "nn/layers.hpp"
+#include "testing/dense_observation.hpp"
 #include "util/rng.hpp"
 
 namespace nptsn {
@@ -276,7 +277,7 @@ TEST(AutogradGradCheck, GcnEncoder) {
         if (rng.uniform() < 0.4) adjacency.at(i, j) = adjacency.at(j, i) = 1.0;
       }
     }
-    a_hats.push_back(normalized_adjacency(adjacency));
+    a_hats.push_back(testing::normalized_adjacency(adjacency));
   }
   const auto adj = std::make_shared<const BlockAdjacency>(std::move(a_hats));
   const Matrix x = random_matrix(kGraphs * kNodes, 3, rng);

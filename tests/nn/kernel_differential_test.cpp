@@ -987,12 +987,13 @@ Matrix oracle_affine(const Matrix& a, const Matrix& b, const Matrix* bias, Epilo
   return out;
 }
 
-// propagate_reference (out = A_g src over the dense block), then the
-// epilogue pass the reference layer applied to it.
-Matrix oracle_propagate(const BlockAdjacency& adj, int g, const Matrix& src, Epilogue act) {
-  const int n = adj.block_size();
+// The reference propagate as it was over dense blocks (out = A_g src by the
+// zero-skipping i-k-j loop, which skips +0.0 and -0.0 entries alike), then
+// the epilogue pass the reference layer applied to it.
+Matrix oracle_propagate(const Matrix& block, const Matrix& src, Epilogue act) {
+  const int n = block.rows();
   const int cols = src.cols();
-  const double* pa = adj.blocks()[static_cast<std::size_t>(g)].data();
+  const double* pa = block.data();
   Matrix out(n, cols);
   for (int i = 0; i < n; ++i) {
     double* orow = out.data() + static_cast<std::size_t>(i) * cols;
@@ -1079,13 +1080,17 @@ TEST(KernelDifferential, ReferenceFamilyKeepsItsNonFiniteSemantics) {
     Matrix resumed_csr = start;
     reference.matmul_tn_resume_csr(csr(a_tn), 0, s.k, b.data(), s.n, resumed_csr.data());
     expect_same_bytes(resumed_csr, resumed_want, "matmul_tn_resume_csr" + shape);
-    const BlockAdjacency adj({special(s.m, s.m), special(s.m, s.m)});
+    // propagate walks the CSR of the blocks, which drops their -0.0 and
+    // +0.0 entries and keeps NaN and the infinities.
+    const std::vector<Matrix> blocks = {special(s.m, s.m), special(s.m, s.m)};
+    const BlockAdjacency adj(blocks);
     const Matrix src = special(s.m, s.n);
     for (int g = 0; g < adj.count(); ++g) {
       for (const Epilogue act : acts) {
         Matrix out(s.m, s.n);
         reference.propagate(adj, g, src.data(), s.n, act, out.data());
-        expect_same_bytes(out, oracle_propagate(adj, g, src, act), "propagate" + shape);
+        expect_same_bytes(out, oracle_propagate(blocks[static_cast<std::size_t>(g)], src, act),
+                          "propagate" + shape);
       }
     }
   }

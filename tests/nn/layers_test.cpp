@@ -61,34 +61,6 @@ TEST(Linear, InitializationBoundedAndNonDegenerate) {
   EXPECT_DOUBLE_EQ(params[1].value().max_abs(), 0.0);  // zero bias init
 }
 
-TEST(NormalizedAdjacency, SelfLoopsAndSymmetricNormalization) {
-  // Path graph 0-1-2.
-  Matrix a(3, 3);
-  a.at(0, 1) = a.at(1, 0) = 1.0;
-  a.at(1, 2) = a.at(2, 1) = 1.0;
-  const Matrix n = normalized_adjacency(a);
-  // Degrees with self loops: d0 = 2, d1 = 3, d2 = 2.
-  EXPECT_NEAR(n.at(0, 0), 1.0 / 2.0, 1e-12);
-  EXPECT_NEAR(n.at(1, 1), 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR(n.at(0, 1), 1.0 / std::sqrt(6.0), 1e-12);
-  EXPECT_NEAR(n.at(0, 1), n.at(1, 0), 1e-15);  // symmetric
-  EXPECT_DOUBLE_EQ(n.at(0, 2), 0.0);            // no edge
-}
-
-TEST(NormalizedAdjacency, IsolatedNodeBecomesSelfLoopOne) {
-  const Matrix n = normalized_adjacency(Matrix(2, 2));
-  EXPECT_DOUBLE_EQ(n.at(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(n.at(1, 1), 1.0);
-  EXPECT_DOUBLE_EQ(n.at(0, 1), 0.0);
-}
-
-TEST(NormalizedAdjacency, RejectsBadInput) {
-  EXPECT_THROW(normalized_adjacency(Matrix(2, 3)), std::invalid_argument);
-  Matrix weighted(2, 2);
-  weighted.at(0, 1) = weighted.at(1, 0) = 2.0;
-  EXPECT_THROW(normalized_adjacency(weighted), std::invalid_argument);
-}
-
 TEST(GatLayer, ShapesAndNonNegativity) {
   Rng rng(20);
   GatLayer layer(3, 4, rng);

@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "core/environment.hpp"
+#include "core/observation_encoder.hpp"
 #include "nn/layers.hpp"
 #include "nn/stage_cache.hpp"
+#include "scenarios/orion.hpp"
+#include "scenarios/scenario.hpp"
+#include "testing/dense_observation.hpp"
 #include "testing/orion_batch.hpp"
+#include "tsn/recovery.hpp"
 
 namespace nptsn {
 namespace {
@@ -26,16 +33,14 @@ ActorCritic::Config small_config() {
   return c;
 }
 
+Matrix small_a_hat() {
+  Matrix a(3, 3);
+  a.at(0, 1) = a.at(1, 0) = 1.0;
+  return testing::normalized_adjacency(a);
+}
+
 Observation small_obs() {
-  Observation obs;
-  obs.a_hat = normalized_adjacency([] {
-    Matrix a(3, 3);
-    a.at(0, 1) = a.at(1, 0) = 1.0;
-    return a;
-  }());
-  obs.features = Matrix(3, 4, 0.5);
-  obs.params = Matrix(1, 2, 0.1);
-  return obs;
+  return testing::observation_of(small_a_hat(), Matrix(3, 4, 0.5), Matrix(1, 2, 0.1));
 }
 
 TEST(ActorCritic, ForwardShapes) {
@@ -171,15 +176,60 @@ TEST(ActorCritic, CopyParametersProducesIdenticalOutputs) {
 TEST(ActorCritic, ObservationShapeValidated) {
   Rng rng(9);
   ActorCritic net(small_config(), rng);
+  const Matrix features(3, 4, 0.5);
+  const Matrix params(1, 2, 0.1);
+  // Wrong feature width, then too few feature rows.
+  EXPECT_THROW(net.forward(testing::observation_of(small_a_hat(), Matrix(3, 5), params)),
+               std::invalid_argument);
+  EXPECT_THROW(net.forward(testing::observation_of(small_a_hat(), Matrix(2, 4), params)),
+               std::invalid_argument);
+  // An adjacency of the wrong size, then two blocks where one belongs.
+  EXPECT_THROW(net.forward(testing::observation_of(Matrix(2, 2, 1.0), features, params)),
+               std::invalid_argument);
   auto obs = small_obs();
-  obs.features = Matrix(3, 5);  // wrong feature dim
+  obs.a_hat =
+      std::make_shared<const BlockAdjacency>(std::vector<Matrix>{small_a_hat(), small_a_hat()});
+  EXPECT_THROW(net.forward(obs), std::invalid_argument);
+  // Missing forms, then the wrong parameter width.
+  obs = small_obs();
+  obs.a_hat = nullptr;
   EXPECT_THROW(net.forward(obs), std::invalid_argument);
   obs = small_obs();
-  obs.a_hat = Matrix(2, 2);
+  obs.features = nullptr;
   EXPECT_THROW(net.forward(obs), std::invalid_argument);
-  obs = small_obs();
-  obs.params = Matrix(1, 3);
-  EXPECT_THROW(net.forward(obs), std::invalid_argument);
+  EXPECT_THROW(net.forward(testing::observation_of(small_a_hat(), features, Matrix(1, 3))),
+               std::invalid_argument);
+}
+
+// A batch of one is its observation: staging shares the encoder's CSR
+// objects, so a rollout forward builds no feature rows or adjacency.
+TEST(ActorCritic, BatchOfOneSharesTheObservationsCsr) {
+  Rng rng(15);
+  const ActorCritic net(small_config(), rng);
+  const Observation obs = small_obs();
+  const ActorCritic::ObservationBatch staged = net.stage_batch({&obs});
+  EXPECT_EQ(staged.features.get(), obs.features.get());
+  EXPECT_EQ(staged.a_hats.get(), obs.a_hat.get());
+}
+
+// A block built from CSR arrays checks its own symmetry. The encoder's
+// backward needs A_hat^T = A_hat, so a batch holding an asymmetric part
+// stages (its symmetric() is the AND of the parts') and is refused.
+TEST(ActorCritic, AsymmetricAdjacencyPartIsRefused) {
+  Rng rng(16);
+  const ActorCritic net(small_config(), rng);
+  Observation skewed = small_obs();
+  // Row 0 holds (0, 1), row 1 only (1, 1): entry (0, 1) has no mirror.
+  skewed.a_hat = std::make_shared<const BlockAdjacency>(
+      3, std::vector<std::size_t>{0, 2, 3, 4}, std::vector<int>{0, 1, 1, 2},
+      std::vector<double>{0.5, 0.25, 1.0, 1.0});
+  EXPECT_FALSE(skewed.a_hat->symmetric());
+  EXPECT_TRUE(small_obs().a_hat->symmetric());
+  const Observation plain = small_obs();
+  const ActorCritic::ObservationBatch staged = net.stage_batch({&plain, &skewed});
+  EXPECT_FALSE(staged.a_hats->symmetric());
+  EXPECT_THROW(net.forward_logits_batch(staged), std::invalid_argument);
+  EXPECT_THROW(net.forward(skewed), std::invalid_argument);
 }
 
 TEST(ActorCritic, ConfigValidated) {
@@ -225,9 +275,9 @@ TEST(ActorCritic, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(a.forward(obs).value.item(), b.forward(obs).value.item());
 }
 
-// Staging keeps each observation's features as CSR rows in batch order: a
-// graph's rows rebuild its feature matrix, and every stored entry is a
-// nonzero in ascending columns. The GAT encoder stages no features.
+// Staging stacks the observations' own CSR feature rows in batch order:
+// graph b's rows of the batch are observation b's rows, entry for entry
+// (columns and value bits). The GAT encoder stages no features.
 TEST(ActorCritic, StagedFeaturesRoundTripEveryObservation) {
   const testing::OrionBatch orion = testing::orion_batch(32, 3);
   std::vector<const Observation*> obs;
@@ -238,25 +288,21 @@ TEST(ActorCritic, StagedFeaturesRoundTripEveryObservation) {
   ASSERT_NE(staged.features, nullptr);
   const CsrRows& rows = *staged.features;
   const int n = orion.net_config.num_nodes;
-  const int f = orion.net_config.feature_dim;
   ASSERT_EQ(rows.rows(), static_cast<int>(obs.size()) * n);
-  ASSERT_EQ(rows.cols(), f);
+  ASSERT_EQ(rows.cols(), orion.net_config.feature_dim);
   for (std::size_t b = 0; b < obs.size(); ++b) {
-    Matrix rebuilt(n, f);
+    const CsrRows& own = *obs[b]->features;
     for (int i = 0; i < n; ++i) {
       const int r = static_cast<int>(b) * n + i;
-      int prev_col = -1;
-      for (std::size_t t = rows.row_begin(r); t < rows.row_end(r); ++t) {
-        const int c = rows.csr_cols()[t];
-        EXPECT_GT(c, prev_col);
-        EXPECT_NE(rows.csr_vals()[t], 0.0);
-        prev_col = c;
-        rebuilt.at(i, c) = rows.csr_vals()[t];
+      ASSERT_EQ(rows.row_end(r) - rows.row_begin(r), own.row_end(i) - own.row_begin(i))
+          << "observation " << b << ", row " << i;
+      for (std::size_t t = 0; t < own.row_end(i) - own.row_begin(i); ++t) {
+        EXPECT_EQ(rows.csr_cols()[rows.row_begin(r) + t], own.csr_cols()[own.row_begin(i) + t]);
+        EXPECT_EQ(std::memcmp(rows.csr_vals() + rows.row_begin(r) + t,
+                              own.csr_vals() + own.row_begin(i) + t, sizeof(double)),
+                  0)
+            << "observation " << b << ", row " << i << ", entry " << t;
       }
-    }
-    const Matrix& features = obs[b]->features;
-    for (int e = 0; e < features.size(); ++e) {
-      EXPECT_EQ(rebuilt.data()[e], features.data()[e]) << "observation " << b << ", entry " << e;
     }
   }
 
@@ -264,6 +310,59 @@ TEST(ActorCritic, StagedFeaturesRoundTripEveryObservation) {
   gat.encoder = GraphEncoder::kGat;
   Rng gat_rng(5);
   EXPECT_EQ(ActorCritic(gat, gat_rng).stage_batch(obs).features, nullptr);
+}
+
+// Staging B encoder observations equals, field by field, the dense-scan
+// constructors over the dense oracle's matrices of the same states: row
+// pointers, columns, value bits and symmetric().
+TEST(ActorCritic, StagedBatchEqualsTheDenseScanOfTheOracle) {
+  const Scenario orion = make_orion();
+  Rng flow_rng(2023);
+  const PlanningProblem problem = with_flows(orion, random_flows(orion.problem, 4, flow_rng));
+  NptsnConfig config;
+  config.path_actions = 8;
+  const HeuristicRecovery nbf;
+  SolutionRecorder recorder;
+  PlanningEnv env(problem, nbf, config, recorder, Rng(17));
+  std::vector<Observation> observations;
+  std::vector<testing::DenseEncoding> dense;
+  Rng rng(23);
+  env.reset();
+  while (observations.size() < 24) {
+    std::vector<int> allowed;
+    for (std::size_t a = 0; a < env.action_mask().size(); ++a) {
+      if (env.action_mask()[a] != 0) allowed.push_back(static_cast<int>(a));
+    }
+    if (allowed.empty()) {
+      env.reset();
+      continue;
+    }
+    observations.push_back(env.observe());
+    dense.push_back(
+        testing::dense_encoding(problem, config.path_actions, env.topology(), env.action_space()));
+    if (env.step(rng.pick(allowed)).episode_end) env.reset();
+  }
+
+  const ObservationEncoder encoder(problem, config.path_actions);
+  ActorCritic::Config net_config = small_config();
+  net_config.num_nodes = problem.num_nodes();
+  net_config.feature_dim = encoder.feature_dim();
+  net_config.param_dim = encoder.param_dim();
+  Rng net_rng(4);
+  const ActorCritic net(net_config, net_rng);
+  std::vector<const Observation*> ptrs;
+  std::vector<Matrix> a_hats;
+  std::vector<const Matrix*> features;
+  for (std::size_t b = 0; b < observations.size(); ++b) {
+    ptrs.push_back(&observations[b]);
+    a_hats.push_back(dense[b].a_hat);
+    features.push_back(&dense[b].features);
+  }
+  const ActorCritic::ObservationBatch staged = net.stage_batch(ptrs);
+  EXPECT_EQ(testing::csr_difference(*staged.a_hats, BlockAdjacency(a_hats)), "");
+  EXPECT_EQ(testing::csr_difference(*staged.features, CsrRows(encoder.feature_dim(), features)),
+            "");
+  EXPECT_TRUE(staged.a_hats->symmetric());
 }
 
 // PPO's importance ratios divide the update's batched log-probabilities by

@@ -11,6 +11,7 @@
 #include <optional>
 
 #include "rl/distribution.hpp"
+#include "testing/dense_observation.hpp"
 #include "testing/orion_batch.hpp"
 
 namespace nptsn {
@@ -31,11 +32,7 @@ ActorCritic::Config bandit_config() {
 }
 
 Observation bandit_obs() {
-  Observation obs;
-  obs.a_hat = Matrix(1, 1, 1.0);
-  obs.features = Matrix(1, 1, 1.0);
-  obs.params = Matrix(1, 0);
-  return obs;
+  return testing::observation_of(Matrix(1, 1, 1.0), Matrix(1, 1, 1.0), Matrix(1, 0));
 }
 
 // Builds a batch where `good_action` carries positive advantage and the

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -189,27 +190,38 @@ TEST(EngineSharedCacheStress, ConcurrentPublishLookupIsRaceFree) {
 
 // --- AdjacencyStageCache ----------------------------------------------------
 
-std::vector<Matrix> make_blocks(double seed, int count = 2, int dim = 4) {
-  std::vector<Matrix> blocks;
-  for (int b = 0; b < count; ++b) {
-    Matrix block(dim, dim);
-    for (int r = 0; r < dim; ++r) {
-      for (int c = 0; c < dim; ++c) {
-        block.at(r, c) = seed + b * 100.0 + r * 10.0 + c;
-      }
+// The A_hat parts of two observations, as the encoder emits them (one CSR
+// block each): a 4-node path whose end nodes carry self loops of weight
+// `seed`, so different seeds give different content.
+std::vector<std::shared_ptr<const BlockAdjacency>> make_parts(double seed) {
+  std::vector<std::shared_ptr<const BlockAdjacency>> parts;
+  for (int b = 0; b < 2; ++b) {
+    Matrix block(4, 4);
+    for (int r = 0; r < 4; ++r) {
+      block.at(r, r) = r == 0 || r == 3 ? seed + b * 100.0 : 0.5;
+      if (r + 1 < 4) block.at(r, r + 1) = block.at(r + 1, r) = 0.25;
     }
-    blocks.push_back(std::move(block));
+    parts.push_back(std::make_shared<const BlockAdjacency>(std::vector<Matrix>{block}));
   }
-  return blocks;
+  return parts;
+}
+
+std::vector<const BlockAdjacency*> raw(
+    const std::vector<std::shared_ptr<const BlockAdjacency>>& parts) {
+  std::vector<const BlockAdjacency*> out;
+  for (const auto& part : parts) out.push_back(part.get());
+  return out;
 }
 
 TEST(AdjacencyStageCache, IdenticalBlocksHitAndShareTheStagedForm) {
   AdjacencyStageCache cache;
-  const auto first = cache.stage(make_blocks(1.0));
-  const auto second = cache.stage(make_blocks(1.0));
+  // Equal content in distinct part objects, as two sessions encode it.
+  const auto first = cache.stage(raw(make_parts(1.0)));
+  const auto second = cache.stage(raw(make_parts(1.0)));
   ASSERT_NE(first, nullptr);
   // A verified hit hands back the SAME staged object.
   EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(first->count(), 2);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -218,37 +230,48 @@ TEST(AdjacencyStageCache, IdenticalBlocksHitAndShareTheStagedForm) {
 
 TEST(AdjacencyStageCache, DifferentContentMisses) {
   AdjacencyStageCache cache;
-  const auto first = cache.stage(make_blocks(1.0));
-  const auto second = cache.stage(make_blocks(2.0));
+  const auto parts = make_parts(1.0);
+  const auto first = cache.stage(raw(parts));
+  const auto second = cache.stage(raw(make_parts(2.0)));
+  // The same parts in another order, and one part alone, are other batches.
+  const auto swapped = cache.stage({parts[1].get(), parts[0].get()});
+  const auto single = cache.stage({parts[0].get()});
   EXPECT_NE(first.get(), second.get());
+  EXPECT_NE(first.get(), swapped.get());
+  EXPECT_EQ(single->count(), 1);
   EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().misses, 4u);
 }
 
 TEST(AdjacencyStageCache, EvictionKeepsHandedOutFormsAlive) {
   // A budget small enough that a few staged forms evict each other.
   AdjacencyStageCache cache(/*max_bytes=*/2048);
-  const auto keeper = cache.stage(make_blocks(0.0));
-  for (int i = 1; i < 32; ++i) cache.stage(make_blocks(static_cast<double>(i)));
+  const auto keeper = cache.stage(raw(make_parts(0.0)));
+  const std::size_t stored = keeper->nnz();
+  for (int i = 1; i < 32; ++i) cache.stage(raw(make_parts(static_cast<double>(i))));
   const auto stats = cache.stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.bytes, 2048u);
   // The evicted-but-retained staged form is still fully usable.
   ASSERT_NE(keeper, nullptr);
-  EXPECT_GT(keeper->blocks().size(), 0u);
+  EXPECT_EQ(keeper->count(), 2);
+  EXPECT_EQ(keeper->nnz(), stored);
+  EXPECT_EQ(keeper->csr_vals()[keeper->row_begin(1, 0)], 100.0);
 }
 
 TEST(AdjacencyStageCacheStress, ConcurrentStagingIsRaceFree) {
   AdjacencyStageCache cache;
+  // 8 overlapping contents across all threads, encoded once up front.
+  std::vector<std::vector<std::shared_ptr<const BlockAdjacency>>> contents;
+  for (int c = 0; c < 8; ++c) contents.push_back(make_parts(static_cast<double>(c)));
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache] {
+    threads.emplace_back([&cache, &contents] {
       for (int i = 0; i < 100; ++i) {
-        // 8 overlapping contents across all threads.
-        const auto staged = cache.stage(make_blocks(static_cast<double>(i % 8)));
+        const auto staged = cache.stage(raw(contents[static_cast<std::size_t>(i % 8)]));
         ASSERT_NE(staged, nullptr);
-        ASSERT_EQ(staged->blocks().size(), 2u);
+        ASSERT_EQ(staged->count(), 2);
       }
     });
   }

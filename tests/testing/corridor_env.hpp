@@ -11,6 +11,7 @@
 
 #include "rl/env.hpp"
 #include "rl/trainer.hpp"
+#include "testing/dense_observation.hpp"
 
 namespace nptsn::testing {
 
@@ -67,11 +68,11 @@ class CorridorEnv final : public Environment {
 
  private:
   void rebuild() {
-    obs_.a_hat = Matrix(kGoal + 1, kGoal + 1);
-    for (int i = 0; i <= kGoal; ++i) obs_.a_hat.at(i, i) = 1.0;
-    obs_.features = Matrix(kGoal + 1, 1);
-    obs_.features.at(position_, 0) = 1.0;
-    obs_.params = Matrix(1, 0);
+    Matrix a_hat(kGoal + 1, kGoal + 1);
+    for (int i = 0; i <= kGoal; ++i) a_hat.at(i, i) = 1.0;
+    Matrix features(kGoal + 1, 1);
+    features.at(position_, 0) = 1.0;
+    obs_ = observation_of(a_hat, features, Matrix(1, 0));
   }
 
   int position_ = 0;
