@@ -48,15 +48,9 @@ void SolutionRecorder::restore(std::optional<Topology> best, std::int64_t found)
 
 void SolutionRecorder::record_rejection(std::string summary) {
   std::lock_guard lock(mutex_);
-  ++rejected_;
   if (rejection_summaries_.size() < 8) {
     rejection_summaries_.push_back(std::move(summary));
   }
-}
-
-std::int64_t SolutionRecorder::audits_rejected() const {
-  std::lock_guard lock(mutex_);
-  return rejected_;
 }
 
 std::vector<std::string> SolutionRecorder::rejection_summaries() const {

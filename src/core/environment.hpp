@@ -38,7 +38,6 @@ class SolutionRecorder {
   // are kept for PlanningResult diagnostics. Derived diagnostic state only —
   // deliberately not checkpointed.
   void record_rejection(std::string summary);
-  std::int64_t audits_rejected() const;
   std::vector<std::string> rejection_summaries() const;
 
  private:
@@ -46,7 +45,6 @@ class SolutionRecorder {
   std::optional<Topology> best_;
   double best_cost_ = 0.0;
   std::int64_t found_ = 0;
-  std::int64_t rejected_ = 0;
   std::vector<std::string> rejection_summaries_;
 };
 

@@ -67,7 +67,7 @@ Observation ObservationEncoder::encode(const Topology& topology,
   // Eq. 4's A_hat = D^-1/2 (A + I) D^-1/2 of Gt. Row i holds i and its
   // neighbours j in ascending order, each s_i * s_j with
   // s_i = 1 / sqrt(deg_i + 1): the degree of A + I is an exact integer, and
-  // s_i * s_j == s_j * s_i keeps the block symmetric.
+  // s_i * s_j == s_j * s_i keeps the rows symmetric.
   std::vector<double> s(static_cast<std::size_t>(n));
   std::size_t links = 0;
   for (int v = 0; v < n; ++v) {
@@ -150,8 +150,8 @@ Observation ObservationEncoder::encode(const Topology& topology,
   }
 
   Observation obs;
-  obs.a_hat = std::make_shared<const BlockAdjacency>(n, std::move(a_ptr), std::move(a_cols),
-                                                     std::move(a_vals));
+  obs.a_hat = std::make_shared<const CsrRows>(n, std::move(a_ptr), std::move(a_cols),
+                                              std::move(a_vals));
   obs.features = std::make_shared<const CsrRows>(feature_dim(), std::move(f_ptr),
                                                  std::move(f_cols), std::move(f_vals));
   obs.params = params_;

@@ -417,7 +417,7 @@ Tensor affine_act(const Tensor& x, const Tensor& w, const Tensor& bias, Epilogue
   });
 }
 
-Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int block_rows,
+Tensor gcn_encoder(const std::shared_ptr<const CsrRows>& a_hats, int block_rows,
                    const std::shared_ptr<const CsrRows>& features,
                    const std::vector<GcnWeights>& layers) {
   NPTSN_EXPECT(features != nullptr, "gcn_encoder needs staged features");
@@ -443,7 +443,7 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
     inputs.push_back(layer.bias);
   }
   if (depth > 0) {
-    NPTSN_EXPECT(a_hats != nullptr && a_hats->block_size() == n && a_hats->count() == count,
+    NPTSN_EXPECT(a_hats != nullptr && a_hats->cols() == n && a_hats->rows() == x.rows(),
                  "gcn_encoder adjacencies do not match the stacked features");
     NPTSN_EXPECT(a_hats->symmetric(),
                  "gcn_encoder needs symmetric adjacency blocks (A-hat^T = A-hat)");
@@ -489,12 +489,12 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
                                         static_cast<std::size_t>(g) * n * w.cols()
                                   : last.data();
         if (l == 0) {
-          kernels.affine_csr(x, g * n, n, w.data(), w.cols(), bias, z.data());
+          kernels.affine_csr(x, g * n, n, w.data(), w.cols(), bias, Epilogue::kNone, z.data());
         } else {
           kernels.affine_rows(h, w.rows(), packed[static_cast<std::size_t>(l)].operand(),
                               w.cols(), bias, Epilogue::kNone, z.data(), 0, n);
         }
-        kernels.propagate(*a_hats, g, z.data(), w.cols(), Epilogue::kRelu, y);
+        kernels.affine_csr(*a_hats, g * n, n, z.data(), w.cols(), nullptr, Epilogue::kRelu, y);
         h = y;
       }
       nnk::mean_readout(h, n, width, inv, orow);
@@ -562,8 +562,8 @@ Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int bloc
         const int out = w.cols();
         for (int g = g0; g < g1; ++g) {
           const std::size_t at = static_cast<std::size_t>(g - g0) * n * out;
-          kernels.propagate(*a_hats, g, delta.data() + at, out, Epilogue::kNone,
-                            prop.data() + at);
+          kernels.affine_csr(*a_hats, g * n, n, delta.data() + at, out, nullptr,
+                             Epilogue::kNone, prop.data() + at);
         }
         if (bias(l).requires_grad) {
           nnk::add_col_sums(prop.data(), rows, out, bias(l).ensure_grad().data());

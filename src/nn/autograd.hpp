@@ -104,11 +104,12 @@ Tensor transpose_op(const Tensor& a);
 Tensor affine_act(const Tensor& x, const Tensor& w, const Tensor& bias, Epilogue act);
 // The whole batched GCN encoder (Eq. 4 layers and the mean readout) as ONE
 // tape node over B same-sized graphs stacked vertically. `features` holds B
-// blocks of block_rows rows, staged as CSR rows (the observation features
-// are a few percent nonzero); layer l maps graph g's rows H to
-// relu(a_hats[g] (H W_l + b_l)), and row g of the B x width result is the
-// column mean of graph g's last layer (of its features when `layers` is
-// empty). The forward runs every layer of a graph back to back in
+// blocks of n = block_rows rows, staged as CSR rows (the observation
+// features are a few percent nonzero), and `a_hats` the B graphs' n x n
+// A-hat stacked the same way, (B n) x n; layer l maps graph g's rows H to
+// relu(A_g (H W_l + b_l)), A_g being rows [g n, (g + 1) n) of a_hats, and
+// row g of the B x width result is the column mean of graph g's last layer
+// (of its features when `layers` is empty). The forward runs every layer of a graph back to back in
 // block_rows x width tiles; the backward streams the batch a few graphs at a
 // time through the same kind of tiles, so no stacked gradient matrix exists.
 // The node keeps the stacked outputs of layers 1..L-1, one byte per element
@@ -117,15 +118,15 @@ Tensor affine_act(const Tensor& x, const Tensor& w, const Tensor& bias, Epilogue
 // gradient bit the unfused tape of affine, per-graph A-hat products, ReLU
 // and per-graph means computes over the dense features (DESIGN.md §11).
 // The features are constants (they receive no gradient), and the
-// adjacencies must be symmetric (BlockAdjacency::symmetric(), true for every
-// Eq. 4 A-hat; anything else throws): the backward propagates
-// a_hats[g]^T delta = a_hats[g] delta with the forward kernels. a_hats may
-// be null when `layers` is empty.
+// adjacencies must be symmetric (CsrRows::symmetric(), true for every Eq. 4
+// A-hat; anything else throws): the backward propagates A_g^T delta =
+// A_g delta with the forward's CSR product. a_hats may be null when `layers`
+// is empty.
 struct GcnWeights {
   Tensor weight;  // in x out
   Tensor bias;    // 1 x out
 };
-Tensor gcn_encoder(const std::shared_ptr<const BlockAdjacency>& a_hats, int block_rows,
+Tensor gcn_encoder(const std::shared_ptr<const CsrRows>& a_hats, int block_rows,
                    const std::shared_ptr<const CsrRows>& features,
                    const std::vector<GcnWeights>& layers);
 // Stacks B 1 x C rows into a B x C tensor (per-observation fallback path

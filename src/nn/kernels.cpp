@@ -64,70 +64,68 @@ namespace fast {
 
 // The fast family's CSR walks. Its dense rows are compiled once per ISA
 // level (fast_rows.cpp); these stay in this unit, built like the rest of it:
-// they read the staged CSR through the inline accessors of BlockAdjacency
-// and CsrRows, which an ISA object must not instantiate, and their row
-// sweeps are AXPYs the compiler vectorizes at any level.
+// they read the staged CSR through the inline accessors of CsrRows, which an
+// ISA object must not instantiate, and their row sweeps are AXPYs the
+// compiler vectorizes at any level.
 
-// Rows [0, rows) of out = finish(M src) for a sparse M whose row i holds the
-// entries t in [begin(i), begin(i + 1)): columns cols[t], values vals[t].
-// Per output element the chain is fma over the stored entries in ascending
-// k from +0.0, then finish(acc, j): the dense rows' chain minus its zero
+// Rows [row0, row0 + rows) of out = finish(x b) for the CSR rows x. Per
+// output element the chain is fma over the stored entries in ascending k
+// from +0.0, then finish(acc, j): the dense rows' chain minus its zero
 // terms. The row sweeps are kept to the minimum the chain allows: the first
 // entry initializes the row (fma(a, b, +0.0) is what the zero-filled form
 // computes) and the last carries finish with it, so a row of e entries costs
 // e sweeps instead of e + 2; an empty row is finish(0.0, j).
-template <typename Begin, typename Finish>
-void csr_product_rows(int rows, const Begin& begin, const int* cols, const double* vals,
-                      const double* psrc, int cols_n, double* po, const Finish& finish) {
+template <typename Finish>
+void csr_product_rows(const CsrRows& x, int row0, int rows, const double* pb, int cols_n,
+                      double* po, const Finish& finish) {
+  const int* cols = x.csr_cols();
+  const double* vals = x.csr_vals();
   for (int i = 0; i < rows; ++i) {
     double* orow = po + static_cast<std::size_t>(i) * cols_n;
-    std::size_t t = begin(i);
-    const std::size_t t_end = begin(i + 1);
+    std::size_t t = x.row_begin(row0 + i);
+    const std::size_t t_end = x.row_end(row0 + i);
     if (t == t_end) {
       for (int j = 0; j < cols_n; ++j) orow[j] = finish(0.0, j);
       continue;
     }
     if (t_end - t == 1) {
       const double a = vals[t];
-      const double* brow = psrc + static_cast<std::size_t>(cols[t]) * cols_n;
+      const double* brow = pb + static_cast<std::size_t>(cols[t]) * cols_n;
       for (int j = 0; j < cols_n; ++j) orow[j] = finish(fmadd(a, brow[j], 0.0), j);
       continue;
     }
     {
       const double a = vals[t];
-      const double* brow = psrc + static_cast<std::size_t>(cols[t]) * cols_n;
+      const double* brow = pb + static_cast<std::size_t>(cols[t]) * cols_n;
       for (int j = 0; j < cols_n; ++j) orow[j] = fmadd(a, brow[j], 0.0);
     }
     for (++t; t + 1 < t_end; ++t) {
       const double a = vals[t];
-      const double* brow = psrc + static_cast<std::size_t>(cols[t]) * cols_n;
+      const double* brow = pb + static_cast<std::size_t>(cols[t]) * cols_n;
       for (int j = 0; j < cols_n; ++j) orow[j] = fmadd(a, brow[j], orow[j]);
     }
     {
       const double a = vals[t];
-      const double* brow = psrc + static_cast<std::size_t>(cols[t]) * cols_n;
+      const double* brow = pb + static_cast<std::size_t>(cols[t]) * cols_n;
       for (int j = 0; j < cols_n; ++j) orow[j] = finish(fmadd(a, brow[j], orow[j]), j);
     }
   }
 }
 
-// Graph g's rows of out = act(A_g src), through the staged CSR index (no
-// bias: adjacency products never carry one).
-void propagate(const BlockAdjacency& adj, int g, const double* psrc, int cols_n,
-               Epilogue act, double* po) {
+// Rows [row0, row0 + rows) of out = act(x b + bias), with the activation a
+// constant and the bias test hoisted out of the rows.
+void affine_csr(const CsrRows& x, int row0, int rows, const double* pb, int cols_n,
+                const double* pbias, Epilogue act, double* po) {
   with_epilogue(act, [&](auto act_constant) {
-    csr_product_rows(
-        adj.block_size(), [&](int i) { return adj.row_begin(g, i); }, adj.csr_cols(),
-        adj.csr_vals(), psrc, cols_n, po,
-        [](double v, int) { return epilogue<decltype(act_constant)::value>(v); });
+    constexpr Epilogue kAct = decltype(act_constant)::value;
+    if (pbias) {
+      csr_product_rows(x, row0, rows, pb, cols_n, po,
+                       [pbias](double v, int j) { return epilogue<kAct>(v + pbias[j]); });
+    } else {
+      csr_product_rows(x, row0, rows, pb, cols_n, po,
+                       [](double v, int) { return epilogue<kAct>(v); });
+    }
   });
-}
-
-void affine_csr(const CsrRows& x, int row0, int rows, const double* pw, int cols_n,
-                const double* pbias, double* po) {
-  csr_product_rows(
-      rows, [&](int i) { return x.row_begin(row0 + i); }, x.csr_cols(), x.csr_vals(), pw,
-      cols_n, po, [pbias](double v, int j) { return v + pbias[j]; });
 }
 
 // A k-outer AXPY over the stored entries: one sweep of output row i per
@@ -203,29 +201,11 @@ void matmul_tn_resume(const double* pa, int rows_k, int cols_m, nnk::Operand b, 
   }
 }
 
-// affine_rows' loop over the stored entries of A_g's rows, without a bias.
-// The entries it skips are the ones the zero-skipping dense loop skips
-// (+0.0 and -0.0), so every element is that loop's chain.
-void propagate(const BlockAdjacency& adj, int g, const double* psrc, int cols_n,
-               Epilogue act, double* po) {
-  const int* cols = adj.csr_cols();
-  const double* vals = adj.csr_vals();
-  for (int i = 0; i < adj.block_size(); ++i) {
-    double* orow = po + static_cast<std::size_t>(i) * cols_n;
-    std::fill(orow, orow + cols_n, 0.0);
-    for (std::size_t t = adj.row_begin(g, i); t < adj.row_end(g, i); ++t) {
-      const double aik = vals[t];
-      const double* srow = psrc + static_cast<std::size_t>(cols[t]) * cols_n;
-      for (int j = 0; j < cols_n; ++j) orow[j] += aik * srow[j];
-    }
-    if (act == Epilogue::kNone) continue;
-    for (int j = 0; j < cols_n; ++j) orow[j] = apply_epilogue(orow[j], act);
-  }
-}
-
-// affine_rows' loop over the stored entries of the rows.
-void affine_csr(const CsrRows& x, int row0, int rows, const double* pw, int cols_n,
-                const double* pbias, double* po) {
+// affine_rows' loop over the stored entries of the rows. The entries it
+// skips are the ones the zero-skipping dense loop skips (+0.0 and -0.0), so
+// every element is that loop's chain, finished the same way.
+void affine_csr(const CsrRows& x, int row0, int rows, const double* pb, int cols_n,
+                const double* pbias, Epilogue act, double* po) {
   const int* cols = x.csr_cols();
   const double* vals = x.csr_vals();
   for (int i = 0; i < rows; ++i) {
@@ -233,10 +213,13 @@ void affine_csr(const CsrRows& x, int row0, int rows, const double* pw, int cols
     std::fill(orow, orow + cols_n, 0.0);
     for (std::size_t t = x.row_begin(row0 + i); t < x.row_end(row0 + i); ++t) {
       const double xik = vals[t];
-      const double* wrow = pw + static_cast<std::size_t>(cols[t]) * cols_n;
-      for (int j = 0; j < cols_n; ++j) orow[j] += xik * wrow[j];
+      const double* brow = pb + static_cast<std::size_t>(cols[t]) * cols_n;
+      for (int j = 0; j < cols_n; ++j) orow[j] += xik * brow[j];
     }
-    for (int j = 0; j < cols_n; ++j) orow[j] += pbias[j];
+    if (pbias == nullptr && act == Epilogue::kNone) continue;
+    for (int j = 0; j < cols_n; ++j) {
+      orow[j] = apply_epilogue(pbias ? orow[j] + pbias[j] : orow[j], act);
+    }
   }
 }
 
@@ -272,7 +255,6 @@ const std::vector<nnk::KernelTable>& fast_tables() {
                               .affine_rows = rows.affine_rows,
                               .matmul_rows = rows.matmul_rows,
                               .matmul_tn_resume = rows.matmul_tn_resume,
-                              .propagate = fast::propagate,
                               .affine_csr = fast::affine_csr,
                               .matmul_tn_resume_csr = fast::matmul_tn_resume_csr,
                               .tanh = rows.tanh};
@@ -360,7 +342,6 @@ const KernelTable& kernel_table(NnKernel family) {
       .affine_rows = reference::affine_rows,
       .matmul_rows = reference::matmul_rows,
       .matmul_tn_resume = reference::matmul_tn_resume,
-      .propagate = reference::propagate,
       .affine_csr = reference::affine_csr,
       .matmul_tn_resume_csr = reference::matmul_tn_resume_csr,
       .tanh = reference::tanh};

@@ -8,7 +8,7 @@
 //               bit-identity/checkpoint suites pin their goldens to.
 //   kFast       6-row x two-vector register tiles over packed column panels
 //               of the right-hand operand, with fused bias + activation
-//               epilogues, and CSR walks over staged rows. Its dense rows
+//               epilogues, and CSR walks over staged CsrRows. Its dense rows
 //               are compiled once per ISA level (fast_rows.cpp: x86-64-v3,
 //               and x86-64-v4 where the compiler takes it); kernel_table
 //               picks the best one the CPU runs, once.
@@ -19,7 +19,7 @@
 // operand for the table (PackedOperand) and split their output rows over
 // the kernel pool for large shapes, and the batched GCN encoder node
 // (gcn_encoder), which composes each layer as affine rows into a tile, then
-// the propagation with its ReLU.
+// the CSR product of A-hat with it, ReLU fused.
 //
 // Determinism contract: every routine accumulates each output element with a
 // SINGLE accumulator over ascending k. Tiling only reorders which elements
@@ -32,7 +32,7 @@
 // relative in the differential suite. No routine picks its loop by the
 // data's density: the fast family's dense rows run one fma chain over every
 // k, zero terms included, and sparsity is read only where staging made it
-// structural, by the CSR walks (propagate, affine_csr, matmul_tn_resume_csr);
+// structural, by the CSR walks (affine_csr, matmul_tn_resume_csr);
 // the reference family's i-k-j and k-outer loops skip zero a terms and its
 // dot loop keeps them.
 #pragma once
@@ -75,10 +75,11 @@ struct Operand {
   int first_panel = 0;
 };
 
-// One family's row routines. Every matrix operand is dense row-major at the
-// width given; the routines overwrite (or, for the *_resume ones, continue)
-// `out`, which must not alias an input. Graph g of a stacked batch owns rows
-// [g n, (g + 1) n) of every stacked matrix, n = adj.block_size().
+// One family's row routines. Every matrix operand but the CSR rows is dense
+// row-major at the width given; the routines overwrite (or, for the *_resume
+// ones, continue) `out`, which must not alias an input. Graph g of a stacked
+// batch of n-node graphs owns rows [g n, (g + 1) n) of every stacked matrix,
+// the CSR adjacency and features included.
 struct KernelTable {
   // "reference", or the ISA level the fast table was compiled for.
   const char* name;
@@ -105,17 +106,15 @@ struct KernelTable {
   // of one call over all rows.
   void (*matmul_tn_resume)(const double* a, int rows_k, int cols_m, Operand b, int cols_n,
                            double* out, int i_begin, int i_end);
-  // out = act(A_g src) for graph g, both n x cols, over the stored entries
-  // of A_g's rows: the fast family's fma chain, the reference family's
-  // mul-then-add one (affine_rows' zero-skipping loop). For the symmetric
-  // Eq. 4 blocks this is also the backward's A_g^T delta.
-  void (*propagate)(const BlockAdjacency& adj, int g, const double* src, int cols,
-                    Epilogue act, double* out);
-  // out = x w + bias over rows [row0, row0 + rows) of the CSR features x (w
-  // is x.cols() x cols_n): the first GCN layer's affine. Per element the
-  // chain affine_rows computes on the dense rows, minus its zero terms.
-  void (*affine_csr)(const CsrRows& x, int row0, int rows, const double* w, int cols_n,
-                     const double* bias, double* out);
+  // out = act(x b + bias) over rows [row0, row0 + rows) of the CSR rows x:
+  // b is x.cols() x cols_n, bias a row of cols_n or nullptr. Per element the
+  // chain affine_rows computes on the dense rows, minus its zero terms, then
+  // + bias, then act. The encoder makes three calls: the first layer's
+  // x W + b over the features (bias, kNone), and over graph g's rows of the
+  // stacked A-hat the forward's relu(A_g z) (kRelu) and the backward's
+  // A_g^T delta = A_g delta (kNone; the Eq. 4 blocks are symmetric).
+  void (*affine_csr)(const CsrRows& x, int row0, int rows, const double* b, int cols_n,
+                     const double* bias, Epilogue act, double* out);
   // out (x.cols() x cols_n) += a^T b with a = rows [row0, row0 + rows) of x:
   // the first layer's weight gradient, matmul_tn_resume's chain per element
   // minus its zero terms.

@@ -156,175 +156,106 @@ bool Matrix::all_finite() const {
   return true;
 }
 
-namespace detail {
-
-void CsrArrays::check(std::size_t rows, int width) const {
-  NPTSN_EXPECT(width >= 0, "CSR rows need a non-negative width");
-  NPTSN_EXPECT(!row_ptr.empty() && row_ptr.size() == rows + 1 && row_ptr.front() == 0 &&
-                   row_ptr.back() == cols.size() && vals.size() == cols.size(),
-               "CSR arrays do not fit together");
-  for (std::size_t r = 0; r < rows; ++r) {
-    NPTSN_EXPECT(row_ptr[r] <= row_ptr[r + 1], "CSR row pointers must ascend");
-    int prev = -1;
-    for (std::size_t t = row_ptr[r]; t < row_ptr[r + 1]; ++t) {
-      NPTSN_EXPECT(cols[t] > prev && cols[t] < width,
-                   "CSR columns must ascend strictly inside the row width");
-      NPTSN_EXPECT(vals[t] != 0.0, "CSR rows store no zero entries");
-      prev = cols[t];
-    }
-  }
-}
-
-void CsrArrays::append_dense(const Matrix& m) {
-  for (int r = 0; r < m.rows(); ++r) {
-    const double* row = m.data() + static_cast<std::size_t>(r) * m.cols();
-    for (int c = 0; c < m.cols(); ++c) {
-      if (row[c] == 0.0) continue;
-      cols.push_back(c);
-      vals.push_back(row[c]);
-    }
-    row_ptr.push_back(cols.size());
-  }
-}
-
-CsrArrays CsrArrays::stack(const std::vector<const CsrArrays*>& parts) {
-  std::size_t rows = 0;
-  std::size_t nnz = 0;
-  for (const CsrArrays* part : parts) {
-    rows += part->rows();
-    nnz += part->vals.size();
-  }
-  CsrArrays out;
-  out.row_ptr.reserve(rows + 1);
-  out.cols.reserve(nnz);
-  out.vals.reserve(nnz);
-  for (const CsrArrays* part : parts) {
-    const std::size_t base = out.cols.size();
-    for (auto it = part->row_ptr.begin() + 1; it != part->row_ptr.end(); ++it) {
-      out.row_ptr.push_back(base + *it);
-    }
-    out.cols.insert(out.cols.end(), part->cols.begin(), part->cols.end());
-    out.vals.insert(out.vals.end(), part->vals.begin(), part->vals.end());
-  }
-  return out;
-}
-
-Matrix CsrArrays::dense(std::size_t row0, int rows, int width) const {
-  Matrix out(rows, width);
-  for (int r = 0; r < rows; ++r) {
-    double* orow = out.data() + static_cast<std::size_t>(r) * width;
-    const std::size_t row = row0 + static_cast<std::size_t>(r);
-    for (std::size_t t = row_ptr[row]; t < row_ptr[row + 1]; ++t) {
-      orow[cols[t]] = vals[t];
-    }
-  }
-  return out;
-}
-
-}  // namespace detail
-
-BlockAdjacency::BlockAdjacency(int n, std::vector<std::size_t> row_ptr, std::vector<int> cols,
-                               std::vector<double> vals)
-    : n_(n), count_(1), csr_{std::move(row_ptr), std::move(cols), std::move(vals)} {
-  NPTSN_EXPECT(n > 0, "BlockAdjacency needs non-empty blocks");
-  csr_.check(static_cast<std::size_t>(n), n);
-  symmetric_ = stored_symmetric();
-}
-
-BlockAdjacency::BlockAdjacency(const std::vector<const BlockAdjacency*>& parts) {
-  NPTSN_EXPECT(!parts.empty(), "BlockAdjacency needs at least one block");
-  n_ = parts.front()->n_;
-  std::vector<const detail::CsrArrays*> arrays;
-  arrays.reserve(parts.size());
-  for (const BlockAdjacency* part : parts) {
-    NPTSN_EXPECT(part->n_ == n_, "BlockAdjacency blocks must all be square and same-size");
-    count_ += part->count_;
-    symmetric_ = symmetric_ && part->symmetric_;
-    arrays.push_back(&part->csr_);
-  }
-  csr_ = detail::CsrArrays::stack(arrays);
-}
-
-BlockAdjacency::BlockAdjacency(const std::vector<Matrix>& blocks)
-    : count_(static_cast<int>(blocks.size())) {
-  NPTSN_EXPECT(!blocks.empty(), "BlockAdjacency needs at least one block");
-  n_ = blocks.front().rows();
-  NPTSN_EXPECT(n_ > 0, "BlockAdjacency needs non-empty blocks");
-  for (const Matrix& b : blocks) {
-    NPTSN_EXPECT(b.rows() == n_ && b.cols() == n_,
-                 "BlockAdjacency blocks must all be square and same-size");
-    csr_.append_dense(b);
-  }
-  symmetric_ = stored_symmetric();
-}
-
-bool BlockAdjacency::stored_symmetric() const {
-  const auto& cols = csr_.cols;
-  for (int g = 0; g < count_; ++g) {
-    for (int r = 0; r < n_; ++r) {
-      for (std::size_t t = row_begin(g, r); t < row_end(g, r); ++t) {
-        const auto first = cols.begin() + static_cast<std::ptrdiff_t>(row_begin(g, cols[t]));
-        const auto last = cols.begin() + static_cast<std::ptrdiff_t>(row_end(g, cols[t]));
-        const auto mirror = std::lower_bound(first, last, r);
-        if (mirror == last || *mirror != r || csr_.vals[mirror - cols.begin()] != csr_.vals[t]) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-Matrix BlockAdjacency::to_dense(int g) const {
-  NPTSN_EXPECT(g >= 0 && g < count_, "block index out of range");
-  return csr_.dense(static_cast<std::size_t>(g) * n_, n_, n_);
-}
-
 CsrRows::CsrRows(int cols, std::vector<std::size_t> row_ptr, std::vector<int> col,
                  std::vector<double> val)
-    : cols_(cols), csr_{std::move(row_ptr), std::move(col), std::move(val)} {
-  csr_.check(csr_.rows(), cols);
+    : cols_(cols), row_ptr_(std::move(row_ptr)), col_(std::move(col)), val_(std::move(val)) {
+  NPTSN_EXPECT(cols >= 0, "CsrRows needs a non-negative width");
+  NPTSN_EXPECT(!row_ptr_.empty() && row_ptr_.front() == 0 && row_ptr_.back() == col_.size() &&
+                   val_.size() == col_.size(),
+               "CSR arrays do not fit together");
+  for (int r = 0; r < rows(); ++r) {
+    NPTSN_EXPECT(row_begin(r) <= row_end(r) && row_end(r) <= col_.size(),
+                 "CSR row pointers must ascend");
+    int prev = -1;
+    for (std::size_t t = row_begin(r); t < row_end(r); ++t) {
+      NPTSN_EXPECT(col_[t] > prev && col_[t] < cols,
+                   "CSR columns must ascend strictly inside the row width");
+      NPTSN_EXPECT(val_[t] != 0.0, "CSR rows store no zero entries");
+      prev = col_[t];
+    }
+  }
+  symmetric_ = rows() == cols && square_symmetric(0);
 }
 
 CsrRows::CsrRows(const std::vector<const CsrRows*>& parts) {
   NPTSN_EXPECT(!parts.empty(), "CsrRows needs at least one part");
   cols_ = parts.front()->cols_;
-  std::vector<const detail::CsrArrays*> arrays;
-  arrays.reserve(parts.size());
+  std::size_t rows = 0;
+  std::size_t nnz = 0;
   for (const CsrRows* part : parts) {
     NPTSN_EXPECT(part->cols_ == cols_, "CsrRows parts must all be `cols` wide");
-    arrays.push_back(&part->csr_);
+    symmetric_ = symmetric_ && part->symmetric_;
+    rows += static_cast<std::size_t>(part->rows());
+    nnz += part->nnz();
   }
-  csr_ = detail::CsrArrays::stack(arrays);
+  row_ptr_.reserve(rows + 1);
+  col_.reserve(nnz);
+  val_.reserve(nnz);
+  for (const CsrRows* part : parts) {
+    const std::size_t base = col_.size();
+    for (auto it = part->row_ptr_.begin() + 1; it != part->row_ptr_.end(); ++it) {
+      row_ptr_.push_back(base + *it);
+    }
+    col_.insert(col_.end(), part->col_.begin(), part->col_.end());
+    val_.insert(val_.end(), part->val_.begin(), part->val_.end());
+  }
 }
 
 CsrRows::CsrRows(int cols, const std::vector<const Matrix*>& blocks) : cols_(cols) {
   NPTSN_EXPECT(cols >= 0, "CsrRows needs a non-negative width");
   for (const Matrix* m : blocks) {
     NPTSN_EXPECT(m->cols() == cols, "CsrRows blocks must all be `cols` wide");
-    csr_.append_dense(*m);
+    const auto row0 = static_cast<std::size_t>(rows());
+    append_dense(*m);
+    symmetric_ = symmetric_ && m->rows() == cols && square_symmetric(row0);
   }
 }
 
-Matrix CsrRows::to_dense() const { return csr_.dense(0, rows(), cols_); }
+void CsrRows::append_dense(const Matrix& m) {
+  for (int r = 0; r < m.rows(); ++r) {
+    const double* row = m.data() + static_cast<std::size_t>(r) * m.cols();
+    for (int c = 0; c < m.cols(); ++c) {
+      if (row[c] == 0.0) continue;
+      col_.push_back(c);
+      val_.push_back(row[c]);
+    }
+    row_ptr_.push_back(col_.size());
+  }
+}
+
+bool CsrRows::square_symmetric(std::size_t row0) const {
+  const auto begin = [&](std::size_t r) { return row_ptr_[row0 + r]; };
+  for (std::size_t r = 0; r < static_cast<std::size_t>(cols_); ++r) {
+    for (std::size_t t = begin(r); t < begin(r + 1); ++t) {
+      const auto c = static_cast<std::size_t>(col_[t]);
+      const auto first = col_.begin() + static_cast<std::ptrdiff_t>(begin(c));
+      const auto last = col_.begin() + static_cast<std::ptrdiff_t>(begin(c + 1));
+      const auto mirror = std::lower_bound(first, last, static_cast<int>(r));
+      if (mirror == last || *mirror != static_cast<int>(r) ||
+          val_[static_cast<std::size_t>(mirror - col_.begin())] != val_[t]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+Matrix CsrRows::to_dense() const {
+  Matrix out(rows(), cols_);
+  for (int r = 0; r < rows(); ++r) {
+    double* orow = out.data() + static_cast<std::size_t>(r) * cols_;
+    for (std::size_t t = row_begin(r); t < row_end(r); ++t) orow[col_[t]] = val_[t];
+  }
+  return out;
+}
 
 Matrix transpose(const Matrix& a) {
-  // In square blocks: walked row by row, the column writes of a 256-wide
-  // matrix stride 2 KiB and keep evicting each other from a few L1 sets
-  // (about 4 ns per element, against about 1 ns in 8 x 8 blocks).
-  constexpr int kBlock = 8;
   const int rows = a.rows();
   const int cols = a.cols();
   Matrix out = Matrix::uninitialized(cols, rows);
-  for (int i0 = 0; i0 < rows; i0 += kBlock) {
-    const int i1 = std::min(rows, i0 + kBlock);
-    for (int j0 = 0; j0 < cols; j0 += kBlock) {
-      const int j1 = std::min(cols, j0 + kBlock);
-      for (int i = i0; i < i1; ++i) {
-        const double* arow = a.data() + static_cast<std::size_t>(i) * cols;
-        for (int j = j0; j < j1; ++j) out.data()[static_cast<std::size_t>(j) * rows + i] = arow[j];
-      }
-    }
+  for (int i = 0; i < rows; ++i) {
+    const double* arow = a.data() + static_cast<std::size_t>(i) * cols;
+    for (int j = 0; j < cols; ++j) out.data()[static_cast<std::size_t>(j) * rows + i] = arow[j];
   }
   return out;
 }

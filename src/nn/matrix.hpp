@@ -1,8 +1,10 @@
 // Dense row-major matrix of doubles — the numeric workhorse under the
-// autograd tape. No BLAS, exact reproducibility. Two kernel families sit
-// behind the GEMM entry points: the original naive reference loops and a
-// register-blocked, cache-tiled fast family (nn/kernels.hpp); the active
-// family is a process-global switch driven by NptsnConfig::nn_kernel.
+// autograd tape — and CsrRows, the one sparse operand of the NN kernels
+// (an observation's A-hat and features, and their stacked batches). No
+// BLAS, exact reproducibility. Two kernel families sit behind the GEMM
+// entry points: the original naive reference loops and a register-blocked,
+// cache-tiled fast family (nn/kernels.hpp); the active family is a
+// process-global switch driven by NptsnConfig::nn_kernel.
 #pragma once
 
 #include <cstddef>
@@ -169,130 +171,69 @@ class Matrix {
   std::vector<double, detail::DefaultInitAllocator<double>> data_;
 };
 
-namespace detail {
-
-// The CSR arrays BlockAdjacency and CsrRows hold: row r's entries, columns
-// cols[t] strictly ascending and values vals[t] != 0.0, at t in
-// [row_ptr[r], row_ptr[r + 1]).
-struct CsrArrays {
-  std::vector<std::size_t> row_ptr = {0};
-  std::vector<int> cols;
-  std::vector<double> vals;
-
-  std::size_t rows() const { return row_ptr.size() - 1; }
-  // Throws std::invalid_argument unless the arrays hold `rows` rows with
-  // columns strictly ascending inside [0, width) and no zero value.
-  void check(std::size_t rows, int width) const;
-  // Appends the rows of m, keeping their entries != 0.0.
-  void append_dense(const Matrix& m);
-  // The rows of every part, in order, row pointers rebased.
-  static CsrArrays stack(const std::vector<const CsrArrays*>& parts);
-  // Rows [row0, row0 + rows) as a dense rows x width matrix.
-  Matrix dense(std::size_t row0, int rows, int width) const;
-};
-
-}  // namespace detail
-
-// A batch of same-sized square blocks (the per-graph normalized adjacencies
-// of a stacked GCN batch) in CSR form, for repeated per-graph products: each
-// block row keeps its entries that are != 0.0 in ascending column order, so
-// walking it performs the chain a zero-skipping dense scan of the row
-// performs (-0.0 entries are dropped like +0.0 ones, as that scan skips
-// both). The observation encoder builds Eq. 4's A-hat of one graph straight
-// in this form; stage_batch stacks B of them; the kernels of both families
-// walk the stored entries. No dense block is kept.
-class BlockAdjacency {
- public:
-  // One n x n block from its CSR arrays: row_ptr holds n + 1 offsets from 0,
-  // and row r's columns cols[t] (strictly ascending, in [0, n)) and values
-  // vals[t] (each != 0.0) sit at t in [row_ptr[r], row_ptr[r + 1]).
-  BlockAdjacency(int n, std::vector<std::size_t> row_ptr, std::vector<int> cols,
-                 std::vector<double> vals);
-  // The blocks of every part, in order, as one batch: the parts' CSR arrays
-  // concatenated, row pointers rebased. Symmetric when every part is.
-  explicit BlockAdjacency(const std::vector<const BlockAdjacency*>& parts);
-  // Dense square blocks scanned into CSR (tests and benchmarks).
-  explicit BlockAdjacency(const std::vector<Matrix>& blocks);
-
-  int block_size() const { return n_; }
-  int count() const { return count_; }
-  // Entries stored over all blocks.
-  std::size_t nnz() const { return csr_.vals.size(); }
-  // True when every block equals its transpose exactly (b(r, c) == b(c, r)
-  // for all r, c), checked once when the blocks are built from arrays or
-  // dense blocks. Eq. 4's D^-1/2 (A + I) D^-1/2 of an undirected graph always
-  // is, since s_i * s_j == s_j * s_i; the GCN backward relies on it to
-  // propagate gradients with the forward kernels (gcn_encoder).
-  bool symmetric() const { return symmetric_; }
-
-  // CSR view of local row r of block g: column indices csr_cols()[t] and
-  // values csr_vals()[t] for t in [row_begin(g, r), row_end(g, r)),
-  // ascending columns.
-  std::size_t row_begin(int g, int r) const {
-    return csr_.row_ptr[static_cast<std::size_t>(g) * n_ + r];
-  }
-  std::size_t row_end(int g, int r) const {
-    return csr_.row_ptr[static_cast<std::size_t>(g) * n_ + r + 1];
-  }
-  const int* csr_cols() const { return csr_.cols.data(); }
-  const double* csr_vals() const { return csr_.vals.data(); }
-
-  // Block g as a dense matrix, for consumers without a CSR path (the GAT
-  // ablation encoder) and for tests.
-  Matrix to_dense(int g) const;
-
- private:
-  // Whether every stored (r, c, v) of every block has a stored (c, r) equal
-  // to v: the dense test b(r, c) == b(c, r), since an entry absent on both
-  // sides is a zero on both.
-  bool stored_symmetric() const;
-
-  int n_ = 0;
-  int count_ = 0;
-  bool symmetric_ = true;
-  detail::CsrArrays csr_;  // count * n rows
-};
-
-// Rows of a sparse matrix in CSR form: an observation's node features, built
-// so by the observation encoder, and a GCN batch's features stacked from
-// them (ActorCritic's staging) for the first layer's x W + b and its weight
-// gradient x^T delta (gcn_encoder). Each row keeps its entries that are
-// != 0.0 in ascending column order, so walking a row performs the dense
-// chain minus its zero terms; -0.0 entries are dropped like +0.0 ones, as
-// the reference loops' zero-skip (x == 0.0) drops both.
+// Rows of a sparse matrix in CSR form, the one sparse operand of the GCN
+// kernels (DESIGN.md §11). Each row keeps its entries that are != 0.0 in
+// ascending column order, so walking a row performs the chain a
+// zero-skipping dense scan of the row performs; -0.0 entries are dropped
+// like +0.0 ones, as the reference loops' zero-skip (x == 0.0) drops both.
+// The observation encoder builds an observation's two sparse inputs in this
+// form: Eq. 4's A-hat of its graph as n x n rows, and its node features as
+// n x F rows. ActorCritic's staging stacks B of each, so graph g of a batch
+// owns rows [g n, (g + 1) n) of the (B n) x n adjacency and of the
+// (B n) x F features.
 class CsrRows {
  public:
   // Rows from their CSR arrays, each `cols` wide: row_ptr holds rows + 1
   // offsets from 0, and row r's columns col[t] (strictly ascending, in
   // [0, cols)) and values val[t] (each != 0.0) sit at t in
-  // [row_ptr[r], row_ptr[r + 1]).
+  // [row_ptr[r], row_ptr[r + 1]). Throws std::invalid_argument otherwise.
+  // Square rows (rows == cols) have their symmetry checked here, once.
   CsrRows(int cols, std::vector<std::size_t> row_ptr, std::vector<int> col,
           std::vector<double> val);
-  // The rows of every part, stacked top to bottom; the parts must be equally
-  // wide.
+  // The rows of every part, stacked top to bottom: the parts' arrays
+  // concatenated, row pointers rebased. The parts must be equally wide.
   explicit CsrRows(const std::vector<const CsrRows*>& parts);
-  // The rows of dense `blocks`, each `cols` wide, stacked top to bottom
-  // (tests and benchmarks).
+  // The rows of dense `blocks`, each `cols` wide, stacked top to bottom, as
+  // if each block were a part (tests and benchmarks).
   CsrRows(int cols, const std::vector<const Matrix*>& blocks);
 
-  int rows() const { return static_cast<int>(csr_.rows()); }
+  int rows() const { return static_cast<int>(row_ptr_.size() - 1); }
   int cols() const { return cols_; }
   // Entries stored over all rows.
-  std::size_t nnz() const { return csr_.vals.size(); }
+  std::size_t nnz() const { return val_.size(); }
+  // True when every part the rows were built from is square and equals its
+  // transpose exactly (b(r, c) == b(c, r) for all r, c), so every
+  // cols x cols block of rows [g cols, (g + 1) cols) is symmetric: checked
+  // once per square part as it is built, and the AND of the parts' flags
+  // for a stack. Eq. 4's D^-1/2 (A + I) D^-1/2 of an undirected graph always
+  // is, since s_i * s_j == s_j * s_i; the GCN backward relies on it to
+  // propagate gradients with the forward kernel (gcn_encoder). A non-square
+  // part (the features) is not checked and reads false.
+  bool symmetric() const { return symmetric_; }
   // Row r's entries: columns csr_cols()[t] and values csr_vals()[t] for t in
   // [row_begin(r), row_end(r)).
-  std::size_t row_begin(int r) const { return csr_.row_ptr[static_cast<std::size_t>(r)]; }
-  std::size_t row_end(int r) const { return csr_.row_ptr[static_cast<std::size_t>(r) + 1]; }
-  const int* csr_cols() const { return csr_.cols.data(); }
-  const double* csr_vals() const { return csr_.vals.data(); }
+  std::size_t row_begin(int r) const { return row_ptr_[static_cast<std::size_t>(r)]; }
+  std::size_t row_end(int r) const { return row_ptr_[static_cast<std::size_t>(r) + 1]; }
+  const int* csr_cols() const { return col_.data(); }
+  const double* csr_vals() const { return val_.data(); }
 
   // The rows as a dense matrix, for consumers without a CSR path (the GAT
   // ablation encoder) and for tests.
   Matrix to_dense() const;
 
  private:
+  // Appends the rows of m, keeping their entries != 0.0.
+  void append_dense(const Matrix& m);
+  // Whether the cols x cols block at rows [row0, row0 + cols) equals its
+  // transpose: every stored (r, c, v) has a stored (c, r) equal to v, since
+  // an entry absent on both sides is a zero on both.
+  bool square_symmetric(std::size_t row0) const;
+
   int cols_ = 0;
-  detail::CsrArrays csr_;
+  bool symmetric_ = true;
+  std::vector<std::size_t> row_ptr_ = {0};
+  std::vector<int> col_;
+  std::vector<double> val_;
 };
 
 // Free-function kernels. All check shapes. The GEMM entry points (matmul,

@@ -6,11 +6,11 @@ namespace nptsn {
 namespace {
 
 // FNV-1a over the stacked form's shape and, part by part, its row lengths,
-// columns and raw value bit patterns: exactly the arrays the stacked
-// BlockAdjacency holds, with its row pointers as lengths so that no part's
-// offset enters. Bit patterns (not values), so NaN payloads hash — and
-// later compare — exactly like the verification pass sees them.
-std::uint64_t content_hash(const std::vector<const BlockAdjacency*>& parts) {
+// columns and raw value bit patterns: exactly the arrays the stacked CsrRows
+// holds, with its row pointers as lengths so that no part's offset enters.
+// Bit patterns (not values), so NaN payloads hash — and later compare —
+// exactly like the verification pass sees them.
+std::uint64_t content_hash(const std::vector<const CsrRows*>& parts) {
   std::uint64_t h = 1469598103934665603ull;
   const auto absorb = [&h](const void* bytes, std::size_t size) {
     const auto* p = static_cast<const unsigned char*>(bytes);
@@ -19,17 +19,15 @@ std::uint64_t content_hash(const std::vector<const BlockAdjacency*>& parts) {
       h *= 1099511628211ull;
     }
   };
-  std::uint64_t count = 0;
-  for (const BlockAdjacency* part : parts) count += static_cast<std::uint64_t>(part->count());
-  const auto n = static_cast<std::uint64_t>(parts.front()->block_size());
-  absorb(&count, sizeof(count));
-  absorb(&n, sizeof(n));
-  for (const BlockAdjacency* part : parts) {
-    for (int g = 0; g < part->count(); ++g) {
-      for (int r = 0; r < part->block_size(); ++r) {
-        const std::uint64_t length = part->row_end(g, r) - part->row_begin(g, r);
-        absorb(&length, sizeof(length));
-      }
+  std::uint64_t rows = 0;
+  for (const CsrRows* part : parts) rows += static_cast<std::uint64_t>(part->rows());
+  const auto cols = static_cast<std::uint64_t>(parts.front()->cols());
+  absorb(&rows, sizeof(rows));
+  absorb(&cols, sizeof(cols));
+  for (const CsrRows* part : parts) {
+    for (int r = 0; r < part->rows(); ++r) {
+      const std::uint64_t length = part->row_end(r) - part->row_begin(r);
+      absorb(&length, sizeof(length));
     }
     absorb(part->csr_cols(), part->nnz() * sizeof(int));
     absorb(part->csr_vals(), part->nnz() * sizeof(double));
@@ -37,20 +35,16 @@ std::uint64_t content_hash(const std::vector<const BlockAdjacency*>& parts) {
   return h;
 }
 
-// Whether `staged` holds exactly the parts' blocks, stacked in order.
-bool content_equal(const std::vector<const BlockAdjacency*>& parts,
-                   const BlockAdjacency& staged) {
-  int block = 0;
+// Whether `staged` holds exactly the parts' rows, stacked in order, with the
+// symmetry flag their stack would carry.
+bool content_equal(const std::vector<const CsrRows*>& parts, const CsrRows& staged) {
+  int row = 0;
   std::size_t base = 0;
-  for (const BlockAdjacency* part : parts) {
-    if (part->block_size() != staged.block_size() ||
-        block + part->count() > staged.count()) {
-      return false;
-    }
-    for (int g = 0; g < part->count(); ++g, ++block) {
-      for (int r = 0; r < part->block_size(); ++r) {
-        if (staged.row_end(block, r) - base != part->row_end(g, r)) return false;
-      }
+  bool symmetric = true;
+  for (const CsrRows* part : parts) {
+    if (part->cols() != staged.cols() || row + part->rows() > staged.rows()) return false;
+    for (int r = 0; r < part->rows(); ++r, ++row) {
+      if (staged.row_end(row) - base != part->row_end(r)) return false;
     }
     const std::size_t nnz = part->nnz();
     if (nnz > 0 &&
@@ -59,28 +53,28 @@ bool content_equal(const std::vector<const BlockAdjacency*>& parts,
       return false;
     }
     base += nnz;
+    symmetric = symmetric && part->symmetric();
   }
-  return block == staged.count();
+  return row == staged.rows() && symmetric == staged.symmetric();
 }
 
 // The byte budget's charge for a staged form: one (column, value) pair per
-// dense entry of its blocks plus its row pointers. It bounds the stored CSR
-// rather than measuring it, so the budget admits few enough batches to keep
-// a stream's resident memory down (charging the stored bytes let the default
-// budget pin about 6 MB more).
-std::size_t staged_cost(const BlockAdjacency& staged) {
-  const std::size_t n = static_cast<std::size_t>(staged.block_size());
-  const std::size_t dense = static_cast<std::size_t>(staged.count()) * n * n;
-  return dense * (sizeof(int) + sizeof(double)) +
-         (static_cast<std::size_t>(staged.count()) * n + 1) * sizeof(std::size_t);
+// dense entry of its rows x cols (B n x n: its B blocks' n^2 each) plus its
+// row pointers. It bounds the stored CSR rather than measuring it, so the
+// budget admits few enough batches to keep a stream's resident memory down
+// (charging the stored bytes let the default budget pin about 6 MB more).
+std::size_t staged_cost(const CsrRows& staged) {
+  const std::size_t rows = static_cast<std::size_t>(staged.rows());
+  const std::size_t dense = rows * static_cast<std::size_t>(staged.cols());
+  return dense * (sizeof(int) + sizeof(double)) + (rows + 1) * sizeof(std::size_t);
 }
 
 }  // namespace
 
 AdjacencyStageCache::AdjacencyStageCache(std::size_t max_bytes) : store_(max_bytes) {}
 
-std::shared_ptr<const BlockAdjacency> AdjacencyStageCache::stage(
-    const std::vector<const BlockAdjacency*>& parts) {
+std::shared_ptr<const CsrRows> AdjacencyStageCache::stage(
+    const std::vector<const CsrRows*>& parts) {
   NPTSN_EXPECT(!parts.empty(), "stage needs at least one part");
   const std::uint64_t key = content_hash(parts);
   {
@@ -93,7 +87,7 @@ std::shared_ptr<const BlockAdjacency> AdjacencyStageCache::stage(
   // Stage outside the lock, then admit. On a racing double-stage of the same
   // content, last-writer-wins; both results are content-identical, so
   // either serves every later probe correctly.
-  auto staged = std::make_shared<const BlockAdjacency>(parts);
+  auto staged = std::make_shared<const CsrRows>(parts);
   std::lock_guard lock(mutex_);
   store_.put(key, staged, staged_cost(*staged));
   return staged;

@@ -53,7 +53,7 @@ ActorCritic::ActorCritic(const Config& config, Rng& rng)
 Tensor ActorCritic::encode(const Observation& obs) const {
   // GAT reads dense inputs. The attention neighborhood is A_hat's sparsity
   // pattern (self loops are already part of the normalized adjacency).
-  const Matrix neighborhood = obs.a_hat->to_dense(0);
+  const Matrix neighborhood = obs.a_hat->to_dense();
   Tensor h = Tensor::constant(obs.features->to_dense());
   for (const auto& layer : gat_) h = layer.forward(neighborhood, h);
   Tensor embedding = mean_rows(h);
@@ -74,7 +74,7 @@ ActorCritic::ObservationBatch ActorCritic::stage(const std::vector<const Observa
     NPTSN_EXPECT(o->features && o->features->rows() == n &&
                      o->features->cols() == config_.feature_dim,
                  "observation feature shape mismatch");
-    NPTSN_EXPECT(o->a_hat && o->a_hat->count() == 1 && o->a_hat->block_size() == n,
+    NPTSN_EXPECT(o->a_hat && o->a_hat->rows() == n && o->a_hat->cols() == n,
                  "observation adjacency shape mismatch");
     NPTSN_EXPECT(o->params.rows() == 1 && o->params.cols() == config_.param_dim,
                  "observation parameter shape mismatch");
@@ -99,11 +99,10 @@ ActorCritic::ObservationBatch ActorCritic::stage(const std::vector<const Observa
     if (batch == 1 && cache == nullptr) {
       staged.a_hats = obs.front()->a_hat;
     } else {
-      std::vector<const BlockAdjacency*> a_hats;
+      std::vector<const CsrRows*> a_hats;
       a_hats.reserve(obs.size());
       for (const Observation* o : obs) a_hats.push_back(o->a_hat.get());
-      staged.a_hats = cache ? cache->stage(a_hats)
-                            : std::make_shared<const BlockAdjacency>(a_hats);
+      staged.a_hats = cache ? cache->stage(a_hats) : std::make_shared<const CsrRows>(a_hats);
     }
   }
   if (config_.param_dim > 0) {

@@ -63,14 +63,14 @@ class ActorCritic {
     int batch = 0;
     std::shared_ptr<const CsrRows> features;       // (B n) x F; null for GAT
     Tensor params;                                 // constant, B x P (undefined when P == 0)
-    std::shared_ptr<const BlockAdjacency> a_hats;  // B blocks; null unless GCN layers exist
+    std::shared_ptr<const CsrRows> a_hats;         // (B n) x n; null without GCN layers
     std::vector<const Observation*> observations;  // per-observation fallback path
   };
   ObservationBatch stage_batch(const std::vector<const Observation*>& obs) const;
 
   // Optional cross-session reuse of staged adjacency batches
   // (nn/stage_cache): when installed, stage_batch hands the observations'
-  // A_hat blocks to the cache, which serves a content-verified hit instead
+  // A_hat rows to the cache, which serves a content-verified hit instead
   // of stacking them again (at any batch size, one included). Exact
   // (bit-identical forwards with the cache on or off); null uninstalls.
   // forward(obs) stages past it.

@@ -1,9 +1,9 @@
 // The RL environment interface and the observation format.
 //
-// An observation is the GCN input of Fig. 3, born in the sparse forms the
+// An observation is the GCN input of Fig. 3, born in the sparse form the
 // encoder kernels read: the graph's normalized adjacency A_hat (Eq. 4) as
-// one CSR block, the node features carrying the four encoded blocks
-// (switch / link / flow / dynamic-action features) as CSR rows, and a flat
+// n x n CSR rows, the node features carrying the four encoded blocks
+// (switch / link / flow / dynamic-action features) as n x F CSR rows, and a flat
 // parameter vector (flow periods, frame sizes, base period) concatenated
 // with the graph embedding before the actor/critic heads. The CSR objects
 // are immutable and shared: copying an observation, storing it in the
@@ -20,9 +20,9 @@
 namespace nptsn {
 
 struct Observation {
-  std::shared_ptr<const BlockAdjacency> a_hat;  // one n x n block, self loops included
-  std::shared_ptr<const CsrRows> features;      // n rows, F columns
-  Matrix params;                                // 1 x P non-graph parameters
+  std::shared_ptr<const CsrRows> a_hat;     // n x n, self loops included, symmetric
+  std::shared_ptr<const CsrRows> features;  // n rows, F columns
+  Matrix params;                            // 1 x P non-graph parameters
 };
 
 // A sequential decision environment with a fixed-size, masked, discrete

@@ -8,10 +8,10 @@ Deadline::Deadline(double wall_seconds, std::int64_t max_ticks)
     : wall_seconds_(wall_seconds), max_ticks_(max_ticks) {
   NPTSN_EXPECT(wall_seconds >= 0.0, "wall-clock budget must be non-negative");
   NPTSN_EXPECT(max_ticks >= 0, "tick budget must be non-negative");
-  start_ = std::chrono::steady_clock::now();
   if (wall_seconds_ > 0.0) {
-    wall_deadline_ = start_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                                  std::chrono::duration<double>(wall_seconds_));
+    wall_deadline_ = std::chrono::steady_clock::now() +
+                     std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                         std::chrono::duration<double>(wall_seconds_));
   }
 }
 
@@ -79,10 +79,6 @@ bool Deadline::expired() const {
     return record(kWall);
   }
   return false;
-}
-
-double Deadline::elapsed_seconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
 }
 
 std::string Deadline::reason() const {

@@ -88,7 +88,6 @@ class Deadline {
   bool cancelled() const;
 
   std::int64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
-  double elapsed_seconds() const;
 
   // Which budget fired, e.g. "deadline: wall clock budget of 1.5 s exceeded"
   // — empty while nothing has fired. Stable once set.
@@ -117,7 +116,6 @@ class Deadline {
 
   double wall_seconds_ = 0.0;
   std::int64_t max_ticks_ = 0;
-  std::chrono::steady_clock::time_point start_;
   std::chrono::steady_clock::time_point wall_deadline_;
   mutable std::atomic<std::int64_t> ticks_{0};
   mutable std::atomic<int> fired_{kNone};

@@ -134,20 +134,6 @@ ssize_t write(const char* site, int fd, const void* buf, std::size_t count) {
   return ::write(fd, buf, count);
 }
 
-ssize_t pwrite(const char* site, int fd, const void* buf, std::size_t count,
-               off_t offset) {
-  int error = 0;
-  if (should_fail(site, /*is_write=*/true, &error)) {
-    if (error == 0) {
-      const std::size_t short_count = count > 1 ? count / 2 : count;
-      return ::pwrite(fd, buf, short_count, offset);
-    }
-    errno = error;
-    return -1;
-  }
-  return ::pwrite(fd, buf, count, offset);
-}
-
 int fsync(const char* site, int fd) {
   int error = 0;
   if (should_fail(site, /*is_write=*/false, &error)) {

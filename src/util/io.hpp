@@ -18,7 +18,7 @@
 //     persistent fault, e.g. a full disk that never heals on its own);
 //   * EINTR storms: an errno fault with error == EINTR; well-written callers
 //     retry through it, and the soak verifies they all do;
-//   * short writes: write/pwrite consume roughly half the buffer and report
+//   * short writes: write consumes roughly half the buffer and reports
 //     the truncated byte count — not an error at all, which is exactly why
 //     unlooped ::write calls are bugs.
 //
@@ -51,8 +51,6 @@ namespace io {
 
 int open(const char* site, const char* path, int flags, unsigned int mode = 0);
 ssize_t write(const char* site, int fd, const void* buf, std::size_t count);
-ssize_t pwrite(const char* site, int fd, const void* buf, std::size_t count,
-               off_t offset);
 int fsync(const char* site, int fd);
 int rename(const char* site, const char* from, const char* to);
 int close(const char* site, int fd);
@@ -80,7 +78,7 @@ const char* to_string(IoErrorClass cls);
 struct IoFault {
   // Site to target. Exact match, or a prefix ending in '*' ("journal.*").
   std::string site;
-  int error = 0;        // errno to inject; 0 = short write (write/pwrite only)
+  int error = 0;        // errno to inject; 0 = short write (write only)
   int at_hit = 1;       // 1-based crossing of `site` at which to start firing
   int count = 1;        // consecutive crossings that fire; < 0 = forever
 };

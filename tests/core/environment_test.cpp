@@ -127,7 +127,8 @@ TEST(PlanningEnv, ObservationMatchesEncoderShapes) {
   const ObservationEncoder encoder(f.problem, f.config.path_actions);
   EXPECT_EQ(obs.features->cols(), encoder.feature_dim());
   EXPECT_EQ(obs.params.cols(), encoder.param_dim());
-  EXPECT_EQ(obs.a_hat->block_size(), f.problem.num_nodes());
+  EXPECT_EQ(obs.a_hat->rows(), f.problem.num_nodes());
+  EXPECT_EQ(obs.a_hat->cols(), f.problem.num_nodes());
 }
 
 TEST(PlanningEnv, RewardsAccumulateToNegativeScaledCost) {

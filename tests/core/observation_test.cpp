@@ -26,7 +26,7 @@ using testing::tiny_problem;
 
 constexpr int kK = 4;
 
-Matrix a_hat_of(const Observation& obs) { return obs.a_hat->to_dense(0); }
+Matrix a_hat_of(const Observation& obs) { return obs.a_hat->to_dense(); }
 Matrix features_of(const Observation& obs) { return obs.features->to_dense(); }
 
 ActionSpace space_for(const PlanningProblem& p, const Topology& t, std::uint64_t seed,
@@ -49,8 +49,8 @@ TEST(Encoder, ShapesMatchDeclaredDims) {
   const ObservationEncoder encoder(p, kK);
   const Topology t(p);
   const auto obs = encoder.encode(t, space_for(p, t, 1, {{0, 1}}));
-  EXPECT_EQ(obs.a_hat->count(), 1);
-  EXPECT_EQ(obs.a_hat->block_size(), 7);
+  EXPECT_EQ(obs.a_hat->rows(), 7);
+  EXPECT_EQ(obs.a_hat->cols(), 7);
   EXPECT_EQ(obs.features->rows(), 7);
   EXPECT_EQ(obs.features->cols(), encoder.feature_dim());
   EXPECT_EQ(obs.params.rows(), 1);
@@ -194,9 +194,9 @@ TEST(NormalizedAdjacency, IsolatedNodeBecomesSelfLoopOne) {
   t.add_link(0, 4);
   const Observation obs = encoder.encode(t, space_for(p, t, 1, {{0, 1}}));
   for (const int v : {1, 2, 3, 5, 6}) {
-    ASSERT_EQ(obs.a_hat->row_end(0, v) - obs.a_hat->row_begin(0, v), 1u) << "node " << v;
-    EXPECT_EQ(obs.a_hat->csr_cols()[obs.a_hat->row_begin(0, v)], v);
-    EXPECT_EQ(obs.a_hat->csr_vals()[obs.a_hat->row_begin(0, v)], 1.0);
+    ASSERT_EQ(obs.a_hat->row_end(v) - obs.a_hat->row_begin(v), 1u) << "node " << v;
+    EXPECT_EQ(obs.a_hat->csr_cols()[obs.a_hat->row_begin(v)], v);
+    EXPECT_EQ(obs.a_hat->csr_vals()[obs.a_hat->row_begin(v)], 1.0);
   }
 }
 
@@ -204,7 +204,7 @@ TEST(NormalizedAdjacency, IsolatedNodeBecomesSelfLoopOne) {
 // oracle's matrices: row pointers, columns and value bits.
 void expect_matches_oracle(const Observation& obs, const testing::DenseEncoding& dense,
                            const std::string& where) {
-  const BlockAdjacency a_hat(std::vector<Matrix>{dense.a_hat});
+  const CsrRows a_hat(dense.a_hat.cols(), {&dense.a_hat});
   const CsrRows features(dense.features.cols(), {&dense.features});
   ASSERT_TRUE(a_hat.symmetric()) << where;
   EXPECT_EQ(testing::csr_difference(*obs.a_hat, a_hat), "") << where << ": A_hat";

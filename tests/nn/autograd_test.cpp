@@ -279,7 +279,9 @@ TEST(AutogradGradCheck, GcnEncoder) {
     }
     a_hats.push_back(testing::normalized_adjacency(adjacency));
   }
-  const auto adj = std::make_shared<const BlockAdjacency>(std::move(a_hats));
+  std::vector<const Matrix*> blocks;
+  for (const Matrix& a_hat : a_hats) blocks.push_back(&a_hat);
+  const auto adj = std::make_shared<const CsrRows>(kNodes, blocks);
   const Matrix x = random_matrix(kGraphs * kNodes, 3, rng);
   const auto features = std::make_shared<const CsrRows>(3, std::vector<const Matrix*>{&x});
   // Three layers, 3 -> 4 -> 4 -> 2 features.

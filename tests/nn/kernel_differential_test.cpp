@@ -496,6 +496,13 @@ std::shared_ptr<const CsrRows> staged_rows(const Matrix& x) {
   return std::make_shared<const CsrRows>(x.cols(), std::vector<const Matrix*>{&x});
 }
 
+// Square blocks stacked into the (B n) x n CSR rows of a batch adjacency.
+CsrRows stacked_blocks(const std::vector<Matrix>& blocks) {
+  std::vector<const Matrix*> parts;
+  for (const Matrix& block : blocks) parts.push_back(&block);
+  return CsrRows(blocks.front().cols(), parts);
+}
+
 // A random batched-encoder problem: `batch` graphs of n nodes with symmetric
 // adjacency blocks, sparse features, and one layer per entry of `widths`
 // (layer l maps widths[l - 1], or the feature width, to widths[l]). When the
@@ -506,7 +513,7 @@ struct EncoderCase {
   int n = 0;
   int batch = 0;
   std::vector<Matrix> blocks;
-  std::shared_ptr<const BlockAdjacency> adj;
+  std::shared_ptr<const CsrRows> adj;
   Matrix features;
   std::shared_ptr<const CsrRows> staged;
   std::vector<Matrix> w;
@@ -523,7 +530,7 @@ EncoderCase encoder_case(int n, int batch, int features, const std::vector<int>&
     const bool empty = g > 0 && g == batch - 1;
     c.blocks.push_back(empty ? Matrix(n, n) : random_symmetric_block(n, rng));
   }
-  c.adj = std::make_shared<const BlockAdjacency>(c.blocks);
+  c.adj = std::make_shared<const CsrRows>(stacked_blocks(c.blocks));
   c.features = random_features(batch * n, features, n, rng);
   c.staged = staged_rows(c.features);
   int in = features;
@@ -682,7 +689,7 @@ TEST(KernelDifferential, GcnEncoderMatchesTheUnfusedChainInBothFamilies) {
   std::vector<Matrix> blocks = {random_symmetric_block(5, rng),
                                 random_symmetric_block(5, rng)};
   blocks[1].at(0, 3) = blocks[1].at(3, 0) + 0.5;
-  const auto skewed = std::make_shared<const BlockAdjacency>(std::move(blocks));
+  const auto skewed = std::make_shared<const CsrRows>(stacked_blocks(blocks));
   EXPECT_FALSE(skewed->symmetric());
   const std::vector<GcnWeights> layer = {
       {Tensor::parameter(random_matrix(3, 4, 1.0, rng)),
@@ -698,15 +705,14 @@ TEST(KernelDifferential, CsrIndexMatchesDenseBlocks) {
   Rng rng(99);
   std::vector<Matrix> blocks;
   for (int g = 0; g < 3; ++g) blocks.push_back(random_matrix(9, 9, 0.3, rng));
-  const std::vector<Matrix> dense = blocks;  // keep a copy to diff against
-  const BlockAdjacency adj(std::move(blocks));
-  ASSERT_EQ(adj.count(), 3);
-  ASSERT_EQ(adj.block_size(), 9);
-  for (int g = 0; g < adj.count(); ++g) {
+  const CsrRows adj = stacked_blocks(blocks);
+  ASSERT_EQ(adj.rows(), 27);
+  ASSERT_EQ(adj.cols(), 9);
+  for (int g = 0; g < 3; ++g) {
     Matrix rebuilt(9, 9);
     for (int r = 0; r < 9; ++r) {
       int prev_col = -1;
-      for (std::size_t t = adj.row_begin(g, r); t < adj.row_end(g, r); ++t) {
+      for (std::size_t t = adj.row_begin(g * 9 + r); t < adj.row_end(g * 9 + r); ++t) {
         const int c = adj.csr_cols()[t];
         EXPECT_GT(c, prev_col) << "CSR columns must ascend within a row";
         prev_col = c;
@@ -714,7 +720,7 @@ TEST(KernelDifferential, CsrIndexMatchesDenseBlocks) {
         rebuilt.at(r, c) = adj.csr_vals()[t];
       }
     }
-    expect_identical(rebuilt, dense[static_cast<std::size_t>(g)], "csr rebuild");
+    expect_identical(rebuilt, blocks[static_cast<std::size_t>(g)], "csr rebuild");
   }
 }
 
@@ -750,6 +756,40 @@ TEST(KernelDifferential, CsrRowsKeepEveryNonzeroInAscendingColumns) {
   EXPECT_THROW(CsrRows(9, {&top, &narrow}), std::invalid_argument);
 }
 
+// Symmetry is checked once per square part as it is built, a non-square
+// part (the features) reads false unchecked, and a stack is symmetric when
+// every part is. Malformed arrays are refused.
+TEST(KernelDifferential, CsrRowsCheckSymmetryOncePerSquarePart) {
+  Rng rng(97);
+  const Matrix a = random_symmetric_block(6, rng);
+  Matrix skew = random_symmetric_block(6, rng);
+  skew.at(0, 5) = skew.at(5, 0) + 0.5;
+  const Matrix wide = random_features(6, 9, 6, rng);
+  const CsrRows sym(6, {&a});
+  const CsrRows asym(6, {&skew});
+  EXPECT_TRUE(sym.symmetric());
+  EXPECT_FALSE(asym.symmetric());
+  EXPECT_FALSE(CsrRows(9, {&wide}).symmetric());
+  EXPECT_TRUE(CsrRows(6, {&a, &a}).symmetric());
+  EXPECT_FALSE(CsrRows(6, {&a, &skew}).symmetric());
+  EXPECT_TRUE(CsrRows({&sym, &sym}).symmetric());
+  EXPECT_FALSE(CsrRows({&sym, &asym}).symmetric());
+
+  // From arrays: a mirrored pair, an entry without its mirror, a mirror
+  // holding another value, and rows that are not square.
+  EXPECT_TRUE(CsrRows(2, {0, 2, 4}, {0, 1, 0, 1}, {1.0, 0.5, 0.5, 1.0}).symmetric());
+  EXPECT_FALSE(CsrRows(2, {0, 2, 3}, {0, 1, 1}, {1.0, 0.5, 1.0}).symmetric());
+  EXPECT_FALSE(CsrRows(2, {0, 2, 4}, {0, 1, 0, 1}, {1.0, 0.5, 0.25, 1.0}).symmetric());
+  EXPECT_FALSE(CsrRows(3, {0, 1, 2}, {0, 1}, {1.0, 1.0}).symmetric());
+  // Columns out of order or past the width, stored zeros, row pointers past
+  // the arrays, and arrays that do not fit together.
+  EXPECT_THROW(CsrRows(2, {0, 2}, {1, 0}, {1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(CsrRows(2, {0, 1}, {2}, {1.0}), std::invalid_argument);
+  EXPECT_THROW(CsrRows(2, {0, 1}, {0}, {-0.0}), std::invalid_argument);
+  EXPECT_THROW(CsrRows(2, {0, 3, 2}, {0, 1}, {1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(CsrRows(2, {0, 1}, {0, 1}, {1.0, 1.0}), std::invalid_argument);
+}
+
 // The first layer's products over CSR rows equal the same table's dense
 // per-graph primitives bit for bit, in the reference family and in every
 // fast table the host runs: rows with no entry, one entry, only -0.0 zeros,
@@ -770,7 +810,7 @@ TEST(KernelDifferential, CsrLayerPrimitivesEqualTheDenseRowsInBothFamilies) {
         const auto staged = staged_rows(x);
         std::vector<Matrix> blocks;
         for (int g = 0; g < kBatch; ++g) blocks.push_back(random_symmetric_block(n, rng));
-        const BlockAdjacency adj(std::move(blocks));
+        const CsrRows adj = stacked_blocks(blocks);
         const Matrix w = random_matrix(f, out, 1.0, rng);
         const Matrix bias = random_matrix(1, out, 1.0, rng);
         const Matrix delta = random_matrix(kBatch * n, out, 0.8, rng);
@@ -785,9 +825,12 @@ TEST(KernelDifferential, CsrLayerPrimitivesEqualTheDenseRowsInBothFamilies) {
             kernels.affine_rows(x.data() + static_cast<std::size_t>(g) * n * f, f,
                                 packed_w.operand(), out, bias.data(), Epilogue::kNone,
                                 z_dense.data(), 0, n);
-            kernels.affine_csr(*staged, g * n, n, w.data(), out, bias.data(), z_csr.data());
-            kernels.propagate(adj, g, z_dense.data(), out, Epilogue::kRelu, y_dense.data());
-            kernels.propagate(adj, g, z_csr.data(), out, Epilogue::kRelu, y_csr.data());
+            kernels.affine_csr(*staged, g * n, n, w.data(), out, bias.data(), Epilogue::kNone,
+                               z_csr.data());
+            kernels.affine_csr(adj, g * n, n, z_dense.data(), out, nullptr, Epilogue::kRelu,
+                               y_dense.data());
+            kernels.affine_csr(adj, g * n, n, z_csr.data(), out, nullptr, Epilogue::kRelu,
+                               y_csr.data());
             expect_identical(z_csr, z_dense, "affine_csr");
             expect_identical(y_csr, y_dense, "layer output over affine_csr");
           }
@@ -803,6 +846,61 @@ TEST(KernelDifferential, CsrLayerPrimitivesEqualTheDenseRowsInBothFamilies) {
                                      packed_b.operand(), out, dense.data(), 0, f);
             kernels.matmul_tn_resume_csr(*staged, row0, rows, b, out, csr.data());
             expect_identical(csr, dense, "matmul_tn_resume_csr");
+          }
+        }
+      }
+    }
+  }
+}
+
+// The one CSR product of each family, affine_csr, equals the same table's
+// affine_rows over the densified rows byte for byte, in the reference family
+// and in every fast table the host runs, for every epilogue, with and
+// without a bias. On A-hat-shaped rows: square blocks with self loops,
+// symmetric, stacked B high, over each graph's rows, the whole stack and a
+// range that starts mid-batch. On feature-shaped rows: B n x F at 5% and 50%
+// density, with a row holding only zeros of both signs. b is finite, so the
+// zero terms the fast tiles keep change nothing.
+TEST(KernelDifferential, AffineCsrEqualsAffineRowsOverTheDensifiedRows) {
+  Rng rng(1618);
+  constexpr int kBatch = 3;
+  const Epilogue acts[] = {Epilogue::kNone, Epilogue::kRelu, Epilogue::kTanh};
+  for (const int n : {1, 5, 16}) {
+    for (const int cols_n : {1, 5, 33}) {
+      std::vector<Matrix> blocks;
+      for (int g = 0; g < kBatch; ++g) blocks.push_back(random_symmetric_block(n, rng));
+      const CsrRows a_hat = stacked_blocks(blocks);
+      ASSERT_TRUE(a_hat.symmetric());
+      Matrix x = random_features(kBatch * n, 2 * n + 3, n, rng);
+      for (int j = 0; j < x.cols(); ++j) x.at(0, j) = j % 2 == 0 ? -0.0 : 0.0;
+      const CsrRows features(x.cols(), {&x});
+      std::vector<std::pair<int, int>> ranges = {{kBatch * n / 2, kBatch * n - kBatch * n / 2},
+                                                 {0, kBatch * n}};
+      for (int g = 0; g < kBatch; ++g) ranges.emplace_back(g * n, n);
+      for (const CsrRows* rows : {&a_hat, &features}) {
+        const Matrix dense = rows->to_dense();
+        // Scaled so the pre-activations reach every branch of tanh.
+        Matrix b = random_matrix(rows->cols(), cols_n, 1.0, rng);
+        for (int e = 0; e < b.size(); ++e) b.data()[e] *= 3.0;
+        const Matrix bias = random_matrix(1, cols_n, 1.0, rng);
+        for (const nnk::KernelTable* table : every_table()) {
+          for (const auto& [row0, count] : ranges) {
+            std::string what = table->name;
+            what += rows == &a_hat ? " A-hat rows " : " feature rows ";
+            what += std::to_string(row0) + "+" + std::to_string(count);
+            nnk::PackedOperand packed;
+            packed.pack(*table, b.data(), b.rows(), cols_n, count);
+            for (const Epilogue act : acts) {
+              for (const double* pbias : {static_cast<const double*>(nullptr), bias.data()}) {
+                Matrix want(count, cols_n);
+                Matrix got(count, cols_n);
+                table->affine_rows(dense.data() + static_cast<std::size_t>(row0) * dense.cols(),
+                                   dense.cols(), packed.operand(), cols_n, pbias, act,
+                                   want.data(), 0, count);
+                table->affine_csr(*rows, row0, count, b.data(), cols_n, pbias, act, got.data());
+                expect_same_bytes(got, want, what);
+              }
+            }
           }
         }
       }
@@ -987,9 +1085,9 @@ Matrix oracle_affine(const Matrix& a, const Matrix& b, const Matrix* bias, Epilo
   return out;
 }
 
-// The reference propagate as it was over dense blocks (out = A_g src by the
-// zero-skipping i-k-j loop, which skips +0.0 and -0.0 entries alike), then
-// the epilogue pass the reference layer applied to it.
+// The reference A-hat product as it was over dense blocks (out = A_g src by
+// the zero-skipping i-k-j loop, which skips +0.0 and -0.0 entries alike),
+// then the epilogue pass the reference layer applied to it.
 Matrix oracle_propagate(const Matrix& block, const Matrix& src, Epilogue act) {
   const int n = block.rows();
   const int cols = src.cols();
@@ -1074,23 +1172,28 @@ TEST(KernelDifferential, ReferenceFamilyKeepsItsNonFiniteSemantics) {
     oracle_matmul_tn_resume(a_tn, b, resumed_want);
     expect_same_bytes(resumed, resumed_want, "matmul_tn_resume" + shape);
     // The CSR rows hold the entries != 0.0, NaN and the infinities included.
-    Matrix z(s.m, s.n);
-    reference.affine_csr(csr(a), 0, s.m, b.data(), s.n, bias.data(), z.data());
-    expect_same_bytes(z, oracle_affine(a, b, &bias, Epilogue::kNone), "affine_csr" + shape);
+    for (const Epilogue act : acts) {
+      for (const Matrix* pbias : {static_cast<const Matrix*>(nullptr), &bias}) {
+        Matrix z(s.m, s.n);
+        reference.affine_csr(csr(a), 0, s.m, b.data(), s.n, pbias ? pbias->data() : nullptr, act,
+                             z.data());
+        expect_same_bytes(z, oracle_affine(a, b, pbias, act), "affine_csr" + shape);
+      }
+    }
     Matrix resumed_csr = start;
     reference.matmul_tn_resume_csr(csr(a_tn), 0, s.k, b.data(), s.n, resumed_csr.data());
     expect_same_bytes(resumed_csr, resumed_want, "matmul_tn_resume_csr" + shape);
-    // propagate walks the CSR of the blocks, which drops their -0.0 and
-    // +0.0 entries and keeps NaN and the infinities.
+    // The A-hat products walk the CSR of the stacked blocks, which drops
+    // their -0.0 and +0.0 entries and keeps NaN and the infinities.
     const std::vector<Matrix> blocks = {special(s.m, s.m), special(s.m, s.m)};
-    const BlockAdjacency adj(blocks);
+    const CsrRows adj = stacked_blocks(blocks);
     const Matrix src = special(s.m, s.n);
-    for (int g = 0; g < adj.count(); ++g) {
+    for (int g = 0; g < 2; ++g) {
       for (const Epilogue act : acts) {
         Matrix out(s.m, s.n);
-        reference.propagate(adj, g, src.data(), s.n, act, out.data());
+        reference.affine_csr(adj, g * s.m, s.m, src.data(), s.n, nullptr, act, out.data());
         expect_same_bytes(out, oracle_propagate(blocks[static_cast<std::size_t>(g)], src, act),
-                          "propagate" + shape);
+                          "affine_csr over A-hat" + shape);
       }
     }
   }
@@ -1235,7 +1338,7 @@ TEST(KernelDifferential, FastTanhMatchesLibmBitForBit) {
 }
 
 // The fast family applies that tanh in every loop shape: register tiles over
-// 1 to 6 rows, the zero-padded last panel and the CSR propagation. Each
+// 1 to 6 rows, the zero-padded last panel and the CSR product. Each
 // equals std::tanh of the same shape's kNone output, so each batched row
 // also equals its batch of one. The bias row holds entries that hit the
 // ported range's ends: +-30 and 1e-20 over all-zero rows of x.
@@ -1272,14 +1375,14 @@ TEST(KernelDifferential, FastTanhEpilogueEqualsTanhOfTheAffineInEveryLoopShape) 
       }
     }
     if (s.m == 0 || s.n == 0) continue;
-    const BlockAdjacency adj({random_symmetric_block(s.m, rng)});
+    const CsrRows adj = stacked_blocks({random_symmetric_block(s.m, rng)});
     const Matrix src = random_matrix(s.m, s.n, 1.0, rng);
     Matrix linear(s.m, s.n);
     Matrix th(s.m, s.n);
     const nnk::KernelTable& fast = nnk::kernel_table(NnKernel::kFast);
-    fast.propagate(adj, 0, src.data(), s.n, Epilogue::kNone, linear.data());
-    fast.propagate(adj, 0, src.data(), s.n, Epilogue::kTanh, th.data());
-    expect_same_bytes(th, tanh_of(linear), "propagate tanh" + shape);
+    fast.affine_csr(adj, 0, s.m, src.data(), s.n, nullptr, Epilogue::kNone, linear.data());
+    fast.affine_csr(adj, 0, s.m, src.data(), s.n, nullptr, Epilogue::kTanh, th.data());
+    expect_same_bytes(th, tanh_of(linear), "affine_csr tanh" + shape);
   }
 }
 

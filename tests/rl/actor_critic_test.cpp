@@ -187,8 +187,8 @@ TEST(ActorCritic, ObservationShapeValidated) {
   EXPECT_THROW(net.forward(testing::observation_of(Matrix(2, 2, 1.0), features, params)),
                std::invalid_argument);
   auto obs = small_obs();
-  obs.a_hat =
-      std::make_shared<const BlockAdjacency>(std::vector<Matrix>{small_a_hat(), small_a_hat()});
+  const Matrix a_hat = small_a_hat();
+  obs.a_hat = std::make_shared<const CsrRows>(3, std::vector<const Matrix*>{&a_hat, &a_hat});
   EXPECT_THROW(net.forward(obs), std::invalid_argument);
   // Missing forms, then the wrong parameter width.
   obs = small_obs();
@@ -212,7 +212,7 @@ TEST(ActorCritic, BatchOfOneSharesTheObservationsCsr) {
   EXPECT_EQ(staged.a_hats.get(), obs.a_hat.get());
 }
 
-// A block built from CSR arrays checks its own symmetry. The encoder's
+// Square rows built from CSR arrays check their own symmetry. The encoder's
 // backward needs A_hat^T = A_hat, so a batch holding an asymmetric part
 // stages (its symmetric() is the AND of the parts') and is refused.
 TEST(ActorCritic, AsymmetricAdjacencyPartIsRefused) {
@@ -220,7 +220,7 @@ TEST(ActorCritic, AsymmetricAdjacencyPartIsRefused) {
   const ActorCritic net(small_config(), rng);
   Observation skewed = small_obs();
   // Row 0 holds (0, 1), row 1 only (1, 1): entry (0, 1) has no mirror.
-  skewed.a_hat = std::make_shared<const BlockAdjacency>(
+  skewed.a_hat = std::make_shared<const CsrRows>(
       3, std::vector<std::size_t>{0, 2, 3, 4}, std::vector<int>{0, 1, 1, 2},
       std::vector<double>{0.5, 0.25, 1.0, 1.0});
   EXPECT_FALSE(skewed.a_hat->symmetric());
@@ -351,15 +351,15 @@ TEST(ActorCritic, StagedBatchEqualsTheDenseScanOfTheOracle) {
   Rng net_rng(4);
   const ActorCritic net(net_config, net_rng);
   std::vector<const Observation*> ptrs;
-  std::vector<Matrix> a_hats;
+  std::vector<const Matrix*> a_hats;
   std::vector<const Matrix*> features;
   for (std::size_t b = 0; b < observations.size(); ++b) {
     ptrs.push_back(&observations[b]);
-    a_hats.push_back(dense[b].a_hat);
+    a_hats.push_back(&dense[b].a_hat);
     features.push_back(&dense[b].features);
   }
   const ActorCritic::ObservationBatch staged = net.stage_batch(ptrs);
-  EXPECT_EQ(testing::csr_difference(*staged.a_hats, BlockAdjacency(a_hats)), "");
+  EXPECT_EQ(testing::csr_difference(*staged.a_hats, CsrRows(problem.num_nodes(), a_hats)), "");
   EXPECT_EQ(testing::csr_difference(*staged.features, CsrRows(encoder.feature_dim(), features)),
             "");
   EXPECT_TRUE(staged.a_hats->symmetric());

@@ -190,25 +190,25 @@ TEST(EngineSharedCacheStress, ConcurrentPublishLookupIsRaceFree) {
 
 // --- AdjacencyStageCache ----------------------------------------------------
 
-// The A_hat parts of two observations, as the encoder emits them (one CSR
-// block each): a 4-node path whose end nodes carry self loops of weight
+// The A_hat parts of two observations, as the encoder emits them (4 x 4 CSR
+// rows each): a 4-node path whose end nodes carry self loops of weight
 // `seed`, so different seeds give different content.
-std::vector<std::shared_ptr<const BlockAdjacency>> make_parts(double seed) {
-  std::vector<std::shared_ptr<const BlockAdjacency>> parts;
+std::vector<std::shared_ptr<const CsrRows>> make_parts(double seed) {
+  std::vector<std::shared_ptr<const CsrRows>> parts;
   for (int b = 0; b < 2; ++b) {
     Matrix block(4, 4);
     for (int r = 0; r < 4; ++r) {
       block.at(r, r) = r == 0 || r == 3 ? seed + b * 100.0 : 0.5;
       if (r + 1 < 4) block.at(r, r + 1) = block.at(r + 1, r) = 0.25;
     }
-    parts.push_back(std::make_shared<const BlockAdjacency>(std::vector<Matrix>{block}));
+    parts.push_back(std::make_shared<const CsrRows>(4, std::vector<const Matrix*>{&block}));
   }
   return parts;
 }
 
-std::vector<const BlockAdjacency*> raw(
-    const std::vector<std::shared_ptr<const BlockAdjacency>>& parts) {
-  std::vector<const BlockAdjacency*> out;
+std::vector<const CsrRows*> raw(
+    const std::vector<std::shared_ptr<const CsrRows>>& parts) {
+  std::vector<const CsrRows*> out;
   for (const auto& part : parts) out.push_back(part.get());
   return out;
 }
@@ -221,7 +221,7 @@ TEST(AdjacencyStageCache, IdenticalBlocksHitAndShareTheStagedForm) {
   ASSERT_NE(first, nullptr);
   // A verified hit hands back the SAME staged object.
   EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(first->count(), 2);
+  EXPECT_EQ(first->rows(), 8);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -238,7 +238,7 @@ TEST(AdjacencyStageCache, DifferentContentMisses) {
   const auto single = cache.stage({parts[0].get()});
   EXPECT_NE(first.get(), second.get());
   EXPECT_NE(first.get(), swapped.get());
-  EXPECT_EQ(single->count(), 1);
+  EXPECT_EQ(single->rows(), 4);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 4u);
 }
@@ -254,15 +254,15 @@ TEST(AdjacencyStageCache, EvictionKeepsHandedOutFormsAlive) {
   EXPECT_LE(stats.bytes, 2048u);
   // The evicted-but-retained staged form is still fully usable.
   ASSERT_NE(keeper, nullptr);
-  EXPECT_EQ(keeper->count(), 2);
+  EXPECT_EQ(keeper->rows(), 8);
   EXPECT_EQ(keeper->nnz(), stored);
-  EXPECT_EQ(keeper->csr_vals()[keeper->row_begin(1, 0)], 100.0);
+  EXPECT_EQ(keeper->csr_vals()[keeper->row_begin(4)], 100.0);
 }
 
 TEST(AdjacencyStageCacheStress, ConcurrentStagingIsRaceFree) {
   AdjacencyStageCache cache;
   // 8 overlapping contents across all threads, encoded once up front.
-  std::vector<std::vector<std::shared_ptr<const BlockAdjacency>>> contents;
+  std::vector<std::vector<std::shared_ptr<const CsrRows>>> contents;
   for (int c = 0; c < 8; ++c) contents.push_back(make_parts(static_cast<double>(c)));
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
@@ -271,7 +271,7 @@ TEST(AdjacencyStageCacheStress, ConcurrentStagingIsRaceFree) {
       for (int i = 0; i < 100; ++i) {
         const auto staged = cache.stage(raw(contents[static_cast<std::size_t>(i % 8)]));
         ASSERT_NE(staged, nullptr);
-        ASSERT_EQ(staged->count(), 2);
+        ASSERT_EQ(staged->rows(), 8);
       }
     });
   }

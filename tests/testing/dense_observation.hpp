@@ -104,7 +104,7 @@ inline DenseEncoding dense_encoding(const PlanningProblem& problem, int k,
 // constructors.
 inline Observation observation_of(const Matrix& a_hat, const Matrix& features, Matrix params) {
   Observation obs;
-  obs.a_hat = std::make_shared<const BlockAdjacency>(std::vector<Matrix>{a_hat});
+  obs.a_hat = std::make_shared<const CsrRows>(a_hat.cols(), std::vector<const Matrix*>{&a_hat});
   obs.features =
       std::make_shared<const CsrRows>(features.cols(), std::vector<const Matrix*>{&features});
   obs.params = std::move(params);
@@ -122,50 +122,26 @@ std::string message(const Parts&... parts) {
   return out.str();
 }
 
-inline std::string entries_difference(std::size_t got_nnz, const int* got_cols,
-                                      const double* got_vals, std::size_t want_nnz,
-                                      const int* want_cols, const double* want_vals) {
-  if (got_nnz != want_nnz) return message("stores ", got_nnz, " entries, want ", want_nnz);
-  for (std::size_t t = 0; t < got_nnz; ++t) {
-    if (got_cols[t] != want_cols[t]) return message("column of entry ", t);
-    if (std::memcmp(got_vals + t, want_vals + t, sizeof(double)) != 0) {
-      return message("value bits of entry ", t);
-    }
-  }
-  return "";
-}
-
 }  // namespace detail
 
 // The first field in which two CSR forms differ (shape, symmetric(), a row
 // pointer, a column, the bits of a value), or "" when they are equal.
-inline std::string csr_difference(const BlockAdjacency& got, const BlockAdjacency& want) {
-  if (got.count() != want.count() || got.block_size() != want.block_size()) {
-    return detail::message("shape: ", got.count(), " blocks of ", got.block_size(), ", want ",
-                           want.count(), " of ", want.block_size());
-  }
-  if (got.symmetric() != want.symmetric()) return "symmetric()";
-  for (int g = 0; g < got.count(); ++g) {
-    for (int r = 0; r < got.block_size(); ++r) {
-      if (got.row_end(g, r) != want.row_end(g, r)) {
-        return detail::message("row pointer after block ", g, ", row ", r);
-      }
-    }
-  }
-  return detail::entries_difference(got.nnz(), got.csr_cols(), got.csr_vals(), want.nnz(),
-                                    want.csr_cols(), want.csr_vals());
-}
-
 inline std::string csr_difference(const CsrRows& got, const CsrRows& want) {
   if (got.rows() != want.rows() || got.cols() != want.cols()) {
     return detail::message("shape: ", got.rows(), " x ", got.cols(), ", want ", want.rows(),
                            " x ", want.cols());
   }
+  if (got.symmetric() != want.symmetric()) return "symmetric()";
   for (int r = 0; r < got.rows(); ++r) {
     if (got.row_end(r) != want.row_end(r)) return detail::message("row pointer after row ", r);
   }
-  return detail::entries_difference(got.nnz(), got.csr_cols(), got.csr_vals(), want.nnz(),
-                                    want.csr_cols(), want.csr_vals());
+  for (std::size_t t = 0; t < got.nnz(); ++t) {
+    if (got.csr_cols()[t] != want.csr_cols()[t]) return detail::message("column of entry ", t);
+    if (std::memcmp(got.csr_vals() + t, want.csr_vals() + t, sizeof(double)) != 0) {
+      return detail::message("value bits of entry ", t);
+    }
+  }
+  return "";
 }
 
 }  // namespace nptsn::testing
